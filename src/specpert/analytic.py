@@ -520,6 +520,7 @@ def verify_analytic_family(
         beta0 = np.asarray(beta0, dtype=complex)
         H0 = family(beta0)
         mat0, d = _as_matrix(H0)
+        eye = np.eye(d, dtype=complex)
         if resolvent_shift is None:
             bound = H0.norm_bound() if isinstance(H0, DiscreteOperator) else float(
                 np.linalg.norm(np.asarray(mat0), 2)
@@ -558,9 +559,7 @@ def verify_analytic_family(
                     )
 
             def resolvent_map(beta_vec):
-                m, dd = _as_matrix(family(beta_vec))
-                dense = m.toarray() if sp.issparse(m) else np.asarray(m, dtype=complex)
-                return la.solve(dense - lam0 * np.eye(dd), np.eye(dd, dtype=complex))
+                return resolvent_apply(family(beta_vec), lam0, eye)
 
             resid, ok = _recon_residual(resolvent_map, beta0, t, r, M, q, recon_tol)
             report.records.append(

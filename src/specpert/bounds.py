@@ -84,7 +84,10 @@ def _probe_vectors(h0: DiscreteOperator, probes: int, seed: int) -> list[np.ndar
             _, vecs = np.linalg.eigh(h0.to_dense())
             out.extend(vecs[:, j] for j in range(min(n_eig, d)))
         else:
-            _, vecs = spla.eigsh(h0.matrix.real.astype(float), k=n_eig, which="SA")
+            # ARPACK's default start vector is unseeded; seed it so the
+            # probes, and with them the reported bound, repeat from run to run.
+            _, vecs = spla.eigsh(h0.matrix.real.astype(float), k=n_eig, which="SA",
+                                 v0=rng.standard_normal(d))
             out.extend(vecs[:, j].astype(complex) for j in range(n_eig))
     while len(out) < probes:
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -134,11 +137,9 @@ def estimate_relative_bound(
                          tradeoff=tuple(curve))
 
 
-def uniform_sum_norm_bound(
-    family: PotentialFamily, grid, n_iter: int = 200, tol: float = 1e-8
-) -> float:
-    """Bound v * max(n0, 1) on ||sum_i |V_i|||, with a power-iteration
-    cross-check on the assembled diagonal operator.
+def uniform_sum_norm_bound(family: PotentialFamily, grid) -> float:
+    """Bound v * max(n0, 1) on ||sum_i |V_i|||, cross-checked against the
+    norm of the assembled diagonal operator (its largest entry).
 
     The disjoint case n0 = 0 uses the bound v (a single support is the
     worst case when nothing overlaps).
@@ -152,30 +153,12 @@ def uniform_sum_norm_bound(
     diag = np.zeros(grid.size)
     for d in family.sample_on(grid):
         diag += np.abs(np.asarray(d))
-    computed = _power_iteration_diag(diag, n_iter)
+    computed = float(diag.max())
     if computed > bound + 1e-8:
         raise ValueError(
             f"computed operator norm {computed:.10g} exceeds bound {bound:.10g}"
         )
     return bound
-
-
-def _power_iteration_diag(diag: np.ndarray, n_iter: int) -> float:
-    """Power iteration for the norm of a nonnegative diagonal operator;
-    deterministic start, converges to max(diag) from below."""
-    if not diag.any():
-        return 0.0
-    x = np.ones_like(diag)
-    x /= np.linalg.norm(x)
-    est = 0.0
-    for _ in range(n_iter):
-        y = diag * x
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0
-        est = max(est, ny)
-        x = y / ny
-    return float(est)
 
 
 def kato_stability_check(rb: RelativeBound) -> bool:

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+import scipy.sparse as sp
 
 from . import __version__, analytic, bounds, geometry, lattice, potentials, serialize
 from .serialize import SchemaError
@@ -206,7 +207,6 @@ def build_family(spec: dict, rng: np.random.Generator):
         width = float(spec.get("width", 0.4))
         height = float(spec.get("height", 1.0))
         half = float(spec.get("support_halfwidth", max(3 * width, 1.0)))
-        m = origin.size
         terms = []
         for i in range(count):
             center = origin.copy()
@@ -225,7 +225,6 @@ def build_family(spec: dict, rng: np.random.Generator):
         C = float(spec.get("C", 1.0))
         k = float(spec.get("k", 3.0))
         box = np.asarray(spec.get("box", [[0.0, 4.0 * A * count]]), dtype=float)
-        m = len(box)
         centers = _separated_centers(rng, count, box, A)
         terms = [
             potentials.PotentialTerm(
@@ -271,6 +270,7 @@ class RunContext:
 
     _h0: lattice.DiscreteOperator | None = None
     _term_ops: list | None = None
+    _terms_hermitian: bool = False
 
     def potential_family(self, task: str) -> potentials.PotentialFamily:
         if not isinstance(self.family, potentials.PotentialFamily):
@@ -281,11 +281,8 @@ class RunContext:
     def h0(self) -> lattice.DiscreteOperator:
         if self._h0 is None:
             if isinstance(self.family, MatrixSystem):
-                import scipy.sparse as sp
-
                 mat = sp.csr_matrix(self.family.h0)
-                herm = not (abs(mat - mat.getH())).nnz
-                self._h0 = lattice.DiscreteOperator(mat, hermitian=herm)
+                self._h0 = lattice.DiscreteOperator(mat, hermitian=_is_hermitian(mat))
             else:
                 if self.grid is None:
                     raise ScenarioError("scenario needs a grid for this family")
@@ -295,8 +292,6 @@ class RunContext:
     @property
     def term_ops(self) -> list:
         """One sparse perturbation matrix per coupling index."""
-        import scipy.sparse as sp
-
         if self._term_ops is None:
             if isinstance(self.family, MatrixSystem):
                 self._term_ops = [sp.csr_matrix(t) for t in self.family.terms]
@@ -305,14 +300,28 @@ class RunContext:
                     sp.diags(np.asarray(d, dtype=complex), format="csr")
                     for d in self.family.sample_on(self.grid)
                 ]
+            self._terms_hermitian = all(_is_hermitian(op) for op in self._term_ops)
         return self._term_ops
 
     def hamiltonian(self, beta_vec: np.ndarray) -> lattice.DiscreteOperator:
-        mat = self.h0.matrix.copy()
+        """H(beta) = H0 + sum_i beta_i V_i: the only place the CLI forms it."""
+        return self._add_terms(self.h0.matrix.copy(), self.h0.hermitian, beta_vec)
+
+    def perturbation(self, beta_vec: np.ndarray) -> lattice.DiscreteOperator:
+        """V(beta) = sum_i beta_i V_i from the same term matrices."""
+        zero = sp.csr_matrix(self.h0.matrix.shape, dtype=complex)
+        return self._add_terms(zero, True, beta_vec)
+
+    def _add_terms(self, mat, hermitian: bool,
+                   beta_vec: np.ndarray) -> lattice.DiscreteOperator:
+        # Terms are added one at a time and zero couplings skipped: the
+        # summation order fixes the last bits of every reported value.
         for b, op in zip(beta_vec, self.term_ops):
             if b != 0:
                 mat = mat + complex(b) * op
-        return lattice.DiscreteOperator(mat, hermitian=False, grid=self.grid)
+                hermitian = hermitian and complex(b).imag == 0
+        return lattice.DiscreteOperator(
+            mat, hermitian=hermitian and self._terms_hermitian, grid=self.grid)
 
     def beta_vector(self) -> np.ndarray:
         vec = np.zeros(len(self.family), dtype=complex)
@@ -321,14 +330,8 @@ class RunContext:
         return vec
 
 
-def _low_spectrum(op: lattice.DiscreteOperator, k: int) -> np.ndarray:
-    """Lowest k+2 eigenvalues (dense for desk-scale operators)."""
-    dense = op.to_dense()
-    if not op.hermitian:
-        vals = np.sort(np.linalg.eigvals(dense).real)
-    else:
-        vals = np.linalg.eigvalsh(dense)
-    return vals[: k + 2]
+def _is_hermitian(mat) -> bool:
+    return not abs(mat - mat.getH()).nnz
 
 
 def _place_contour(op: lattice.DiscreteOperator, eig_index: int,
@@ -347,9 +350,10 @@ def _place_contour(op: lattice.DiscreteOperator, eig_index: int,
 
 
 def task_geometry(ctx: RunContext, spec: dict) -> dict:
-    sf = ctx.potential_family("geometry").support_family()
+    family = ctx.potential_family("geometry")
+    sf = family.support_family()
     adjacency, n0 = geometry.intersection_stats(sf)
-    n1 = geometry.check_fip_variant(sf, radius=float(spec.get("radius", 1.0)))
+    n1 = family.n1(float(spec.get("radius", 1.0)))
     partition = geometry.disjoint_refinement(sf)
     per_set = [len(partition.cells_containing(i)) for i in range(1, len(sf) + 1)]
     bound = 2 ** n0
@@ -389,35 +393,25 @@ def task_stummel(ctx: RunContext, spec: dict) -> dict:
     params = potentials.StummelParams(rho=rho, m=m,
                                       quad_order=int(spec.get("quad_order", 32)),
                                       probe_points=probes)
-    norms = [potentials.stummel_class_norm(t.evaluate, params)
-             for t in family.terms]
-    bound = potentials.weighted_sum_stummel_bound(family, ctx.beta, params)
-    direct = potentials.direct_sum_stummel_norm(family, ctx.beta, params)
-    ok = direct <= bound + ctx.tol["stummel"]
+    sb = potentials.weighted_sum_stummel_bound(family, ctx.beta, params)
+    ok = sb.direct <= sb.bound + ctx.tol["stummel"]
     ctx.report.add_invariant("stummel.sum_bound_dominates", ok,
-                             f"direct {direct:.6g} vs bound {bound:.6g}")
+                             f"direct {sb.direct:.6g} vs bound {sb.bound:.6g}")
     _write_csv(
         ctx.out / "stummel_norms.csv",
         f"per-term Stummel norms, rho={rho}, m={m}\n"
         "term: 1-based index; M: probe-grid estimate of sup_x M_(v,rho)(x)",
         ["term", "M"],
-        [[i + 1, float(Mi)] for i, Mi in enumerate(norms)],
+        [[i + 1, float(Mi)] for i, Mi in enumerate(sb.norms)],
     )
-    return {"rho": rho, "per_term_max": max(norms), "bound": bound,
-            "direct": direct, "pass": ok}
+    return {"rho": rho, "per_term_max": max(sb.norms), "bound": sb.bound,
+            "direct": sb.direct, "pass": ok}
 
 
 def task_bounds(ctx: RunContext, spec: dict) -> dict:
-    import scipy.sparse as sp
-
     beta_vec = ctx.beta_vector()
-    vmat = sp.csr_matrix(ctx.h0.matrix.shape, dtype=complex)
-    for b, op in zip(beta_vec, ctx.term_ops):
-        vmat = vmat + complex(b) * op
-    herm = not (abs(vmat - vmat.getH())).nnz
-    V = lattice.DiscreteOperator(vmat, hermitian=herm, grid=ctx.grid)
     rb = bounds.estimate_relative_bound(
-        V, ctx.h0, probes=int(spec.get("probes", 48)),
+        ctx.perturbation(beta_vec), ctx.h0, probes=int(spec.get("probes", 48)),
         seed=int(ctx.scenario["seed"]))
     stable = bounds.kato_stability_check(rb)
     spectrum = np.linalg.eigvalsh(ctx.h0.to_dense())
@@ -486,11 +480,7 @@ def task_sweep(ctx: RunContext, spec: dict) -> dict:
     targets = [lo] if steps <= 1 else list(np.linspace(lo, hi, steps))
 
     base = targets[0] * direction
-    h_start = ctx.hamiltonian(base)
-    herm = not (abs(h_start.matrix - h_start.matrix.getH())).nnz
-    h_start = lattice.DiscreteOperator(h_start.matrix, hermitian=herm,
-                                       grid=ctx.grid)
-    contour = _place_contour(h_start, eig_index,
+    contour = _place_contour(ctx.hamiltonian(base), eig_index,
                              q=int(spec.get("contour_nodes", 64)))
     psi0 = analytic._reference_vector(ctx.hamiltonian, base, contour)
 
@@ -662,10 +652,8 @@ def _resolve_out(out: str | None) -> Path:
 
 
 def _run_entry(scenario: str, out: str | None, seed: int | None,
-               tol: float | None, threads: int | None,
-               overrides: tuple[str, ...], only_tasks: tuple[str, ...] = ()):
-    if threads:
-        os.environ.setdefault("OMP_NUM_THREADS", str(threads))
+               tol: float | None, overrides: tuple[str, ...],
+               only_tasks: tuple[str, ...] = ()):
     all_overrides = list(overrides)
     if seed is not None:
         all_overrides.append(f"seed={seed}")
@@ -705,7 +693,6 @@ _common_options = [
     click.option("--out", default=None, help=f"Output directory (or ${OUT_ENV_VAR})."),
     click.option("--seed", default=None, type=int, help="Override the scenario seed."),
     click.option("--tol", default=None, type=float, help="Override all tolerances."),
-    click.option("--threads", default=None, type=int, help="Worker thread hint."),
     click.option("--override", "overrides", multiple=True, metavar="KEY=VALUE",
                  help="Dotted-path scenario override, repeatable."),
 ]
@@ -725,23 +712,23 @@ def main():
 
 @main.command()
 @_with_common
-def run(scenario, out, seed, tol, threads, overrides):
+def run(scenario, out, seed, tol, overrides):
     """Execute every task in the scenario."""
-    _run_entry(scenario, out, seed, tol, threads, overrides)
+    _run_entry(scenario, out, seed, tol, overrides)
 
 
 @main.command()
 @_with_common
-def sweep(scenario, out, seed, tol, threads, overrides):
+def sweep(scenario, out, seed, tol, overrides):
     """Execute only the sweep tasks of the scenario."""
-    _run_entry(scenario, out, seed, tol, threads, overrides, only_tasks=("sweep",))
+    _run_entry(scenario, out, seed, tol, overrides, only_tasks=("sweep",))
 
 
 @main.command()
 @_with_common
-def verify(scenario, out, seed, tol, threads, overrides):
+def verify(scenario, out, seed, tol, overrides):
     """Execute only the verify tasks of the scenario."""
-    _run_entry(scenario, out, seed, tol, threads, overrides, only_tasks=("verify",))
+    _run_entry(scenario, out, seed, tol, overrides, only_tasks=("verify",))
 
 
 @main.command("show-schema")

@@ -11,7 +11,7 @@ every derived bound a valid upper bound.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -229,7 +229,6 @@ class RefinementPartition:
 
     cells: list[RefinementCell]
     family: SupportFamily
-    _coords: list[np.ndarray] = field(repr=False, default_factory=list)
 
     def index_set_at(self, x) -> frozenset[int]:
         """Index set of the cell containing x.
@@ -314,7 +313,7 @@ def disjoint_refinement(
         RefinementCell(region=SupportSet(tuple(bxs)), index_set=idx)
         for idx, bxs in sorted(groups.items(), key=lambda kv: sorted(kv[0]))
     ]
-    return RefinementPartition(cells=cells, family=family, _coords=coords)
+    return RefinementPartition(cells=cells, family=family)
 
 
 def packing_count_bound(m: int, R: float, A: float) -> float:

@@ -36,6 +36,7 @@ __all__ = [
     "PotentialTerm",
     "PotentialFamily",
     "StummelParams",
+    "StummelBound",
     "StummelError",
     "StummelDivergenceError",
     "TailDivergenceError",
@@ -369,9 +370,21 @@ def direct_sum_stummel_norm(family: PotentialFamily, beta, params: StummelParams
     return stummel_class_norm(family.sum_profile(beta), params)
 
 
-def weighted_sum_stummel_bound(family: PotentialFamily, beta, params: StummelParams) -> float:
+@dataclass(frozen=True)
+class StummelBound:
+    """Certified Stummel bound on sum_i beta_i v_i with the norms it was
+    computed from."""
+
+    bound: float
+    norms: tuple[float, ...]  # M_{v_i,rho}, one per term
+    direct: float  # norm of the truncated sum, computed directly
+
+
+def weighted_sum_stummel_bound(family: PotentialFamily, beta,
+                               params: StummelParams) -> StummelBound:
     """Certified bound ||beta||_p * n1 * max_i M_{v_i,rho} on the Stummel
-    norm of sum_i beta_i v_i.
+    norm of sum_i beta_i v_i, returned with the per-term norms and the
+    direct norm of the truncated sum.
 
     Raises if the hypotheses fail (unbounded n1 or non-finite M_i) and if
     the directly computed norm of the truncated sum exceeds the bound plus
@@ -390,7 +403,7 @@ def weighted_sum_stummel_bound(family: PotentialFamily, beta, params: StummelPar
         raise StummelError(
             f"direct norm {direct:.6g} exceeds certified bound {bound:.6g}"
         )
-    return bound
+    return StummelBound(bound=bound, norms=tuple(norms), direct=direct)
 
 
 # ---------------------------------------------------------------------------

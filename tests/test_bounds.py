@@ -76,6 +76,17 @@ class TestEstimateRelativeBound:
         bs = [curve[a] for a in sorted(curve)]
         assert all(b2 <= b1 + 1e-12 for b1, b2 in zip(bs, bs[1:]))
 
+    def test_eigsh_probes_repeat(self):
+        # d = 576 > 400 takes the ARPACK branch; the square grid's Laplacian
+        # has degenerate eigenvalues, so unseeded start vectors pick
+        # different eigenvectors, and different bounds, from call to call.
+        h0 = build_laplacian(Grid(extent=((0.0, 12.0), (0.0, 12.0)), points=(24, 24)))
+        V = diag_op(np.random.default_rng(3).uniform(-1.0, 1.0, h0.dim))
+        first = estimate_relative_bound(V, h0, probes=48, seed=3)
+        second = estimate_relative_bound(V, h0, probes=48, seed=3)
+        assert (first.a, first.b) == (second.a, second.b)
+        assert first.tradeoff == second.tradeoff
+
     def test_requires_enough_probes(self):
         h0 = build_laplacian(grid_1d())
         with pytest.raises(ValueError):

@@ -5,7 +5,10 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from specpert.cli import load_scenario, main, ScenarioError
+from specpert import potentials
+from specpert.cli import (RunContext, RunReport, ScenarioError, build_family,
+                          execute_scenario, load_scenario, main)
+from specpert.lattice import CouplingSeq, Grid
 
 TWO_LEVEL = {
     "schema": 1,
@@ -78,6 +81,11 @@ class TestRun:
         assert report["tasks"] == []
         assert report["invariants"] == []
 
+    def test_threads_option_removed(self, tmp_path):
+        path = write_scenario(tmp_path, TWO_LEVEL)
+        result = run_cli(["run", "--scenario", str(path), "--threads", "2"])
+        assert result.exit_code == 2
+
     def test_missing_scenario_is_usage_error(self, tmp_path):
         result = run_cli(["run", "--scenario", str(tmp_path / "nope.yaml")])
         assert result.exit_code == 2
@@ -141,6 +149,66 @@ class TestRun:
         result = run_cli(["run", "--scenario", str(path),
                           "--out", str(tmp_path / "out")])
         assert result.exit_code == 3
+
+
+BUMPS = {
+    "schema": 1,
+    "seed": 0,
+    "grid": {"extent": [[0.0, 9.0]], "points": [64]},
+    "family": {"kind": "bump_lattice", "count": 3, "spacing": 2.0,
+               "origin": [2.5], "width": 0.4, "height": 1.0,
+               "support_halfwidth": 1.5},
+    "beta": {"values": [0.1, 0.2, 0.3]},
+    "tasks": [],
+}
+
+
+def make_context(tmp_path, doc):
+    grid = None
+    if "grid" in doc:
+        grid = Grid(extent=tuple(tuple(e) for e in doc["grid"]["extent"]),
+                    points=tuple(doc["grid"]["points"]))
+    family = build_family(doc["family"], np.random.default_rng(doc["seed"]))
+    return RunContext(scenario=doc, grid=grid, family=family,
+                      beta=CouplingSeq(tuple(doc["beta"]["values"])),
+                      rng=np.random.default_rng(doc["seed"]), tol={},
+                      out=tmp_path, report=RunReport(provenance={}))
+
+
+class TestHamiltonianHermitianFlag:
+    @pytest.mark.parametrize("doc", [BUMPS, TWO_LEVEL], ids=["bump_lattice", "matrix"])
+    def test_real_beta_is_hermitian(self, tmp_path, doc):
+        ctx = make_context(tmp_path, doc)
+        H = ctx.hamiltonian(ctx.beta_vector())
+        assert H.hermitian
+        assert np.array_equal(H.to_dense(), H.to_dense().conj().T)
+
+    @pytest.mark.parametrize("doc", [BUMPS, TWO_LEVEL], ids=["bump_lattice", "matrix"])
+    def test_complex_beta_is_not_hermitian(self, tmp_path, doc):
+        ctx = make_context(tmp_path, doc)
+        assert not ctx.hamiltonian(ctx.beta_vector() * (1 + 0.5j)).hermitian
+
+    def test_non_hermitian_term(self, tmp_path):
+        doc = dict(TWO_LEVEL)
+        doc["family"] = dict(TWO_LEVEL["family"], terms=[[[0.0, 1.0], [0.0, 0.0]]])
+        ctx = make_context(tmp_path, doc)
+        assert not ctx.hamiltonian(ctx.beta_vector()).hermitian
+
+
+def test_stummel_task_computes_each_norm_once(tmp_path, monkeypatch):
+    calls = []
+    norm = potentials.stummel_class_norm
+
+    def counted(v, params):
+        calls.append(v)
+        return norm(v, params)
+
+    monkeypatch.setattr(potentials, "stummel_class_norm", counted)
+    doc = dict(BUMPS, tasks=[{"task": "stummel", "probe_density": 5,
+                              "quad_order": 8}])
+    report = execute_scenario(doc, tmp_path)
+    assert report.passed
+    assert len(calls) == doc["family"]["count"] + 1
 
 
 class TestSweepMonotoneAndTaylorConsistency:

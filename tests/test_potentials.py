@@ -121,7 +121,7 @@ class TestWeightedSumBound:
         probes = make_probe_grid(term.support, density=17)
         params = StummelParams(rho=0.5, m=1, probe_points=probes)
         beta = CouplingSeq((1.0,))
-        bound = weighted_sum_stummel_bound(fam, beta, params)
+        bound = weighted_sum_stummel_bound(fam, beta, params).bound
         M1 = stummel_class_norm(term.evaluate, params)
         assert bound == pytest.approx(M1 * fam.n1(), rel=1e-12)
         assert direct_sum_stummel_norm(fam, beta, params) <= bound + 1e-10
@@ -135,7 +135,7 @@ class TestWeightedSumBound:
         )
         params = StummelParams(rho=0.5, m=1, probe_points=union_probes)
         beta = CouplingSeq((1.0,) * 4, p=np.inf)
-        bound = weighted_sum_stummel_bound(fam, beta, params)
+        bound = weighted_sum_stummel_bound(fam, beta, params).bound
         direct = direct_sum_stummel_norm(fam, beta, params)
         M1 = stummel_class_norm(terms[0].evaluate, params)
         assert bound == pytest.approx(M1, rel=1e-9)
