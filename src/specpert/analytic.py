@@ -97,9 +97,6 @@ class RieszProjector:
     def rank(self) -> int:
         return int(round(self.trace.real))
 
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        return self.P @ psi
-
 
 @dataclass(frozen=True)
 class Direction:
@@ -130,8 +127,6 @@ class EigenPath:
     samples: list[tuple[complex, complex]]  # (zeta, E(base + zeta*t))
     coefficients: np.ndarray
     radius: float
-    rank_one_maintained: bool = True
-    contour_crossed: bool = False
 
 
 @dataclass(frozen=True)
@@ -139,6 +134,7 @@ class TrackResult:
     E: complex
     psi: np.ndarray
     projector: RieszProjector
+    residual: float  # ||H psi - E psi|| / ||psi||
 
 
 def _as_matrix(H) -> tuple[object, int]:
@@ -259,7 +255,7 @@ def track_eigenvalue(
             f"projector trace {proj.trace:.4g} != 1: degeneracy or eigenvalue "
             "crossed contour; shrink step or re-center"
         )
-    psi = proj.apply(np.asarray(psi0, dtype=complex))
+    psi = proj.P @ np.asarray(psi0, dtype=complex)
     npsi = np.linalg.norm(psi)
     if npsi < survival_floor * np.linalg.norm(psi0):
         raise TrackingError("P(beta) psi0 vanished: left the tracking neighborhood")
@@ -283,7 +279,8 @@ def track_eigenvalue(
         raise TrackingError(
             f"eigen-residual {resid:.3g} exceeds {residual_tol:.3g} * ||psi||"
         )
-    return TrackResult(E=complex(E), psi=psi, projector=proj)
+    return TrackResult(E=complex(E), psi=psi, projector=proj,
+                       residual=float(resid / npsi))
 
 
 def _circle_samples(f, center: complex, r: float, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -405,23 +402,18 @@ def taylor_eigenpath(
     """Taylor-expand the tracked eigenvalue zeta -> E(base + zeta t).
 
     Every contour sample re-runs the tracking pipeline, so rank-1 failures
-    or contour crossings surface as flags instead of silent wrong series.
+    or contour crossings raise TrackingError instead of giving a silent
+    wrong series.
     """
     base = np.asarray(base, dtype=complex)
     samples: list[tuple[complex, complex]] = []
-    flags = {"rank_one": True, "crossed": False}
     ref_psi = _reference_vector(family, base, track_contour)
 
     def g(beta_vec) -> complex:
         zeta = _project_zeta(beta_vec - base, direction.t)
-        try:
-            res = track_eigenvalue(family, beta_vec, track_contour, psi0=ref_psi,
-                                   residual_tol=residual_tol,
-                                   defect_tol=defect_tol)
-        except TrackingError:
-            flags["rank_one"] = False
-            flags["crossed"] = True
-            raise
+        res = track_eigenvalue(family, beta_vec, track_contour, psi0=ref_psi,
+                               residual_tol=residual_tol,
+                               defect_tol=defect_tol)
         samples.append((zeta, complex(res.E)))
         return res.E
 
@@ -434,8 +426,6 @@ def taylor_eigenpath(
         samples=samples,
         coefficients=np.asarray(A, dtype=complex),
         radius=R,
-        rank_one_maintained=flags["rank_one"],
-        contour_crossed=flags["crossed"],
     )
 
 

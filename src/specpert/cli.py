@@ -361,7 +361,7 @@ def task_geometry(ctx: RunContext, spec: dict) -> dict:
     ctx.report.add_invariant("geometry.cells_within_2^n0", ok,
                              f"max per-set cells {max(per_set)} vs bound {bound}")
     rows = [
-        [j, ";".join(str(i) for i in sorted(c.index_set)), len(c.region.boxes)]
+        [j, ";".join(str(i) for i in sorted(c.index_set)), c.boxes]
         for j, c in enumerate(partition.cells)
     ]
     _write_csv(
@@ -445,9 +445,7 @@ def task_track(ctx: RunContext, spec: dict) -> dict:
     res = analytic.track_eigenvalue(ctx.hamiltonian, beta_vec, contour, psi0,
                                     residual_tol=ctx.tol["track_residual"],
                                     defect_tol=ctx.tol["projector_defect"])
-    resid = float(np.linalg.norm(
-        ctx.hamiltonian(beta_vec).matvec(res.psi) - res.E * res.psi)
-        / np.linalg.norm(res.psi))
+    resid = res.residual
     ok = (resid <= ctx.tol["track_residual"]
           and res.projector.defect <= ctx.tol["projector_defect"])
     ctx.report.add_invariant("track.residual_and_defect", ok,
@@ -517,10 +515,7 @@ def task_sweep(ctx: RunContext, spec: dict) -> dict:
             sub_from = nxt
             pending.pop()
             if not pending:
-                resid = float(np.linalg.norm(
-                    ctx.hamiltonian(beta_vec).matvec(res.psi)
-                    - res.E * res.psi) / np.linalg.norm(res.psi))
-                rows.append([target, res.E.real, res.E.imag, resid,
+                rows.append([target, res.E.real, res.E.imag, res.residual,
                              abs(res.projector.trace - 1.0)])
                 ok_step = True
         if failure or not ok_step:
@@ -568,7 +563,9 @@ def task_taylor(ctx: RunContext, spec: dict) -> dict:
         ["m", "re_a", "im_a"],
         [[m, c.real, c.imag] for m, c in enumerate(path.coefficients)],
     )
-    ok = path.rank_one_maintained and not path.contour_crossed
+    # A radius estimate below the sampling radius contradicts the Cauchy
+    # samples taken on |zeta| = r; a NaN estimate fails too.
+    ok = path.radius >= r
     ctx.report.add_invariant("taylor.path_valid", ok,
                              f"radius estimate {path.radius:.6g}")
     return {"M": M, "radius": None if math.isinf(path.radius) else path.radius,

@@ -70,9 +70,6 @@ class Box:
             for l1, h1, l2, h2 in zip(self.lo, self.hi, other.lo, other.hi)
         )
 
-    def contains(self, x) -> bool:
-        return all(l <= xi <= h for l, h, xi in zip(self.lo, self.hi, x))
-
     def contains_points(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized membership for an (n, m) array of points."""
         lo = np.asarray(self.lo)
@@ -102,9 +99,6 @@ class SupportSet:
 
     def intersects(self, other: "SupportSet") -> bool:
         return any(a.intersects(b) for a in self.boxes for b in other.boxes)
-
-    def contains(self, x) -> bool:
-        return any(b.contains(x) for b in self.boxes)
 
     def contains_points(self, pts: np.ndarray) -> np.ndarray:
         out = np.zeros(len(pts), dtype=bool)
@@ -180,13 +174,12 @@ def _axis_coords(boxes: list[Box], dim: int) -> list[np.ndarray]:
     return coords
 
 
-def _cell_midpoints(coords: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Midpoints of all arrangement cells as an (n_cells, m) array, plus the
-    per-axis midpoint vectors (for reconstructing cell bounds)."""
+def _cell_midpoints(coords: list[np.ndarray]) -> np.ndarray:
+    """Midpoints of all arrangement cells as an (n_cells, m) array, in C
+    order of the per-axis cell indices."""
     mids = [0.5 * (c[:-1] + c[1:]) for c in coords]
     grids = np.meshgrid(*mids, indexing="ij")
-    pts = np.column_stack([g.ravel() for g in grids])
-    return pts, mids
+    return np.column_stack([g.ravel() for g in grids])
 
 
 def check_fip_variant(family: SupportFamily, radius: float = 1.0) -> int:
@@ -202,7 +195,7 @@ def check_fip_variant(family: SupportFamily, radius: float = 1.0) -> int:
     inflated = [s.inflate(radius) for s in family.sets]
     boxes = [b for s in inflated for b in s.boxes]
     coords = _axis_coords(boxes, family.dim)
-    pts, _ = _cell_midpoints(coords)
+    pts = _cell_midpoints(coords)
     depth = np.zeros(len(pts), dtype=int)
     for s in inflated:
         depth += s.contains_points(pts)
@@ -212,10 +205,11 @@ def check_fip_variant(family: SupportFamily, radius: float = 1.0) -> int:
 @dataclass(frozen=True)
 class RefinementCell:
     """One cell of the disjoint refinement: the (possibly disconnected)
-    region where the maximal index set is exactly `index_set`."""
+    region where the maximal index set is exactly `index_set`, made of
+    `boxes` closed arrangement boxes."""
 
-    region: SupportSet
     index_set: frozenset[int]
+    boxes: int
 
 
 @dataclass
@@ -224,39 +218,44 @@ class RefinementPartition:
 
     Cells are the level sets of x -> I_x = {i : x in Omega_i} restricted to
     the union of the family; they are pairwise disjoint up to shared box
-    boundaries (measure zero).
+    boundaries (measure zero).  They are stored on the arrangement grid of
+    all box faces: `coords[k]` holds the sorted face coordinates on axis k,
+    and `labels[j_1, ..., j_m]` the id in `cells` of the closed arrangement
+    box prod_k [coords[k][j_k], coords[k][j_k + 1]], or -1 outside the union.
     """
 
     cells: list[RefinementCell]
     family: SupportFamily
+    coords: list[np.ndarray]
+    labels: np.ndarray
 
     def index_set_at(self, x) -> frozenset[int]:
-        """Index set of the cell containing x.
-
-        Points on shared cell boundaries are assigned to the cell with the
-        lexicographically smallest sorted index set (deterministic
-        tie-breaking on a measure-zero set).
-        """
-        candidates = [c.index_set for c in self.cells if c.region.contains(x)]
-        if not candidates:
-            return frozenset()
-        return min(candidates, key=lambda s: sorted(s))
+        """Index set of the cell containing the point x (see `cell_ids_at`)."""
+        return self.index_sets_at(np.reshape(x, (1, -1)))[0]
 
     def cell_ids_at(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized classification: index into `cells` per point, -1 for
         points outside the union.
 
-        Cells are stored sorted by index set, so boundary points (contained
-        in several closed cells) resolve to the lexicographically smallest
-        index set, matching `index_set_at`.
+        A point on a shared boundary lies in several closed cells and is
+        assigned the smallest id; cells are sorted by index set, so that is
+        the lexicographically smallest sorted index set (deterministic
+        tie-breaking on a measure-zero set).
         """
         pts = np.asarray(pts, dtype=float)
-        member = np.zeros((len(pts), len(self.cells)), dtype=bool)
-        for j, cell in enumerate(self.cells):
-            member[:, j] = cell.region.contains_points(pts)
-        ids = np.argmax(member, axis=1)
-        ids[~member.any(axis=1)] = -1
-        return ids
+        if pts.ndim != 2 or pts.shape[1] != len(self.coords):
+            raise GeometryError(f"expected (n, {len(self.coords)}) points, got {pts.shape}")
+        # Padded with "outside" on every side, the grid is indexed directly
+        # by the searchsorted positions: per axis, 'left' and 'right' pick
+        # the closed intervals ending and starting at the coordinate (the
+        # same one unless it lies on a face).
+        none = len(self.cells)
+        padded = np.pad(np.where(self.labels < 0, none, self.labels), 1,
+                        constant_values=none)
+        sides = [(np.searchsorted(c, x, "left"), np.searchsorted(c, x, "right"))
+                 for c, x in zip(self.coords, pts.T)]
+        ids = np.min([padded[idx] for idx in itertools.product(*sides)], axis=0)
+        return np.where(ids == none, -1, ids)
 
     def index_set_matrix(self) -> np.ndarray:
         """(n_cells, n_sets) boolean matrix: row j marks the original sets
@@ -294,26 +293,24 @@ def disjoint_refinement(
         raise RefinementBudgetError(
             f"arrangement has {n_cells} cells, budget is {cell_budget}"
         )
-    pts, mids = _cell_midpoints(coords)
-    member = family.membership_matrix(pts)
+    member = family.membership_matrix(_cell_midpoints(coords))
 
-    # Group arrangement boxes by their (maximal) index set.
-    shape = tuple(len(m) for m in mids)
-    groups: dict[frozenset[int], list[Box]] = {}
-    for flat, row in enumerate(member):
-        if not row.any():
-            continue
-        idx = frozenset(int(i) + 1 for i in np.nonzero(row)[0])
-        multi = np.unravel_index(flat, shape)
-        lo = tuple(float(coords[k][multi[k]]) for k in range(family.dim))
-        hi = tuple(float(coords[k][multi[k] + 1]) for k in range(family.dim))
-        groups.setdefault(idx, []).append(Box(lo, hi))
-
-    cells = [
-        RefinementCell(region=SupportSet(tuple(bxs)), index_set=idx)
-        for idx, bxs in sorted(groups.items(), key=lambda kv: sorted(kv[0]))
-    ]
-    return RefinementPartition(cells=cells, family=family)
+    # Group arrangement boxes by their (maximal) index set: one sort of the
+    # bit-packed membership rows, each viewed as a single opaque key.
+    packed = np.packbits(member, axis=1)
+    keys = packed.view(f"V{packed.shape[1]}").ravel()
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    index_sets = [frozenset(int(i) + 1 for i in np.flatnonzero(member[f])) for f in first]
+    order = sorted((g for g, idx in enumerate(index_sets) if idx),
+                   key=lambda g: sorted(index_sets[g]))
+    rank = np.full(len(index_sets), -1)
+    rank[order] = np.arange(len(order))
+    labels = rank[group]
+    boxes = np.bincount(labels[labels >= 0], minlength=len(order))
+    cells = [RefinementCell(index_set=index_sets[g], boxes=int(n))
+             for g, n in zip(order, boxes)]
+    return RefinementPartition(cells=cells, family=family, coords=coords,
+                               labels=labels.reshape([len(c) - 1 for c in coords]))
 
 
 def packing_count_bound(m: int, R: float, A: float) -> float:

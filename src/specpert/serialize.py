@@ -1,8 +1,8 @@
 """Canonical structured-text (YAML) schema, version 1.
 
 One schema covers grids, operators, support families, packing configs,
-potential families, coupling sequences and refinement partitions; sparse
-operators additionally export to plain coordinate text (row, col, re, im).
+potential terms and coupling sequences; sparse operators additionally
+export to plain coordinate text (row, col, re, im).
 """
 
 from __future__ import annotations
@@ -13,13 +13,12 @@ import numpy as np
 import scipy.sparse as sp
 import yaml
 
-from .geometry import Box, PackingConfig, RefinementPartition, SupportFamily, SupportSet
+from .geometry import Box, PackingConfig, SupportFamily, SupportSet
 from .lattice import CouplingSeq, DiscreteOperator, Grid
 from .potentials import (
     ConstantProfile,
     DecayTail,
     GaussianBump,
-    PotentialFamily,
     PotentialTerm,
     PowerSpike,
 )
@@ -152,20 +151,6 @@ def packing_from_dict(doc: dict) -> PackingConfig:
     )
 
 
-def partition_to_dict(partition: RefinementPartition) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": "refinement_partition",
-        "cells": [
-            {
-                "region": support_set_to_list(c.region),
-                "index_set": sorted(c.index_set),
-            }
-            for c in partition.cells
-        ],
-    }
-
-
 # ---------------------------------------------------------------------------
 # Potentials
 
@@ -210,12 +195,6 @@ def term_from_dict(spec: dict, where: str = "term") -> PotentialTerm:
         center=tuple(float(x) for x in center) if center is not None else None,
         decay=(float(decay[0]), float(decay[1])) if decay else None,
     )
-
-
-def potential_family_from_dict(doc: dict) -> PotentialFamily:
-    check_version(doc, "potential_family")
-    terms = _require(doc, "terms", "potential_family")
-    return PotentialFamily([term_from_dict(t, f"terms[{i}]") for i, t in enumerate(terms)])
 
 
 # ---------------------------------------------------------------------------

@@ -250,7 +250,6 @@ class TestTaylorAlong:
         assert A[3] == pytest.approx(0.0, abs=1e-8)
         assert A[4] == pytest.approx(1.0, abs=1e-8)
         assert A[6] == pytest.approx(-2.0, abs=1e-7)
-        assert path.rank_one_maintained and not path.contour_crossed
 
     def test_first_order_is_rayleigh_quotient(self):
         rng = np.random.default_rng(6)

@@ -5,7 +5,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from specpert import potentials
+from specpert import analytic, potentials
 from specpert.cli import (RunContext, RunReport, ScenarioError, build_family,
                           execute_scenario, load_scenario, main)
 from specpert.lattice import CouplingSeq, Grid
@@ -149,6 +149,20 @@ class TestRun:
         result = run_cli(["run", "--scenario", str(path),
                           "--out", str(tmp_path / "out")])
         assert result.exit_code == 3
+
+    def test_taylor_radius_below_sampling_radius_fails(self, tmp_path, monkeypatch):
+        # A radius estimate inside the sampling circle |zeta| = r contradicts
+        # the Cauchy samples, so the path invariant must fail.
+        r = 0.3
+        monkeypatch.setattr(analytic, "radius_of_convergence", lambda A: r / 2)
+        doc = dict(TWO_LEVEL)
+        doc["tasks"] = [{"task": "taylor", "direction": [1.0], "r": r, "M": 8,
+                         "q": 32, "contour_nodes": 64}]
+        path = write_scenario(tmp_path, doc)
+        result = run_cli(["run", "--scenario", str(path),
+                          "--out", str(tmp_path / "out")])
+        assert "FAIL taylor.path_valid" in result.output
+        assert result.exit_code == 1
 
 
 BUMPS = {

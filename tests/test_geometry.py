@@ -1,5 +1,7 @@
 """Geometry: intersection stats, refinement, packing bounds."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,6 +159,45 @@ class TestDisjointRefinement:
         part = disjoint_refinement(family_1d((0, 2), (1, 3)))
         # x = 1 lies in the closed cells {1} and {1,2}; smallest sorted wins.
         assert part.index_set_at((1.0,)) == frozenset({1})
+
+    @pytest.mark.parametrize("fam, expected", [
+        (family_1d((0, 2), (1, 3)), {(1,): 1, (1, 2): 1, (2,): 1}),
+        (SupportFamily((SupportSet((Box((0, 0), (2, 2)),)),
+                        SupportSet((Box((1, 1), (3, 3)),)))),
+         {(1,): 3, (1, 2): 1, (2,): 3}),
+    ], ids=["intervals", "squares"])
+    def test_cell_box_counts(self, fam, expected):
+        part = disjoint_refinement(fam)
+        assert {tuple(sorted(c.index_set)): c.boxes for c in part.cells} == expected
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_boundary_points_match_offset_oracle(self, data):
+        # Integer box corners and half-integer points: many points lie on
+        # faces, edges and corners of the arrangement.
+        dim = data.draw(st.integers(1, 3))
+        corner = st.lists(st.integers(0, 4), min_size=dim, max_size=dim)
+        width = st.lists(st.integers(1, 3), min_size=dim, max_size=dim)
+        box = st.builds(lambda lo, w: Box(tuple(float(a) for a in lo),
+                                          tuple(float(a + b) for a, b in zip(lo, w))),
+                        corner, width)
+        fam = SupportFamily(tuple(
+            SupportSet(tuple(boxes)) for boxes in data.draw(
+                st.lists(st.lists(box, min_size=1, max_size=2), min_size=1, max_size=4))))
+        xs = np.asarray(data.draw(st.lists(
+            st.lists(st.integers(-2, 16), min_size=dim, max_size=dim),
+            min_size=1, max_size=30)), dtype=float) / 2
+        part = disjoint_refinement(fam)
+        ids = part.cell_ids_at(xs)
+        # Oracle: the closed cells containing x are those of the arrangement
+        # boxes around x, each reached by an offset of 0.25 per axis.
+        signs = np.array(list(itertools.product((-0.25, 0.25), repeat=dim)))
+        for x, cid in zip(xs, ids):
+            rows = fam.membership_matrix(x + signs)
+            sets = [sorted(int(i) + 1 for i in np.flatnonzero(r)) for r in rows if r.any()]
+            want = frozenset(min(sets)) if sets else frozenset()
+            assert part.index_set_at(tuple(x)) == want
+            assert (part.cells[cid].index_set if cid >= 0 else frozenset()) == want
 
 
 class TestPackingBounds:
