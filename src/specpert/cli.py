@@ -268,9 +268,7 @@ class RunContext:
     out: Path
     report: RunReport
 
-    _h0: lattice.DiscreteOperator | None = None
-    _term_ops: list | None = None
-    _terms_hermitian: bool = False
+    _system: lattice.AffineFamily | None = None
 
     def potential_family(self, task: str) -> potentials.PotentialFamily:
         if not isinstance(self.family, potentials.PotentialFamily):
@@ -278,60 +276,28 @@ class RunContext:
         return self.family
 
     @property
-    def h0(self) -> lattice.DiscreteOperator:
-        if self._h0 is None:
+    def system(self) -> lattice.AffineFamily:
+        """The family beta -> H(beta), built on first use."""
+        if self._system is None:
             if isinstance(self.family, MatrixSystem):
-                mat = sp.csr_matrix(self.family.h0)
-                self._h0 = lattice.DiscreteOperator(mat, hermitian=_is_hermitian(mat))
+                h0 = sp.csr_matrix(self.family.h0)
+                self._system = lattice.AffineFamily(
+                    lattice.DiscreteOperator(h0, hermitian=lattice.is_hermitian(h0)),
+                    tuple(sp.csr_matrix(t) for t in self.family.terms))
             else:
-                if self.grid is None:
-                    raise ScenarioError("scenario needs a grid for this family")
-                self._h0 = lattice.build_laplacian(self.grid)
-        return self._h0
-
-    @property
-    def term_ops(self) -> list:
-        """One sparse perturbation matrix per coupling index."""
-        if self._term_ops is None:
-            if isinstance(self.family, MatrixSystem):
-                self._term_ops = [sp.csr_matrix(t) for t in self.family.terms]
-            else:
-                self._term_ops = [
-                    sp.diags(np.asarray(d, dtype=complex), format="csr")
-                    for d in self.family.sample_on(self.grid)
-                ]
-            self._terms_hermitian = all(_is_hermitian(op) for op in self._term_ops)
-        return self._term_ops
+                self._system = lattice.AffineFamily.from_potentials(
+                    lattice.build_laplacian(self.grid), self.family)
+        return self._system
 
     def hamiltonian(self, beta_vec: np.ndarray) -> lattice.DiscreteOperator:
         """H(beta) = H0 + sum_i beta_i V_i: the only place the CLI forms it."""
-        return self._add_terms(self.h0.matrix.copy(), self.h0.hermitian, beta_vec)
-
-    def perturbation(self, beta_vec: np.ndarray) -> lattice.DiscreteOperator:
-        """V(beta) = sum_i beta_i V_i from the same term matrices."""
-        zero = sp.csr_matrix(self.h0.matrix.shape, dtype=complex)
-        return self._add_terms(zero, True, beta_vec)
-
-    def _add_terms(self, mat, hermitian: bool,
-                   beta_vec: np.ndarray) -> lattice.DiscreteOperator:
-        # Terms are added one at a time and zero couplings skipped: the
-        # summation order fixes the last bits of every reported value.
-        for b, op in zip(beta_vec, self.term_ops):
-            if b != 0:
-                mat = mat + complex(b) * op
-                hermitian = hermitian and complex(b).imag == 0
-        return lattice.DiscreteOperator(
-            mat, hermitian=hermitian and self._terms_hermitian, grid=self.grid)
+        return self.system(beta_vec)
 
     def beta_vector(self) -> np.ndarray:
         vec = np.zeros(len(self.family), dtype=complex)
         vals = np.asarray(self.beta.values, dtype=complex)
         vec[: len(vals)] = vals
         return vec
-
-
-def _is_hermitian(mat) -> bool:
-    return not abs(mat - mat.getH()).nnz
 
 
 def _place_contour(op: lattice.DiscreteOperator, eig_index: int,
@@ -410,11 +376,12 @@ def task_stummel(ctx: RunContext, spec: dict) -> dict:
 
 def task_bounds(ctx: RunContext, spec: dict) -> dict:
     beta_vec = ctx.beta_vector()
+    h0 = ctx.system.h0
     rb = bounds.estimate_relative_bound(
-        ctx.perturbation(beta_vec), ctx.h0, probes=int(spec.get("probes", 48)),
+        ctx.system.perturbation(beta_vec), h0, probes=int(spec.get("probes", 48)),
         seed=int(ctx.scenario["seed"]))
     stable = bounds.kato_stability_check(rb)
-    spectrum = np.linalg.eigvalsh(ctx.h0.to_dense())
+    spectrum = np.linalg.eigvalsh(h0.to_dense())
     box = bounds.SpectrumBox(float(spectrum[0]), float(spectrum[-1]))
     result = {"a": rb.a, "b": rb.b, "kato_stable": stable,
               "E_min": box.E_min, "E_max": box.E_max}
@@ -439,7 +406,7 @@ def task_track(ctx: RunContext, spec: dict) -> dict:
     eig_index = int(spec.get("eig_index", 0))
     beta_vec = ctx.beta_vector()
     base = np.zeros_like(beta_vec)
-    contour = _place_contour(ctx.h0, eig_index,
+    contour = _place_contour(ctx.system.h0, eig_index,
                              q=int(spec.get("contour_nodes", 64)))
     psi0 = analytic._reference_vector(ctx.hamiltonian, base, contour)
     res = analytic.track_eigenvalue(ctx.hamiltonian, beta_vec, contour, psi0,
@@ -550,7 +517,7 @@ def task_taylor(ctx: RunContext, spec: dict) -> dict:
         tvec[0] = 1.0
     direction = analytic.Direction(tvec, p=ctx.beta.p)
     base = ctx.beta_vector() * 0.0
-    contour = _place_contour(ctx.h0, eig_index,
+    contour = _place_contour(ctx.system.h0, eig_index,
                              q=int(spec.get("contour_nodes", 64)))
     path = analytic.taylor_eigenpath(
         ctx.hamiltonian, base, direction, contour, r=r, M=max(M, 8),
@@ -578,7 +545,7 @@ def task_verify(ctx: RunContext, spec: dict) -> dict:
     dirs = [analytic.Direction(np.eye(n, dtype=complex)[0])]
     dense_dir = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     dirs.append(analytic.Direction(dense_dir / np.abs(dense_dir).max()))
-    d = ctx.h0.dim
+    d = ctx.system.h0.dim
     psis = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(2)]
     psis = [p / np.linalg.norm(p) for p in psis]
     base_points = [np.zeros(n, dtype=complex), 0.5 * ctx.beta_vector()]

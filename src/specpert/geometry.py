@@ -34,6 +34,8 @@ __all__ = [
     "count_in_ball",
 ]
 
+DEFAULT_CELL_BUDGET = 2_000_000
+
 
 class GeometryError(ValueError):
     """Invalid geometric input."""
@@ -165,21 +167,30 @@ def intersection_stats(family: SupportFamily) -> tuple[list[set[int]], int]:
     return adjacency, n0
 
 
-def _axis_coords(boxes: list[Box], dim: int) -> list[np.ndarray]:
-    """Sorted unique face coordinates per axis."""
+def _axis_coords(boxes: list[Box], dim: int, cell_budget: int) -> list[np.ndarray]:
+    """Sorted unique face coordinates per axis; raises RefinementBudgetError
+    if their arrangement has more than `cell_budget` boxes."""
     coords = []
     for k in range(dim):
         vals = sorted({b.lo[k] for b in boxes} | {b.hi[k] for b in boxes})
         coords.append(np.asarray(vals))
+    n_cells = int(np.prod([len(c) - 1 for c in coords]))
+    if n_cells > cell_budget:
+        raise RefinementBudgetError(
+            f"arrangement has {n_cells} cells, budget is {cell_budget}"
+        )
     return coords
 
 
-def _cell_midpoints(coords: list[np.ndarray]) -> np.ndarray:
-    """Midpoints of all arrangement cells as an (n_cells, m) array, in C
-    order of the per-axis cell indices."""
-    mids = [0.5 * (c[:-1] + c[1:]) for c in coords]
-    grids = np.meshgrid(*mids, indexing="ij")
-    return np.column_stack([g.ravel() for g in grids])
+def _inside(s: SupportSet, coords: list[np.ndarray]) -> np.ndarray:
+    """Boolean grid over the arrangement boxes of `coords`: True for those
+    inside s.  The faces of every box of s are face coordinates, so each box
+    covers one contiguous index block of the grid."""
+    out = np.zeros([len(c) - 1 for c in coords], dtype=bool)
+    for b in s.boxes:
+        out[tuple(slice(np.searchsorted(c, lo), np.searchsorted(c, hi))
+                  for c, lo, hi in zip(coords, b.lo, b.hi))] = True
+    return out
 
 
 def check_fip_variant(family: SupportFamily, radius: float = 1.0) -> int:
@@ -187,18 +198,17 @@ def check_fip_variant(family: SupportFamily, radius: float = 1.0) -> int:
 
     Each box is inflated by `radius` per axis (max-norm ball), so the result
     is an exact overlap depth for inflated boxes and an upper bound for the
-    Euclidean-ball count.  Computed by classifying midpoints of the
+    Euclidean-ball count.  Computed as the maximum overlap depth over the
     arrangement induced by all inflated box faces.
     """
     if radius <= 0:
         raise GeometryError("radius must be positive")
     inflated = [s.inflate(radius) for s in family.sets]
-    boxes = [b for s in inflated for b in s.boxes]
-    coords = _axis_coords(boxes, family.dim)
-    pts = _cell_midpoints(coords)
-    depth = np.zeros(len(pts), dtype=int)
+    coords = _axis_coords([b for s in inflated for b in s.boxes], family.dim,
+                          DEFAULT_CELL_BUDGET)
+    depth = np.zeros([len(c) - 1 for c in coords], dtype=int)
     for s in inflated:
-        depth += s.contains_points(pts)
+        depth += _inside(s, coords)
     return int(depth.max())
 
 
@@ -277,7 +287,7 @@ class RefinementPartition:
 
 
 def disjoint_refinement(
-    family: SupportFamily, cell_budget: int = 2_000_000
+    family: SupportFamily, cell_budget: int = DEFAULT_CELL_BUDGET
 ) -> RefinementPartition:
     """Partition the union of the family into cells of constant maximal
     index set.
@@ -287,13 +297,8 @@ def disjoint_refinement(
     every original set i the number of cells containing i is at most 2^n0.
     """
     boxes = [b for s in family.sets for b in s.boxes]
-    coords = _axis_coords(boxes, family.dim)
-    n_cells = int(np.prod([max(len(c) - 1, 0) for c in coords]))
-    if n_cells > cell_budget:
-        raise RefinementBudgetError(
-            f"arrangement has {n_cells} cells, budget is {cell_budget}"
-        )
-    member = family.membership_matrix(_cell_midpoints(coords))
+    coords = _axis_coords(boxes, family.dim, cell_budget)
+    member = np.column_stack([_inside(s, coords).ravel() for s in family.sets])
 
     # Group arrangement boxes by their (maximal) index set: one sort of the
     # bit-packed membership rows, each viewed as a single opaque key.

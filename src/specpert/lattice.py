@@ -18,6 +18,7 @@ __all__ = [
     "Grid",
     "DiscreteOperator",
     "CouplingSeq",
+    "AffineFamily",
     "LatticeError",
     "GridMismatchError",
     "build_laplacian",
@@ -101,10 +102,8 @@ class DiscreteOperator:
         object.__setattr__(self, "matrix", mat)
         if mat.shape[0] != mat.shape[1]:
             raise LatticeError(f"operator must be square, got {mat.shape}")
-        if self.hermitian:
-            defect = abs(mat - mat.getH())
-            if defect.nnz and defect.max() != 0.0:
-                raise LatticeError("hermitian flag set but matrix is not Hermitian")
+        if self.hermitian and not is_hermitian(mat):
+            raise LatticeError("hermitian flag set but matrix is not Hermitian")
 
     @property
     def dim(self) -> int:
@@ -129,14 +128,11 @@ class DiscreteOperator:
         ninf = a.sum(axis=1).max()
         return float(np.sqrt(n1 * ninf))
 
-    def __add__(self, other: "DiscreteOperator") -> "DiscreteOperator":
-        if other.dim != self.dim:
-            raise LatticeError("dimension mismatch in operator sum")
-        return DiscreteOperator(
-            self.matrix + other.matrix,
-            hermitian=self.hermitian and other.hermitian,
-            grid=self.grid or other.grid,
-        )
+
+def is_hermitian(mat) -> bool:
+    """Exact test: the sparse matrix equals its conjugate transpose."""
+    defect = abs(mat - mat.getH())
+    return not defect.nnz or defect.max() == 0.0
 
 
 @dataclass(frozen=True)
@@ -172,10 +168,6 @@ class CouplingSeq:
             return float(v.max())
         return float((v**self.p).sum() ** (1.0 / self.p))
 
-    @property
-    def is_real(self) -> bool:
-        return all(complex(b).imag == 0.0 for b in self.values)
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -204,41 +196,71 @@ def laplacian_eigenvalues_1d(n: int, h: float) -> np.ndarray:
     return (2.0 / h**2) * (1.0 - np.cos(k * np.pi / (n + 1)))
 
 
-def assemble_hamiltonian(h0: DiscreteOperator, family, beta: CouplingSeq) -> DiscreteOperator:
-    """H(beta) = H0 + sum_i beta_i V_i with diagonal multiplication
-    operators V_i sampled on H0's grid.
+@dataclass(frozen=True)
+class AffineFamily:
+    """beta -> H(beta) = H0 + sum_i beta_i V_i over fixed sparse terms V_i.
 
-    `family` must provide `sample_on(grid) -> list of real/complex arrays`
-    (one diagonal per term).  Trailing couplings beyond len(beta) are
-    treated as zero; beta may not be longer than the family.
+    Whether every V_i is Hermitian is decided once, at construction; H(beta)
+    then carries the Hermitian flag when H0 is Hermitian and beta is real.
     """
-    if h0.grid is None:
-        raise GridMismatchError("h0 carries no grid; cannot sample potentials")
-    diagonals = family.sample_on(h0.grid)
-    if len(beta) > len(diagonals):
-        raise LatticeError(
-            f"beta has {len(beta)} entries but family has only {len(diagonals)} terms"
-        )
-    acc = np.zeros(h0.dim, dtype=complex)
-    profiles_real = True
-    for b, d in zip(beta.values, diagonals):
-        d = np.asarray(d)
-        if d.shape[0] != h0.dim:
-            raise GridMismatchError(
-                f"potential sampled with {d.shape[0]} values on a {h0.dim}-point grid"
+
+    h0: DiscreteOperator
+    terms: tuple[sp.csr_matrix, ...]
+    terms_hermitian: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms_hermitian",
+                           all(is_hermitian(t) for t in self.terms))
+
+    @classmethod
+    def from_potentials(cls, h0: DiscreteOperator, family) -> "AffineFamily":
+        """Diagonal multiplication operators V_i sampled once on H0's grid.
+
+        `family` must provide `sample_on(grid) -> list of real/complex
+        arrays` (one diagonal per term).
+        """
+        if h0.grid is None:
+            raise GridMismatchError("h0 carries no grid; cannot sample potentials")
+        terms = []
+        for d in family.sample_on(h0.grid):
+            d = np.asarray(d, dtype=complex)
+            if d.shape[0] != h0.dim:
+                raise GridMismatchError(
+                    f"potential sampled with {d.shape[0]} values on a {h0.dim}-point grid"
+                )
+            if not np.all(np.isfinite(d)):
+                raise LatticeError("non-finite potential sample")
+            terms.append(sp.diags(d, format="csr"))
+        return cls(h0, tuple(terms))
+
+    def __call__(self, beta) -> DiscreteOperator:
+        """H(beta); trailing couplings beyond len(beta) are zero."""
+        return self._accumulate(self.h0.matrix.copy(), self.h0.hermitian, beta)
+
+    def perturbation(self, beta) -> DiscreteOperator:
+        """V(beta) = sum_i beta_i V_i."""
+        zero = sp.csr_matrix(self.h0.matrix.shape, dtype=complex)
+        return self._accumulate(zero, True, beta)
+
+    def _accumulate(self, mat, hermitian: bool, beta) -> DiscreteOperator:
+        if len(beta) > len(self.terms):
+            raise LatticeError(
+                f"beta has {len(beta)} entries but family has only {len(self.terms)} terms"
             )
-        if not np.all(np.isfinite(d)):
-            raise LatticeError("non-finite potential sample")
-        if np.iscomplexobj(d) and np.any(d.imag != 0):
-            profiles_real = False
-        acc += complex(b) * d
-    hermitian = h0.hermitian and beta.is_real and profiles_real
-    mat = h0.matrix + sp.diags(acc, format="csr")
-    if hermitian:
-        # Real couplings and profiles: force the diagonal exactly real so
-        # the Hermitian check passes at machine-exact level.
-        mat = h0.matrix + sp.diags(acc.real, format="csr")
-    return DiscreteOperator(mat, hermitian=hermitian, grid=h0.grid)
+        # Terms are added one at a time and zero couplings skipped: the
+        # summation order fixes the last bits of every reported value.
+        for b, op in zip(beta, self.terms):
+            if b != 0:
+                mat = mat + complex(b) * op
+                hermitian = hermitian and complex(b).imag == 0
+        return DiscreteOperator(
+            mat, hermitian=hermitian and self.terms_hermitian, grid=self.h0.grid)
+
+
+def assemble_hamiltonian(h0: DiscreteOperator, family, beta: CouplingSeq) -> DiscreteOperator:
+    """H(beta) with the potentials of `family` sampled on H0's grid (see
+    `AffineFamily.from_potentials`); beta may not be longer than the family."""
+    return AffineFamily.from_potentials(h0, family)(beta.values)
 
 
 def graph_norm(h0: DiscreteOperator, psi: np.ndarray) -> float:

@@ -150,6 +150,24 @@ class TestRun:
                           "--out", str(tmp_path / "out")])
         assert result.exit_code == 3
 
+    def test_non_finite_potential_sample_is_usage_error(self, tmp_path):
+        # The spike is centred on the grid node 2.0, where it samples +inf:
+        # the run must stop before any H(beta) is formed.
+        doc = {
+            "schema": 1,
+            "seed": 0,
+            "grid": {"extent": [[0.0, 4.0]], "points": [41]},
+            "family": {"kind": "explicit", "terms": [
+                {"profile": {"kind": "power_spike", "center": [2.0], "alpha": 0.5}}]},
+            "beta": {"values": [0.1]},
+            "tasks": [{"task": "bounds"}, {"task": "track"}],
+        }
+        path = write_scenario(tmp_path, doc)
+        result = run_cli(["run", "--scenario", str(path),
+                          "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "non-finite potential sample" in result.stderr
+
     def test_taylor_radius_below_sampling_radius_fails(self, tmp_path, monkeypatch):
         # A radius estimate inside the sampling circle |zeta| = r contradicts
         # the Cauchy samples, so the path invariant must fail.

@@ -11,6 +11,7 @@ from specpert.geometry import (
     Box,
     GeometryError,
     PackingConfig,
+    RefinementBudgetError,
     SupportFamily,
     SupportSet,
     check_fip_variant,
@@ -103,6 +104,14 @@ class TestFipVariant:
         with pytest.raises(GeometryError):
             check_fip_variant(family_1d((0, 1)), radius=0.0)
 
+    def test_cell_budget(self):
+        # 64 disjoint unit cubes [4k, 4k+1]^3: inflated by 1 their faces cut
+        # each axis into 127 intervals, 127^3 = 2,048,383 cells > 2,000,000.
+        fam = SupportFamily(tuple(
+            SupportSet((Box((4.0 * k,) * 3, (4.0 * k + 1,) * 3),)) for k in range(64)))
+        with pytest.raises(RefinementBudgetError, match="2048383 cells"):
+            check_fip_variant(fam, radius=1.0)
+
 
 def mesh_classify(family, xs):
     """Oracle: maximal index set per point from direct membership."""
@@ -141,6 +150,12 @@ class TestDisjointRefinement:
         assert len(part.cells_containing(1)) <= 2**n0
         xs = (np.linspace(0.0, 4.0, 1000) + 1e-5).reshape(-1, 1)
         assert part.index_sets_at(xs) == mesh_classify(fam, xs)
+
+    def test_cell_budget(self):
+        # Faces 0, 1, 2, 3 give three arrangement cells.
+        with pytest.raises(RefinementBudgetError, match="3 cells, budget is 2"):
+            disjoint_refinement(family_1d((0, 2), (1, 3)), cell_budget=2)
+        assert len(disjoint_refinement(family_1d((0, 2), (1, 3)), cell_budget=3).cells) == 3
 
     def test_2d_refinement_matches_oracle(self):
         fam = SupportFamily(

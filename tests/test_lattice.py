@@ -7,16 +7,18 @@ from hypothesis import strategies as st
 
 from specpert.geometry import interval_set
 from specpert.lattice import (
+    AffineFamily,
     CouplingSeq,
     DiscreteOperator,
     Grid,
+    GridMismatchError,
     LatticeError,
     assemble_hamiltonian,
     build_laplacian,
     graph_norm,
     laplacian_eigenvalues_1d,
 )
-from specpert.potentials import ConstantProfile, PotentialFamily, PotentialTerm
+from specpert.potentials import ConstantProfile, GaussianBump, PotentialFamily, PotentialTerm
 
 
 def grid_1d(n=32, a=0.0, b=1.0):
@@ -93,22 +95,33 @@ def constant_family(values, supports):
     return PotentialFamily(terms)
 
 
+def via_affine_family(h0, fam, beta):
+    """H(beta) from an AffineFamily, called with a NumPy coupling vector."""
+    return AffineFamily.from_potentials(h0, fam)(np.asarray(beta.values))
+
+
+# Each assembly case runs through both public ways of forming H(beta).
+BUILDERS = (assemble_hamiltonian, via_affine_family)
+
+
 class TestAssembly:
     def test_zero_beta_returns_h0(self):
         g = grid_1d()
         h0 = build_laplacian(g)
         fam = constant_family([1.0], [interval_set(0.0, 1.0)])
-        h = assemble_hamiltonian(h0, fam, CouplingSeq((0.0,)))
-        assert (h.matrix != h0.matrix).nnz == 0
+        for build in BUILDERS:
+            h = build(h0, fam, CouplingSeq((0.0,)))
+            assert (h.matrix != h0.matrix).nnz == 0
 
     def test_constant_shift(self):
         g = grid_1d()
         h0 = build_laplacian(g)
         c = 2.5
         fam = constant_family([c], [interval_set(-1.0, 2.0)])
-        h = assemble_hamiltonian(h0, fam, CouplingSeq((1.0,)))
         oracle = h0.to_dense() + c * np.eye(h0.dim)
-        np.testing.assert_allclose(h.to_dense(), oracle, atol=0)
+        for build in BUILDERS:
+            h = build(h0, fam, CouplingSeq((1.0,)))
+            np.testing.assert_allclose(h.to_dense(), oracle, atol=0)
 
     def test_disjoint_terms_dense_oracle(self):
         g = grid_1d(40, 0.0, 4.0)
@@ -116,29 +129,86 @@ class TestAssembly:
         fam = constant_family([1.0, 1.0], [interval_set(0.0, 1.0),
                                            interval_set(2.0, 3.0)])
         beta = CouplingSeq((1.0, -1.0))
-        h = assemble_hamiltonian(h0, fam, beta)
         # Dense brute-force assembly oracle.
         nodes = g.nodes()
         v1 = fam.terms[0].evaluate(nodes)
         v2 = fam.terms[1].evaluate(nodes)
         oracle = h0.to_dense() + np.diag(v1 - v2)
-        np.testing.assert_allclose(h.to_dense(), oracle.astype(complex), atol=0)
-        np.testing.assert_allclose(np.real(h.diagonal() - h0.diagonal()),
-                                   np.real(v1 - v2))
+        for build in BUILDERS:
+            h = build(h0, fam, beta)
+            np.testing.assert_allclose(h.to_dense(), oracle.astype(complex), atol=0)
+            np.testing.assert_allclose(np.real(h.diagonal() - h0.diagonal()),
+                                       np.real(v1 - v2))
 
     def test_beta_longer_than_family_rejected(self):
         g = grid_1d()
         h0 = build_laplacian(g)
         fam = constant_family([1.0], [interval_set(0.0, 1.0)])
-        with pytest.raises(LatticeError):
-            assemble_hamiltonian(h0, fam, CouplingSeq((1.0, 2.0)))
+        for build in BUILDERS:
+            with pytest.raises(LatticeError):
+                build(h0, fam, CouplingSeq((1.0, 2.0)))
 
     def test_complex_coupling_clears_hermitian_flag(self):
         g = grid_1d()
         h0 = build_laplacian(g)
         fam = constant_family([1.0], [interval_set(0.0, 1.0)])
-        h = assemble_hamiltonian(h0, fam, CouplingSeq((1j,)))
-        assert not h.hermitian
+        for build in BUILDERS:
+            assert build(h0, fam, CouplingSeq((1.0,))).hermitian
+            assert not build(h0, fam, CouplingSeq((1j,))).hermitian
+
+
+def bump_family(centers, width=0.3):
+    return PotentialFamily([
+        PotentialTerm(profile=GaussianBump((c,), width, 1.0),
+                      support=interval_set(c - 1.0, c + 1.0), center=(c,))
+        for c in centers
+    ])
+
+
+class TestAffineFamily:
+    def test_perturbation_dense_oracle(self):
+        g = grid_1d(60, 0.0, 4.0)
+        fam = bump_family([1.0, 1.8, 3.0])
+        system = AffineFamily.from_potentials(build_laplacian(g), fam)
+        vs = [term.evaluate(g.nodes()) for term in fam.terms]
+        for t, hermitian in (((0.5, -1.25, 2.0), True), ((0.5, 0.0, 2j), False)):
+            oracle = sum(ti * np.diag(vi) for ti, vi in zip(t, vs))
+            v = system.perturbation(np.asarray(t))
+            np.testing.assert_allclose(v.to_dense(), oracle, rtol=1e-15, atol=0)
+            assert v.hermitian is hermitian
+            np.testing.assert_allclose(
+                system(np.asarray(t)).to_dense(), system.h0.to_dense() + oracle,
+                rtol=1e-15, atol=0)
+
+    def test_samples_potentials_once(self, monkeypatch):
+        calls = []
+        sample_on = PotentialFamily.sample_on
+
+        def counted(self, grid):
+            calls.append(grid)
+            return sample_on(self, grid)
+
+        monkeypatch.setattr(PotentialFamily, "sample_on", counted)
+        g = grid_1d(40, 0.0, 4.0)
+        system = AffineFamily.from_potentials(build_laplacian(g), bump_family([1.0, 3.0]))
+        for s in np.linspace(0.0, 1.0, 5):
+            system(np.array([s, -s]))
+            system.perturbation(np.array([s, 0.0]))
+        assert len(calls) == 1
+
+    def test_from_potentials_needs_a_grid(self):
+        h0 = build_laplacian(grid_1d())
+        gridless = DiscreteOperator(h0.matrix, hermitian=True)
+        with pytest.raises(GridMismatchError):
+            AffineFamily.from_potentials(gridless, bump_family([0.5]))
+
+    def test_rejects_wrong_sample_length(self):
+        class Short:
+            def sample_on(self, grid):
+                return [np.ones(grid.size - 1)]
+
+        with pytest.raises(GridMismatchError):
+            AffineFamily.from_potentials(build_laplacian(grid_1d()), Short())
 
 
 class TestGraphNorm:
