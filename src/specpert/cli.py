@@ -78,6 +78,7 @@ class RunReport:
     tasks: list[dict] = field(default_factory=list)
     invariants: list[dict] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
+    notes: dict[str, str] = field(default_factory=dict)  # stderr only
 
     @property
     def passed(self) -> bool:
@@ -87,8 +88,8 @@ class RunReport:
         self.invariants.append({"name": name, "pass": bool(ok), "detail": detail})
 
     def to_document(self) -> dict:
-        # Wall-clock timings are intentionally excluded: outputs must be
-        # byte-identical across runs with the same scenario and seed.
+        # Wall-clock timings and notes are intentionally excluded: outputs
+        # must be byte-identical across runs with the same scenario and seed.
         return {
             "schema": serialize.SCHEMA_VERSION,
             "provenance": self.provenance,
@@ -269,6 +270,7 @@ class RunContext:
     report: RunReport
 
     _system: lattice.AffineFamily | None = None
+    note: str = ""  # the running task's stderr summary
 
     def potential_family(self, task: str) -> potentials.PotentialFamily:
         if not isinstance(self.family, potentials.PotentialFamily):
@@ -523,6 +525,12 @@ def task_taylor(ctx: RunContext, spec: dict) -> dict:
         ctx.hamiltonian, base, direction, contour, r=r, M=max(M, 8),
         q=int(spec.get("q", 128)), residual_tol=ctx.tol["track_residual"],
         defect_tol=ctx.tol["projector_defect"])
+    stats = path.stats
+    ctx.note = (f"factorizations {stats.factorizations}, rhs columns "
+                f"{stats.rhs_columns}, block defect/tol "
+                f"{stats.max_defect / (ctx.tol['projector_defect'] / 10):.3g}, "
+                f"sigma2/sigma1 {stats.max_rank_ratio:.3g}, full-P samples "
+                f"{stats.full_projectors}")
     _write_csv(
         ctx.out / "taylor.csv",
         "directional Taylor coefficients of the tracked eigenvalue\n"
@@ -535,7 +543,10 @@ def task_taylor(ctx: RunContext, spec: dict) -> dict:
     ok = path.radius >= r
     ctx.report.add_invariant("taylor.path_valid", ok,
                              f"radius estimate {path.radius:.6g}")
-    return {"M": M, "radius": None if math.isinf(path.radius) else path.radius,
+    # M below 8 is raised to 8 (radius_of_convergence needs 9 coefficients);
+    # report the order actually computed.
+    return {"M": len(path.coefficients) - 1,
+            "radius": None if math.isinf(path.radius) else path.radius,
             "entire_to_tolerance": math.isinf(path.radius), "pass": ok}
 
 
@@ -595,9 +606,12 @@ def execute_scenario(doc: dict, out_dir: Path) -> RunReport:
                      rng=rng, tol=tol, out=out_dir, report=report)
     for i, task_spec in enumerate(doc["tasks"]):
         name = task_spec["task"]
+        key = f"{i}:{name}"
         t0 = time.perf_counter()
         result = _TASK_FUNCS[name](ctx, task_spec)
-        report.timings[f"{i}:{name}"] = time.perf_counter() - t0
+        report.timings[key] = time.perf_counter() - t0
+        if ctx.note:
+            report.notes[key], ctx.note = ctx.note, ""
         report.tasks.append({"task": name, "index": i, "result": result})
     _atomic_write(out_dir / "report.yaml",
                   serialize.dump_canonical(report.to_document()))
@@ -644,7 +658,8 @@ def _run_entry(scenario: str, out: str | None, seed: int | None,
         click.echo(f"scenario error: {exc}", err=True)
         sys.exit(EXIT_USAGE)
     for name, dt in report.timings.items():
-        click.echo(f"  [{name}] {dt:.3f}s", err=True)
+        note = report.notes.get(name)
+        click.echo(f"  [{name}] {dt:.3f}s" + (f" {note}" if note else ""), err=True)
     for inv in report.invariants:
         status = "PASS" if inv["pass"] else "FAIL"
         click.echo(f"{status} {inv['name']}: {inv['detail']}")

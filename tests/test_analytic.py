@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from specpert import analytic
 from specpert.analytic import (
     Contour,
     Direction,
@@ -13,6 +14,7 @@ from specpert.analytic import (
     ShiftNearSpectrumError,
     TrackingError,
     _reference_vector,
+    _track_block,
     cauchy_derivative,
     gamma_membership,
     radius_of_convergence,
@@ -24,7 +26,8 @@ from specpert.analytic import (
     verify_analytic_family,
 )
 from specpert.geometry import interval_set
-from specpert.lattice import CouplingSeq, Grid, assemble_hamiltonian, build_laplacian
+from specpert.lattice import (AffineFamily, CouplingSeq, Grid, assemble_hamiltonian,
+                              build_laplacian)
 from specpert.potentials import GaussianBump, PotentialFamily, PotentialTerm
 
 
@@ -202,6 +205,144 @@ class TestTracking:
         contour = Contour(0.5, 1.0, q=64)  # encloses both eigenvalues
         with pytest.raises(TrackingError):
             _reference_vector(two_level, np.array([0.0]), contour)
+
+
+def _random_operator(rng):
+    """Hermitian or mildly non-normal operator with known real spectrum, a
+    contour around one eigenvalue (radius up to 0.97 of its gap), that
+    eigenvalue and its eigenvector."""
+    d = int(rng.integers(6, 81))
+    q = int(rng.choice([16, 24, 32, 64]))
+    vals = np.sort(rng.uniform(-1.0, 1.0, d))
+    if rng.random() < 0.5:
+        G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        S = np.linalg.qr(G)[0]
+        H = S @ np.diag(vals) @ S.conj().T
+    else:
+        S = np.eye(d) + 0.3 / np.sqrt(d) * rng.standard_normal((d, d))
+        H = S @ np.diag(vals) @ np.linalg.inv(S)
+    i = int(rng.integers(d))
+    gap = np.min(np.abs(np.delete(vals, i) - vals[i]))
+    radius = rng.uniform(0.3, 0.97) * gap
+    shift = 0.9 * rng.random() * min(radius, gap - radius)
+    center = vals[i] + shift * np.exp(2j * np.pi * rng.random())
+    psi0 = S[:, i] / np.linalg.norm(S[:, i])
+    return H, Contour(complex(center), radius, q=q), vals[i], psi0
+
+
+class TestBlockSamples:
+    """The action-only Taylor samples: one band LU per node applied to
+    Y = [psi0, w1, w2], certified from P Y and (P^2 - P) Y alone."""
+
+    def test_block_defect_catches_every_failing_projector(self):
+        rng = np.random.default_rng(2024)
+        defect_tol = 1e-8
+        failing, resolved, missed = 0, 0, []
+        for case in range(160):
+            H, contour, E, psi0 = _random_operator(rng)
+            full = riesz_projector(H, contour, defect_tol=math.inf,
+                                   trace_tol=math.inf).defect
+            if full <= defect_tol / 1000:
+                # Well resolved: the block path passes and finds E (dense
+                # d > 64 also splits the nodes into two band factorizations).
+                resolved += 1
+                assert _track_block(H, contour, psi0) == pytest.approx(E, abs=1e-8)
+            if full <= defect_tol:
+                continue
+            failing += 1
+            try:
+                _track_block(H, contour, psi0, defect_tol=defect_tol)
+            except QuadratureError:
+                continue
+            missed.append((case, full))
+        assert failing >= 80 and resolved >= 20  # both sides are exercised
+        assert missed == []
+
+    def test_contour_around_two_eigenvalues_raises(self):
+        # psi0 is an exact eigenvector, so only the rank test can see that
+        # the contour also encloses the eigenvalue 0.5.
+        with pytest.raises(TrackingError, match="sigma_2/sigma_1"):
+            _track_block(np.diag([0.0, 0.5, 10.0]), Contour(0.25, 1.0, q=64),
+                         np.array([1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("as_input", [np.asarray, sp.csr_matrix],
+                             ids=["dense", "sparse"])
+    def test_node_on_eigenvalue_raises(self, as_input):
+        # The node at angle 0 is exactly 1.0, an eigenvalue.
+        with pytest.raises(ShiftNearSpectrumError):
+            _track_block(as_input(np.diag([1.0, 10.0])), Contour(0.0, 1.0, q=64),
+                         np.array([0.0, 1.0]))
+
+    def test_node_near_eigenvalue_fails_residual_check(self):
+        # The node at angle 0 lies 1e-9 from the eigenvalue 1 of a
+        # non-diagonal H: the LU succeeds but its solves miss 1e-10 ||B||.
+        c, s = np.cos(0.7), np.sin(0.7)
+        Q = np.array([[c, -s], [s, c]])
+        H = Q @ np.diag([1.0, 10.0]) @ Q.T
+        with pytest.raises(ShiftNearSpectrumError, match="solve residual"):
+            _track_block(H, Contour(1e-9, 1.0, q=64), Q[:, 0])
+
+    def test_matches_full_projector_on_lattice(self):
+        grid = Grid(extent=((0.0, 12.0),), points=(160,))
+        term = PotentialTerm(profile=GaussianBump((6.0,), 0.4, 1.0),
+                             support=interval_set(4.7, 7.3))
+        family = AffineFamily.from_potentials(build_laplacian(grid),
+                                              PotentialFamily([term]))
+        vals = np.linalg.eigvalsh(family.h0.to_dense())
+        contour = Contour(complex(vals[0]), 0.5 * (vals[1] - vals[0]), q=64)
+        psi0 = _reference_vector(family, np.zeros(1), contour)
+        for zeta in 0.1 * np.exp(2j * np.pi * np.arange(5) / 5):
+            beta = np.array([zeta])
+            full = track_eigenvalue(family, beta, contour, psi0).E
+            block = _track_block(family(beta), contour, psi0)
+            assert abs(block - full) <= 1e-12 * max(1.0, abs(full))
+
+    def test_matches_full_projector_on_two_level(self):
+        contour = Contour(0.0, 0.5, q=128)
+        psi0 = _reference_vector(two_level, np.array([0.0]), contour)
+        for b in 0.3 * np.exp(2j * np.pi * np.arange(7) / 7):
+            full = track_eigenvalue(two_level, np.array([b]), contour, psi0,
+                                    residual_tol=1e-10).E
+            block = _track_block(two_level(np.array([b])), contour, psi0,
+                                 residual_tol=1e-10)
+            assert abs(block - full) <= 1e-12 * max(1.0, abs(full))
+            assert block == pytest.approx(two_level_energy(b), abs=1e-10)
+
+    def test_failed_block_defect_falls_back_to_full_projector(self, monkeypatch):
+        def block_fails(*args, **kwargs):
+            raise QuadratureError("block defect above defect_tol / 10")
+
+        monkeypatch.setattr(analytic, "_track_block", block_fails)
+        contour = Contour(0.0, 0.5, q=64)
+        path = taylor_eigenpath(two_level, np.array([0.0]),
+                                Direction(np.array([1.0])), contour,
+                                r=0.2, M=8, q=32)
+        assert path.stats.full_projectors == len(path.samples) == 32 + 8
+        assert path.coefficients[2] == pytest.approx(-1.0, abs=1e-8)
+        # The full projector still rejects what its own test rejects.
+        with pytest.raises(QuadratureError):
+            taylor_eigenpath(two_level, np.array([0.0]), Direction(np.array([1.0])),
+                             contour, r=0.2, M=8, q=32, defect_tol=1e-30)
+
+    def test_taylor_builds_one_full_projector(self, monkeypatch):
+        calls = []
+        full = analytic.riesz_projector
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return full(*args, **kwargs)
+
+        monkeypatch.setattr(analytic, "riesz_projector", counted)
+        path = taylor_eigenpath(two_level, np.array([0.0]),
+                                Direction(np.array([1.0])), Contour(0.0, 0.5, q=64),
+                                r=0.3, M=8, q=32)
+        assert len(calls) == 1  # the reference vector at the base point
+        assert len(path.samples) == 32 + 8
+        assert path.stats.full_projectors == 0
+        assert path.stats.factorizations == 64 * len(path.samples)
+        assert path.stats.rhs_columns == 2 * 3 * path.stats.factorizations
+        assert path.stats.max_defect <= 1e-9
+        assert path.stats.max_rank_ratio <= 1e-6
 
 
 class TestCauchyDerivative:

@@ -1,5 +1,10 @@
 """CLI: scenario validation, task execution, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -183,6 +188,23 @@ class TestRun:
         assert result.exit_code == 1
 
 
+    def test_taylor_reports_computed_order(self, tmp_path):
+        # M below 8 is raised to 8; the report names the order in taylor.csv.
+        doc = dict(TWO_LEVEL)
+        doc["tasks"] = [{"task": "taylor", "direction": [1.0], "r": 0.3, "M": 5,
+                         "q": 32, "contour_nodes": 64}]
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        result = run_cli(["run", "--scenario", str(path), "--out", str(out)])
+        assert result.exit_code == 0
+        _, rows = read_csv(out / "taylor.csv")
+        report = yaml.safe_load((out / "report.yaml").read_text())
+        assert report["tasks"][0]["result"]["M"] == len(rows) - 1 == 8
+        # The stderr line carries the block-sample counters.
+        assert "factorizations 2560, rhs columns 15360" in result.stderr
+        assert "block defect/tol" in result.stderr and "sigma2/sigma1" in result.stderr
+
+
 BUMPS = {
     "schema": 1,
     "seed": 0,
@@ -358,4 +380,26 @@ class TestDeterminism:
             assert result.exit_code == 0
             outs.append(out)
         for fname in ("report.yaml", "track.csv", "sweep.csv"):
+            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    def test_taylor_outputs_independent_of_blas_threads(self, tmp_path):
+        repo = Path(__file__).resolve().parents[1]
+        doc = yaml.safe_load((repo / "scenarios" / "bumps_1d.yaml").read_text())
+        doc["tasks"] = [t for t in doc["tasks"] if t["task"] == "taylor"]
+        path = write_scenario(tmp_path, doc)
+        base_env = {k: v for k, v in os.environ.items()
+                    if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                 "MKL_NUM_THREADS")}
+        base_env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")]))
+        outs = []
+        for name, extra in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
+            out = tmp_path / name
+            proc = subprocess.run(
+                [sys.executable, "-m", "specpert.cli", "run", "--scenario", str(path),
+                 "--out", str(out)],
+                env={**base_env, **extra}, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out)
+        for fname in ("taylor.csv", "report.yaml"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
