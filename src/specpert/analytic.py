@@ -6,27 +6,18 @@ Contours are circles discretized by the trapezoidal rule, which converges
 exponentially for analytic integrands; one resolvent factorization per node
 is shared across all derivative orders.
 
+Every sparse solve runs on one engine, `_node_solves`: one LAPACK band LU
+per contour node (`zgbtrf`/`zgbtrs`), each solve's residual checked against
+the sparse H.  A dense ndarray H is solved with ``numpy.linalg.solve``, as
+its band would be the whole matrix.
+
 Two sample paths continue an eigenvalue.  `track_eigenvalue` builds the full
-d x d Riesz projector P and certifies ||P^2 - P||_2 <= defect_tol and
-|trace(P) - 1| small; the track and sweep tasks report that trace.  The
-Taylor samples of `taylor_eigenpath` use an action-only block contour method
-(Sakurai & Sugiura 2003; Beyn 2012): each node shift of H(beta) gets one
-band LU, applied to Y = [psi0, w1, w2] with seeded complex Gaussian columns
-w1, w2, and applied once more to give (P^2 - P) Y through the resolvent
-identity.  Its certificates are
-
-* max_j ||(P^2 - P) w_j|| <= defect_tol / 10.  For a rank-one defect
-  A = s u v^*, ||A w|| = s |v^* w| with |v^* w|^2 ~ Exp(1), so one column
-  falls below s / 10 with probability about 1%.  The factor 10 keeps a
-  failing projector from passing on an unlucky draw: it makes the block
-  test stricter than the full one, never looser.  A sample that fails it
-  is re-tracked with the full projector, whose ||P^2 - P||_2 <= defect_tol
-  decides.
-* sigma_2(P Y) <= 1e-6 sigma_1(P Y), the rank-one test in place of
-  trace(P) = 1.
-
-The solve residual, survival, functional and eigen-residual checks are the
-same on both paths.
+d x d Riesz projector P, certified by ||P^2 - P||_2 <= defect_tol and an
+integral trace; the track and sweep tasks report |trace(P) - 1|.  The Taylor
+samples of `taylor_eigenpath` never form P, an action-only block contour
+method (Sakurai & Sugiura 2003; Beyn 2012): each node's LU is applied to
+Y = [psi0, w1, w2] and once more to give (P^2 - P) Y, with the certificates
+that `taylor_eigenpath` states.
 """
 
 from __future__ import annotations
@@ -38,7 +29,6 @@ import numpy as np
 import scipy.linalg as la
 import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .lattice import DiscreteOperator
 
@@ -144,13 +134,15 @@ class Direction:
 
 @dataclass
 class BlockStats:
-    """Work and certificate margins of the action-only contour samples."""
+    """Work and certificate margins of contour solves: full projectors and
+    action-only samples."""
 
     factorizations: int = 0
     rhs_columns: int = 0
     full_projectors: int = 0  # samples the full-P path decided
     max_defect: float = 0.0  # worst max_j ||(P^2 - P) w_j||
     max_rank_ratio: float = 0.0  # worst sigma_2(P Y) / sigma_1(P Y)
+    max_projector_defect: float = 0.0  # worst accepted full ||P^2 - P||_2
 
 
 @dataclass
@@ -185,47 +177,29 @@ def _as_matrix(H) -> tuple[object, int]:
 def resolvent_apply(H, lam: complex, B, residual_tol: float = 1e-10):
     """(H - lam)^-1 B via factorization, with a residual check.
 
-    Each branch solves in the library whose BLAS also computes its residual
-    product H @ X:
-
-    * dense ndarray H: ``numpy.linalg.solve``.  The residual is a dense
-      matrix product and norm in NumPy.  NumPy and SciPy each bundle their
-      own OpenBLAS with its own thread pool; a SciPy solve followed by a
-      NumPy product hands work from one pool to the other at every call,
-      which can stall for milliseconds on 2 cores even for small H.  Keep
-      the solve and its residual in one library.
-    * sparse H with d <= 200: densified and solved with
-      ``scipy.linalg.solve``, whose structure detection is fast on the
-      banded lattice operators.  The residual is a ``scipy.sparse`` product,
-      which uses no BLAS.
-    * sparse H with d > 200: one sparse LU (``splu``) per shift.
+    * sparse H: the band-LU engine `_node_solves` with one shift; its
+      residual uses no BLAS.
+    * dense ndarray H: ``numpy.linalg.solve``.  Its band would be the whole
+      matrix, on which the band LU is slower.  The residual is a NumPy
+      product: a SciPy solve would hand work between the two libraries'
+      OpenBLAS thread pools at every call, which can stall for milliseconds.
 
     Raises ShiftNearSpectrumError if the shifted solve is exactly singular
     or the residual exceeds residual_tol * ||B||.
     """
     mat, d = _as_matrix(H)
     B = np.asarray(B, dtype=complex)
-    import warnings
-
-    # Singular shifts are detected by the residual check below; suppress the
-    # intermediate divide/ill-conditioning warnings on that path.
-    with np.errstate(divide="ignore", invalid="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", la.LinAlgWarning)
+    if sp.issparse(mat):
+        [(_, X)] = _node_solves(mat, d, np.array([complex(lam)]), B.reshape(d, -1),
+                                BlockStats(), residual_tol=residual_tol)
+        return X[0, 0].reshape(B.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
         try:
-            if sp.issparse(mat) and d > 200:
-                shifted = (mat - lam * sp.identity(d, format="csc")).tocsc()
-                lu = spla.splu(shifted)
-                X = lu.solve(B)
-            elif sp.issparse(mat):
-                X = la.solve(mat.toarray() - lam * np.eye(d), B)
-            else:
-                dense = np.asarray(mat, dtype=complex)
-                X = np.linalg.solve(dense - lam * np.eye(d), B)
-        except (RuntimeError, np.linalg.LinAlgError) as exc:
+            X = np.linalg.solve(np.asarray(mat, dtype=complex) - lam * np.eye(d), B)
+        except np.linalg.LinAlgError as exc:
             raise ShiftNearSpectrumError(f"shift {lam} is singular: {exc}") from exc
-        applied = (mat @ X) - lam * X
-        resid = np.linalg.norm(applied - B)
-    if not np.isfinite(resid) or resid > residual_tol * max(np.linalg.norm(B), 1e-300):
+        resid = np.linalg.norm((mat @ X) - lam * X - B)
+    if not resid <= residual_tol * max(np.linalg.norm(B), 1e-300):
         raise ShiftNearSpectrumError(
             f"lambda = {lam} within tolerance of spectrum "
             f"(solve residual {resid:.3g})"
@@ -234,24 +208,39 @@ def resolvent_apply(H, lam: complex, B, residual_tol: float = 1e-10):
 
 
 def riesz_projector(
-    H, contour: Contour, defect_tol: float = 1e-8, trace_tol: float = 1e-6
+    H, contour: Contour, defect_tol: float = 1e-8, trace_tol: float = 1e-6,
+    stats: BlockStats | None = None,
 ) -> RieszProjector:
     """P = -(2 pi i)^-1 * contour integral of (H - lambda)^-1.
 
     Trapezoidal quadrature on the circle:
         P = -(r/q) sum_j e^(i theta_j) (H - lambda_j)^-1.
+    Each node's solve against the identity (`_node_solves` for sparse H,
+    `resolvent_apply` for a dense ndarray) is added into P as its chunk
+    comes, so the q solutions are never held at once.
     The idempotency defect and the integrality of the trace certify that
     the quadrature resolved the integrand and the contour stayed clear of
-    the spectrum.
+    the spectrum.  `stats` counts the work and keeps the worst accepted defect.
     """
-    _, d = _as_matrix(H)
+    stats = BlockStats() if stats is None else stats
+    mat, d = _as_matrix(H)
     eye = np.eye(d, dtype=complex)
     acc = np.zeros((d, d), dtype=complex)
     angles = contour.angles()
-    for theta, lam in zip(angles, contour.nodes()):
-        acc += np.exp(1j * theta) * resolvent_apply(H, lam, eye)
+    if sp.issparse(mat):
+        for nodes, X in _node_solves(mat, d, contour.nodes(), eye, stats):
+            for theta, x in zip(angles[nodes], X[0]):
+                acc += np.exp(1j * theta) * x
+    else:
+        for theta, lam in zip(angles, contour.nodes()):
+            acc += np.exp(1j * theta) * resolvent_apply(mat, lam, eye)
+        stats.factorizations += contour.q
+        stats.rhs_columns += contour.q * d
     P = -(contour.radius / contour.q) * acc
-    defect = float(np.linalg.norm(P @ P - P, 2))
+    # P^2 by columns: matrix-vector products gave the same bits at 1 and 2
+    # OpenBLAS threads for every d tried, the matrix product not at d = 210.
+    P2 = np.stack([P @ col for col in P.T], axis=1)
+    defect = float(np.linalg.norm(P2 - P, 2))
     trace = complex(np.trace(P))
     if defect > defect_tol:
         raise QuadratureError(
@@ -262,6 +251,7 @@ def riesz_projector(
         raise QuadratureError(
             f"projector trace {trace:.6g} is not near an integer"
         )
+    stats.max_projector_defect = max(stats.max_projector_defect, defect)
     return RieszProjector(P=P, contour=contour, trace=trace, defect=defect)
 
 
@@ -275,6 +265,7 @@ def track_eigenvalue(
     functional_floor: float = 0.1,
     survival_floor: float = 1e-8,
     seed: int = 7,
+    stats: BlockStats | None = None,
 ) -> TrackResult:
     """Continue a simple isolated eigenvalue from the reference point to
     `beta` via the spectral projector of H(beta) on the given contour.
@@ -282,10 +273,11 @@ def track_eigenvalue(
     Requires the projector trace to stay near 1 (non-degeneracy preserved);
     the eigenvector is psi(beta) = P(beta) psi0 and the eigenvalue comes
     from a fixed linear functional, re-drawn at random if its value on
-    psi(beta) gets too close to zero.
+    psi(beta) gets too close to zero.  `stats` is passed to
+    `riesz_projector`.
     """
     H = family(beta)
-    proj = riesz_projector(H, contour, defect_tol=defect_tol)
+    proj = riesz_projector(H, contour, defect_tol=defect_tol, stats=stats)
     if abs(proj.trace - 1.0) > 0.1:
         raise TrackingError(
             f"projector trace {proj.trace:.4g} != 1: degeneracy or eigenvalue "
@@ -331,8 +323,10 @@ def _eigenvalue_of(mat, psi, psi0, residual_tol, functional_floor=0.1,
     return complex(E), float(resid / npsi)
 
 
-# Largest band array (complex entries) factored at once by _block_action.
-_BAND_ENTRIES = 1 << 20
+# Largest chunk of contour nodes solved at once, in complex entries of the
+# band copies plus the right-hand sides; it bounds the memory of identity
+# solves (one node per chunk at d = 210, band width 15).
+_CHUNK_ENTRIES = 1 << 16
 # Seed of the random block columns, and the sigma_2/sigma_1 bound of the
 # rank test (riesz_projector's default trace_tol).
 _BLOCK_SEED = 7
@@ -354,6 +348,64 @@ def _band_storage(mat, d: int) -> tuple[np.ndarray, int, int]:
     return ab, kl, ku
 
 
+def _node_solves(mat, d: int, lams: np.ndarray, B: np.ndarray, stats: BlockStats,
+                 twice: bool = False, residual_tol: float = 1e-10):
+    """R_j B = (H - lambda_j)^-1 B for every node lambda_j, by chunks.
+
+    Yields (nodes, X): a slice of node indices and X[0, i] = R_j B, plus
+    X[1, i] = R_j^2 B with `twice`, for j = nodes.start + i.  A chunk's
+    shifts are factored as one block-diagonal band matrix.  Its off-block
+    entries are exact zeros, so pivoting never crosses a node and the chunk
+    size cannot change a bit.  Every solve passes ||(H - lambda_j) X - B||_F
+    <= residual_tol ||B||_F (the second against R_j B), with H applied as
+    the matrix it came as, not its band copy, and the sums of squares taken
+    over the float view, without BLAS.
+    """
+    B = np.ascontiguousarray(B, dtype=complex)
+    ab, kl, ku = _band_storage(mat, d)
+    k = B.shape[1]
+    s = 2 if twice else 1
+    chunk = max(1, _CHUNK_ENTRIES // (ab.size + s * d * k))
+    b_norm = math.sqrt(np.einsum("ik,ik->", B.view(float), B.view(float)))
+    for start in range(0, len(lams), chunk):
+        shifts = lams[start:start + chunk]
+        n = len(shifts)
+        with np.errstate(all="ignore"):
+            band = np.tile(ab, n)
+            band[kl + ku] -= np.repeat(shifts, d)
+            lu, piv, info = lapack.zgbtrf(band, kl, ku, overwrite_ab=1)
+            if info > 0:
+                raise ShiftNearSpectrumError(
+                    f"shift {shifts[(info - 1) // d]} is singular")
+            X = np.empty((s, n * d, k), dtype=complex)
+            X[0] = lapack.zgbtrs(lu, kl, ku, np.tile(B, (n, 1)), piv)[0]
+            if twice:
+                X[1] = lapack.zgbtrs(lu, kl, ku, X[0], piv)[0]
+            stats.factorizations += n
+            stats.rhs_columns += s * n * k
+            X = X.reshape(s, n, d, k)
+
+            # Node-major columns (d, s, n, k): one product with H per chunk.
+            Xc = np.ascontiguousarray(X.transpose(2, 0, 1, 3))
+            err = (mat @ Xc.reshape(d, -1)).reshape(Xc.shape)
+            err -= shifts[:, None] * Xc
+            err[:, 0] -= B[:, None, :]
+            scale = np.full((s, n), b_norm)
+            if twice:
+                err[:, 1] -= Xc[:, 0]
+                scale[1] = np.sqrt(np.einsum("jik,jik->j", X[0].view(float),
+                                             X[0].view(float)))
+            resid = np.sqrt(np.einsum("ibjk,ibjk->bj", err.view(float), err.view(float)))
+        bad = ~(resid <= residual_tol * np.maximum(scale, 1e-300))
+        if bad.any():
+            j = int(np.nonzero(bad.any(axis=0))[0][0])
+            raise ShiftNearSpectrumError(
+                f"lambda = {shifts[j]} within tolerance of spectrum "
+                f"(solve residual {resid[:, j].max():.3g})"
+            )
+        yield slice(start, start + n), X
+
+
 def _block_action(H, contour: Contour, Y: np.ndarray,
                   stats: BlockStats) -> tuple[np.ndarray, np.ndarray]:
     """P Y and (P^2 - P) Y for the trapezoidal Riesz projector of H.
@@ -362,62 +414,19 @@ def _block_action(H, contour: Contour, Y: np.ndarray,
     P = sum_j a_j R_j.  The resolvent identity
     R_j R_k = (R_j - R_k) / (lambda_j - lambda_k) turns P^2 into
         sum_j (a_j^2 R_j^2 + 2 a_j c_j R_j),  c_j = sum_{k != j} a_k / (lambda_j - lambda_k),
-    so each node's band LU, applied twice, gives P^2 Y with no factor kept
-    across nodes.
-
-    The node shifts H - lambda_j are factored together as one
-    block-diagonal band matrix (up to _BAND_ENTRIES band entries at a time),
-    so one ?gbtrf and two ?gbtrs calls serve many nodes.  The entries
-    between blocks are exact zeros, so partial pivoting never crosses a
-    block and each node is factored exactly as on its own.  Every solve
-    passes the residual check of `resolvent_apply`,
-    ||(H - lambda_j) X - B|| <= 1e-10 ||B||, with H applied as the sparse
-    matrix it came as (not its band copy), for all nodes in one product.
+    so each node's band LU (`_node_solves`), applied twice, gives P^2 Y
+    with no factor kept across nodes.
     """
     mat, d = _as_matrix(H)
-    ab, kl, ku = _band_storage(mat, d)
     lams = contour.nodes()
     a = -(contour.radius / contour.q) * np.exp(1j * contour.angles())
     gaps = lams[:, None] - lams[None, :]
     np.fill_diagonal(gaps, np.inf)
     c = (a[None, :] / gaps).sum(axis=1)
 
-    q, k = len(lams), Y.shape[1]
-    chunk = max(1, _BAND_ENTRIES // ab.size)
-    X = np.empty((2, q, d, k), dtype=complex)  # R_j Y and R_j^2 Y
-    with np.errstate(all="ignore"):
-        for s in range(0, q, chunk):
-            shifts = lams[s:s + chunk]
-            band = np.tile(ab, len(shifts))
-            band[kl + ku] -= np.repeat(shifts, d)
-            lu, piv, info = lapack.zgbtrf(band, kl, ku, overwrite_ab=1)
-            if info > 0:
-                raise ShiftNearSpectrumError(
-                    f"shift {shifts[(info - 1) // d]} is singular")
-            x = lapack.zgbtrs(lu, kl, ku, np.tile(Y, (len(shifts), 1)), piv)[0]
-            X[0, s:s + chunk] = x.reshape(-1, d, k)
-            X[1, s:s + chunk] = lapack.zgbtrs(lu, kl, ku, x, piv)[0].reshape(-1, d, k)
-        stats.factorizations += q
-        stats.rhs_columns += 2 * q * k
-
-        # Node-major columns (d, 2, q, k): one product with H for all solves.
-        Xc = np.ascontiguousarray(X.transpose(2, 0, 1, 3))
-        err = (mat @ Xc.reshape(d, -1)).reshape(Xc.shape)
-        err -= lams[:, None] * Xc
-        err[:, 0] -= Y[:, None, :]
-        err[:, 1] -= Xc[:, 0]
-        # Frobenius norm per (solve, node): squares of the real and
-        # imaginary parts, summed over the float view.
-        resid = np.sqrt(np.einsum("ibjk,ibjk->bj", err.view(float), err.view(float)))
-        scale = np.stack([np.full(q, np.linalg.norm(Y)),
-                          np.linalg.norm(X[0].reshape(q, -1), axis=1)])
-    bad = ~(resid <= 1e-10 * np.maximum(scale, 1e-300))
-    if bad.any():
-        j = int(np.nonzero(bad.any(axis=0))[0][0])
-        raise ShiftNearSpectrumError(
-            f"lambda = {lams[j]} within tolerance of spectrum "
-            f"(solve residual {resid[:, j].max():.3g})"
-        )
+    X = np.empty((2, len(lams), d, Y.shape[1]), dtype=complex)  # R_j Y and R_j^2 Y
+    for nodes, Xn in _node_solves(mat, d, lams, Y, stats, twice=True):
+        X[:, nodes] = Xn
     PY = np.tensordot(a, X[0], axes=1)
     defect = np.tensordot(a**2, X[1], axes=1) + np.tensordot(2 * a * c - a, X[0], axes=1)
     return PY, defect
@@ -595,8 +604,9 @@ def taylor_eigenpath(
     whose ||P^2 - P||_2 <= defect_tol decides, so a projector the full test
     accepts is never rejected for an unlucky draw.  The rank test is
     sigma_2(P Y) <= 1e-6 sigma_1(P Y).  `path.stats` counts the
-    factorizations, right-hand-side columns and full-projector samples and
-    keeps the worst block defect and sigma_2/sigma_1.
+    factorizations and right-hand-side columns of all samples and the
+    full-projector samples, and keeps the worst block defect and
+    sigma_2/sigma_1.
     """
     base = np.asarray(base, dtype=complex)
     samples: list[tuple[complex, complex]] = []
@@ -615,7 +625,7 @@ def taylor_eigenpath(
             stats.full_projectors += 1
             E = track_eigenvalue(family, beta_vec, track_contour, psi0=ref_psi,
                                  residual_tol=residual_tol,
-                                 defect_tol=defect_tol).E
+                                 defect_tol=defect_tol, stats=stats).E
         samples.append((zeta, E))
         return E
 
@@ -638,9 +648,10 @@ def _project_zeta(delta: np.ndarray, t: np.ndarray) -> complex:
     return complex(delta[j] / t[j])
 
 
-def _reference_vector(family, base, contour: Contour) -> np.ndarray:
+def _reference_vector(family, base, contour: Contour,
+                      stats: BlockStats | None = None) -> np.ndarray:
     """Eigenvector of H(base) for the eigenvalue enclosed by the contour."""
-    res_base = riesz_projector(family(base), contour)
+    res_base = riesz_projector(family(base), contour, stats=stats)
     if res_base.rank != 1:
         raise TrackingError(
             f"contour encloses {res_base.rank} eigenvalues at the base point"

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 
 from . import __version__, analytic, bounds, geometry, lattice, potentials, serialize
@@ -305,10 +306,13 @@ class RunContext:
 def _place_contour(op: lattice.DiscreteOperator, eig_index: int,
                    q: int = 64) -> analytic.Contour:
     """Circle around the eig_index-th lowest eigenvalue with radius half the
-    gap to its nearest neighbor."""
-    dense = op.to_dense()
-    vals = np.sort(np.linalg.eigvalsh(dense)) if op.hermitian else np.sort(
-        np.linalg.eigvals(dense).real)
+    gap to its nearest neighbor.  Hermitian eigenvalues come from the band,
+    which unlike dense ``eigvalsh`` gives the same bits at any thread count."""
+    if op.hermitian:
+        ab, kl, ku = analytic._band_storage(op.matrix, op.dim)
+        vals = la.eigvals_banded(ab[kl:kl + ku + 1])
+    else:
+        vals = np.sort(np.linalg.eigvals(op.to_dense()).real)
     E = vals[eig_index]
     gaps = [abs(E - v) for i, v in enumerate(vals) if i != eig_index]
     gap = min(gaps) if gaps else 1.0
@@ -404,16 +408,27 @@ def task_bounds(ctx: RunContext, spec: dict) -> dict:
     return result
 
 
+def _contour_note(stats: analytic.BlockStats, defect_tol: float) -> str:
+    """Stderr note of a full-projector task: its work and worst defect."""
+    return (f"factorizations {stats.factorizations}, rhs columns "
+            f"{stats.rhs_columns}, defect/tol "
+            f"{stats.max_projector_defect / defect_tol:.3g}")
+
+
 def task_track(ctx: RunContext, spec: dict) -> dict:
     eig_index = int(spec.get("eig_index", 0))
     beta_vec = ctx.beta_vector()
     base = np.zeros_like(beta_vec)
     contour = _place_contour(ctx.system.h0, eig_index,
                              q=int(spec.get("contour_nodes", 64)))
-    psi0 = analytic._reference_vector(ctx.hamiltonian, base, contour)
+    stats = analytic.BlockStats()
+    psi0 = analytic._reference_vector(ctx.hamiltonian, base, contour, stats=stats)
+    # No residual or defect limit here: the invariant below decides them
+    # (exit 1); trace failures still raise (exit 3).
     res = analytic.track_eigenvalue(ctx.hamiltonian, beta_vec, contour, psi0,
-                                    residual_tol=ctx.tol["track_residual"],
-                                    defect_tol=ctx.tol["projector_defect"])
+                                    residual_tol=math.inf, defect_tol=math.inf,
+                                    stats=stats)
+    ctx.note = _contour_note(stats, ctx.tol["projector_defect"])
     resid = res.residual
     ok = (resid <= ctx.tol["track_residual"]
           and res.projector.defect <= ctx.tol["projector_defect"])
@@ -449,7 +464,8 @@ def task_sweep(ctx: RunContext, spec: dict) -> dict:
     base = targets[0] * direction
     contour = _place_contour(ctx.hamiltonian(base), eig_index,
                              q=int(spec.get("contour_nodes", 64)))
-    psi0 = analytic._reference_vector(ctx.hamiltonian, base, contour)
+    stats = analytic.BlockStats()
+    psi0 = analytic._reference_vector(ctx.hamiltonian, base, contour, stats=stats)
 
     rows: list[list] = []
     halvings = 0
@@ -468,7 +484,7 @@ def task_sweep(ctx: RunContext, spec: dict) -> dict:
                 res = analytic.track_eigenvalue(
                     ctx.hamiltonian, beta_vec, contour, psi0,
                     residual_tol=ctx.tol["track_residual"],
-                    defect_tol=ctx.tol["projector_defect"])
+                    defect_tol=ctx.tol["projector_defect"], stats=stats)
             except analytic.AnalyticError:
                 attempts += 1
                 halvings += 1
@@ -502,6 +518,7 @@ def task_sweep(ctx: RunContext, spec: dict) -> dict:
         ["s", "re_e", "im_e", "residual", "trace_defect"],
         rows,
     )
+    ctx.note = _contour_note(stats, ctx.tol["projector_defect"])
     ok = failure is None
     ctx.report.add_invariant("sweep.completed", ok, failure or f"{len(rows)} rows")
     return {"rows": len(rows), "halvings": halvings, "failure": failure,

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 from specpert import analytic
 from specpert.analytic import (
+    BlockStats,
     Contour,
     Direction,
     QuadratureError,
@@ -25,7 +26,7 @@ from specpert.analytic import (
     track_eigenvalue,
     verify_analytic_family,
 )
-from specpert.geometry import interval_set
+from specpert.geometry import Box, SupportSet, interval_set
 from specpert.lattice import (AffineFamily, CouplingSeq, Grid, assemble_hamiltonian,
                               build_laplacian)
 from specpert.potentials import GaussianBump, PotentialFamily, PotentialTerm
@@ -40,6 +41,28 @@ def two_level(beta):
 
 def two_level_energy(b):
     return (1.0 - np.sqrt(1.0 + 4.0 * complex(b) ** 2)) / 2.0
+
+
+def _padded_to_210(h):
+    """h plus a tridiagonal block with spectrum in [10, 14]: sparse, d = 210."""
+    rest = sp.diags([-1.0, 12.0, -1.0], [-1, 0, 1], shape=(208, 208))
+    return sp.csr_matrix(sp.block_diag([sp.csr_matrix(h), rest]))
+
+
+def _lattice_2d(beta, points=(15, 14)):
+    """H(beta) of one Gaussian bump on a 2D lattice; d = 210 by default."""
+    grid = Grid(extent=((0.0, 7.0), (0.0, 6.5)), points=points)
+    term = PotentialTerm(profile=GaussianBump((3.5, 3.2), 0.6, 1.0),
+                         support=SupportSet((Box((2.0, 1.7), (5.0, 4.7)),)))
+    return assemble_hamiltonian(build_laplacian(grid), PotentialFamily([term]),
+                                CouplingSeq((beta,)))
+
+
+def _lowest_contour(dense, q=64):
+    vals = np.linalg.eigvals(dense)
+    e0 = vals[np.argmin(vals.real)]
+    gap = np.sort(np.abs(vals - e0))[1]
+    return Contour(complex(e0), 0.5 * gap, q=q)
 
 
 class TestResolventApply:
@@ -100,8 +123,8 @@ class TestRieszProjector:
         comm = np.linalg.norm(proj.P @ H - H @ proj.P, 2)
         assert comm <= 1e-8 * np.linalg.norm(H, 2)
 
-    @pytest.mark.parametrize("as_input", [np.asarray, sp.csr_matrix],
-                             ids=["dense", "sparse"])
+    @pytest.mark.parametrize("as_input", [np.asarray, sp.csr_matrix, _padded_to_210],
+                             ids=["dense", "sparse", "sparse-d210"])
     def test_node_on_spectrum_rejected(self, as_input):
         # The node at angle 0 is exactly 1.0, an eigenvalue.
         H = as_input(np.diag([1.0, 10.0]))
@@ -126,26 +149,31 @@ class TestRieszProjector:
 
 
 class TestDenseSparseAgreement:
-    """A dense ndarray is solved by NumPy's LAPACK, a sparse operator with
-    d <= 200 by SciPy's; both must give the same resolvent and projector."""
+    """A dense ndarray is solved by NumPy's LAPACK, a sparse operator by the
+    band-LU engine at every d; both must give the same resolvent and
+    projector.  The 15 x 14 lattice (d = 210, band width 15) is where sparse
+    input used to take a sparse LU."""
 
-    @pytest.mark.parametrize("beta", [0.3, 0.3 + 0.2j],
-                             ids=["hermitian", "complex-symmetric"])
-    def test_branches_agree(self, beta):
-        grid = Grid(extent=((0.0, 6.0),), points=(120,))
-        term = PotentialTerm(profile=GaussianBump((3.0,), 0.5, 1.0),
-                             support=interval_set(1.0, 5.0))
-        H = assemble_hamiltonian(build_laplacian(grid), PotentialFamily([term]),
-                                 CouplingSeq((beta,)))
+    @pytest.mark.parametrize("beta, lattice", [
+        (0.3, "1d"), (0.3 + 0.2j, "1d"), (0.3, "2d"), (0.3 + 0.2j, "2d")],
+        ids=["hermitian", "complex-symmetric", "hermitian-2d-d210",
+             "complex-symmetric-2d-d210"])
+    def test_branches_agree(self, beta, lattice):
+        if lattice == "2d":
+            H = _lattice_2d(beta)
+        else:
+            grid = Grid(extent=((0.0, 6.0),), points=(120,))
+            term = PotentialTerm(profile=GaussianBump((3.0,), 0.5, 1.0),
+                                 support=interval_set(1.0, 5.0))
+            H = assemble_hamiltonian(build_laplacian(grid), PotentialFamily([term]),
+                                     CouplingSeq((beta,)))
         sparse = sp.csr_matrix(H.matrix)
         dense = sparse.toarray()
-        vals = np.linalg.eigvals(dense)
-        e0 = vals[np.argmin(vals.real)]
-        gap = np.sort(np.abs(vals - e0))[1]
-        contour = Contour(complex(e0), 0.5 * gap, q=64)
+        d = dense.shape[0]
+        contour = _lowest_contour(dense)
 
-        X_dense = resolvent_apply(dense, contour.nodes()[0], np.eye(120))
-        X_sparse = resolvent_apply(sparse, contour.nodes()[0], np.eye(120))
+        X_dense = resolvent_apply(dense, contour.nodes()[0], np.eye(d))
+        X_sparse = resolvent_apply(sparse, contour.nodes()[0], np.eye(d))
         assert (np.linalg.norm(X_dense - X_sparse)
                 <= 1e-12 * np.linalg.norm(X_sparse))
 
@@ -153,6 +181,36 @@ class TestDenseSparseAgreement:
         P_sparse = riesz_projector(sparse, contour).P
         assert (np.linalg.norm(P_dense - P_sparse)
                 <= 1e-12 * np.linalg.norm(P_sparse))
+
+
+class TestChunkInvariance:
+    """Block-diagonal pivoting never crosses a node, so how the nodes are
+    split into band factorizations cannot change a bit."""
+
+    def test_one_node_per_chunk_equals_one_chunk(self, monkeypatch):
+        H = _lattice_2d(0.4 + 0.1j, points=(9, 7))
+        contour = _lowest_contour(H.to_dense(), q=32)
+        rng = np.random.default_rng(5)
+        Y = rng.standard_normal((H.dim, 3)) + 1j * rng.standard_normal((H.dim, 3))
+        factor = analytic.lapack.zgbtrf
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(analytic.lapack, "zgbtrf", counted)
+        results, chunks = [], []
+        for cap in (1, 1 << 40):
+            monkeypatch.setattr(analytic, "_CHUNK_ENTRIES", cap)
+            calls.clear()
+            P = riesz_projector(H, contour).P
+            PY, defect = analytic._block_action(H, contour, Y, BlockStats())
+            results.append((P, PY, defect))
+            chunks.append(len(calls))
+        assert chunks == [2 * contour.q, 2]
+        for one, many in zip(*results):
+            assert np.array_equal(one, many)
 
 
 class TestTracking:

@@ -155,6 +155,38 @@ class TestRun:
                           "--out", str(tmp_path / "out")])
         assert result.exit_code == 3
 
+    def test_track_defect_above_tolerance_fails_invariant(self, tmp_path):
+        # The track task leaves the residual and defect limits to its
+        # invariant: a defect tolerance no projector meets exits 1 with a
+        # FAIL line, not 3.
+        doc = dict(TWO_LEVEL)
+        doc["tolerances"] = {"projector_defect": 1e-30}
+        doc["tasks"] = [{"task": "track", "eig_index": 0}]
+        path = write_scenario(tmp_path, doc)
+        result = run_cli(["run", "--scenario", str(path),
+                          "--out", str(tmp_path / "out")])
+        assert "FAIL track.residual_and_defect" in result.output
+        assert result.exit_code == 1
+
+    def test_track_and_sweep_print_solve_counters(self, tmp_path):
+        # Reference and tracked projector for track; reference plus one
+        # projector per sweep point: 64 nodes each, d = 2 columns per node.
+        doc = dict(TWO_LEVEL)
+        doc["tasks"] = [
+            {"task": "track", "eig_index": 0},
+            {"task": "sweep", "axis": 1, "range": [0.0, 0.3], "steps": 4},
+        ]
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        result = run_cli(["run", "--scenario", str(path), "--out", str(out)])
+        assert result.exit_code == 0
+        report = yaml.safe_load((out / "report.yaml").read_text())
+        assert report["tasks"][1]["result"]["halvings"] == 0
+        lines = [line for line in result.stderr.splitlines() if "[" in line]
+        assert "factorizations 128, rhs columns 256, defect/tol" in lines[0]
+        assert "factorizations 320, rhs columns 640, defect/tol" in lines[1]
+        assert "factorizations" not in (out / "report.yaml").read_text()
+
     def test_non_finite_potential_sample_is_usage_error(self, tmp_path):
         # The spike is centred on the grid node 2.0, where it samples +inf:
         # the run must stop before any H(beta) is formed.
@@ -365,6 +397,22 @@ class TestVerbsAndSchema:
         assert (outdir / "report.yaml").exists()
 
 
+# A 2D bump lattice with d = 15 x 14 = 210 and band width 15.
+LATTICE_2D = {
+    "schema": 1,
+    "seed": 3,
+    "grid": {"extent": [[0.0, 7.0], [0.0, 6.5]], "points": [15, 14]},
+    "family": {"kind": "bump_lattice", "count": 3, "spacing": 1.75,
+               "origin": [1.75, 2.99], "width": 0.66, "height": 0.95,
+               "support_halfwidth": 1.5},
+    "beta": {"values": [0.056, 0.058, 0.024], "p": "inf"},
+    "tasks": [
+        {"task": "track", "eig_index": 0},
+        {"task": "sweep", "axis": 1, "range": [0.0, 0.3], "steps": 2, "eig_index": 0},
+    ],
+}
+
+
 class TestDeterminism:
     def test_identical_outputs(self, tmp_path):
         doc = dict(TWO_LEVEL)
@@ -383,23 +431,36 @@ class TestDeterminism:
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
     def test_taylor_outputs_independent_of_blas_threads(self, tmp_path):
+        """Every output of the contour tasks is the same bytes with one BLAS
+        thread and with the default: bumps_1d taylor and track (d = 160),
+        sweep_1d, and a 15 x 14 lattice (d = 210) with track and sweep."""
         repo = Path(__file__).resolve().parents[1]
-        doc = yaml.safe_load((repo / "scenarios" / "bumps_1d.yaml").read_text())
-        doc["tasks"] = [t for t in doc["tasks"] if t["task"] == "taylor"]
-        path = write_scenario(tmp_path, doc)
+        bumps = yaml.safe_load((repo / "scenarios" / "bumps_1d.yaml").read_text())
+        bumps["tasks"] = [t for t in bumps["tasks"] if t["task"] in ("track", "taylor")]
+        docs = {
+            "bumps_1d": bumps,
+            "sweep_1d": yaml.safe_load((repo / "scenarios" / "sweep_1d.yaml").read_text()),
+            "lattice_2d": LATTICE_2D,
+        }
         base_env = {k: v for k, v in os.environ.items()
                     if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                  "MKL_NUM_THREADS")}
         base_env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")]))
-        outs = []
-        for name, extra in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
-            out = tmp_path / name
-            proc = subprocess.run(
-                [sys.executable, "-m", "specpert.cli", "run", "--scenario", str(path),
-                 "--out", str(out)],
-                env={**base_env, **extra}, capture_output=True, text=True, timeout=300)
-            assert proc.returncode == 0, proc.stderr
-            outs.append(out)
-        for fname in ("taylor.csv", "report.yaml"):
-            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+        for scenario, doc in docs.items():
+            path = write_scenario(tmp_path, doc, f"{scenario}.yaml")
+            outs = []
+            for name, extra in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
+                out = tmp_path / f"{scenario}-{name}"
+                proc = subprocess.run(
+                    [sys.executable, "-m", "specpert.cli", "run", "--scenario", str(path),
+                     "--out", str(out)],
+                    env={**base_env, **extra}, capture_output=True, text=True, timeout=300)
+                assert proc.returncode == 0, proc.stderr
+                outs.append(out)
+            names = sorted(p.name for p in outs[0].iterdir())
+            assert names == sorted(p.name for p in outs[1].iterdir())
+            assert "report.yaml" in names
+            for fname in names:
+                assert ((outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()), \
+                    f"{scenario}/{fname}"
