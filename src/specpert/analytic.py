@@ -6,10 +6,12 @@ Contours are circles discretized by the trapezoidal rule, which converges
 exponentially for analytic integrands; one resolvent factorization per node
 is shared across all derivative orders.
 
-Every sparse solve runs on one engine, `_node_solves`: one LAPACK band LU
-per contour node (`zgbtrf`/`zgbtrs`), each solve's residual checked against
-the sparse H.  A dense ndarray H is solved with ``numpy.linalg.solve``, as
-its band would be the whole matrix.
+Two primitives carry every computation.  `_node_solves` makes every
+factorization: one LAPACK band LU per contour node (`zgbtrf`/`zgbtrs`) for
+sparse H, ``numpy.linalg.solve`` for a dense ndarray, whose band would be the
+whole matrix; each solve's residual is checked against H.  `_series` forms
+Cauchy coefficients on a circle and their reconstruction error, for
+`taylor_along` and `verify_analytic_family` alike.
 
 Two sample paths continue an eigenvalue.  `track_eigenvalue` builds the full
 d x d Riesz projector P, certified by ||P^2 - P||_2 <= defect_tol and an
@@ -47,7 +49,6 @@ __all__ = [
     "resolvent_apply",
     "riesz_projector",
     "track_eigenvalue",
-    "cauchy_derivative",
     "taylor_along",
     "radius_of_convergence",
     "taylor_eigenpath",
@@ -175,36 +176,16 @@ def _as_matrix(H) -> tuple[object, int]:
 
 
 def resolvent_apply(H, lam: complex, B, residual_tol: float = 1e-10):
-    """(H - lam)^-1 B via factorization, with a residual check.
-
-    * sparse H: the band-LU engine `_node_solves` with one shift; its
-      residual uses no BLAS.
-    * dense ndarray H: ``numpy.linalg.solve``.  Its band would be the whole
-      matrix, on which the band LU is slower.  The residual is a NumPy
-      product: a SciPy solve would hand work between the two libraries'
-      OpenBLAS thread pools at every call, which can stall for milliseconds.
+    """(H - lam)^-1 B: one `_node_solves` shift, residual checked.
 
     Raises ShiftNearSpectrumError if the shifted solve is exactly singular
     or the residual exceeds residual_tol * ||B||.
     """
     mat, d = _as_matrix(H)
     B = np.asarray(B, dtype=complex)
-    if sp.issparse(mat):
-        [(_, X)] = _node_solves(mat, d, np.array([complex(lam)]), B.reshape(d, -1),
-                                BlockStats(), residual_tol=residual_tol)
-        return X[0, 0].reshape(B.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        try:
-            X = np.linalg.solve(np.asarray(mat, dtype=complex) - lam * np.eye(d), B)
-        except np.linalg.LinAlgError as exc:
-            raise ShiftNearSpectrumError(f"shift {lam} is singular: {exc}") from exc
-        resid = np.linalg.norm((mat @ X) - lam * X - B)
-    if not resid <= residual_tol * max(np.linalg.norm(B), 1e-300):
-        raise ShiftNearSpectrumError(
-            f"lambda = {lam} within tolerance of spectrum "
-            f"(solve residual {resid:.3g})"
-        )
-    return X
+    [(_, X)] = _node_solves(mat, d, np.array([complex(lam)]), B.reshape(d, -1),
+                            BlockStats(), residual_tol=residual_tol)
+    return X[0, 0].reshape(B.shape)
 
 
 def riesz_projector(
@@ -215,27 +196,19 @@ def riesz_projector(
 
     Trapezoidal quadrature on the circle:
         P = -(r/q) sum_j e^(i theta_j) (H - lambda_j)^-1.
-    Each node's solve against the identity (`_node_solves` for sparse H,
-    `resolvent_apply` for a dense ndarray) is added into P as its chunk
-    comes, so the q solutions are never held at once.
+    Each node's solve against the identity (`_node_solves`) is added into P
+    as its chunk comes, so the q solutions are never held at once.
     The idempotency defect and the integrality of the trace certify that
     the quadrature resolved the integrand and the contour stayed clear of
     the spectrum.  `stats` counts the work and keeps the worst accepted defect.
     """
     stats = BlockStats() if stats is None else stats
     mat, d = _as_matrix(H)
-    eye = np.eye(d, dtype=complex)
     acc = np.zeros((d, d), dtype=complex)
     angles = contour.angles()
-    if sp.issparse(mat):
-        for nodes, X in _node_solves(mat, d, contour.nodes(), eye, stats):
-            for theta, x in zip(angles[nodes], X[0]):
-                acc += np.exp(1j * theta) * x
-    else:
-        for theta, lam in zip(angles, contour.nodes()):
-            acc += np.exp(1j * theta) * resolvent_apply(mat, lam, eye)
-        stats.factorizations += contour.q
-        stats.rhs_columns += contour.q * d
+    for nodes, X in _node_solves(mat, d, contour.nodes(), np.eye(d, dtype=complex), stats):
+        for theta, x in zip(angles[nodes], X[0]):
+            acc += np.exp(1j * theta) * x
     P = -(contour.radius / contour.q) * acc
     # P^2 by columns: matrix-vector products gave the same bits at 1 and 2
     # OpenBLAS threads for every d tried, the matrix product not at d = 210.
@@ -353,34 +326,50 @@ def _node_solves(mat, d: int, lams: np.ndarray, B: np.ndarray, stats: BlockStats
     """R_j B = (H - lambda_j)^-1 B for every node lambda_j, by chunks.
 
     Yields (nodes, X): a slice of node indices and X[0, i] = R_j B, plus
-    X[1, i] = R_j^2 B with `twice`, for j = nodes.start + i.  A chunk's
-    shifts are factored as one block-diagonal band matrix.  Its off-block
-    entries are exact zeros, so pivoting never crosses a node and the chunk
-    size cannot change a bit.  Every solve passes ||(H - lambda_j) X - B||_F
-    <= residual_tol ||B||_F (the second against R_j B), with H applied as
-    the matrix it came as, not its band copy, and the sums of squares taken
-    over the float view, without BLAS.
+    X[1, i] = R_j^2 B with `twice`, for j = nodes.start + i.  Sparse H: a
+    chunk's shifts are factored as one block-diagonal band matrix.  Its
+    off-block entries are exact zeros, so pivoting never crosses a node and
+    the chunk size cannot change a bit.  Dense ndarray H: one node per chunk,
+    solved by ``numpy.linalg.solve`` (twice with `twice`), which stays in
+    NumPy's OpenBLAS thread pool with the residual product.  Every solve
+    passes ||(H - lambda_j) X - B||_F <= residual_tol ||B||_F (the second
+    against R_j B), with H applied as the matrix it came as, not its band
+    copy, and the sums of squares taken over the float view, without BLAS.
     """
     B = np.ascontiguousarray(B, dtype=complex)
-    ab, kl, ku = _band_storage(mat, d)
     k = B.shape[1]
     s = 2 if twice else 1
-    chunk = max(1, _CHUNK_ENTRIES // (ab.size + s * d * k))
+    banded = sp.issparse(mat)
+    if banded:
+        ab, kl, ku = _band_storage(mat, d)
+        chunk = max(1, _CHUNK_ENTRIES // (ab.size + s * d * k))
+    else:
+        mat = np.asarray(mat, dtype=complex)
+        chunk = 1
     b_norm = math.sqrt(np.einsum("ik,ik->", B.view(float), B.view(float)))
     for start in range(0, len(lams), chunk):
         shifts = lams[start:start + chunk]
         n = len(shifts)
         with np.errstate(all="ignore"):
-            band = np.tile(ab, n)
-            band[kl + ku] -= np.repeat(shifts, d)
-            lu, piv, info = lapack.zgbtrf(band, kl, ku, overwrite_ab=1)
-            if info > 0:
-                raise ShiftNearSpectrumError(
-                    f"shift {shifts[(info - 1) // d]} is singular")
             X = np.empty((s, n * d, k), dtype=complex)
-            X[0] = lapack.zgbtrs(lu, kl, ku, np.tile(B, (n, 1)), piv)[0]
-            if twice:
-                X[1] = lapack.zgbtrs(lu, kl, ku, X[0], piv)[0]
+            if banded:
+                band = np.tile(ab, n)
+                band[kl + ku] -= np.repeat(shifts, d)
+                lu, piv, info = lapack.zgbtrf(band, kl, ku, overwrite_ab=1)
+                if info > 0:
+                    raise ShiftNearSpectrumError(
+                        f"shift {shifts[(info - 1) // d]} is singular")
+                X[0] = lapack.zgbtrs(lu, kl, ku, np.tile(B, (n, 1)), piv)[0]
+                if twice:
+                    X[1] = lapack.zgbtrs(lu, kl, ku, X[0], piv)[0]
+            else:
+                shifted = mat - shifts[0] * np.eye(d)
+                try:
+                    X[0] = np.linalg.solve(shifted, B)
+                    if twice:
+                        X[1] = np.linalg.solve(shifted, X[0])
+                except np.linalg.LinAlgError as exc:
+                    raise ShiftNearSpectrumError(f"shift {shifts[0]} is singular") from exc
             stats.factorizations += n
             stats.rhs_columns += s * n * k
             X = X.reshape(s, n, d, k)
@@ -414,8 +403,8 @@ def _block_action(H, contour: Contour, Y: np.ndarray,
     P = sum_j a_j R_j.  The resolvent identity
     R_j R_k = (R_j - R_k) / (lambda_j - lambda_k) turns P^2 into
         sum_j (a_j^2 R_j^2 + 2 a_j c_j R_j),  c_j = sum_{k != j} a_k / (lambda_j - lambda_k),
-    so each node's band LU (`_node_solves`), applied twice, gives P^2 Y
-    with no factor kept across nodes.
+    so each node's factorization (`_node_solves`), applied twice, gives
+    P^2 Y with no factor kept across nodes.
     """
     mat, d = _as_matrix(H)
     lams = contour.nodes()
@@ -473,26 +462,29 @@ def _track_block(
     return _eigenvalue_of(mat, PY[:, 0], psi0, residual_tol)[0]
 
 
-def _circle_samples(f, center: complex, r: float, q: int) -> tuple[np.ndarray, np.ndarray]:
-    angles = 2 * np.pi * np.arange(q) / q
-    samples = [np.asarray(f(center + r * np.exp(1j * a)), dtype=complex) for a in angles]
-    return angles, np.stack(samples, axis=0)
+def _series(f, base, t, r: float, M: int, q: int) -> tuple[np.ndarray, float]:
+    """Cauchy coefficients A_0..A_M of g(zeta) = f(base + zeta t) and their
+    reconstruction error.
 
-
-def cauchy_derivative(f, center: complex, r: float, n: int, q: int = 64):
-    """n-th derivative of f at `center` from the Cauchy integral formula,
-    trapezoidal rule with q nodes on |zeta - center| = r.
-
-    Works for scalar-, vector- and matrix-valued analytic f.
+    g is sampled at q trapezoidal nodes on |zeta| = r, and
+    A_m = (1 / (q r^m)) sum_j e^(-i m theta_j) g(r e^(i theta_j)).  The error
+    is the largest |g(zeta) - sum_m A_m zeta^m| at 8 points on |zeta| = r/2,
+    relative to the largest sample.  Works for scalar-, vector- and
+    matrix-valued analytic g.
     """
-    if q < 16:
-        raise ValueError("need at least 16 quadrature nodes")
-    angles, samples = _circle_samples(f, center, r, q)
+    def g(zeta: complex):
+        return np.asarray(f(base + zeta * t), dtype=complex)
+
+    angles = 2 * np.pi * np.arange(q) / q
+    samples = np.stack([g(r * np.exp(1j * a)) for a in angles], axis=0)
     if not np.all(np.isfinite(samples)):
         raise AnalyticError("non-finite samples on the contour")
-    phase = np.exp(-1j * n * angles)
-    coeff = np.tensordot(phase, samples, axes=(0, 0)) * (math.factorial(n) / (q * r**n))
-    return coeff if coeff.shape else complex(coeff)
+    A = np.stack([np.tensordot(np.exp(-1j * m * angles), samples, axes=(0, 0)) / (q * r**m)
+                  for m in range(M + 1)], axis=0)
+    scale = float(np.max(np.abs(samples))) or 1.0
+    errors = [np.max(np.abs(g(zeta) - sum(A[m] * zeta**m for m in range(M + 1))))
+              for zeta in 0.5 * r * np.exp(1j * 2 * np.pi * np.arange(8) / 8)]
+    return A, float(np.max(errors)) / scale
 
 
 def taylor_along(
@@ -503,40 +495,21 @@ def taylor_along(
     M: int,
     q: int = 128,
     recon_tol: float = 1e-8,
-    check: bool = True,
 ):
     """Directional Taylor coefficients A_0..A_M of zeta -> f(base + zeta t).
 
     A_m = (1/m!) * m-th Cauchy derivative, all orders sharing one set of
-    contour samples.  When `check` is set, partial sums are validated
-    against direct evaluations on the test circle |zeta| = r/2.
+    contour samples (`_series`).  Raises ReconstructionError unless the
+    partial sums reproduce f on the test circle |zeta| = r/2 to recon_tol
+    relative to the largest sample.
     """
     t = direction.t if isinstance(direction, Direction) else np.asarray(direction)
-    base = np.asarray(base)
-
-    def g(zeta: complex):
-        return f(base + zeta * t)
-
-    angles, samples = _circle_samples(g, 0.0, r, q)
-    if not np.all(np.isfinite(samples)):
-        raise AnalyticError("non-finite samples on the contour")
-    coeffs = []
-    for m in range(M + 1):
-        phase = np.exp(-1j * m * angles)
-        coeffs.append(np.tensordot(phase, samples, axes=(0, 0)) / (q * r**m))
-    A = np.stack(coeffs, axis=0)
-
-    if check:
-        scale = float(np.max(np.abs(samples))) or 1.0
-        for zeta in 0.5 * r * np.exp(1j * 2 * np.pi * np.arange(8) / 8):
-            direct = np.asarray(g(zeta), dtype=complex)
-            series = sum(A[m] * zeta**m for m in range(M + 1))
-            err = float(np.max(np.abs(direct - series)))
-            if err > recon_tol * scale:
-                raise ReconstructionError(
-                    f"reconstruction error {err:.3g} at |zeta| = {abs(zeta):.3g}: "
-                    "radius too large or singularity inside disk"
-                )
+    A, err = _series(f, np.asarray(base), t, r, M, q)
+    if not err <= recon_tol:
+        raise ReconstructionError(
+            f"relative reconstruction error {err:.3g} on |zeta| = {0.5 * r:.3g}: "
+            "radius too large or singularity inside disk"
+        )
     return A
 
 
@@ -593,7 +566,7 @@ def taylor_eigenpath(
 
     The reference vector psi0 comes from one full projector at the base
     point.  Every contour sample then tracks the eigenvalue from P Y alone,
-    Y = [psi0, w1, w2] (see `_track_block`): one band LU per node, applied
+    Y = [psi0, w1, w2] (see `_track_block`): one LU per node, applied
     to Y and once more to form (P^2 - P) Y.  Rank-1 failures or contour
     crossings raise TrackingError instead of giving a silent wrong series.
     The block defect test is max_j ||(P^2 - P) w_j|| <= defect_tol / 10:
@@ -629,8 +602,7 @@ def taylor_eigenpath(
         samples.append((zeta, E))
         return E
 
-    A = taylor_along(g, base, direction, r=r, M=M, q=q,
-                     recon_tol=residual_tol * 100, check=True)
+    A = taylor_along(g, base, direction, r=r, M=M, q=q, recon_tol=residual_tol * 100)
     R = radius_of_convergence(A) if M >= 8 else math.nan
     return EigenPath(
         base=base,
@@ -773,19 +745,12 @@ def verify_analytic_family(
 
 
 def _recon_residual(f, base, t, r, M, q, tol) -> tuple[float, bool]:
-    """Worst reconstruction residual of taylor_along, as (residual, pass)."""
+    """Reconstruction error of `_series` as (residual, pass); a sample or
+    test point that hits the spectrum fails the check."""
     try:
-        A = taylor_along(f, base, t, r=r, M=M, q=q, check=False)
+        resid = _series(f, base, t, r, M, q)[1]
     except AnalyticError:
         return math.inf, False
-    worst = 0.0
-    scale = 0.0
-    for zeta in 0.5 * r * np.exp(1j * 2 * np.pi * np.arange(6) / 6):
-        direct = np.asarray(f(np.asarray(base) + zeta * np.asarray(t)), dtype=complex)
-        series = sum(A[m] * zeta**m for m in range(M + 1))
-        worst = max(worst, float(np.max(np.abs(direct - series))))
-        scale = max(scale, float(np.max(np.abs(direct))))
-    resid = worst / max(scale, 1e-12)
     return resid, resid <= tol
 
 

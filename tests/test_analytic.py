@@ -16,7 +16,6 @@ from specpert.analytic import (
     TrackingError,
     _reference_vector,
     _track_block,
-    cauchy_derivative,
     gamma_membership,
     radius_of_convergence,
     resolvent_apply,
@@ -149,10 +148,10 @@ class TestRieszProjector:
 
 
 class TestDenseSparseAgreement:
-    """A dense ndarray is solved by NumPy's LAPACK, a sparse operator by the
-    band-LU engine at every d; both must give the same resolvent and
-    projector.  The 15 x 14 lattice (d = 210, band width 15) is where sparse
-    input used to take a sparse LU."""
+    """`_node_solves` solves a dense ndarray by NumPy's LAPACK, a sparse
+    operator by band LU at every d; both must give the same resolvent,
+    projector and block action.  The 15 x 14 lattice (d = 210, band width
+    15) is where sparse input used to take a sparse LU."""
 
     @pytest.mark.parametrize("beta, lattice", [
         (0.3, "1d"), (0.3 + 0.2j, "1d"), (0.3, "2d"), (0.3 + 0.2j, "2d")],
@@ -181,6 +180,37 @@ class TestDenseSparseAgreement:
         P_sparse = riesz_projector(sparse, contour).P
         assert (np.linalg.norm(P_dense - P_sparse)
                 <= 1e-12 * np.linalg.norm(P_sparse))
+
+        rng = np.random.default_rng(8)
+        Y = rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
+        PY_dense, defect_dense = analytic._block_action(dense, contour, Y, BlockStats())
+        PY_sparse, defect_sparse = analytic._block_action(sparse, contour, Y, BlockStats())
+        scale = np.linalg.norm(PY_sparse)
+        assert np.linalg.norm(PY_dense - PY_sparse) <= 1e-12 * scale
+        assert np.linalg.norm(defect_dense - defect_sparse) <= 1e-12 * scale
+
+    def test_dense_input_factors_once_per_node(self, monkeypatch):
+        # Dense input takes one numpy.linalg.solve factorization per node
+        # inside _node_solves and never the band LU.
+        band_calls = []
+        factor = analytic.lapack.zgbtrf
+
+        def counted(*args, **kwargs):
+            band_calls.append(1)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(analytic.lapack, "zgbtrf", counted)
+        rng = np.random.default_rng(9)
+        A = rng.standard_normal((40, 40))
+        H = (A + A.T) / 2
+        contour = _lowest_contour(H, q=32)
+        stats = BlockStats()
+        riesz_projector(H, contour, stats=stats)
+        assert (stats.factorizations, stats.rhs_columns) == (contour.q, contour.q * 40)
+        stats = BlockStats()
+        analytic._block_action(H, contour, rng.standard_normal((40, 3)), stats)
+        assert (stats.factorizations, stats.rhs_columns) == (contour.q, 2 * contour.q * 3)
+        assert band_calls == []
 
 
 class TestChunkInvariance:
@@ -302,7 +332,7 @@ class TestBlockSamples:
                                    trace_tol=math.inf).defect
             if full <= defect_tol / 1000:
                 # Well resolved: the block path passes and finds E (dense
-                # d > 64 also splits the nodes into two band factorizations).
+                # input: one numpy.linalg.solve factorization per node).
                 resolved += 1
                 assert _track_block(H, contour, psi0) == pytest.approx(E, abs=1e-8)
             if full <= defect_tol:
@@ -403,31 +433,6 @@ class TestBlockSamples:
         assert path.stats.max_rank_ratio <= 1e-6
 
 
-class TestCauchyDerivative:
-    def test_constant(self):
-        assert cauchy_derivative(lambda z: 3.7, 0.0, 1.0, 1) == pytest.approx(0.0, abs=1e-12)
-
-    def test_exponential(self):
-        got = cauchy_derivative(np.exp, 0.0, 1.0, 1, q=64)
-        assert got == pytest.approx(1.0, abs=1e-12)
-
-    def test_resolvent_identity_oracle(self):
-        rng = np.random.default_rng(4)
-        d = 12
-        A = rng.standard_normal((d, d))
-        H0 = (A + A.T) / 2
-        V = np.diag(rng.standard_normal(d))
-        lam0 = 2j * np.linalg.norm(H0, 2)
-
-        def f(zeta):
-            return np.linalg.inv(H0 + zeta * V - lam0 * np.eye(d))
-
-        got = cauchy_derivative(f, 0.0, 0.5, 1, q=64)
-        R = np.linalg.inv(H0 - lam0 * np.eye(d))
-        oracle = -R @ V @ R
-        np.testing.assert_allclose(got, oracle, atol=1e-8)
-
-
 class TestTaylorAlong:
     def test_linear_function(self):
         f = lambda beta: 2.0 + 3.0 * beta[0]
@@ -435,6 +440,34 @@ class TestTaylorAlong:
         assert A[0] == pytest.approx(2.0, abs=1e-12)
         assert A[1] == pytest.approx(3.0, abs=1e-12)
         assert np.max(np.abs(A[2:])) < 1e-12
+
+    def test_constant(self):
+        A = taylor_along(lambda beta: 3.7, np.array([0.0]), Direction(np.array([1.0])),
+                         r=1.0, M=8, q=64)
+        assert A[1] == pytest.approx(0.0, abs=1e-12)
+
+    def test_exponential(self):
+        A = taylor_along(lambda beta: np.exp(beta[0]), np.array([0.0]),
+                         Direction(np.array([1.0])), r=1.0, M=16, q=64)
+        assert A[1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_resolvent_identity_oracle(self):
+        # d/dzeta (H0 + zeta V - lam0)^-1 at 0 is -R V R.
+        rng = np.random.default_rng(4)
+        d = 12
+        A = rng.standard_normal((d, d))
+        H0 = (A + A.T) / 2
+        V = np.diag(rng.standard_normal(d))
+        lam0 = 2j * np.linalg.norm(H0, 2)
+
+        def f(beta):
+            return np.linalg.inv(H0 + beta[0] * V - lam0 * np.eye(d))
+
+        got = taylor_along(f, np.array([0.0]), Direction(np.array([1.0])),
+                           r=0.5, M=16, q=64)[1]
+        R = np.linalg.inv(H0 - lam0 * np.eye(d))
+        oracle = -R @ V @ R
+        np.testing.assert_allclose(got, oracle, atol=1e-8)
 
     def test_two_level_series_oracle(self):
         contour = Contour(0.0, 0.5, q=128)

@@ -219,6 +219,32 @@ class TestRun:
         assert "FAIL taylor.path_valid" in result.output
         assert result.exit_code == 1
 
+    def test_verify_fails_with_pole_inside_test_circle(self, tmp_path):
+        # The Kato shift sits at 10i, so the resolvent of H0 + zeta V has a
+        # pole at |zeta| ~ 10, inside the test circle |zeta| = r/2 = 15:
+        # every resolvent record fails, and the run exits 1, not 3.
+        doc = dict(TWO_LEVEL)
+        doc["tasks"] = [{"task": "verify", "r": 30.0, "M": 8}]
+        path = write_scenario(tmp_path, doc)
+        result = run_cli(["run", "--scenario", str(path),
+                          "--out", str(tmp_path / "out")])
+        assert "FAIL verify.analytic_family: 4 failed of 4" in result.output
+        assert result.exit_code == 1
+
+    def test_bounds_rejects_non_hermitian_h0(self, tmp_path):
+        # eigvalsh would read only the lower triangle of this H0 and certify
+        # a spectrum box it does not have.
+        h0 = np.diag([0.0, 1.0, 2.0, 3.0])
+        h0[0, 3] = 5.0
+        doc = dict(TWO_LEVEL)
+        doc["family"] = {"kind": "matrix", "h0": h0.tolist(),
+                         "terms": [np.eye(4).tolist()]}
+        doc["tasks"] = [{"task": "bounds"}]
+        path = write_scenario(tmp_path, doc)
+        result = run_cli(["run", "--scenario", str(path),
+                          "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "needs a Hermitian H0" in result.stderr
 
     def test_taylor_reports_computed_order(self, tmp_path):
         # M below 8 is raised to 8; the report names the order in taylor.csv.
