@@ -86,8 +86,9 @@ def _probe_vectors(h0: DiscreteOperator, probes: int, seed: int) -> list[np.ndar
         else:
             # ARPACK's default start vector is unseeded; seed it so the
             # probes, and with them the reported bound, repeat from run to run.
-            _, vecs = spla.eigsh(h0.matrix.real.astype(float), k=n_eig, which="SA",
-                                 v0=rng.standard_normal(d))
+            # A complex Hermitian H0 keeps its imaginary part.
+            mat = h0.matrix if np.any(h0.matrix.imag.data) else h0.matrix.real.astype(float)
+            _, vecs = spla.eigsh(mat, k=n_eig, which="SA", v0=rng.standard_normal(d))
             out.extend(vecs[:, j].astype(complex) for j in range(n_eig))
     while len(out) < probes:
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)

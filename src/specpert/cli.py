@@ -265,7 +265,6 @@ class RunContext:
     grid: lattice.Grid | None
     family: "potentials.PotentialFamily | MatrixSystem"
     beta: lattice.CouplingSeq
-    rng: np.random.Generator
     tol: dict
     out: Path
     report: RunReport
@@ -604,14 +603,10 @@ _TASK_FUNCS = {
 
 def execute_scenario(doc: dict, out_dir: Path) -> RunReport:
     seed = int(doc["seed"])
-    rng = np.random.default_rng(seed)
     grid = None
     if "grid" in doc:
-        grid = lattice.Grid(
-            extent=tuple((float(a), float(b)) for a, b in doc["grid"]["extent"]),
-            points=tuple(int(n) for n in doc["grid"]["points"]),
-        )
-    family = build_family(doc["family"], rng)
+        grid = serialize.grid_from_dict({"schema": 1, **doc["grid"]})
+    family = build_family(doc["family"], np.random.default_rng(seed))
     if grid is None and not isinstance(family, MatrixSystem):
         raise ScenarioError("scenario needs a grid for this family kind")
     beta = serialize.coupling_from_dict({"schema": 1, **doc["beta"]})
@@ -624,7 +619,7 @@ def execute_scenario(doc: dict, out_dir: Path) -> RunReport:
         "tool_version": __version__,
     })
     ctx = RunContext(scenario=doc, grid=grid, family=family, beta=beta,
-                     rng=rng, tol=tol, out=out_dir, report=report)
+                     tol=tol, out=out_dir, report=report)
     for i, task_spec in enumerate(doc["tasks"]):
         name = task_spec["task"]
         key = f"{i}:{name}"

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 from specpert.bounds import (
     CertificationError,
+    _probe_vectors,
     RelativeBound,
     SpectrumBox,
     estimate_relative_bound,
@@ -86,6 +87,20 @@ class TestEstimateRelativeBound:
         second = estimate_relative_bound(V, h0, probes=48, seed=3)
         assert (first.a, first.b) == (second.a, second.b)
         assert first.tradeoff == second.tradeoff
+
+    def test_eigsh_probes_of_complex_hermitian_h0(self):
+        # d = 450 > 400 takes the ARPACK branch.  The hopping -e^{0.7i} makes
+        # H0 complex Hermitian, so eigenvectors of Re(H0) are not eigenvectors
+        # of H0; the low-lying probes must be eigenvectors of H0 itself.
+        d = 450
+        hop = -np.exp(0.7j) * np.ones(d - 1)
+        h0 = DiscreteOperator(sp.diags([hop, 2.0 * np.ones(d), hop.conj()],
+                                       [1, 0, -1], format="csr"), hermitian=True)
+        vecs = _probe_vectors(h0, probes=32, seed=3)[:16]
+        for v in vecs:
+            hv = h0.matvec(v)
+            resid = np.linalg.norm(hv - np.vdot(v, hv) * v) / np.linalg.norm(v)
+            assert resid < 1e-10
 
     def test_requires_enough_probes(self):
         h0 = build_laplacian(grid_1d())

@@ -282,8 +282,7 @@ def make_context(tmp_path, doc):
                     points=tuple(doc["grid"]["points"]))
     family = build_family(doc["family"], np.random.default_rng(doc["seed"]))
     return RunContext(scenario=doc, grid=grid, family=family,
-                      beta=CouplingSeq(tuple(doc["beta"]["values"])),
-                      rng=np.random.default_rng(doc["seed"]), tol={},
+                      beta=CouplingSeq(tuple(doc["beta"]["values"])), tol={},
                       out=tmp_path, report=RunReport(provenance={}))
 
 
@@ -308,19 +307,34 @@ class TestHamiltonianHermitianFlag:
 
 
 def test_stummel_task_computes_each_norm_once(tmp_path, monkeypatch):
+    # One sampling serves the per-term norms and the direct norm of the
+    # sum: each term is evaluated once per probe.
     calls = []
-    norm = potentials.stummel_class_norm
+    evaluate = potentials.PotentialTerm.evaluate
 
-    def counted(v, params):
-        calls.append(v)
-        return norm(v, params)
+    def counted(self, pts):
+        calls.append(self)
+        return evaluate(self, pts)
 
-    monkeypatch.setattr(potentials, "stummel_class_norm", counted)
+    monkeypatch.setattr(potentials.PotentialTerm, "evaluate", counted)
     doc = dict(BUMPS, tasks=[{"task": "stummel", "probe_density": 5,
                               "quad_order": 8}])
     report = execute_scenario(doc, tmp_path)
     assert report.passed
-    assert len(calls) == doc["family"]["count"] + 1
+    assert len(calls) == doc["family"]["count"] * 5
+
+
+def test_stummel_sum_above_bound_fails_invariant(tmp_path, monkeypatch):
+    # n1 = 0 stands in for a geometry count that misses an overlap: the
+    # bound collapses to 0 below the direct norm, and the invariant, not the
+    # library, decides (exit 1 with a FAIL line, not 3).
+    monkeypatch.setattr(potentials.PotentialFamily, "n1", lambda self, radius=1.0: 0)
+    doc = dict(BUMPS, tasks=[{"task": "stummel", "probe_density": 5,
+                              "quad_order": 8}])
+    path = write_scenario(tmp_path, doc)
+    result = run_cli(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert "FAIL stummel.sum_bound_dominates" in result.output
+    assert result.exit_code == 1
 
 
 class TestSweepMonotoneAndTaylorConsistency:

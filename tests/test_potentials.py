@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from specpert.geometry import interval_set
+from specpert.geometry import SupportSet, interval_set
 from specpert.lattice import CouplingSeq, Grid
 from specpert.potentials import (
     ConstantProfile,
@@ -150,6 +150,31 @@ class TestWeightedSumBound:
         direct = direct_sum_stummel_norm(fam, beta, params)
         Ms = [stummel_class_norm(t.evaluate, params) for t in terms]
         assert direct <= 2 * max(Ms) + 1e-10
+
+    def test_one_sweep_equals_separate_norms(self):
+        # 2D bumps with overlapping supports, complex couplings in l^2 and
+        # one term left without a coupling: the single probe pass must give
+        # the same bits as a separate class norm per term and for the sum.
+        terms = [bump_term([0.0, 0.0], half=1.0), bump_term([0.8, 0.3], half=1.2),
+                 bump_term([0.2, 1.1], width=0.6, half=0.9)]
+        fam = PotentialFamily(terms)
+        assert fam.n1() >= 2
+        beta = CouplingSeq((0.3 - 0.4j, 0.5j), p=2)
+        union = SupportSet(tuple(b for t in terms for b in t.support.boxes))
+        params = StummelParams(rho=1.5, m=2, quad_order=16,
+                               probe_points=make_probe_grid(union, density=5))
+
+        def summed(pts):
+            acc = np.zeros(len(pts), dtype=complex)
+            for c, t in zip(beta.values, terms):
+                acc += complex(c) * t.evaluate(pts)
+            return acc
+
+        sb = weighted_sum_stummel_bound(fam, beta, params)
+        assert sb.norms == tuple(stummel_class_norm(t.evaluate, params) for t in terms)
+        assert sb.direct == stummel_class_norm(summed, params)
+        assert direct_sum_stummel_norm(fam, beta, params) == sb.direct
+        assert sb.bound == beta.declared_norm * fam.n1() * max(sb.norms)
 
 
 class TestTailSumBound:
