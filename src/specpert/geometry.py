@@ -26,6 +26,8 @@ __all__ = [
     "RefinementBudgetError",
     "box1d",
     "interval_set",
+    "box_table",
+    "boxes_meeting",
     "intersection_stats",
     "check_fip_variant",
     "disjoint_refinement",
@@ -150,19 +152,34 @@ class SupportFamily:
         return np.column_stack([s.contains_points(pts) for s in self.sets])
 
 
+def box_table(sets, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every box of `sets` as one table row: corners lo and hi, (n_boxes, dim)
+    each, and owner (n_boxes,), the index in `sets` of the set holding the
+    box.  A None entry (a set without a support) owns no row."""
+    rows = [(i, b) for i, s in enumerate(sets) if s is not None for b in s.boxes]
+    lo = np.array([b.lo for _, b in rows], dtype=float).reshape(-1, dim)
+    hi = np.array([b.hi for _, b in rows], dtype=float).reshape(-1, dim)
+    return lo, hi, np.array([i for i, _ in rows], dtype=int)
+
+
+def boxes_meeting(lo: np.ndarray, hi: np.ndarray, qlo, qhi) -> np.ndarray:
+    """Per table row: does the closed box [lo, hi] meet the closed box
+    [qlo, qhi]?  Touching at a face or corner counts, as in `Box.intersects`."""
+    return np.all((lo <= qhi) & (qlo <= hi), axis=1)
+
+
 def intersection_stats(family: SupportFamily) -> tuple[list[set[int]], int]:
     """Pairwise overlap adjacency and the uniform bound n0 = max_i #(I_i).
 
     I_i = {j != i : Omega_i and Omega_j intersect}; exact per-axis interval
-    tests on closed boxes (touching counts).  Indices are 1-based.
+    tests on closed boxes (touching counts), one `boxes_meeting` comparison
+    per box against the box table.  Indices are 1-based.
     """
-    n = len(family)
-    adjacency: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if family.sets[i].intersects(family.sets[j]):
-                adjacency[i].add(j + 1)
-                adjacency[j].add(i + 1)
+    lo, hi, owner = box_table(family.sets, family.dim)
+    adjacency: list[set[int]] = [set() for _ in range(len(family))]
+    for k, i in enumerate(owner):
+        adjacency[i].update((owner[boxes_meeting(lo, hi, lo[k], hi[k])] + 1).tolist())
+        adjacency[i].discard(int(i) + 1)
     n0 = max((len(a) for a in adjacency), default=0)
     return adjacency, n0
 

@@ -10,6 +10,9 @@ in radial-angular coordinates the integrand carries the weight r^(rho-1)
 (or r^(m-1) for rho >= m), which Gauss-Jacobi quadrature integrates exactly.
 For a family, one pass over the probes samples each term once per quadrature
 node for both the per-term norms and the direct norm of the truncated sum.
+It skips a term at a probe when none of the term's closed support boxes meets
+the bounding box of the probe's nodes: the term is zero at every such node, so
+skipping it gives the same bits.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from .geometry import (
     PackingConfig,
     SupportFamily,
     SupportSet,
+    box_table,
+    boxes_meeting,
     check_fip_variant,
     intersection_stats,
     packing_count_bound,
@@ -363,15 +368,30 @@ def stummel_class_norm(v, params: StummelParams) -> float:
 def _family_sweep(family: PotentialFamily, beta,
                   params: StummelParams) -> tuple[list[float], float]:
     """Stummel norms of each term and of the truncated sum sum_i beta_i v_i from one
-    pass over the probes: each term is evaluated once per probe, and the sum is
-    accumulated from those samples in term order (missing couplings = 0)."""
+    pass over the probes: each term is evaluated at most once per probe, and the
+    sum is accumulated from those samples in term order (missing couplings = 0).
+
+    A term is evaluated at a probe only if it has no support (infinite range)
+    or one of its closed support boxes meets the bounding box of that probe's
+    nodes x + offsets.  Any other term is zero at every node, and skipping it
+    changes no bit: its norm there would be 0.0, which the running maxima,
+    started at 0.0, already hold, and adding beta_i * 0 (finite beta_i) changes
+    no |sum| value.
+    """
+    if family.dim != params.m:
+        raise StummelError(f"family dimension {family.dim} != params.m = {params.m}")
     offsets, wr, wa = _ball_rule(params)
-    norms, direct = [-math.inf] * len(family.terms), -math.inf
+    supports = [t.support for t in family.terms]
+    lo, hi, owner = box_table(supports, family.dim)
+    unbounded = np.array([s is None for s in supports])
+    norms, direct = [0.0] * len(family.terms), 0.0
     for x in _probe_points(params):
         pts = x.reshape(1, params.m) + offsets
+        reach = unbounded.copy()
+        reach[owner[boxes_meeting(lo, hi, pts.min(axis=0), pts.max(axis=0))]] = True
         acc = np.zeros(len(pts), dtype=complex)
-        for i, t in enumerate(family.terms):
-            vals = t.evaluate(pts)
+        for i in np.flatnonzero(reach).tolist():
+            vals = family.terms[i].evaluate(pts)
             norms[i] = max(norms[i], _ball_norm(vals, wr, wa))
             if i < len(beta.values):
                 acc += complex(beta.values[i]) * vals

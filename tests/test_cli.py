@@ -13,6 +13,7 @@ from click.testing import CliRunner
 from specpert import analytic, potentials
 from specpert.cli import (RunContext, RunReport, ScenarioError, build_family,
                           execute_scenario, load_scenario, main)
+from specpert.geometry import Box, SupportSet
 from specpert.lattice import CouplingSeq, Grid
 
 TWO_LEVEL = {
@@ -308,7 +309,8 @@ class TestHamiltonianHermitianFlag:
 
 def test_stummel_task_computes_each_norm_once(tmp_path, monkeypatch):
     # One sampling serves the per-term norms and the direct norm of the
-    # sum: each term is evaluated once per probe.
+    # sum: each term is evaluated once per probe whose node box one of its
+    # support boxes meets, and at no other probe.
     calls = []
     evaluate = potentials.PotentialTerm.evaluate
 
@@ -321,7 +323,21 @@ def test_stummel_task_computes_each_norm_once(tmp_path, monkeypatch):
                               "quad_order": 8}])
     report = execute_scenario(doc, tmp_path)
     assert report.passed
-    assert len(calls) == doc["family"]["count"] * 5
+
+    # Oracle: pairwise Box.intersects of each support box with the bounding
+    # box of each probe's quadrature nodes.
+    terms = make_context(tmp_path, doc).family.terms
+    union = SupportSet(tuple(b for t in terms for b in t.support.boxes))
+    offsets, _, _ = potentials._ball_rule(potentials.StummelParams(rho=1.5, m=1,
+                                                                   quad_order=8))
+    meeting = 0
+    for x in potentials.make_probe_grid(union, margin=1.0, density=5):
+        nodes = x + offsets
+        node_box = Box(tuple(nodes.min(axis=0)), tuple(nodes.max(axis=0)))
+        meeting += sum(any(b.intersects(node_box) for b in t.support.boxes)
+                       for t in terms)
+    assert len(calls) == meeting
+    assert meeting < doc["family"]["count"] * 5
 
 
 def test_stummel_sum_above_bound_fails_invariant(tmp_path, monkeypatch):

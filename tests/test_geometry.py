@@ -14,6 +14,9 @@ from specpert.geometry import (
     RefinementBudgetError,
     SupportFamily,
     SupportSet,
+    box1d,
+    box_table,
+    boxes_meeting,
     check_fip_variant,
     count_in_ball,
     disjoint_refinement,
@@ -81,6 +84,39 @@ class TestIntersectionStats:
         oracle = brute_force_overlaps(intervals)
         assert adj == oracle
         assert n0 == max(len(a) for a in oracle)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_pairwise_support_set_intersects(self, data):
+        # Multi-box sets in 1-3 dimensions on an integer lattice, so faces
+        # and corners often touch; oracle: the pairwise SupportSet loop.
+        m = data.draw(st.integers(1, 3))
+
+        def box():
+            lo = data.draw(st.lists(st.integers(0, 6), min_size=m, max_size=m))
+            width = data.draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+            return Box(tuple(float(v) for v in lo),
+                       tuple(float(v + w) for v, w in zip(lo, width)))
+
+        sets = tuple(SupportSet(tuple(box() for _ in range(data.draw(st.integers(1, 3)))))
+                     for _ in range(data.draw(st.integers(1, 8))))
+        adj, n0 = intersection_stats(SupportFamily(sets))
+        oracle = [{j + 1 for j, b in enumerate(sets) if j != i and a.intersects(b)}
+                  for i, a in enumerate(sets)]
+        assert adj == oracle
+        assert n0 == max(len(a) for a in oracle)
+
+    def test_box_table_skips_unsupported_entries(self):
+        sets = [interval_set(0.0, 1.0), None,
+                SupportSet((box1d(2.0, 3.0), box1d(4.0, 5.0)))]
+        lo, hi, owner = box_table(sets, 1)
+        assert lo.tolist() == [[0.0], [2.0], [4.0]]
+        assert hi.tolist() == [[1.0], [3.0], [5.0]]
+        assert owner.tolist() == [0, 2, 2]
+        # Closed boxes: [1, 2] touches [0, 1] at 1 and [2, 3] at 2.
+        assert boxes_meeting(lo, hi, [1.0], [2.0]).tolist() == [True, True, False]
+        assert boxes_meeting(lo, hi, [1.5], [1.9]).tolist() == [False, False, False]
+        assert box_table([None], 2)[0].shape == (0, 2)
 
 
 class TestFipVariant:

@@ -5,17 +5,22 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
-from specpert.geometry import SupportSet, interval_set
+from specpert import potentials
+from specpert.geometry import Box, SupportSet, interval_set
 from specpert.lattice import CouplingSeq, Grid
 from specpert.potentials import (
     ConstantProfile,
+    DecayTail,
     GaussianBump,
     PotentialFamily,
     PotentialTerm,
     PowerSpike,
     StummelDivergenceError,
+    StummelError,
     StummelParams,
     TailDivergenceError,
     direct_sum_stummel_norm,
@@ -114,6 +119,54 @@ class TestClassNorm:
         assert got == pytest.approx(oracle, rel=1e-3)
 
 
+def unculled_oracles(terms, beta, params):
+    """Class norms of each term and of the truncated sum, every term sampled
+    at every probe."""
+    def summed(pts):
+        acc = np.zeros(len(pts), dtype=complex)
+        for c, t in zip(beta.values, terms):
+            acc += complex(c) * t.evaluate(pts)
+        return acc
+
+    return ([stummel_class_norm(t.evaluate, params) for t in terms],
+            stummel_class_norm(summed, params))
+
+
+def tail_term(center, C=1.0, k=2.0):
+    return PotentialTerm(profile=DecayTail(tuple(center), C, k), center=tuple(center),
+                         decay=(C, k))
+
+
+def _probe_misses_term():
+    terms = [bump_term([0.0]), bump_term([10.0])]
+    params = StummelParams(rho=0.5, m=1, probe_points=make_probe_grid(terms[0].support))
+    return terms, CouplingSeq((0.5, -1.0)), params
+
+
+def _three_dim():
+    terms = [bump_term([0.0, 0.0, 0.0], half=1.0), bump_term([1.2, 0.4, 0.0], half=0.8),
+             bump_term([4.0, 4.0, 4.0], half=0.5)]
+    union = SupportSet(tuple(b for t in terms[:2] for b in t.support.boxes))
+    params = StummelParams(rho=2.5, m=3, quad_order=8, angular_order=8,
+                           probe_points=make_probe_grid(union, density=3))
+    return terms, CouplingSeq((1.0, 0.5, 0.25)), params
+
+
+def _decay_tail():
+    terms = [bump_term([0.0]), tail_term([20.0])]
+    params = StummelParams(rho=0.5, m=1, probe_points=make_probe_grid(terms[0].support))
+    return terms, CouplingSeq((1.0, 2.0)), params
+
+
+def _fewer_couplings_complex():
+    terms = [bump_term([0.0, 0.0], half=1.0), bump_term([2.5, 0.3], half=1.2),
+             bump_term([0.2, 6.0], width=0.6, half=0.9), bump_term([-3.0, -3.0])]
+    union = SupportSet(tuple(b for t in terms for b in t.support.boxes))
+    params = StummelParams(rho=1.5, m=2, quad_order=16,
+                           probe_points=make_probe_grid(union, density=6))
+    return terms, CouplingSeq((0.3 - 0.4j, 0.5j), p=2), params
+
+
 class TestWeightedSumBound:
     def test_single_term(self):
         term = bump_term([0.0])
@@ -163,18 +216,91 @@ class TestWeightedSumBound:
         union = SupportSet(tuple(b for t in terms for b in t.support.boxes))
         params = StummelParams(rho=1.5, m=2, quad_order=16,
                                probe_points=make_probe_grid(union, density=5))
-
-        def summed(pts):
-            acc = np.zeros(len(pts), dtype=complex)
-            for c, t in zip(beta.values, terms):
-                acc += complex(c) * t.evaluate(pts)
-            return acc
-
+        norms, direct = unculled_oracles(terms, beta, params)
         sb = weighted_sum_stummel_bound(fam, beta, params)
-        assert sb.norms == tuple(stummel_class_norm(t.evaluate, params) for t in terms)
-        assert sb.direct == stummel_class_norm(summed, params)
+        assert sb.norms == tuple(norms)
+        assert sb.direct == direct
         assert direct_sum_stummel_norm(fam, beta, params) == sb.direct
         assert sb.bound == beta.declared_norm * fam.n1() * max(sb.norms)
+
+    # The probe pass skips a term at a probe whose node box none of its
+    # support boxes meets; the result must be the same bits as sampling
+    # every term at every probe.
+
+    @pytest.mark.parametrize("case,missed", [(_probe_misses_term, {1}), (_three_dim, {2}),
+                                             (_decay_tail, set()),
+                                             (_fewer_couplings_complex, set())],
+                             ids=["probe_misses_term", "3d", "decay_tail",
+                                  "fewer_couplings_complex"])
+    def test_equals_unculled_oracles(self, case, missed):
+        terms, beta, params = case()
+        norms, direct = potentials._family_sweep(PotentialFamily(terms), beta, params)
+        assert (norms, direct) == unculled_oracles(terms, beta, params)
+        assert direct_sum_stummel_norm(PotentialFamily(terms), beta, params) == direct
+        assert {i for i, n in enumerate(norms) if n == 0.0} == missed
+
+    def test_hit_singularity_still_raises(self):
+        # A quadrature node lands exactly on the spike's center, which a
+        # probe ball reaches; a far bump keeps the family non-trivial.
+        offsets, _, _ = potentials._ball_rule(StummelParams(rho=0.5, m=1))
+        spike = PotentialTerm(profile=PowerSpike((0.0,), alpha=0.5),
+                              support=interval_set(-1.0, 1.0), center=(0.0,))
+        terms = [bump_term([10.0]), spike]
+        params = StummelParams(rho=0.5, m=1,
+                               probe_points=np.array([[10.0], [-offsets[0, 0]]]))
+        with pytest.raises(StummelError):
+            stummel_class_norm(spike.evaluate, params)
+        with pytest.raises(StummelError):
+            potentials._family_sweep(PotentialFamily(terms), CouplingSeq((1.0, 1.0)),
+                                     params)
+
+    def test_dimension_mismatch_raises(self):
+        terms, beta, _ = _probe_misses_term()
+        params = StummelParams(rho=1.5, m=2, probe_points=np.zeros((1, 2)))
+        with pytest.raises(StummelError, match="dimension"):
+            potentials._family_sweep(PotentialFamily(terms), beta, params)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_boxes_touching_node_boxes(self, data):
+        m = data.draw(st.sampled_from([1, 2]))
+        coord = st.floats(-3.0, 3.0, allow_nan=False)
+        probes = np.array(data.draw(st.lists(st.tuples(*[coord] * m), min_size=1,
+                                             max_size=3)))
+        params = StummelParams(rho=0.5 * m, m=m, quad_order=4, angular_order=8,
+                               probe_points=probes)
+        offsets, _, _ = potentials._ball_rule(params)
+        node_lo = [(x + offsets).min(axis=0) for x in probes]
+        node_hi = [(x + offsets).max(axis=0) for x in probes]
+
+        def side(k):
+            # One axis of a box: free, or with a face on a face of a node box.
+            width = data.draw(st.floats(0.05, 3.0))
+            mode = data.draw(st.sampled_from(["free", "below", "above"]))
+            j = data.draw(st.integers(0, len(probes) - 1))
+            if mode == "below":
+                return node_lo[j][k] - width, node_lo[j][k]
+            if mode == "above":
+                return node_hi[j][k], node_hi[j][k] + width
+            lo = data.draw(st.floats(-5.0, 5.0))
+            return lo, lo + width
+
+        terms = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            boxes = []
+            for _ in range(data.draw(st.integers(1, 2))):
+                lo, hi = zip(*[side(k) for k in range(m)])
+                boxes.append(Box(lo, hi))
+            value = data.draw(st.sampled_from([1.0, -0.5, 0.25 + 2j]))
+            terms.append(PotentialTerm(profile=ConstantProfile(value),
+                                       support=SupportSet(tuple(boxes))))
+        if data.draw(st.booleans()):
+            terms.append(tail_term([1.0] * m))
+        n_beta = data.draw(st.integers(1, len(terms)))
+        beta = CouplingSeq(tuple(data.draw(st.sampled_from([1.0, -0.3, 0.2 + 0.7j]))
+                                 for _ in range(n_beta)))
+        got = potentials._family_sweep(PotentialFamily(terms), beta, params)
+        assert got == tuple(unculled_oracles(terms, beta, params))
 
 
 class TestTailSumBound:
