@@ -13,17 +13,29 @@ whole matrix; each solve's residual is checked against H.  `_series` forms
 Cauchy coefficients on a circle and their reconstruction error, for
 `taylor_along` and `verify_analytic_family` alike.
 
-Two sample paths continue an eigenvalue.  `track_eigenvalue` builds the full
-d x d Riesz projector P, certified by ||P^2 - P||_2 <= defect_tol and an
-integral trace; the track and sweep tasks report |trace(P) - 1|.  The Taylor
-samples of `taylor_eigenpath` never form P, an action-only block contour
-method (Sakurai & Sugiura 2003; Beyn 2012): each node's LU is applied to
+Three sample paths continue an eigenvalue.  A Hermitian sparse H (a
+`DiscreteOperator` with ``hermitian=True``) takes the filter path of
+`track_eigenvalue` and `_reference_vector`, which never forms P.  For normal
+H the trapezoidal projector is a scalar rational filter, P_q = f(H) with
+f(E) = 1/(1 - z^q), z = (E - c)/r (Polizzi 2009; Tang & Polizzi 2014), so
+trace(P_q) = sum_j f(E_j) and ||P_q^2 - P_q||_2 = max_j |z_j^q|/|1 - z_j^q|^2
+follow from the band eigenvalues E_j (``eigvals_banded``, as the CLI places
+its contours).  The reported defect adds a first-order Weyl term
+delta |f'(E_j)| (1 + 2 |f(E_j)|), delta = d eps ||H||_1, for the error of
+the computed E_j, so to first order it bounds the defect of the exact
+spectrum.  P psi0 comes from one-column solves.  Dense and non-Hermitian H
+keep the full d x d Riesz projector of `riesz_projector`, certified by
+||P^2 - P||_2 <= defect_tol and an integral trace.  The track and sweep
+tasks report |trace(P) - 1| of either.  The Taylor samples of
+`taylor_eigenpath` never form P either, an action-only block contour method
+(Sakurai & Sugiura 2003; Beyn 2012): each node's LU is applied to
 Y = [psi0, w1, w2] and once more to give (P^2 - P) Y, with the certificates
 that `taylor_eigenpath` states.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -140,10 +152,11 @@ class BlockStats:
 
     factorizations: int = 0
     rhs_columns: int = 0
-    full_projectors: int = 0  # samples the full-P path decided
+    full_projectors: int = 0  # d x d projectors built (`riesz_projector`)
+    fallbacks: int = 0  # Taylor samples re-tracked by `track_eigenvalue`
     max_defect: float = 0.0  # worst max_j ||(P^2 - P) w_j||
     max_rank_ratio: float = 0.0  # worst sigma_2(P Y) / sigma_1(P Y)
-    max_projector_defect: float = 0.0  # worst accepted full ||P^2 - P||_2
+    max_projector_defect: float = 0.0  # worst accepted ||P^2 - P||_2 (full or filter)
 
 
 @dataclass
@@ -160,10 +173,18 @@ class EigenPath:
 
 @dataclass(frozen=True)
 class TrackResult:
+    """Tracked eigenvalue E, its vector psi = P psi0 and P's certificates.
+
+    `projector` is the full d x d projector, None on the filter path.
+    """
+
     E: complex
     psi: np.ndarray
-    projector: RieszProjector
     residual: float  # ||H psi - E psi|| / ||psi||
+    trace: complex
+    trace_defect: float  # |trace(P) - 1|
+    defect: float  # ||P^2 - P||_2
+    projector: RieszProjector | None = None
 
 
 def _as_matrix(H) -> tuple[object, int]:
@@ -196,20 +217,16 @@ def riesz_projector(
 
     Trapezoidal quadrature on the circle:
         P = -(r/q) sum_j e^(i theta_j) (H - lambda_j)^-1.
-    Each node's solve against the identity (`_node_solves`) is added into P
-    as its chunk comes, so the q solutions are never held at once.
+    P is `_projector_action` on the identity, so the q solutions are never
+    held at once.
     The idempotency defect and the integrality of the trace certify that
     the quadrature resolved the integrand and the contour stayed clear of
     the spectrum.  `stats` counts the work and keeps the worst accepted defect.
     """
     stats = BlockStats() if stats is None else stats
     mat, d = _as_matrix(H)
-    acc = np.zeros((d, d), dtype=complex)
-    angles = contour.angles()
-    for nodes, X in _node_solves(mat, d, contour.nodes(), np.eye(d, dtype=complex), stats):
-        for theta, x in zip(angles[nodes], X[0]):
-            acc += np.exp(1j * theta) * x
-    P = -(contour.radius / contour.q) * acc
+    P = _projector_action(mat, d, contour, np.eye(d, dtype=complex), stats)
+    stats.full_projectors += 1
     # P^2 by columns: matrix-vector products gave the same bits at 1 and 2
     # OpenBLAS threads for every d tried, the matrix product not at d = 210.
     P2 = np.stack([P @ col for col in P.T], axis=1)
@@ -246,21 +263,105 @@ def track_eigenvalue(
     Requires the projector trace to stay near 1 (non-degeneracy preserved);
     the eigenvector is psi(beta) = P(beta) psi0 and the eigenvalue comes
     from a fixed linear functional, re-drawn at random if its value on
-    psi(beta) gets too close to zero.  `stats` is passed to
-    `riesz_projector`.
+    psi(beta) gets too close to zero.  A Hermitian `DiscreteOperator` takes
+    the filter path (`_filter_certificate`, then P psi0 from one-column
+    solves); any other H the full projector of `riesz_projector`.  `stats`
+    counts the work of either.
     """
     H = family(beta)
-    proj = riesz_projector(H, contour, defect_tol=defect_tol, stats=stats)
-    if abs(proj.trace - 1.0) > 0.1:
+    stats = BlockStats() if stats is None else stats
+    trace, trace_defect, defect, proj = _certified_projector(H, contour, defect_tol, stats)
+    if abs(trace - 1.0) > 0.1:
         raise TrackingError(
-            f"projector trace {proj.trace:.4g} != 1: degeneracy or eigenvalue "
+            f"projector trace {trace:.4g} != 1: degeneracy or eigenvalue "
             "crossed contour; shrink step or re-center"
         )
-    psi = proj.P @ np.asarray(psi0, dtype=complex)
-    mat, _ = _as_matrix(H)
+    psi0 = np.asarray(psi0, dtype=complex)
+    mat, d = _as_matrix(H)
+    if proj is not None:
+        psi = proj.P @ psi0
+    else:
+        psi = _projector_action(mat, d, contour, psi0.reshape(d, 1), stats)[:, 0]
     E, residual = _eigenvalue_of(mat, psi, psi0, residual_tol, functional_floor,
                                  survival_floor, seed)
-    return TrackResult(E=E, psi=psi, projector=proj, residual=residual)
+    return TrackResult(E=E, psi=psi, residual=residual, trace=trace,
+                       trace_defect=trace_defect, defect=defect, projector=proj)
+
+
+def _certified_projector(H, contour: Contour, defect_tol: float, stats: BlockStats,
+                         ) -> tuple[complex, float, float, RieszProjector | None]:
+    """trace(P), |trace(P) - 1|, ||P^2 - P||_2 and the full P (None on the
+    filter path) of the Riesz projector of H, with the defect and trace
+    checks of `riesz_projector`."""
+    if isinstance(H, DiscreteOperator) and H.hermitian:
+        return (*_filter_certificate(H, contour, defect_tol, stats=stats), None)
+    proj = riesz_projector(H, contour, defect_tol=defect_tol, stats=stats)
+    return proj.trace, abs(proj.trace - 1.0), proj.defect, proj
+
+
+def _band_eigenvalues(mat, d: int) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian sparse H from its upper band
+    (``eigvals_banded``), which gives the same bits at any BLAS thread count."""
+    ab, kl, ku = _band_storage(mat, d)
+    return la.eigvals_banded(ab[kl:kl + ku + 1])
+
+
+def _filter_certificate(op: DiscreteOperator, contour: Contour, defect_tol: float = 1e-8,
+                        stats: BlockStats | None = None) -> tuple[complex, float, float]:
+    """trace(P_q), |trace(P_q) - 1| and a bound on ||P_q^2 - P_q||_2 for a
+    Hermitian `op`, from its band eigenvalues E_j, with no solve.
+
+    The trapezoidal projector of a normal H is P_q = f(H),
+    f(E) = 1/(1 - z^q), z = (E - c)/r.  With u = z^q for |z| < 1 and
+    u = z^-q otherwise (so nothing overflows), f = [|z| < 1] +- u/(1 - u)
+    and |f^2 - f| = |u|/|1 - u|^2.  Counting the enclosed E_j apart from the
+    small terms keeps |trace - 1| to its own relative accuracy.  Each E_j
+    is within delta = d eps ||H||_1 of the exact one (Weyl), which adds the
+    first-order term delta |f'(E_j)| (1 + 2 |f(E_j)|) to the defect, with
+    |f'| = q |z|^(q-1)/(r |1 - z^q|^2).  Raises QuadratureError as
+    `riesz_projector` does at its default trace_tol; `stats` keeps the worst
+    accepted defect.
+    """
+    E = _band_eigenvalues(op.matrix, op.dim)
+    q, r = contour.q, contour.radius
+    z = (E - contour.center) / r
+    az = np.abs(z)
+    inside = az < 1
+    delta = op.dim * np.finfo(float).eps * float(abs(op.matrix).sum(axis=0).max())
+    with np.errstate(all="ignore"):
+        u = np.where(inside, z, 1 / z) ** q
+        gap = np.abs(1 - u) ** 2
+        small = np.where(inside, u, -u) / (1 - u)  # f(E_j) - [|z_j| < 1]
+        slope = q * np.where(inside, az ** (q - 1), np.abs(u) / az) / (r * gap)
+        bounds = np.abs(u) / gap + delta * slope * (1 + 2 * np.abs(inside + small))
+    defect = float(bounds.max(initial=0.0))
+    excess = complex(small.sum())
+    enclosed = int(inside.sum())
+    if not defect <= defect_tol:
+        raise QuadratureError(
+            f"projector defect {defect:.3g} exceeds {defect_tol:.3g}: "
+            "eigenvalue too close to contour or quadrature under-resolved"
+        )
+    if not (cmath.isfinite(excess) and abs(excess - round(excess.real)) <= _RANK_TOL):
+        raise QuadratureError(
+            f"projector trace {enclosed + excess:.6g} is not near an integer"
+        )
+    if stats is not None:
+        stats.max_projector_defect = max(stats.max_projector_defect, defect)
+    return enclosed + excess, abs(enclosed - 1 + excess), defect
+
+
+def _projector_action(mat, d: int, contour: Contour, B: np.ndarray,
+                      stats: BlockStats) -> np.ndarray:
+    """P B = -(r/q) sum_j e^(i theta_j) (H - lambda_j)^-1 B for a (d, k)
+    block B (`_node_solves`), added node by node as each chunk comes, so the
+    chunk size cannot change a bit."""
+    acc = np.zeros((d, B.shape[1]), dtype=complex)
+    angles = contour.angles()
+    for nodes, X in _node_solves(mat, d, contour.nodes(), B, stats):
+        for theta, x in zip(angles[nodes], X[0]):
+            acc += np.exp(1j * theta) * x
+    return -(contour.radius / contour.q) * acc
 
 
 def _eigenvalue_of(mat, psi, psi0, residual_tol, functional_floor=0.1,
@@ -301,7 +402,8 @@ def _eigenvalue_of(mat, psi, psi0, residual_tol, functional_floor=0.1,
 # solves (one node per chunk at d = 210, band width 15).
 _CHUNK_ENTRIES = 1 << 16
 # Seed of the random block columns, and the sigma_2/sigma_1 bound of the
-# rank test (riesz_projector's default trace_tol).
+# rank test, which is also the filter path's trace-integrality bound
+# (riesz_projector's default trace_tol).
 _BLOCK_SEED = 7
 _RANK_TOL = 1e-6
 
@@ -564,7 +666,7 @@ def taylor_eigenpath(
 ) -> EigenPath:
     """Taylor-expand the tracked eigenvalue zeta -> E(base + zeta t).
 
-    The reference vector psi0 comes from one full projector at the base
+    The reference vector psi0 comes from `_reference_vector` at the base
     point.  Every contour sample then tracks the eigenvalue from P Y alone,
     Y = [psi0, w1, w2] (see `_track_block`): one LU per node, applied
     to Y and once more to form (P^2 - P) Y.  Rank-1 failures or contour
@@ -573,13 +675,13 @@ def taylor_eigenpath(
     a random column sees about |v^* w| ~ 1 of a rank-one defect, and falls
     below a tenth of it with probability about 1%, so the factor keeps the
     block test at least as strict as ||P^2 - P||_2 <= defect_tol.  A sample
-    that fails it is re-tracked with the full projector (`track_eigenvalue`),
-    whose ||P^2 - P||_2 <= defect_tol decides, so a projector the full test
-    accepts is never rejected for an unlucky draw.  The rank test is
-    sigma_2(P Y) <= 1e-6 sigma_1(P Y).  `path.stats` counts the
-    factorizations and right-hand-side columns of all samples and the
-    full-projector samples, and keeps the worst block defect and
-    sigma_2/sigma_1.
+    that fails it is re-tracked by `track_eigenvalue`, whose exact
+    ||P^2 - P||_2 <= defect_tol decides (filter or full projector), so a
+    projector the exact test accepts is never rejected for an unlucky draw.
+    The rank test is sigma_2(P Y) <= 1e-6 sigma_1(P Y).  `path.stats` counts
+    the factorizations and right-hand-side columns of all samples, the
+    re-tracked samples and the full projectors they built, and keeps the
+    worst block defect and sigma_2/sigma_1.
     """
     base = np.asarray(base, dtype=complex)
     samples: list[tuple[complex, complex]] = []
@@ -593,9 +695,9 @@ def taylor_eigenpath(
                              residual_tol=residual_tol, defect_tol=defect_tol,
                              stats=stats)
         except QuadratureError:
-            # Block defect above defect_tol / 10: the full projector's
+            # Block defect above defect_tol / 10: the exact
             # ||P^2 - P||_2 <= defect_tol decides, as on the track path.
-            stats.full_projectors += 1
+            stats.fallbacks += 1
             E = track_eigenvalue(family, beta_vec, track_contour, psi0=ref_psi,
                                  residual_tol=residual_tol,
                                  defect_tol=defect_tol, stats=stats).E
@@ -622,15 +724,29 @@ def _project_zeta(delta: np.ndarray, t: np.ndarray) -> complex:
 
 def _reference_vector(family, base, contour: Contour,
                       stats: BlockStats | None = None) -> np.ndarray:
-    """Eigenvector of H(base) for the eigenvalue enclosed by the contour."""
-    res_base = riesz_projector(family(base), contour, stats=stats)
-    if res_base.rank != 1:
-        raise TrackingError(
-            f"contour encloses {res_base.rank} eigenvalues at the base point"
-        )
-    # Dominant column of the rank-1 projector.
-    j = int(np.argmax(np.linalg.norm(res_base.P, axis=0)))
-    psi = res_base.P[:, j]
+    """Eigenvector of H(base) for the eigenvalue enclosed by the contour:
+    the dominant column P e_j of its rank-one projector, scaled to norm 1.
+
+    On the filter path P is never formed.  For P = v v^*, P w = v (v^* w)
+    and ||P e_j|| = |v_j| ||v||, so j = argmax |P w| for a seeded w picks
+    the same column; P e_j then takes a second one-column solve pass.
+    """
+    H = family(base)
+    stats = BlockStats() if stats is None else stats
+    # riesz_projector's default defect_tol
+    trace, _, _, proj = _certified_projector(H, contour, 1e-8, stats)
+    rank = round(trace.real)
+    if rank != 1:
+        raise TrackingError(f"contour encloses {rank} eigenvalues at the base point")
+    if proj is not None:
+        # Dominant column of the rank-1 projector.
+        psi = proj.P[:, int(np.argmax(np.linalg.norm(proj.P, axis=0)))]
+    else:
+        rng = np.random.default_rng(_BLOCK_SEED)
+        w = (rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim)) / math.sqrt(2)
+        Pw = _projector_action(H.matrix, H.dim, contour, w.reshape(-1, 1), stats)
+        e_j = np.eye(H.dim, 1, -int(np.argmax(np.abs(Pw))))
+        psi = _projector_action(H.matrix, H.dim, contour, e_j, stats)[:, 0]
     return psi / np.linalg.norm(psi)
 
 

@@ -20,7 +20,6 @@ from pathlib import Path
 
 import click
 import numpy as np
-import scipy.linalg as la
 import scipy.sparse as sp
 
 from . import __version__, analytic, bounds, geometry, lattice, potentials, serialize
@@ -308,8 +307,7 @@ def _place_contour(op: lattice.DiscreteOperator, eig_index: int,
     gap to its nearest neighbor.  Hermitian eigenvalues come from the band,
     which unlike dense ``eigvalsh`` gives the same bits at any thread count."""
     if op.hermitian:
-        ab, kl, ku = analytic._band_storage(op.matrix, op.dim)
-        vals = la.eigvals_banded(ab[kl:kl + ku + 1])
+        vals = analytic._band_eigenvalues(op.matrix, op.dim)
     else:
         vals = np.sort(np.linalg.eigvals(op.to_dense()).real)
     E = vals[eig_index]
@@ -412,9 +410,10 @@ def task_bounds(ctx: RunContext, spec: dict) -> dict:
 
 
 def _contour_note(stats: analytic.BlockStats, defect_tol: float) -> str:
-    """Stderr note of a full-projector task: its work and worst defect."""
+    """Stderr note of a track or sweep task: its work, the d x d projectors
+    it built (none on the Hermitian filter path) and its worst defect."""
     return (f"factorizations {stats.factorizations}, rhs columns "
-            f"{stats.rhs_columns}, defect/tol "
+            f"{stats.rhs_columns}, full-P {stats.full_projectors}, defect/tol "
             f"{stats.max_projector_defect / defect_tol:.3g}")
 
 
@@ -434,19 +433,19 @@ def task_track(ctx: RunContext, spec: dict) -> dict:
     ctx.note = _contour_note(stats, ctx.tol["projector_defect"])
     resid = res.residual
     ok = (resid <= ctx.tol["track_residual"]
-          and res.projector.defect <= ctx.tol["projector_defect"])
+          and res.defect <= ctx.tol["projector_defect"])
     ctx.report.add_invariant("track.residual_and_defect", ok,
-                             f"residual {resid:.3g}, defect {res.projector.defect:.3g}")
+                             f"residual {resid:.3g}, defect {res.defect:.3g}")
     _write_csv(
         ctx.out / "track.csv",
         "tracked eigenvalue at the scenario coupling\n"
         "re_e/im_e: eigenvalue (energy units); residual: ||H psi - E psi||/||psi||; "
         "trace_defect: |trace(P) - 1|",
         ["re_e", "im_e", "residual", "trace_defect"],
-        [[res.E.real, res.E.imag, resid, abs(res.projector.trace - 1.0)]],
+        [[res.E.real, res.E.imag, resid, res.trace_defect]],
     )
     return {"E": [res.E.real, res.E.imag], "residual": resid,
-            "trace_defect": abs(res.projector.trace - 1.0),
+            "trace_defect": res.trace_defect,
             "contour": {"center": [contour.center.real, contour.center.imag],
                         "radius": contour.radius, "q": contour.q},
             "pass": ok}
@@ -504,7 +503,7 @@ def task_sweep(ctx: RunContext, spec: dict) -> dict:
             pending.pop()
             if not pending:
                 rows.append([target, res.E.real, res.E.imag, res.residual,
-                             abs(res.projector.trace - 1.0)])
+                             res.trace_defect])
                 ok_step = True
         if failure or not ok_step:
             failure = failure or f"step to {target:.6g} failed"
@@ -549,8 +548,8 @@ def task_taylor(ctx: RunContext, spec: dict) -> dict:
     ctx.note = (f"factorizations {stats.factorizations}, rhs columns "
                 f"{stats.rhs_columns}, block defect/tol "
                 f"{stats.max_defect / (ctx.tol['projector_defect'] / 10):.3g}, "
-                f"sigma2/sigma1 {stats.max_rank_ratio:.3g}, full-P samples "
-                f"{stats.full_projectors}")
+                f"sigma2/sigma1 {stats.max_rank_ratio:.3g}, fallback samples "
+                f"{stats.fallbacks}, full-P {stats.full_projectors}")
     _write_csv(
         ctx.out / "taylor.csv",
         "directional Taylor coefficients of the tracked eigenvalue\n"

@@ -141,7 +141,9 @@ class CouplingSeq:
 
     `declared_norm` defaults to the computed norm of the stored values; an
     explicitly declared norm must dominate the computed one (the stored
-    values are a truncation of the full sequence).
+    values are a truncation of the full sequence).  Values and declared
+    norm must be finite: a NaN or infinite coupling would make every bound
+    built on the sequence NaN or infinite.
     """
 
     values: tuple[complex, ...]
@@ -153,6 +155,10 @@ class CouplingSeq:
             raise LatticeError("CouplingSeq needs at least one value")
         if not (1 <= self.p):
             raise LatticeError(f"p must be in [1, inf], got {self.p}")
+        if not np.all(np.isfinite(np.asarray(self.values, dtype=complex))):
+            raise LatticeError(f"non-finite coupling in {self.values}")
+        if self.declared_norm is not None and not np.isfinite(self.declared_norm):
+            raise LatticeError(f"declared norm {self.declared_norm} is not finite")
         computed = self.norm()
         if self.declared_norm is None:
             object.__setattr__(self, "declared_norm", computed)

@@ -26,8 +26,8 @@ from specpert.analytic import (
     verify_analytic_family,
 )
 from specpert.geometry import Box, SupportSet, interval_set
-from specpert.lattice import (AffineFamily, CouplingSeq, Grid, assemble_hamiltonian,
-                              build_laplacian)
+from specpert.lattice import (AffineFamily, CouplingSeq, DiscreteOperator, Grid,
+                              assemble_hamiltonian, build_laplacian)
 from specpert.potentials import GaussianBump, PotentialFamily, PotentialTerm
 
 
@@ -295,6 +295,155 @@ class TestTracking:
             _reference_vector(two_level, np.array([0.0]), contour)
 
 
+def _bumps_1d():
+    """H(beta) of the shipped bumps_1d scenario: 160 nodes on [0, 12], three
+    Gaussian bumps, beta = (0.06, 0.04, 0.03)."""
+    grid = Grid(extent=((0.0, 12.0),), points=(160,))
+    family = PotentialFamily([
+        PotentialTerm(profile=GaussianBump((c,), 0.4, 1.0),
+                      support=interval_set(c - 1.3, c + 1.3))
+        for c in (3.0, 6.0, 9.0)])
+    return AffineFamily.from_potentials(build_laplacian(grid), family)(
+        np.array([0.06, 0.04, 0.03]))
+
+
+def _random_banded(d=90, width=4, seed=11):
+    """Random complex Hermitian band matrix (half band width `width`)."""
+    rng = np.random.default_rng(seed)
+    offsets = range(-width, width + 1)
+    diags = [rng.standard_normal(d - abs(k)) + 1j * rng.standard_normal(d - abs(k))
+             for k in offsets]
+    A = sp.diags(diags, list(offsets), format="csr")
+    return DiscreteOperator(A + A.getH(), hermitian=True)
+
+
+_HERMITIAN_OPERATORS = {
+    "bumps_1d": _bumps_1d,
+    "padded_to_210": lambda: DiscreteOperator(_padded_to_210(two_level([0.3])),
+                                              hermitian=True),
+    "random_banded": _random_banded,
+}
+
+
+def _up_to_scale(a, b) -> float:
+    """||a/||a|| - phase * b/||b|||| for the best unit phase."""
+    a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+    overlap = np.vdot(b, a)
+    return float(np.linalg.norm(a - b * overlap / abs(overlap)))
+
+
+def _closed_form(op, contour):
+    """trace(P_q) = sum_j 1/(1 - z_j^q) and ||P_q^2 - P_q||_2 =
+    max_j |z_j^q|/|1 - z_j^q|^2 from dense eigvalsh."""
+    z = (np.linalg.eigvalsh(op.to_dense()) - contour.center) / contour.radius
+    zq = z ** contour.q  # below 1e300 for every operator here
+    defect = np.abs(zq) / np.abs(1 - zq) / np.abs(1 - zq)
+    return complex(np.sum(1 / (1 - zq))), float(np.max(defect))
+
+
+class TestHermitianFilter:
+    """Hermitian `DiscreteOperator` input: trace and defect of P_q = f(H)
+    from the band eigenvalues, P psi0 from one-column solves, no d x d P.
+    The same matrix as a bare sparse matrix takes `riesz_projector`."""
+
+    @pytest.mark.parametrize("shape", ["centred", "wide"])
+    @pytest.mark.parametrize("name", list(_HERMITIAN_OPERATORS))
+    def test_matches_full_projector_and_closed_form(self, name, shape, monkeypatch):
+        op = _HERMITIAN_OPERATORS[name]()
+        vals = np.linalg.eigvalsh(op.to_dense())
+        gap = vals[1] - vals[0]
+        # "wide": an off-centre circle reaching 0.7 of the gap, whose defect
+        # (about 1e-10) is far above rounding, so the comparison has teeth.
+        contour = (Contour(complex(vals[0]), 0.5 * gap, q=64) if shape == "centred"
+                   else Contour(complex(vals[0] + 0.1 * gap), 0.6 * gap, q=64))
+        full_stats, filter_stats = BlockStats(), BlockStats()
+        psi_full = _reference_vector(lambda b: op.matrix, None, contour, stats=full_stats)
+        full = track_eigenvalue(lambda b: op.matrix, None, contour, psi_full,
+                                stats=full_stats)
+
+        def no_full_projector(*args, **kwargs):
+            raise AssertionError("riesz_projector called")
+
+        monkeypatch.setattr(analytic, "riesz_projector", no_full_projector)
+        psi_filter = _reference_vector(lambda b: op, None, contour, stats=filter_stats)
+        assert _up_to_scale(psi_filter, psi_full) <= 1e-12
+        filt = track_eigenvalue(lambda b: op, None, contour, psi_full, stats=filter_stats)
+
+        assert filt.projector is None and full.projector is not None
+        assert abs(filt.E - full.E) <= 1e-12 * max(1.0, abs(full.E))
+        assert abs(filt.E - vals[0]) <= 1e-12 * max(1.0, abs(vals[0]))
+        assert _up_to_scale(filt.psi, full.psi) <= 1e-12
+        assert abs(filt.trace - full.trace) <= 1e-12
+        assert abs(filt.trace_defect - full.trace_defect) <= 1e-12
+        assert abs(filt.defect - full.defect) <= 1e-12
+        trace, defect = _closed_form(op, contour)
+        assert abs(filt.trace - trace) <= 1e-12
+        assert abs(filt.defect - defect) <= 1e-12 * max(1.0, defect)
+        if shape == "wide":
+            assert 1e-13 < defect < 1e-8  # the wide contour is not trivially exact
+            assert filt.trace_defect == pytest.approx(abs(trace - 1), rel=1e-6)
+        # Reference (P w, then P e_j) and track: one right-hand-side column
+        # per node, no P.
+        q = contour.q
+        assert (filter_stats.factorizations, filter_stats.rhs_columns) == (3 * q, 3 * q)
+        assert (filter_stats.full_projectors, full_stats.full_projectors) == (0, 2)
+        assert filter_stats.max_projector_defect >= filt.defect
+
+    @pytest.mark.parametrize("name", list(_HERMITIAN_OPERATORS))
+    def test_contour_around_two_eigenvalues_raises(self, name):
+        op = _HERMITIAN_OPERATORS[name]()
+        vals = np.linalg.eigvalsh(op.to_dense())
+        contour = Contour(complex(0.5 * (vals[0] + vals[1])),
+                          0.5 * (vals[1] - vals[0]) + 0.4 * (vals[2] - vals[1]), q=64)
+        psi0 = np.linalg.eigh(op.to_dense())[1][:, 0]
+        for H in (op, op.matrix):
+            with pytest.raises(TrackingError):
+                _reference_vector(lambda b: H, None, contour)
+            with pytest.raises(TrackingError):
+                track_eigenvalue(lambda b: H, None, contour, psi0)
+
+    @pytest.mark.parametrize("name", list(_HERMITIAN_OPERATORS))
+    def test_under_resolved_contour_raises(self, name):
+        # q = 16 and a radius of 0.95 of the gap: the neighbour sits at
+        # |z| = 1.05, where |z^-16| = 0.44, so ||P_q^2 - P_q|| is about 1.
+        op = _HERMITIAN_OPERATORS[name]()
+        vals = np.linalg.eigvalsh(op.to_dense())
+        contour = Contour(complex(vals[0]), 0.95 * (vals[1] - vals[0]), q=16)
+        psi0 = np.linalg.eigh(op.to_dense())[1][:, 0]
+        for H in (op, op.matrix):
+            with pytest.raises(QuadratureError):
+                _reference_vector(lambda b: H, None, contour)
+            with pytest.raises(QuadratureError):
+                track_eigenvalue(lambda b: H, None, contour, psi0)
+
+    def test_weyl_term_is_the_first_order_defect_change(self):
+        # An eigenvalue 0.3 r outside the circle, where the defect
+        # h(E) = |z^q|/|1 - z^q|^2 is 5e-8 (the trace stays within 1e-6 of
+        # 1), and ||H||_1 = 1e6, so that delta = d eps ||H||_1 = 6.7e-10
+        # moves h by about 2e-15: the reported defect exceeds h at the
+        # computed eigenvalue by the first-order change of h over delta.
+        op = DiscreteOperator(sp.diags([0.0, 1.3, 1e6]), hermitian=True)
+        _, _, defect = analytic._filter_certificate(
+            op, Contour(0.0, 1.0, q=64), defect_tol=math.inf)
+
+        def h(E):
+            zq = E**64
+            return zq / (1 - zq) ** 2
+
+        delta = 3 * np.finfo(float).eps * 1e6
+        assert defect - h(1.3) == pytest.approx(h(1.3 - delta) - h(1.3), rel=1e-5)
+        assert defect > max(h(1.3), h(1.3 + delta))
+
+    def test_eigenvalue_on_the_contour_raises(self):
+        # f has a pole at the node 1.0: with no defect limit the trace check
+        # still refuses the infinite trace.
+        op = DiscreteOperator(sp.diags([0.0, 1.0, 5.0]), hermitian=True)
+        with pytest.raises(QuadratureError, match="trace"):
+            analytic._filter_certificate(op, Contour(0.0, 1.0, q=64), defect_tol=math.inf)
+        with pytest.raises(QuadratureError, match="defect"):
+            analytic._filter_certificate(op, Contour(0.0, 1.0, q=64))
+
+
 def _random_operator(rng):
     """Hermitian or mildly non-normal operator with known real spectrum, a
     contour around one eigenvalue (radius up to 0.97 of its gap), that
@@ -405,7 +554,8 @@ class TestBlockSamples:
         path = taylor_eigenpath(two_level, np.array([0.0]),
                                 Direction(np.array([1.0])), contour,
                                 r=0.2, M=8, q=32)
-        assert path.stats.full_projectors == len(path.samples) == 32 + 8
+        assert path.stats.fallbacks == path.stats.full_projectors == 32 + 8
+        assert len(path.samples) == 32 + 8
         assert path.coefficients[2] == pytest.approx(-1.0, abs=1e-8)
         # The full projector still rejects what its own test rejects.
         with pytest.raises(QuadratureError):
@@ -426,7 +576,7 @@ class TestBlockSamples:
                                 r=0.3, M=8, q=32)
         assert len(calls) == 1  # the reference vector at the base point
         assert len(path.samples) == 32 + 8
-        assert path.stats.full_projectors == 0
+        assert path.stats.fallbacks == path.stats.full_projectors == 0
         assert path.stats.factorizations == 64 * len(path.samples)
         assert path.stats.rhs_columns == 2 * 3 * path.stats.factorizations
         assert path.stats.max_defect <= 1e-9

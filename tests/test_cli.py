@@ -170,8 +170,10 @@ class TestRun:
         assert result.exit_code == 1
 
     def test_track_and_sweep_print_solve_counters(self, tmp_path):
-        # Reference and tracked projector for track; reference plus one
-        # projector per sweep point: 64 nodes each, d = 2 columns per node.
+        # The Hermitian filter path: one right-hand-side column per node, 64
+        # nodes per pass, and no d x d projector.  A reference vector takes
+        # two passes (P w, then P e_j), a tracked point one: 2 + 1 for
+        # track, 2 + 4 for the sweep.
         doc = dict(TWO_LEVEL)
         doc["tasks"] = [
             {"task": "track", "eig_index": 0},
@@ -184,9 +186,41 @@ class TestRun:
         report = yaml.safe_load((out / "report.yaml").read_text())
         assert report["tasks"][1]["result"]["halvings"] == 0
         lines = [line for line in result.stderr.splitlines() if "[" in line]
-        assert "factorizations 128, rhs columns 256, defect/tol" in lines[0]
-        assert "factorizations 320, rhs columns 640, defect/tol" in lines[1]
+        assert "factorizations 192, rhs columns 192, full-P 0, defect/tol" in lines[0]
+        assert "factorizations 384, rhs columns 384, full-P 0, defect/tol" in lines[1]
         assert "factorizations" not in (out / "report.yaml").read_text()
+
+    def test_sweep_through_level_crossing_fails_invariant(self, tmp_path):
+        # H(s) = diag(0, 1 - s): the tracked level 0 meets the other level at
+        # s = 1, inside the range.  Every step past the contour edge at
+        # s = 0.5 halves until it gives up, and the invariant, not the
+        # library, reports it (exit 1 with a FAIL line, not 3).
+        doc = dict(TWO_LEVEL)
+        doc["family"] = {"kind": "matrix", "h0": [[0.0, 0.0], [0.0, 1.0]],
+                         "terms": [[[0.0, 0.0], [0.0, -1.0]]]}
+        doc["tasks"] = [{"task": "sweep", "axis": 1, "range": [0.0, 2.0],
+                         "steps": 3, "eig_index": 0}]
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        result = run_cli(["run", "--scenario", str(path), "--out", str(out)])
+        assert "FAIL sweep.completed: step to" in result.output
+        assert result.exit_code == 1
+        sweep = yaml.safe_load((out / "report.yaml").read_text())["tasks"][0]["result"]
+        assert sweep["halvings"] > 0 and sweep["rows"] == 2
+        _, rows = read_csv(out / "sweep.csv")
+        assert rows[0][0] == 0.0 and rows[0][1] == pytest.approx(0.0, abs=1e-12)
+        assert rows[1][0] == 1.0 and np.isnan(rows[1][1])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_coupling_is_usage_error(self, tmp_path, value):
+        doc = dict(TWO_LEVEL)
+        doc["beta"] = {"values": [value], "p": "inf"}
+        doc["tasks"] = [{"task": "track", "eig_index": 0}]
+        path = write_scenario(tmp_path, doc)
+        result = run_cli(["run", "--scenario", str(path),
+                          "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "non-finite coupling" in result.stderr
 
     def test_non_finite_potential_sample_is_usage_error(self, tmp_path):
         # The spike is centred on the grid node 2.0, where it samples +inf:
@@ -467,6 +501,21 @@ LATTICE_2D = {
         {"task": "sweep", "axis": 1, "range": [0.0, 0.3], "steps": 2, "eig_index": 0},
     ],
 }
+
+
+def test_lattice_track_and_sweep_build_no_full_projector(tmp_path, monkeypatch):
+    # Every H(beta) of the 15 x 14 lattice is Hermitian, so track and sweep
+    # take the filter path: the run passes with the full projector disabled,
+    # and its stderr counts no d x d projector.
+    def no_full_projector(*args, **kwargs):
+        raise AssertionError("riesz_projector called")
+
+    monkeypatch.setattr(analytic, "riesz_projector", no_full_projector)
+    path = write_scenario(tmp_path, LATTICE_2D)
+    result = run_cli(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    lines = [line for line in result.stderr.splitlines() if "[" in line]
+    assert len(lines) == 2 and all("full-P 0," in line for line in lines)
 
 
 class TestDeterminism:

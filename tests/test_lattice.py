@@ -245,6 +245,21 @@ class TestCouplingSeq:
         with pytest.raises(LatticeError):
             CouplingSeq((1.0,), p=0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.1, np.nan),
+                                     complex(np.inf, 0.0)])
+    @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+    def test_non_finite_coupling_rejected(self, bad, p):
+        # A NaN never exceeds a declared norm, so only this check stops it.
+        with pytest.raises(LatticeError, match="non-finite coupling"):
+            CouplingSeq((bad, 1.0), p=p)
+        with pytest.raises(LatticeError, match="non-finite coupling"):
+            CouplingSeq((1.0, bad), p=p, declared_norm=10.0)
+
+    @pytest.mark.parametrize("declared", [np.nan, np.inf])
+    def test_non_finite_declared_norm_rejected(self, declared):
+        with pytest.raises(LatticeError, match="declared norm"):
+            CouplingSeq((1.0, 0.5), declared_norm=declared)
+
     @given(
         st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=6),
         st.sampled_from([1.0, 2.0, np.inf]),
