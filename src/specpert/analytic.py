@@ -31,6 +31,9 @@ tasks report |trace(P) - 1| of either.  The Taylor samples of
 (Sakurai & Sugiura 2003; Beyn 2012): each node's LU is applied to
 Y = [psi0, w1, w2] and once more to give (P^2 - P) Y, with the certificates
 that `taylor_eigenpath` states.
+
+`gamma_membership` reads sigma_min(H - lambda) off the same band eigenvalues
+for Hermitian H, less delta, and takes a dense SVD for any other H.
 """
 
 from __future__ import annotations
@@ -306,6 +309,13 @@ def _band_eigenvalues(mat, d: int) -> np.ndarray:
     return la.eigvals_banded(ab[kl:kl + ku + 1])
 
 
+def _weyl_delta(op: DiscreteOperator) -> float:
+    """delta = d eps ||H||_1: each band eigenvalue of a Hermitian `op` lies
+    within delta of the exact one (Weyl, with the backward error of the
+    band reduction)."""
+    return op.dim * np.finfo(float).eps * float(abs(op.matrix).sum(axis=0).max())
+
+
 def _filter_certificate(op: DiscreteOperator, contour: Contour, defect_tol: float = 1e-8,
                         stats: BlockStats | None = None) -> tuple[complex, float, float]:
     """trace(P_q), |trace(P_q) - 1| and a bound on ||P_q^2 - P_q||_2 for a
@@ -316,7 +326,7 @@ def _filter_certificate(op: DiscreteOperator, contour: Contour, defect_tol: floa
     u = z^-q otherwise (so nothing overflows), f = [|z| < 1] +- u/(1 - u)
     and |f^2 - f| = |u|/|1 - u|^2.  Counting the enclosed E_j apart from the
     small terms keeps |trace - 1| to its own relative accuracy.  Each E_j
-    is within delta = d eps ||H||_1 of the exact one (Weyl), which adds the
+    is within delta = `_weyl_delta` of the exact one, which adds the
     first-order term delta |f'(E_j)| (1 + 2 |f(E_j)|) to the defect, with
     |f'| = q |z|^(q-1)/(r |1 - z^q|^2).  Raises QuadratureError as
     `riesz_projector` does at its default trace_tol; `stats` keeps the worst
@@ -327,7 +337,7 @@ def _filter_certificate(op: DiscreteOperator, contour: Contour, defect_tol: floa
     z = (E - contour.center) / r
     az = np.abs(z)
     inside = az < 1
-    delta = op.dim * np.finfo(float).eps * float(abs(op.matrix).sum(axis=0).max())
+    delta = _weyl_delta(op)
     with np.errstate(all="ignore"):
         u = np.where(inside, z, 1 / z) ** q
         gap = np.abs(1 - u) ** 2
@@ -875,8 +885,20 @@ def gamma_membership(family, beta, lam: complex, tol: float = 1e-10) -> tuple[bo
 
     Margin is the smallest singular value of H(beta) - lambda; positive
     margin means perturbing (beta, lambda) by less than it keeps membership.
+    For a Hermitian `DiscreteOperator` it is min_j |E_j - lambda| - delta
+    from the band eigenvalues E_j, each within delta = `_weyl_delta` of the
+    exact one, so it bounds sigma_min from below and no d x d array is
+    formed.  Any other H takes the dense SVD; `DiscreteOperator.to_dense`
+    refuses d above `lattice.DENSE_MAX_DIM`.
     """
-    mat, d = _as_matrix(family(beta))
-    dense = mat.toarray() if sp.issparse(mat) else np.asarray(mat, dtype=complex)
-    smin = float(la.svdvals(dense - lam * np.eye(d))[-1])
+    H = family(beta)
+    if isinstance(H, DiscreteOperator) and H.hermitian:
+        E = _band_eigenvalues(H.matrix, H.dim)
+        smin = float(np.abs(E - lam).min()) - _weyl_delta(H)
+        return smin > tol, smin
+    if isinstance(H, DiscreteOperator):
+        dense = H.to_dense()
+    else:
+        dense = H.toarray() if sp.issparse(H) else np.asarray(H, dtype=complex)
+    smin = float(la.svdvals(dense - lam * np.eye(len(dense)))[-1])
     return smin > tol, smin

@@ -1,9 +1,14 @@
-"""Relative (Kato) bound estimation and resolvent certification.
+"""Relative (Kato) bounds and resolvent certification.
 
-The empirical relative bound scans a grid of trial slopes a and records
-b(a) = max over probes of (||V psi|| - a ||H0 psi||)_+ / ||psi||, so the
-defining inequality holds on every probe by construction; the reported a
-is a lower estimate of the true infimal bound.
+A relative bound is a pair (a, b) with ||V psi|| <= a ||H0 psi|| + b ||psi||
+for every psi (Kato 1966, ch. IV sec. 1 and V sec. 4).  On the lattice every
+V(beta) is bounded, so (a, b) = (0, ||V(beta)||) holds exactly; the `bounds`
+task takes b from the Schur test sqrt(||V||_1 ||V||_inf)
+(`DiscreteOperator.norm_bound`), which equals max|diag V| for the diagonal
+multiplication operators of a grid family and bounds ||V||_2 from above for a
+`matrix` family.  Its spectrum box [E_min, E_max] is the lowest and highest
+band eigenvalue of H0, each moved outward by the Weyl rounding
+delta = d eps ||H0||_1 within which the computed eigenvalues lie.
 
 Resolvent certification follows the inequality
     b * sup_E |E - lambda|^-1 + a * sup_E |E| |E - lambda|^-1 < 1
@@ -15,21 +20,17 @@ H0 (E_max may be +inf for operators unbounded above).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
-from .lattice import DiscreteOperator, LatticeError
 from .potentials import PotentialFamily
 
 __all__ = [
     "RelativeBound",
     "SpectrumBox",
     "CertificationError",
-    "estimate_relative_bound",
     "uniform_sum_norm_bound",
-    "kato_stability_check",
     "resolvent_margin",
     "find_resolvent_point",
 ]
@@ -41,14 +42,10 @@ class CertificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class RelativeBound:
-    """Empirical relative bound: ||V psi|| <= a ||H0 psi|| + b ||psi|| on
-    all recorded probes (slack >= -1e-10)."""
+    """Relative bound: ||V psi|| <= a ||H0 psi|| + b ||psi|| for all psi."""
 
     a: float
     b: float
-    probe_count: int = 0
-    method: str = "given"
-    tradeoff: tuple[tuple[float, float], ...] = field(default=(), repr=False)
 
     def __post_init__(self):
         if self.a < 0 or self.b < 0:
@@ -73,71 +70,6 @@ class SpectrumBox:
         return self.E_min <= E <= self.E_max
 
 
-def _probe_vectors(h0: DiscreteOperator, probes: int, seed: int) -> list[np.ndarray]:
-    """50% random complex Gaussian vectors, 50% low-lying eigenvectors of H0."""
-    rng = np.random.default_rng(seed)
-    d = h0.dim
-    n_eig = min(probes // 2, max(d - 2, 1))
-    out: list[np.ndarray] = []
-    if n_eig > 0 and d > 2:
-        if d <= 400:
-            _, vecs = np.linalg.eigh(h0.to_dense())
-            out.extend(vecs[:, j] for j in range(min(n_eig, d)))
-        else:
-            # ARPACK's default start vector is unseeded; seed it so the
-            # probes, and with them the reported bound, repeat from run to run.
-            # A complex Hermitian H0 keeps its imaginary part.
-            mat = h0.matrix if np.any(h0.matrix.imag.data) else h0.matrix.real.astype(float)
-            _, vecs = spla.eigsh(mat, k=n_eig, which="SA", v0=rng.standard_normal(d))
-            out.extend(vecs[:, j].astype(complex) for j in range(n_eig))
-    while len(out) < probes:
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        out.append(v / np.linalg.norm(v))
-    return out[:probes]
-
-
-def estimate_relative_bound(
-    V: DiscreteOperator,
-    H0: DiscreteOperator,
-    probes: int = 64,
-    a_grid=None,
-    b_cap: float = np.inf,
-    seed: int = 0,
-) -> RelativeBound:
-    """Empirical (a, b) with ||V psi|| <= a ||H0 psi|| + b ||psi|| on all
-    probe vectors.
-
-    Returns the pair with the smallest a on the grid whose b(a) stays below
-    b_cap, or the pair for the largest grid a otherwise; the full (a, b(a))
-    tradeoff curve is attached either way.  The result is a lower estimate
-    of the true infimal relative bound.
-    """
-    if V.dim != H0.dim:
-        raise LatticeError(f"dimension mismatch: {V.dim} vs {H0.dim}")
-    if probes < 32:
-        raise ValueError("need at least 32 probes")
-    if a_grid is None:
-        a_grid = [0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0]
-    a_grid = sorted(float(a) for a in a_grid)
-
-    vecs = _probe_vectors(H0, probes, seed)
-    vn = np.array([np.linalg.norm(V.matvec(psi)) for psi in vecs])
-    hn = np.array([np.linalg.norm(H0.matvec(psi)) for psi in vecs])
-    pn = np.array([np.linalg.norm(psi) for psi in vecs])
-
-    curve = []
-    for a in a_grid:
-        b = float(np.max(np.maximum(vn - a * hn, 0.0) / pn))
-        curve.append((a, b))
-    for a, b in curve:
-        if b <= b_cap:
-            return RelativeBound(a, b, probe_count=probes, method="probe-scan",
-                                 tradeoff=tuple(curve))
-    a, b = curve[-1]
-    return RelativeBound(a, b, probe_count=probes, method="probe-scan",
-                         tradeoff=tuple(curve))
-
-
 def uniform_sum_norm_bound(family: PotentialFamily, grid) -> float:
     """Bound v * max(n0, 1) on ||sum_i |V_i|||, cross-checked against the
     norm of the assembled diagonal operator (its largest entry).
@@ -160,12 +92,6 @@ def uniform_sum_norm_bound(family: PotentialFamily, grid) -> float:
             f"computed operator norm {computed:.10g} exceeds bound {bound:.10g}"
         )
     return bound
-
-
-def kato_stability_check(rb: RelativeBound) -> bool:
-    """Stability criterion: strict a < 1 preserves closedness and (for
-    symmetric perturbations) selfadjointness of H0 + V."""
-    return rb.a < 1.0
 
 
 def _sup_inv_dist(box: SpectrumBox, lam: complex) -> float:

@@ -27,6 +27,10 @@ __all__ = [
 ]
 
 DEFAULT_POINT_BUDGET = 2_000_000
+# Largest dimension `DiscreteOperator.to_dense` densifies (a complex
+# 4096 x 4096 array takes 268 MB); the dense eigensolves and SVDs behind it
+# would need several such arrays more.
+DENSE_MAX_DIM = 4096
 
 
 class LatticeError(ValueError):
@@ -116,6 +120,10 @@ class DiscreteOperator:
         return self.matrix @ psi
 
     def to_dense(self) -> np.ndarray:
+        """The d x d array; raises LatticeError above DENSE_MAX_DIM."""
+        if self.dim > DENSE_MAX_DIM:
+            raise LatticeError(
+                f"dimension {self.dim} exceeds the dense limit {DENSE_MAX_DIM}")
         return self.matrix.toarray()
 
     def diagonal(self) -> np.ndarray:

@@ -750,17 +750,26 @@ class TestVerifyAnalyticFamily:
         assert report.passed
 
 
+def _both_inputs(dense):
+    """The same Hermitian matrix as a dense ndarray (the SVD path of
+    `gamma_membership`) and as a Hermitian `DiscreteOperator` (its band path)."""
+    return dense, DiscreteOperator(sp.csr_matrix(dense), hermitian=True)
+
+
 class TestGammaMembership:
+    """Each check runs on both inputs of `_both_inputs`."""
+
     def test_far_shift(self):
-        H = np.diag([0.0, 1.0, 2.0])
-        lam = 10j * np.linalg.norm(H, 2)
-        member, margin = gamma_membership(lambda b: H, np.zeros(1), lam)
-        assert member and margin > 1.0
+        dense = np.diag([0.0, 1.0, 2.0])
+        lam = 10j * np.linalg.norm(dense, 2)
+        for H in _both_inputs(dense):
+            member, margin = gamma_membership(lambda b: H, np.zeros(1), lam)
+            assert member and margin > 1.0
 
     def test_eigenvalue_shift(self):
-        H = np.diag([0.0, 1.0, 2.0])
-        member, margin = gamma_membership(lambda b: H, np.zeros(1), 1.0 + 0j)
-        assert not member and margin <= 1e-10
+        for H in _both_inputs(np.diag([0.0, 1.0, 2.0])):
+            member, margin = gamma_membership(lambda b: H, np.zeros(1), 1.0 + 0j)
+            assert not member and margin <= 1e-10
 
     def test_boundary_scan_flips_once(self):
         # Membership along a real segment crossing the lowest eigenvalue of
@@ -768,11 +777,35 @@ class TestGammaMembership:
         b = np.array([0.3])
         E0 = two_level_energy(0.3).real
         lams = np.linspace(E0 - 0.05, E0 + 0.05, 5001)
-        flags = [gamma_membership(two_level, b, complex(l), tol=1e-8)[0]
-                 for l in lams]
-        flips = [i for i in range(len(flags) - 1) if flags[i] != flags[i + 1]]
-        # One flip into the eigenvalue and one out of it on the sampled
-        # segment; the non-membership window is centered on the oracle value.
-        assert 1 <= len(flips) <= 2
-        window = lams[~np.asarray(flags)]
-        assert abs(window.mean() - E0) <= 1e-6
+        for H in _both_inputs(two_level(b)):
+            flags = [gamma_membership(lambda b: H, b, complex(l), tol=1e-8)[0]
+                     for l in lams]
+            flips = [i for i in range(len(flags) - 1) if flags[i] != flags[i + 1]]
+            # One flip into the eigenvalue and one out of it on the sampled
+            # segment; the non-membership window is centered on the oracle value.
+            assert 1 <= len(flips) <= 2
+            window = lams[~np.asarray(flags)]
+            assert abs(window.mean() - E0) <= 1e-6
+
+    @pytest.mark.parametrize("name", ["bumps_1d", "random_banded"])
+    def test_band_margin_matches_dense_svd(self, name, monkeypatch):
+        # The band margin is min_j |E_j - lambda| less the Weyl rounding
+        # delta: below the SVD of the same matrix, and within 1e-12 of it
+        # once delta is added back.  The band path forms no d x d array.
+        op = _HERMITIAN_OPERATORS[name]()
+        dense = op.to_dense()
+        vals = np.linalg.eigvalsh(dense)
+        delta = analytic._weyl_delta(op)
+        lams = [1e-3j, complex(vals[0] - 0.5, 0.0),
+                complex(0.6 * vals[0] + 0.4 * vals[1], 1e-4)]
+        svd = [gamma_membership(lambda b: dense, None, lam)[1] for lam in lams]
+
+        def no_dense(*args, **kwargs):
+            raise AssertionError("dense path taken")
+
+        monkeypatch.setattr(analytic.la, "svdvals", no_dense)
+        monkeypatch.setattr(DiscreteOperator, "to_dense", no_dense)
+        for lam, smin in zip(lams, svd):
+            member, band = gamma_membership(lambda b: op, None, lam)
+            assert member and band <= smin
+            assert band + delta == pytest.approx(smin, abs=1e-12)

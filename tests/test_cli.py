@@ -7,14 +7,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 import yaml
 from click.testing import CliRunner
 
 from specpert import analytic, potentials
 from specpert.cli import (RunContext, RunReport, ScenarioError, build_family,
-                          execute_scenario, load_scenario, main)
+                          execute_scenario, load_scenario, main, task_bounds)
 from specpert.geometry import Box, SupportSet
-from specpert.lattice import CouplingSeq, Grid
+from specpert.lattice import CouplingSeq, DiscreteOperator, Grid
 
 TWO_LEVEL = {
     "schema": 1,
@@ -267,8 +269,8 @@ class TestRun:
         assert result.exit_code == 1
 
     def test_bounds_rejects_non_hermitian_h0(self, tmp_path):
-        # eigvalsh would read only the lower triangle of this H0 and certify
-        # a spectrum box it does not have.
+        # The band eigenvalues read only the upper triangle of this H0 and
+        # would certify a spectrum box it does not have.
         h0 = np.diag([0.0, 1.0, 2.0, 3.0])
         h0[0, 3] = 5.0
         doc = dict(TWO_LEVEL)
@@ -280,6 +282,56 @@ class TestRun:
                           "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert "needs a Hermitian H0" in result.stderr
+
+    def test_bounds_without_resolvent_point_fails_invariant(self, tmp_path):
+        # beta_1 = 1e13 makes b = ||V(beta)|| above 1e12, so no lambda = i y
+        # with y up to find_resolvent_point's cap of 1e12 has a positive
+        # margin: the invariant fails (exit 1), the run does not raise.
+        repo = Path(__file__).resolve().parents[1]
+        doc = yaml.safe_load((repo / "scenarios" / "bumps_1d.yaml").read_text())
+        doc["beta"]["values"] = [1e13, 0.0, 0.0]
+        doc["tasks"] = [{"task": "bounds"}]
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        result = run_cli(["run", "--scenario", str(path), "--out", str(out)])
+        assert "FAIL bounds.certified_point_resolvent" in result.output
+        assert result.exit_code == 1
+        bounds = yaml.safe_load((out / "report.yaml").read_text())["tasks"][0]["result"]
+        assert bounds["b"] > 1e12 and not bounds["pass"]
+        assert "cannot certify" in bounds["certification"]
+
+    @pytest.mark.parametrize("points, task", [
+        # The bounds task reaches the dense SVD of the non-Hermitian H(beta)
+        # after the band eigenvalues of H0; a 1D grid keeps those cheap.
+        ([4100], {"task": "bounds"}),
+        # The sweep places its contour on the non-Hermitian H(base) first.
+        ([65, 65], {"task": "sweep", "direction": [0.1, "0.05j"], "range": [1.0, 1.0],
+                    "steps": 1}),
+    ], ids=["bounds-1d", "sweep-65x65"])
+    def test_dense_input_above_limit_is_usage_error(self, tmp_path, monkeypatch,
+                                                    points, task):
+        # A complex coupling makes H(beta) non-Hermitian, which only the
+        # dense paths take: above lattice.DENSE_MAX_DIM they exit 2 before
+        # building the d x d array.
+        def no_array(self, *args, **kwargs):
+            raise AssertionError("dense array built")
+
+        monkeypatch.setattr(sp.csr_matrix, "toarray", no_array)
+        doc = {
+            "schema": 1,
+            "seed": 0,
+            "grid": {"extent": [[0.0, 8.0]] * len(points), "points": points},
+            "family": {"kind": "bump_lattice", "count": 2, "spacing": 3.0,
+                       "origin": [2.5] + [4.0] * (len(points) - 1), "width": 0.4,
+                       "height": 1.0, "support_halfwidth": 1.2},
+            "beta": {"values": [[0.1, 0.0], [0.0, 0.05]], "p": "inf"},
+            "tasks": [task],
+        }
+        path = write_scenario(tmp_path, doc)
+        result = run_cli(["run", "--scenario", str(path),
+                          "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "exceeds the dense limit 4096" in result.stderr
 
     def test_taylor_reports_computed_order(self, tmp_path):
         # M below 8 is raised to 8; the report names the order in taylor.csv.
@@ -518,6 +570,60 @@ def test_lattice_track_and_sweep_build_no_full_projector(tmp_path, monkeypatch):
     assert len(lines) == 2 and all("full-P 0," in line for line in lines)
 
 
+# A 2D bump lattice on 24 x 24 nodes: d = 576, above the old probe scan's
+# d = 400 switch to ARPACK, with a bounds task only.
+LATTICE_24 = {
+    "schema": 1,
+    "seed": 3,
+    "grid": {"extent": [[0.0, 12.0], [0.0, 12.0]], "points": [24, 24]},
+    "family": {"kind": "bump_lattice", "count": 4, "spacing": 2.5,
+               "origin": [2.25, 5.7], "width": 0.5, "height": 1.0,
+               "support_halfwidth": 1.2},
+    "beta": {"values": [0.05, -0.03, 0.04, 0.02], "p": "inf"},
+    "tasks": [{"task": "bounds"}],
+}
+
+
+class TestBoundsTask:
+    """The `bounds` certificate from (a, b) = (0, ||V(beta)||) and the band
+    spectrum of H0."""
+
+    @pytest.mark.parametrize("doc", [BUMPS, TWO_LEVEL, LATTICE_24],
+                             ids=["bump_lattice", "matrix", "lattice_24"])
+    def test_inputs_against_dense_oracles(self, tmp_path, doc):
+        ctx = make_context(tmp_path, doc)
+        result = task_bounds(ctx, {})
+        V = ctx.system.perturbation(ctx.beta_vector()).to_dense()
+        E = np.linalg.eigvalsh(ctx.system.h0.to_dense())
+        assert result["a"] == 0.0
+        assert result["b"] == pytest.approx(np.linalg.norm(V, 2), rel=1e-14)
+        assert result["E_min"] < E[0] and E[-1] < result["E_max"]
+        H = ctx.hamiltonian(ctx.beta_vector()).to_dense()
+        lam = complex(*result["lambda"])
+        smin = np.linalg.svd(H - lam * np.eye(len(H)), compute_uv=False)[-1]
+        assert 0.0 < result["sigma_min"] <= smin
+        assert result["margin"] > 0.0 and result["pass"]
+
+    def test_hermitian_runs_build_no_dense_array(self, tmp_path, monkeypatch):
+        # bumps_1d (d = 160) and a d = 576 lattice: every H(beta) is
+        # Hermitian, so the task runs on band eigenvalues alone.
+        def no_dense(*args, **kwargs):
+            raise AssertionError("dense spectral call")
+
+        for owner, name in ((scipy.linalg, "svdvals"), (np.linalg, "eigvalsh"),
+                            (np.linalg, "eigh"), (DiscreteOperator, "to_dense")):
+            monkeypatch.setattr(owner, name, no_dense)
+        repo = Path(__file__).resolve().parents[1]
+        bumps = yaml.safe_load((repo / "scenarios" / "bumps_1d.yaml").read_text())
+        bumps["tasks"] = [{"task": "bounds"}]
+        for name, doc in (("bumps_1d", bumps), ("lattice_24", LATTICE_24)):
+            path = write_scenario(tmp_path, doc, f"{name}.yaml")
+            result = run_cli(["run", "--scenario", str(path),
+                              "--out", str(tmp_path / name)])
+            assert result.exit_code == 0, result.output
+            assert "PASS bounds.certified_point_resolvent" in result.output
+
+
 class TestDeterminism:
     def test_identical_outputs(self, tmp_path):
         doc = dict(TWO_LEVEL)
@@ -536,16 +642,19 @@ class TestDeterminism:
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
     def test_taylor_outputs_independent_of_blas_threads(self, tmp_path):
-        """Every output of the contour tasks is the same bytes with one BLAS
-        thread and with the default: bumps_1d taylor and track (d = 160),
-        sweep_1d, and a 15 x 14 lattice (d = 210) with track and sweep."""
+        """Every output of the contour and bounds tasks is the same bytes with
+        one BLAS thread and with the default: bumps_1d bounds, track and
+        taylor (d = 160), sweep_1d, a 15 x 14 lattice (d = 210) with track
+        and sweep, and a 24 x 24 lattice (d = 576) with bounds."""
         repo = Path(__file__).resolve().parents[1]
         bumps = yaml.safe_load((repo / "scenarios" / "bumps_1d.yaml").read_text())
-        bumps["tasks"] = [t for t in bumps["tasks"] if t["task"] in ("track", "taylor")]
+        bumps["tasks"] = [t for t in bumps["tasks"]
+                          if t["task"] in ("bounds", "track", "taylor")]
         docs = {
             "bumps_1d": bumps,
             "sweep_1d": yaml.safe_load((repo / "scenarios" / "sweep_1d.yaml").read_text()),
             "lattice_2d": LATTICE_2D,
+            "lattice_24": LATTICE_24,
         }
         base_env = {k: v for k, v in os.environ.items()
                     if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",

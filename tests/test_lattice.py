@@ -86,6 +86,18 @@ class TestLaplacian:
             DiscreteOperator(sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])),
                              hermitian=True)
 
+    def test_to_dense_refuses_above_the_dense_limit(self, monkeypatch):
+        # 65 x 65 = 4225 > DENSE_MAX_DIM: refused before any array is built.
+        import scipy.sparse as sp
+
+        def no_array(self, *args, **kwargs):
+            raise AssertionError("dense array built")
+
+        h0 = build_laplacian(Grid(extent=((0.0, 1.0), (0.0, 1.0)), points=(65, 65)))
+        monkeypatch.setattr(sp.csr_matrix, "toarray", no_array)
+        with pytest.raises(LatticeError, match="dense limit 4096"):
+            h0.to_dense()
+
 
 def constant_family(values, supports):
     terms = [
@@ -179,6 +191,31 @@ class TestAffineFamily:
             np.testing.assert_allclose(
                 system(np.asarray(t)).to_dense(), system.h0.to_dense() + oracle,
                 rtol=1e-15, atol=0)
+
+    def test_perturbation_norm_bound_oracle(self):
+        # The Schur test sqrt(||V||_1 ||V||_inf) is the exact ||V||_2, max|diag|
+        # to the bit, for the multiplication operators of a grid family, and
+        # an upper bound on it for non-diagonal (`matrix` family) terms.
+        import scipy.sparse as sp
+
+        g = grid_1d(60, 0.0, 4.0)
+        system = AffineFamily.from_potentials(build_laplacian(g),
+                                              bump_family([1.0, 1.8, 3.0]))
+        for t in ((0.5, -1.25, 2.0), (0.5, 0.0, 2j)):
+            v = system.perturbation(np.asarray(t))
+            assert v.norm_bound() == np.abs(v.diagonal()).max()
+            assert v.norm_bound() == pytest.approx(np.linalg.norm(v.to_dense(), 2),
+                                                   rel=1e-15)
+        rng = np.random.default_rng(5)
+        terms = []
+        for _ in range(3):
+            w = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+            terms.append(sp.csr_matrix(w + w.conj().T))
+        system = AffineFamily(DiscreteOperator(sp.identity(12, format="csr"),
+                                               hermitian=True), tuple(terms))
+        for t in ((0.3, -0.2, 0.1), (0.3, 0.2j, 0.0)):
+            v = system.perturbation(np.asarray(t))
+            assert v.norm_bound() >= np.linalg.norm(v.to_dense(), 2)
 
     def test_samples_potentials_once(self, monkeypatch):
         calls = []
