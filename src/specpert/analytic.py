@@ -23,10 +23,13 @@ follow from the band eigenvalues E_j (``eigvals_banded``, as the CLI places
 its contours).  The reported defect adds a first-order Weyl term
 delta |f'(E_j)| (1 + 2 |f(E_j)|), delta = d eps ||H||_1, for the error of
 the computed E_j, so to first order it bounds the defect of the exact
-spectrum.  P psi0 comes from one-column solves.  Dense and non-Hermitian H
-keep the full d x d Riesz projector of `riesz_projector`, certified by
-||P^2 - P||_2 <= defect_tol and an integral trace.  The track and sweep
-tasks report |trace(P) - 1| of either.  The Taylor samples of
+spectrum.  Dense and non-Hermitian H keep the full d x d Riesz projector of
+`riesz_projector`, certified by ||P^2 - P||_2 <= defect_tol and an integral
+trace.  Either way `_certified_action` gives the certificates, a rank-one
+check and one projector action P b: P psi0 for a tracked point, P w for the
+reference vector (a multiple of the eigenvector, as P = v u^* has rank one),
+from one-column solves on the filter path.  The track and sweep tasks report
+|trace(P) - 1| of either.  The Taylor samples of
 `taylor_eigenpath` never form P either, an action-only block contour method
 (Sakurai & Sugiura 2003; Beyn 2012): each node's LU is applied to
 Y = [psi0, w1, w2] and once more to give (P^2 - P) Y, with the certificates
@@ -176,10 +179,7 @@ class EigenPath:
 
 @dataclass(frozen=True)
 class TrackResult:
-    """Tracked eigenvalue E, its vector psi = P psi0 and P's certificates.
-
-    `projector` is the full d x d projector, None on the filter path.
-    """
+    """Tracked eigenvalue E, its vector psi = P psi0 and P's certificates."""
 
     E: complex
     psi: np.ndarray
@@ -187,7 +187,6 @@ class TrackResult:
     trace: complex
     trace_defect: float  # |trace(P) - 1|
     defect: float  # ||P^2 - P||_2
-    projector: RieszProjector | None = None
 
 
 def _as_matrix(H) -> tuple[object, int]:
@@ -263,43 +262,48 @@ def track_eigenvalue(
     """Continue a simple isolated eigenvalue from the reference point to
     `beta` via the spectral projector of H(beta) on the given contour.
 
-    Requires the projector trace to stay near 1 (non-degeneracy preserved);
-    the eigenvector is psi(beta) = P(beta) psi0 and the eigenvalue comes
-    from a fixed linear functional, re-drawn at random if its value on
-    psi(beta) gets too close to zero.  A Hermitian `DiscreteOperator` takes
-    the filter path (`_filter_certificate`, then P psi0 from one-column
-    solves); any other H the full projector of `riesz_projector`.  `stats`
-    counts the work of either.
+    Requires the projector to keep rank 1 (non-degeneracy preserved); the
+    eigenvector is psi(beta) = P(beta) psi0, from one `_certified_action`,
+    and the eigenvalue comes from a fixed linear functional, re-drawn at
+    random if its value on psi(beta) gets too close to zero.  `stats` counts
+    the work.
     """
     H = family(beta)
     stats = BlockStats() if stats is None else stats
-    trace, trace_defect, defect, proj = _certified_projector(H, contour, defect_tol, stats)
-    if abs(trace - 1.0) > 0.1:
-        raise TrackingError(
-            f"projector trace {trace:.4g} != 1: degeneracy or eigenvalue "
-            "crossed contour; shrink step or re-center"
-        )
     psi0 = np.asarray(psi0, dtype=complex)
-    mat, d = _as_matrix(H)
-    if proj is not None:
-        psi = proj.P @ psi0
-    else:
-        psi = _projector_action(mat, d, contour, psi0.reshape(d, 1), stats)[:, 0]
-    E, residual = _eigenvalue_of(mat, psi, psi0, residual_tol, functional_floor,
-                                 survival_floor, seed)
+    trace, trace_defect, defect, psi = _certified_action(H, contour, psi0, defect_tol, stats)
+    E, residual = _eigenvalue_of(_as_matrix(H)[0], psi, psi0, residual_tol,
+                                 functional_floor, survival_floor, seed)
     return TrackResult(E=E, psi=psi, residual=residual, trace=trace,
-                       trace_defect=trace_defect, defect=defect, projector=proj)
+                       trace_defect=trace_defect, defect=defect)
 
 
-def _certified_projector(H, contour: Contour, defect_tol: float, stats: BlockStats,
-                         ) -> tuple[complex, float, float, RieszProjector | None]:
-    """trace(P), |trace(P) - 1|, ||P^2 - P||_2 and the full P (None on the
-    filter path) of the Riesz projector of H, with the defect and trace
-    checks of `riesz_projector`."""
+def _certified_action(H, contour: Contour, b: np.ndarray, defect_tol: float,
+                      stats: BlockStats) -> tuple[complex, float, float, np.ndarray]:
+    """trace(P), |trace(P) - 1|, ||P^2 - P||_2 and P b for the rank-one Riesz
+    projector of H on the contour.
+
+    A Hermitian `DiscreteOperator` takes `_filter_certificate`, then one
+    `_projector_action` pass on b; any other H the full P of
+    `riesz_projector`, then P @ b.  Both certificates hold the trace within
+    `_RANK_TOL` of an integer, so TrackingError is raised, before any solve
+    on b, when that integer is not 1.
+    """
+    mat, d = _as_matrix(H)
     if isinstance(H, DiscreteOperator) and H.hermitian:
-        return (*_filter_certificate(H, contour, defect_tol, stats=stats), None)
-    proj = riesz_projector(H, contour, defect_tol=defect_tol, stats=stats)
-    return proj.trace, abs(proj.trace - 1.0), proj.defect, proj
+        trace, trace_defect, defect = _filter_certificate(H, contour, defect_tol, stats)
+        act = lambda: _projector_action(mat, d, contour, b.reshape(d, 1), stats)[:, 0]
+    else:
+        proj = riesz_projector(H, contour, defect_tol=defect_tol, stats=stats)
+        trace, trace_defect, defect = proj.trace, abs(proj.trace - 1.0), proj.defect
+        act = lambda: proj.P @ b
+    rank = round(trace.real)
+    if rank != 1:
+        raise TrackingError(
+            f"contour encloses {rank} eigenvalues (projector trace {trace:.4g}): "
+            "degeneracy or eigenvalue crossed contour; shrink step or re-center"
+        )
+    return trace, trace_defect, defect, act()
 
 
 def _band_eigenvalues(mat, d: int) -> np.ndarray:
@@ -528,8 +532,9 @@ def _block_action(H, contour: Contour, Y: np.ndarray,
     X = np.empty((2, len(lams), d, Y.shape[1]), dtype=complex)  # R_j Y and R_j^2 Y
     for nodes, Xn in _node_solves(mat, d, lams, Y, stats, twice=True):
         X[:, nodes] = Xn
-    PY = np.tensordot(a, X[0], axes=1)
-    defect = np.tensordot(a**2, X[1], axes=1) + np.tensordot(2 * a * c - a, X[0], axes=1)
+    # einsum, not tensordot: no BLAS call, so no thread-pool stall.
+    PY = np.einsum("j,jdk->dk", a, X[0])
+    defect = np.einsum("j,jdk->dk", a**2, X[1]) + np.einsum("j,jdk->dk", 2 * a * c - a, X[0])
     return PY, defect
 
 
@@ -735,28 +740,16 @@ def _project_zeta(delta: np.ndarray, t: np.ndarray) -> complex:
 def _reference_vector(family, base, contour: Contour,
                       stats: BlockStats | None = None) -> np.ndarray:
     """Eigenvector of H(base) for the eigenvalue enclosed by the contour:
-    the dominant column P e_j of its rank-one projector, scaled to norm 1.
+    P w / ||P w|| for a seeded real Gaussian w, from one `_certified_action`.
 
-    On the filter path P is never formed.  For P = v v^*, P w = v (v^* w)
-    and ||P e_j|| = |v_j| ||v||, so j = argmax |P w| for a seeded w picks
-    the same column; P e_j then takes a second one-column solve pass.
+    For a rank-one P = v u^*, P w = v (u^* w) is a multiple of v.  A real w
+    keeps P w real, up to rounding, for a real symmetric H.
     """
     H = family(base)
     stats = BlockStats() if stats is None else stats
+    w = np.random.default_rng(_BLOCK_SEED).standard_normal(_as_matrix(H)[1])
     # riesz_projector's default defect_tol
-    trace, _, _, proj = _certified_projector(H, contour, 1e-8, stats)
-    rank = round(trace.real)
-    if rank != 1:
-        raise TrackingError(f"contour encloses {rank} eigenvalues at the base point")
-    if proj is not None:
-        # Dominant column of the rank-1 projector.
-        psi = proj.P[:, int(np.argmax(np.linalg.norm(proj.P, axis=0)))]
-    else:
-        rng = np.random.default_rng(_BLOCK_SEED)
-        w = (rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim)) / math.sqrt(2)
-        Pw = _projector_action(H.matrix, H.dim, contour, w.reshape(-1, 1), stats)
-        e_j = np.eye(H.dim, 1, -int(np.argmax(np.abs(Pw))))
-        psi = _projector_action(H.matrix, H.dim, contour, e_j, stats)[:, 0]
+    psi = _certified_action(H, contour, w, 1e-8, stats)[3]
     return psi / np.linalg.norm(psi)
 
 

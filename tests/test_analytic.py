@@ -265,8 +265,8 @@ class TestTracking:
         psi0 = _reference_vector(two_level, np.array([0.0]), contour)
         b = np.array([0.25])
         res = track_eigenvalue(two_level, b, contour, psi0)
-        P = res.projector.P
         H = two_level(b)
+        P = riesz_projector(H, contour).P
         trace_formula = np.trace(P @ H @ P) / np.trace(P)
         assert res.E == pytest.approx(complex(trace_formula), abs=1e-10)
 
@@ -293,6 +293,18 @@ class TestTracking:
         contour = Contour(0.5, 1.0, q=64)  # encloses both eigenvalues
         with pytest.raises(TrackingError):
             _reference_vector(two_level, np.array([0.0]), contour)
+
+    def test_reference_vector_is_normalized_projector_action(self):
+        # A dense ndarray takes the full-P path: one projector, and psi0 is
+        # P w / ||P w|| for the seeded real Gaussian w.
+        H = np.diag([0.0, 0.4, 2.0]) + 0.05 * np.ones((3, 3))
+        contour = Contour(complex(np.linalg.eigvalsh(H)[0]), 0.15, q=64)
+        stats = BlockStats()
+        psi0 = _reference_vector(lambda b: H, None, contour, stats=stats)
+        w = np.random.default_rng(analytic._BLOCK_SEED).standard_normal(3)
+        Pw = riesz_projector(H, contour).P @ w
+        assert np.linalg.norm(psi0 - Pw / np.linalg.norm(Pw)) <= 1e-12
+        assert stats.full_projectors == 1
 
 
 def _bumps_1d():
@@ -369,7 +381,6 @@ class TestHermitianFilter:
         assert _up_to_scale(psi_filter, psi_full) <= 1e-12
         filt = track_eigenvalue(lambda b: op, None, contour, psi_full, stats=filter_stats)
 
-        assert filt.projector is None and full.projector is not None
         assert abs(filt.E - full.E) <= 1e-12 * max(1.0, abs(full.E))
         assert abs(filt.E - vals[0]) <= 1e-12 * max(1.0, abs(vals[0]))
         assert _up_to_scale(filt.psi, full.psi) <= 1e-12
@@ -382,10 +393,10 @@ class TestHermitianFilter:
         if shape == "wide":
             assert 1e-13 < defect < 1e-8  # the wide contour is not trivially exact
             assert filt.trace_defect == pytest.approx(abs(trace - 1), rel=1e-6)
-        # Reference (P w, then P e_j) and track: one right-hand-side column
-        # per node, no P.
+        # Reference (P w) and track (P psi0): one right-hand-side column per
+        # node, no P.
         q = contour.q
-        assert (filter_stats.factorizations, filter_stats.rhs_columns) == (3 * q, 3 * q)
+        assert (filter_stats.factorizations, filter_stats.rhs_columns) == (2 * q, 2 * q)
         assert (filter_stats.full_projectors, full_stats.full_projectors) == (0, 2)
         assert filter_stats.max_projector_defect >= filt.defect
 

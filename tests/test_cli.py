@@ -1,5 +1,6 @@
 """CLI: scenario validation, task execution, exit codes, determinism."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import scipy.sparse as sp
 import yaml
 from click.testing import CliRunner
 
-from specpert import analytic, potentials
+from specpert import analytic, geometry, potentials
 from specpert.cli import (RunContext, RunReport, ScenarioError, build_family,
                           execute_scenario, load_scenario, main, task_bounds)
 from specpert.geometry import Box, SupportSet
@@ -28,6 +29,19 @@ TWO_LEVEL = {
     },
     "beta": {"values": [0.3], "p": "inf"},
     "tasks": [],
+}
+
+
+# Three bumps whose supports do not meet: n0 = 0, one cell per set.
+DISJOINT_GEOMETRY = {
+    "schema": 1,
+    "seed": 0,
+    "grid": {"extent": [[0.0, 9.0]], "points": [64]},
+    "family": {"kind": "bump_lattice", "count": 3, "spacing": 3.0,
+               "origin": [1.0], "width": 0.3, "height": 1.0,
+               "support_halfwidth": 1.0},
+    "beta": {"values": [0.1, 0.1, 0.1]},
+    "tasks": [{"task": "geometry"}],
 }
 
 
@@ -117,17 +131,7 @@ class TestRun:
             assert re_e == pytest.approx(oracle, abs=1e-10)
 
     def test_geometry_task_disjoint_family(self, tmp_path):
-        doc = {
-            "schema": 1,
-            "seed": 0,
-            "grid": {"extent": [[0.0, 9.0]], "points": [64]},
-            "family": {"kind": "bump_lattice", "count": 3, "spacing": 3.0,
-                       "origin": [1.0], "width": 0.3, "height": 1.0,
-                       "support_halfwidth": 1.0},
-            "beta": {"values": [0.1, 0.1, 0.1]},
-            "tasks": [{"task": "geometry"}],
-        }
-        path = write_scenario(tmp_path, doc)
+        path = write_scenario(tmp_path, DISJOINT_GEOMETRY)
         out = tmp_path / "out"
         result = run_cli(["run", "--scenario", str(path), "--out", str(out)])
         assert result.exit_code == 0
@@ -135,6 +139,23 @@ class TestRun:
         geo = report["tasks"][0]["result"]
         assert geo["n0"] == 0
         assert geo["cells"] == 3  # refinement is the identity
+
+    def test_geometry_cells_above_bound_fails_invariant(self, tmp_path, monkeypatch):
+        # A refinement that splits one set into two cells breaks the 2^n0 = 1
+        # bound of a disjoint family; the invariant, not the library, reports
+        # it (exit 1 with a FAIL line).
+        refine = geometry.disjoint_refinement
+
+        def split_one_cell(*args, **kwargs):
+            partition = refine(*args, **kwargs)
+            return dataclasses.replace(partition,
+                                       cells=[*partition.cells, partition.cells[0]])
+
+        monkeypatch.setattr(geometry, "disjoint_refinement", split_one_cell)
+        path = write_scenario(tmp_path, DISJOINT_GEOMETRY)
+        result = run_cli(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert "FAIL geometry.cells_within_2^n0: max per-set cells 2 vs bound 1" in result.output
+        assert result.exit_code == 1
 
     def test_zero_length_sweep_single_row(self, tmp_path):
         doc = dict(TWO_LEVEL)
@@ -173,9 +194,9 @@ class TestRun:
 
     def test_track_and_sweep_print_solve_counters(self, tmp_path):
         # The Hermitian filter path: one right-hand-side column per node, 64
-        # nodes per pass, and no d x d projector.  A reference vector takes
-        # two passes (P w, then P e_j), a tracked point one: 2 + 1 for
-        # track, 2 + 4 for the sweep.
+        # nodes per pass, and no d x d projector.  A reference vector (P w)
+        # and a tracked point (P psi0) take one pass each: 1 + 1 for track,
+        # 1 + 4 for the sweep.
         doc = dict(TWO_LEVEL)
         doc["tasks"] = [
             {"task": "track", "eig_index": 0},
@@ -188,8 +209,8 @@ class TestRun:
         report = yaml.safe_load((out / "report.yaml").read_text())
         assert report["tasks"][1]["result"]["halvings"] == 0
         lines = [line for line in result.stderr.splitlines() if "[" in line]
-        assert "factorizations 192, rhs columns 192, full-P 0, defect/tol" in lines[0]
-        assert "factorizations 384, rhs columns 384, full-P 0, defect/tol" in lines[1]
+        assert "factorizations 128, rhs columns 128, full-P 0, defect/tol" in lines[0]
+        assert "factorizations 320, rhs columns 320, full-P 0, defect/tol" in lines[1]
         assert "factorizations" not in (out / "report.yaml").read_text()
 
     def test_sweep_through_level_crossing_fails_invariant(self, tmp_path):
