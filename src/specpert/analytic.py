@@ -11,7 +11,9 @@ factorization: one LAPACK band LU per contour node (`zgbtrf`/`zgbtrs`) for
 sparse H, ``numpy.linalg.solve`` for a dense ndarray, whose band would be the
 whole matrix; each solve's residual is checked against H.  `_series` forms
 Cauchy coefficients on a circle and their reconstruction error, for
-`taylor_along` and `verify_analytic_family` alike.
+`taylor_along` and `verify_analytic_family` alike: all orders in one product
+of the Fourier matrix with the samples, the test-point partial sums in one
+Vandermonde product, on nodes formed conjugate-symmetric to the bit.
 
 Three sample paths continue an eigenvalue.  A Hermitian sparse H (a
 `DiscreteOperator` with ``hermitian=True``) takes the filter path of
@@ -33,7 +35,11 @@ from one-column solves on the filter path.  The track and sweep tasks report
 `taylor_eigenpath` never form P either, an action-only block contour method
 (Sakurai & Sugiura 2003; Beyn 2012): each node's LU is applied to
 Y = [psi0, w1, w2] and once more to give (P^2 - P) Y, with the certificates
-that `taylor_eigenpath` states.
+that `taylor_eigenpath` states.  For a real family, base point, direction
+and contour centre, E(conj zeta) = conj E(zeta) (Schwarz reflection; Kato
+1966, ch. II Sec. 1 and ch. VII Sec. 3), so `taylor_eigenpath` takes the
+lower half of each circle as the conjugates of the upper half, once an
+exact conjugate matrix and a one-matvec residual confirm each.
 
 `gamma_membership` reads sigma_min(H - lambda) off the same band eigenvalues
 for Hermitian H, less delta, and takes a dense SVD for any other H.
@@ -160,6 +166,7 @@ class BlockStats:
     rhs_columns: int = 0
     full_projectors: int = 0  # d x d projectors built (`riesz_projector`)
     fallbacks: int = 0  # Taylor samples re-tracked by `track_eigenvalue`
+    mirrored: int = 0  # Taylor samples taken as the conjugate of an earlier one
     max_defect: float = 0.0  # worst max_j ||(P^2 - P) w_j||
     max_rank_ratio: float = 0.0  # worst sigma_2(P Y) / sigma_1(P Y)
     max_projector_defect: float = 0.0  # worst accepted ||P^2 - P||_2 (full or filter)
@@ -545,8 +552,9 @@ def _track_block(
     residual_tol: float = 1e-8,
     defect_tol: float = 1e-8,
     stats: BlockStats | None = None,
-) -> complex:
-    """Eigenvalue of H enclosed by the contour, from P Y alone.
+) -> tuple[complex, np.ndarray]:
+    """Eigenvalue of H enclosed by the contour and its vector P psi0, from
+    P Y alone.
 
     Y = [psi0, w1, w2] with seeded complex Gaussian columns w1, w2 of unit
     variance per entry.  Certificates: max_j ||(P^2 - P) w_j|| <=
@@ -576,32 +584,55 @@ def _track_block(
             f"sigma_2/sigma_1 of P Y is {ratio:.3g}: projector rank != 1, "
             "degeneracy or eigenvalue crossed contour; shrink step or re-center"
         )
-    return _eigenvalue_of(mat, PY[:, 0], psi0, residual_tol)[0]
+    return _eigenvalue_of(mat, PY[:, 0], psi0, residual_tol)[0], PY[:, 0]
+
+
+def _conjugate_circle(radius: float, n: int) -> np.ndarray:
+    """n points radius e^(2 pi i j / n): formed for j <= n/2 and conjugated
+    for the rest, so z[n - j] == conj(z[j]) to the bit."""
+    z = radius * np.exp(1j * (2 * np.pi * np.arange(n // 2 + 1) / n))
+    return np.concatenate([z, np.conj(z[1:(n + 1) // 2][::-1])])
 
 
 def _series(f, base, t, r: float, M: int, q: int) -> tuple[np.ndarray, float]:
     """Cauchy coefficients A_0..A_M of g(zeta) = f(base + zeta t) and their
     reconstruction error.
 
-    g is sampled at q trapezoidal nodes on |zeta| = r, and
-    A_m = (1 / (q r^m)) sum_j e^(-i m theta_j) g(r e^(i theta_j)).  The error
+    g is sampled at q trapezoidal nodes zeta_j = r e^(i theta_j) and
+    A_m = (1 / (q r^m)) sum_j e^(-i m theta_j) g(zeta_j), all orders in one
+    product of the (M + 1) x q Fourier matrix with the samples.  The error
     is the largest |g(zeta) - sum_m A_m zeta^m| at 8 points on |zeta| = r/2,
-    relative to the largest sample.  Works for scalar-, vector- and
-    matrix-valued analytic g.
+    the partial sums in one Vandermonde product, relative to the largest
+    sample.  Nodes and test points are conjugate-symmetric to the bit
+    (`_conjugate_circle`) and sampled in index order, so for real base and
+    t a sample's conjugate node comes after it (`taylor_eigenpath` reuses
+    it).  Works for scalar-, vector- and matrix-valued analytic g.
     """
     def g(zeta: complex):
         return np.asarray(f(base + zeta * t), dtype=complex)
 
-    angles = 2 * np.pi * np.arange(q) / q
-    samples = np.stack([g(r * np.exp(1j * a)) for a in angles], axis=0)
+    # Filled in place, not stacked from a list: matrix samples (verify) are
+    # the largest arrays of a run, and a list would hold them twice.
+    nodes = _conjugate_circle(r, q)
+    first = g(nodes[0])
+    samples = np.empty((q,) + first.shape, dtype=complex)
+    samples[0] = first
+    for j in range(1, q):
+        samples[j] = g(nodes[j])
     if not np.all(np.isfinite(samples)):
         raise AnalyticError("non-finite samples on the contour")
-    A = np.stack([np.tensordot(np.exp(-1j * m * angles), samples, axes=(0, 0)) / (q * r**m)
-                  for m in range(M + 1)], axis=0)
     scale = float(np.max(np.abs(samples))) or 1.0
-    errors = [np.max(np.abs(g(zeta) - sum(A[m] * zeta**m for m in range(M + 1))))
-              for zeta in 0.5 * r * np.exp(1j * 2 * np.pi * np.arange(8) / 8)]
-    return A, float(np.max(errors)) / scale
+    orders = np.arange(M + 1)
+    fourier = np.exp(-1j * orders[:, None] * (2 * np.pi * np.arange(q) / q))
+    A = fourier @ samples.reshape(q, -1)
+    A /= (q * r**orders)[:, None]
+    test = _conjugate_circle(0.5 * r, 8)
+    residual = np.empty((len(test), A.shape[1]), dtype=complex)
+    for k, zeta in enumerate(test):
+        residual[k] = g(zeta).ravel()
+    residual -= (test[:, None] ** orders) @ A
+    error = float(np.max(np.abs(residual)))
+    return A.reshape((M + 1,) + samples.shape[1:]), error / scale
 
 
 def taylor_along(
@@ -693,29 +724,66 @@ def taylor_eigenpath(
     that fails it is re-tracked by `track_eigenvalue`, whose exact
     ||P^2 - P||_2 <= defect_tol decides (filter or full projector), so a
     projector the exact test accepts is never rejected for an unlucky draw.
-    The rank test is sigma_2(P Y) <= 1e-6 sigma_1(P Y).  `path.stats` counts
-    the factorizations and right-hand-side columns of all samples, the
-    re-tracked samples and the full projectors they built, and keeps the
-    worst block defect and sigma_2/sigma_1.
+    The rank test is sigma_2(P Y) <= 1e-6 sigma_1(P Y).
+
+    Schwarz reflection halves the samples of a real family.  If the
+    contour centre c is real, the exact node set of the circle is closed
+    under conjugation.  spec(conj H) = conj spec(H), so conj H has as many
+    eigenvalues inside it as H, at the same distances, and the trapezoid
+    rule gives P_q(conj H) = conj P_q(H).  The block defect and
+    sigma_2/sigma_1 of H with columns w_j are those of conj H with columns
+    conj w_j (the complex Gaussian law is conjugation invariant), and the
+    exact ||P^2 - P||_2 of a re-tracked sample carries over too, so
+    (conj E, conj psi) is a sample of conj H, tracked from conj psi0,
+    certified as (E, psi) was.
+    `_series` forms its nodes conjugate-symmetric to the bit and samples a
+    node before its conjugate, so for a real base and t the conjugate of a
+    node's beta has been sampled.  Its (E, psi = P psi0) is reused, as
+    (conj E, conj psi), if c is real, family(beta) equals
+    conj family(conj beta) entry for entry (`_is_conjugate`), and
+    ||H conj psi - conj E conj psi|| <= residual_tol ||psi|| (one matvec);
+    otherwise the sample is computed.  A non-real family, base, direction
+    or centre never matches.
+
+    `path.stats` counts the factorizations and right-hand-side columns of
+    all samples, the re-tracked samples and the full projectors they built,
+    and the mirrored samples, and keeps the worst block defect and
+    sigma_2/sigma_1.
     """
     base = np.asarray(base, dtype=complex)
     samples: list[tuple[complex, complex]] = []
     stats = BlockStats()
     ref_psi = _reference_vector(family, base, track_contour)
+    real_centre = complex(track_contour.center).imag == 0
+    # beta -> (E, psi) of the computed samples whose conjugate node has not
+    # been sampled yet, keyed by value (so -0.0 == 0.0).
+    pending: dict[tuple, tuple[complex, np.ndarray]] = {}
 
     def g(beta_vec) -> complex:
         zeta = _project_zeta(beta_vec - base, direction.t)
+        H = family(beta_vec)
+        mat = _as_matrix(H)[0]
+        partner = pending.pop(tuple(np.conj(beta_vec).tolist()), None) if real_centre else None
+        if partner is not None and _is_conjugate(mat, _as_matrix(family(np.conj(beta_vec)))[0]):
+            E, psi = partner[0].conjugate(), np.conj(partner[1])
+            if np.linalg.norm(mat @ psi - E * psi) <= residual_tol * np.linalg.norm(psi):
+                stats.mirrored += 1
+                samples.append((zeta, E))
+                return E
         try:
-            E = _track_block(family(beta_vec), track_contour, ref_psi,
-                             residual_tol=residual_tol, defect_tol=defect_tol,
-                             stats=stats)
+            E, psi = _track_block(H, track_contour, ref_psi,
+                                  residual_tol=residual_tol, defect_tol=defect_tol,
+                                  stats=stats)
         except QuadratureError:
             # Block defect above defect_tol / 10: the exact
             # ||P^2 - P||_2 <= defect_tol decides, as on the track path.
             stats.fallbacks += 1
-            E = track_eigenvalue(family, beta_vec, track_contour, psi0=ref_psi,
-                                 residual_tol=residual_tol,
-                                 defect_tol=defect_tol, stats=stats).E
+            res = track_eigenvalue(family, beta_vec, track_contour, psi0=ref_psi,
+                                   residual_tol=residual_tol,
+                                   defect_tol=defect_tol, stats=stats)
+            E, psi = res.E, res.psi
+        if real_centre:
+            pending[tuple(beta_vec.tolist())] = (E, psi)
         samples.append((zeta, E))
         return E
 
@@ -729,6 +797,15 @@ def taylor_eigenpath(
         radius=R,
         stats=stats,
     )
+
+
+def _is_conjugate(mat, other) -> bool:
+    """Whether `mat` equals conj(`other`) entry for entry (sparse or dense)."""
+    if sp.issparse(mat) != sp.issparse(other) or mat.shape != other.shape:
+        return False
+    if sp.issparse(mat):
+        return (other.conj() != mat).nnz == 0
+    return np.array_equal(np.conj(other), mat)
 
 
 def _project_zeta(delta: np.ndarray, t: np.ndarray) -> complex:

@@ -546,7 +546,8 @@ def task_taylor(ctx: RunContext, spec: dict) -> dict:
                 f"{stats.rhs_columns}, block defect/tol "
                 f"{stats.max_defect / (ctx.tol['projector_defect'] / 10):.3g}, "
                 f"sigma2/sigma1 {stats.max_rank_ratio:.3g}, fallback samples "
-                f"{stats.fallbacks}, full-P {stats.full_projectors}")
+                f"{stats.fallbacks}, full-P {stats.full_projectors}, mirrored samples "
+                f"{stats.mirrored}")
     _write_csv(
         ctx.out / "taylor.csv",
         "directional Taylor coefficients of the tracked eigenvalue\n"

@@ -143,6 +143,18 @@ def is_hermitian(mat) -> bool:
     return not defect.nnz or defect.max() == 0.0
 
 
+def _term_is_hermitian(mat) -> bool:
+    """`is_hermitian`, read off the diagonal when every stored entry lies on
+    it: such a matrix is Hermitian exactly when its diagonal is real (and
+    finite, as the subtraction would give NaN for an infinite entry)."""
+    mat = sp.csr_matrix(mat)
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    if mat.shape[0] == mat.shape[1] and np.array_equal(mat.indices, rows):
+        diag = mat.diagonal()  # sums duplicate entries, as the subtraction does
+        return bool(np.all((diag.imag == 0) & np.isfinite(diag.real)))
+    return is_hermitian(mat)
+
+
 @dataclass(frozen=True)
 class CouplingSeq:
     """Truncation of a coupling sequence beta in l^p(C).
@@ -224,7 +236,7 @@ class AffineFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "terms_hermitian",
-                           all(is_hermitian(t) for t in self.terms))
+                           all(_term_is_hermitian(t) for t in self.terms))
 
     @classmethod
     def from_potentials(cls, h0: DiscreteOperator, family) -> "AffineFamily":

@@ -232,8 +232,13 @@ class PotentialFamily:
         return self._n0
 
     def n1(self, radius: float = 1.0) -> int:
+        """Bound on the number of terms meeting any ball of `radius`: the
+        `check_fip_variant` depth of the supported terms, plus one for each
+        term without a support, which meets every ball."""
         if radius not in self._n1:
-            self._n1[radius] = check_fip_variant(self.support_family(), radius)
+            sets = tuple(t.support for t in self.terms if t.support is not None)
+            depth = check_fip_variant(SupportFamily(sets), radius) if sets else 0
+            self._n1[radius] = depth + len(self.terms) - len(sets)
         return self._n1[radius]
 
     def sample_on(self, grid) -> list[np.ndarray]:

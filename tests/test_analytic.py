@@ -15,6 +15,7 @@ from specpert.analytic import (
     ShiftNearSpectrumError,
     TrackingError,
     _reference_vector,
+    _series,
     _track_block,
     gamma_membership,
     radius_of_convergence,
@@ -494,7 +495,7 @@ class TestBlockSamples:
                 # Well resolved: the block path passes and finds E (dense
                 # input: one numpy.linalg.solve factorization per node).
                 resolved += 1
-                assert _track_block(H, contour, psi0) == pytest.approx(E, abs=1e-8)
+                assert _track_block(H, contour, psi0)[0] == pytest.approx(E, abs=1e-8)
             if full <= defect_tol:
                 continue
             failing += 1
@@ -542,7 +543,7 @@ class TestBlockSamples:
         for zeta in 0.1 * np.exp(2j * np.pi * np.arange(5) / 5):
             beta = np.array([zeta])
             full = track_eigenvalue(family, beta, contour, psi0).E
-            block = _track_block(family(beta), contour, psi0)
+            block = _track_block(family(beta), contour, psi0)[0]
             assert abs(block - full) <= 1e-12 * max(1.0, abs(full))
 
     def test_matches_full_projector_on_two_level(self):
@@ -552,7 +553,7 @@ class TestBlockSamples:
             full = track_eigenvalue(two_level, np.array([b]), contour, psi0,
                                     residual_tol=1e-10).E
             block = _track_block(two_level(np.array([b])), contour, psi0,
-                                 residual_tol=1e-10)
+                                 residual_tol=1e-10)[0]
             assert abs(block - full) <= 1e-12 * max(1.0, abs(full))
             assert block == pytest.approx(two_level_energy(b), abs=1e-10)
 
@@ -565,7 +566,9 @@ class TestBlockSamples:
         path = taylor_eigenpath(two_level, np.array([0.0]),
                                 Direction(np.array([1.0])), contour,
                                 r=0.2, M=8, q=32)
-        assert path.stats.fallbacks == path.stats.full_projectors == 32 + 8
+        # Nodes 17..31 and test points 5..7 are mirrored, not re-tracked.
+        assert path.stats.fallbacks == path.stats.full_projectors == 17 + 5
+        assert path.stats.mirrored == 15 + 3
         assert len(path.samples) == 32 + 8
         assert path.coefficients[2] == pytest.approx(-1.0, abs=1e-8)
         # The full projector still rejects what its own test rejects.
@@ -588,7 +591,8 @@ class TestBlockSamples:
         assert len(calls) == 1  # the reference vector at the base point
         assert len(path.samples) == 32 + 8
         assert path.stats.fallbacks == path.stats.full_projectors == 0
-        assert path.stats.factorizations == 64 * len(path.samples)
+        assert path.stats.mirrored == 15 + 3
+        assert path.stats.factorizations == 64 * (len(path.samples) - path.stats.mirrored)
         assert path.stats.rhs_columns == 2 * 3 * path.stats.factorizations
         assert path.stats.max_defect <= 1e-9
         assert path.stats.max_rank_ratio <= 1e-6
@@ -694,6 +698,113 @@ class TestTaylorAlong:
                 p1.coefficients[m] * c**m, abs=1e-6 * max(1.0, abs(p1.coefficients[m]) * c**m)
             )
         assert p2.radius == pytest.approx(p1.radius / c, rel=0.05)
+
+
+def _bumps_1d_family():
+    """The shipped bumps_1d family beta -> H(beta) (see `_bumps_1d`)."""
+    grid = Grid(extent=((0.0, 12.0),), points=(160,))
+    family = PotentialFamily([
+        PotentialTerm(profile=GaussianBump((c,), 0.4, 1.0),
+                      support=interval_set(c - 1.3, c + 1.3))
+        for c in (3.0, 6.0, 9.0)])
+    return AffineFamily.from_potentials(build_laplacian(grid), family)
+
+
+def _complex_term_family():
+    """[[0, b c], [b conj(c), 1]] with c = 1 + 0.2i: Hermitian for real b,
+    but H(conj b) != conj H(b)."""
+    h0 = DiscreteOperator(sp.diags([0.0, 1.0], format="csr"), hermitian=True)
+    term = sp.csr_matrix(np.array([[0.0, 1 + 0.2j], [1 - 0.2j, 0.0]]))
+    return AffineFamily(h0, (term,))
+
+
+class TestSchwarzReflection:
+    """Real families: `_series` samples on conjugate-symmetric nodes and
+    `taylor_eigenpath` takes a node's sample as the conjugate of an earlier
+    one when the family, base, direction and contour centre are real."""
+
+    @pytest.mark.parametrize("q", [128, 37])
+    def test_series_nodes_are_conjugate_symmetric(self, q):
+        zetas = []
+
+        def f(beta):
+            zetas.append(complex(beta[0]))
+            return 1.0
+
+        _series(f, np.zeros(1, dtype=complex), np.ones(1, dtype=complex), 0.3, 8, q)
+        nodes, test = np.array(zetas[:q]), np.array(zetas[q:])
+        assert len(test) == 8
+        for z, n in ((nodes, q), (test, 8)):
+            j = np.arange(1, (n + 1) // 2)
+            assert np.array_equal(z[n - j].view(float)[0::2], z[j].view(float)[0::2])
+            assert np.array_equal(z[n - j].view(float)[1::2], -z[j].view(float)[1::2])
+            np.testing.assert_allclose(np.abs(z), 0.3 if n == q else 0.15, rtol=1e-15)
+
+    def test_matrix_contraction_matches_tensordot(self):
+        rng = np.random.default_rng(5)
+        d, q, M, r = 12, 64, 9, 0.5
+        A0 = rng.standard_normal((d, d))
+        H0 = (A0 + A0.T) / 2
+        V = rng.standard_normal((d, d))
+        lam0 = 2j * np.linalg.norm(H0, 2)
+
+        def f(beta):
+            return np.linalg.inv(H0 + beta[0] * V - lam0 * np.eye(d))
+
+        base, t = np.zeros(1, dtype=complex), np.ones(1, dtype=complex)
+        A, err = _series(f, base, t, r, M, q)
+        nodes = analytic._conjugate_circle(r, q)
+        samples = np.stack([f(base + z * t) for z in nodes])
+        angles = 2 * np.pi * np.arange(q) / q
+        ref = np.stack([np.tensordot(np.exp(-1j * m * angles), samples, axes=(0, 0))
+                        / (q * r**m) for m in range(M + 1)])
+        assert np.max(np.abs(A - ref)) <= 1e-13 * np.max(np.abs(ref))
+        test = analytic._conjugate_circle(0.5 * r, 8)
+        ref_err = max(np.max(np.abs(f(base + z * t) - sum(ref[m] * z**m for m in range(M + 1))))
+                      for z in test) / np.max(np.abs(samples))
+        assert err == pytest.approx(ref_err, rel=1e-6, abs=1e-15)
+
+    @pytest.mark.parametrize("case", ["bumps_1d", "two_level"])
+    def test_mirrored_samples_equal_direct_ones(self, case):
+        if case == "bumps_1d":
+            family = _bumps_1d_family()
+            base = np.array([0.06, 0.04, 0.03])
+            direction = Direction(np.array([1.0, 0.0, 0.0]))
+            vals = np.linalg.eigvalsh(family(base).to_dense())
+            contour = Contour(complex(vals[0]), 0.5 * (vals[1] - vals[0]), q=64)
+            r = 0.1
+        else:
+            family, base = two_level, np.array([0.0])
+            direction = Direction(np.array([1.0]))
+            contour, r = Contour(0.0, 0.5, q=64), 0.3
+        path = taylor_eigenpath(family, base, direction, contour, r=r, M=8, q=32)
+        assert path.stats.mirrored == 15 + 3
+        assert path.stats.factorizations == 64 * (32 + 8 - 18)
+        psi0 = _reference_vector(family, base, contour)
+        mirrored = [(z, E) for z, E in path.samples if z.imag < -1e-14]
+        assert len(mirrored) == 18
+        for zeta, E in mirrored:
+            direct = _track_block(family(base + zeta * direction.t), contour, psi0)[0]
+            assert abs(E - direct) <= 1e-12 * abs(direct)
+            if case == "two_level":
+                assert E == pytest.approx(two_level_energy(zeta), abs=1e-10)
+
+    @pytest.mark.parametrize("case", ["complex_term", "complex_base",
+                                      "complex_direction", "centre_off_axis"])
+    def test_nothing_mirrored_off_the_real_case(self, case):
+        family, base = two_level, np.array([0.0])
+        direction, contour = Direction(np.array([1.0])), Contour(0.0, 0.5, q=64)
+        if case == "complex_term":
+            family = _complex_term_family()
+        elif case == "complex_base":
+            base = np.array([0.05j])
+        elif case == "complex_direction":
+            direction = Direction(np.array([np.exp(0.3j)]))
+        else:
+            contour = Contour(1e-3j, 0.5, q=64)
+        path = taylor_eigenpath(family, base, direction, contour, r=0.2, M=8, q=32)
+        assert path.stats.mirrored == 0
+        assert path.stats.factorizations == 64 * (32 + 8)
 
 
 class TestRadius:

@@ -245,6 +245,23 @@ class TestRun:
         assert result.exit_code == 2
         assert "non-finite coupling" in result.stderr
 
+    def test_geometry_refuses_terms_without_support(self, tmp_path):
+        # n1 counts an unsupported term as meeting every ball, but the
+        # arrangement of the geometry task needs a support for every term.
+        doc = {
+            "schema": 1,
+            "seed": 0,
+            "grid": {"extent": [[0.0, 12.0]], "points": [64]},
+            "family": {"kind": "disordered", "count": 3, "A": 1.0, "C": 1.0, "k": 3.0},
+            "beta": {"values": [0.1, 0.1, 0.1]},
+            "tasks": [{"task": "geometry"}],
+        }
+        path = write_scenario(tmp_path, doc)
+        result = run_cli(["run", "--scenario", str(path),
+                          "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "without supports" in result.stderr
+
     def test_non_finite_potential_sample_is_usage_error(self, tmp_path):
         # The spike is centred on the grid node 2.0, where it samples +inf:
         # the run must stop before any H(beta) is formed.
@@ -367,7 +384,9 @@ class TestRun:
         report = yaml.safe_load((out / "report.yaml").read_text())
         assert report["tasks"][0]["result"]["M"] == len(rows) - 1 == 8
         # The stderr line carries the block-sample counters.
-        assert "factorizations 2560, rhs columns 15360" in result.stderr
+        # 22 of the 40 samples are computed, 18 mirrored (q = 32, 8 test points).
+        assert "factorizations 1408, rhs columns 8448" in result.stderr
+        assert "mirrored samples 18" in result.stderr
         assert "block defect/tol" in result.stderr and "sigma2/sigma1" in result.stderr
 
 

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specpert import lattice
 from specpert.geometry import interval_set
 from specpert.lattice import (
     AffineFamily,
@@ -16,6 +18,7 @@ from specpert.lattice import (
     assemble_hamiltonian,
     build_laplacian,
     graph_norm,
+    is_hermitian,
     laplacian_eigenvalues_1d,
 )
 from specpert.potentials import ConstantProfile, GaussianBump, PotentialFamily, PotentialTerm
@@ -196,8 +199,6 @@ class TestAffineFamily:
         # The Schur test sqrt(||V||_1 ||V||_inf) is the exact ||V||_2, max|diag|
         # to the bit, for the multiplication operators of a grid family, and
         # an upper bound on it for non-diagonal (`matrix` family) terms.
-        import scipy.sparse as sp
-
         g = grid_1d(60, 0.0, 4.0)
         system = AffineFamily.from_potentials(build_laplacian(g),
                                               bump_family([1.0, 1.8, 3.0]))
@@ -232,6 +233,33 @@ class TestAffineFamily:
             system(np.array([s, -s]))
             system.perturbation(np.array([s, 0.0]))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("term", [
+        sp.diags([1.0, -2.0, 0.0, 3.5], format="csr"),
+        sp.diags([1.0, 2.0 + 1e-300j, 0.0, 3.5], format="csr"),
+        sp.diags([1.0, np.inf, 0.0, 3.5], format="csr"),
+        sp.csr_matrix((4, 4)),
+        sp.csr_matrix(([1 + 1j, 1 - 1j, 2.0], [1, 1, 2], [0, 0, 2, 3, 3]), shape=(4, 4)),
+        sp.diags([[1.0, 1.0, 1.0], [2.0, 0.0, 0.0, 1.0], [1.0, 1.0, 1.0]],
+                 [-1, 0, 1], format="csr"),
+        sp.diags([[1j, 1.0, 1.0], [2.0, 0.0, 0.0, 1.0], [-1j, 1.0, 1.0]],
+                 [-1, 0, 1], format="csr"),
+        sp.diags([[1.0, 1.0, 1.0], [2.0, 0.0, 0.0, 1.0], [1.0, 2.0, 1.0]],
+                 [-1, 0, 1], format="csr"),
+    ], ids=["real_diagonal", "complex_diagonal", "infinite_diagonal", "empty",
+            "cancelling_duplicates",
+            "real_symmetric", "complex_hermitian", "not_hermitian"])
+    def test_terms_hermitian_agrees_with_is_hermitian(self, term, monkeypatch):
+        # A diagonal term is decided from its entries, with no subtraction.
+        term = sp.csr_matrix(term, dtype=complex)
+        expected = bool(is_hermitian(term))
+        h0 = DiscreteOperator(sp.identity(4, format="csr"), hermitian=True)
+        calls = []
+        monkeypatch.setattr(lattice, "is_hermitian",
+                            lambda mat: calls.append(mat) or is_hermitian(mat))
+        assert AffineFamily(h0, (term,)).terms_hermitian is expected
+        diagonal = sp.triu(term, 1).nnz == sp.tril(term, -1).nnz == 0
+        assert len(calls) == (0 if diagonal else 1)
 
     def test_from_potentials_needs_a_grid(self):
         h0 = build_laplacian(grid_1d())

@@ -223,6 +223,21 @@ class TestWeightedSumBound:
         assert direct_sum_stummel_norm(fam, beta, params) == sb.direct
         assert sb.bound == beta.declared_norm * fam.n1() * max(sb.norms)
 
+    def test_unsupported_term_meets_every_ball(self):
+        # A term without a support adds one to n1 wherever it sits, and the
+        # weighted bound then dominates the direct norm of the sum.
+        terms, beta, params = _decay_tail()
+        fam = PotentialFamily(terms)
+        assert PotentialFamily(terms[:1]).n1() == 1
+        assert fam.n1() == 2
+        assert PotentialFamily([tail_term([20.0]), tail_term([40.0])]).n1() == 2
+        sb = weighted_sum_stummel_bound(fam, beta, params)
+        assert sb.direct == pytest.approx(1.522, abs=1e-3)
+        assert sb.direct <= sb.bound
+        assert sb.bound == beta.declared_norm * 2 * max(sb.norms)
+        with pytest.raises(ValueError, match="without supports"):
+            fam.support_family()
+
     # The probe pass skips a term at a probe whose node box none of its
     # support boxes meets; the result must be the same bits as sampling
     # every term at every probe.
