@@ -38,8 +38,8 @@ Y = [psi0, w1, w2] and once more to give (P^2 - P) Y, with the certificates
 that `taylor_eigenpath` states.  For a real family, base point, direction
 and contour centre, E(conj zeta) = conj E(zeta) (Schwarz reflection; Kato
 1966, ch. II Sec. 1 and ch. VII Sec. 3), so `taylor_eigenpath` takes the
-lower half of each circle as the conjugates of the upper half, once an
-exact conjugate matrix and a one-matvec residual confirm each.
+lower half of each circle as the conjugates of the upper half wherever
+H(conj beta) is the exact conjugate matrix of H(beta).
 
 `gamma_membership` reads sigma_min(H - lambda) off the same band eigenvalues
 for Hermitian H, less delta, and takes a dense SVD for any other H.
@@ -552,9 +552,8 @@ def _track_block(
     residual_tol: float = 1e-8,
     defect_tol: float = 1e-8,
     stats: BlockStats | None = None,
-) -> tuple[complex, np.ndarray]:
-    """Eigenvalue of H enclosed by the contour and its vector P psi0, from
-    P Y alone.
+) -> complex:
+    """Eigenvalue of H enclosed by the contour, from P Y alone.
 
     Y = [psi0, w1, w2] with seeded complex Gaussian columns w1, w2 of unit
     variance per entry.  Certificates: max_j ||(P^2 - P) w_j|| <=
@@ -584,7 +583,7 @@ def _track_block(
             f"sigma_2/sigma_1 of P Y is {ratio:.3g}: projector rank != 1, "
             "degeneracy or eigenvalue crossed contour; shrink step or re-center"
         )
-    return _eigenvalue_of(mat, PY[:, 0], psi0, residual_tol)[0], PY[:, 0]
+    return _eigenvalue_of(mat, PY[:, 0], psi0, residual_tol)[0]
 
 
 def _conjugate_circle(radius: float, n: int) -> np.ndarray:
@@ -738,12 +737,13 @@ def taylor_eigenpath(
     certified as (E, psi) was.
     `_series` forms its nodes conjugate-symmetric to the bit and samples a
     node before its conjugate, so for a real base and t the conjugate of a
-    node's beta has been sampled.  Its (E, psi = P psi0) is reused, as
-    (conj E, conj psi), if c is real, family(beta) equals
-    conj family(conj beta) entry for entry (`_is_conjugate`), and
-    ||H conj psi - conj E conj psi|| <= residual_tol ||psi|| (one matvec);
-    otherwise the sample is computed.  A non-real family, base, direction
-    or centre never matches.
+    node's beta has been sampled.  Its E is reused, as conj E, if c is real
+    and family(beta) equals conj family(conj beta) entry for entry
+    (`_reflected_sample`); otherwise the sample is computed.  The exact
+    conjugate matrix also carries the partner's eigen-residual over bit for
+    bit (IEEE complex products and sums commute with conjugation), so it is
+    not re-checked.  A non-real family, base, direction or centre never
+    matches.
 
     `path.stats` counts the factorizations and right-hand-side columns of
     all samples, the re-tracked samples and the full projectors they built,
@@ -755,35 +755,31 @@ def taylor_eigenpath(
     stats = BlockStats()
     ref_psi = _reference_vector(family, base, track_contour)
     real_centre = complex(track_contour.center).imag == 0
-    # beta -> (E, psi) of the computed samples whose conjugate node has not
-    # been sampled yet, keyed by value (so -0.0 == 0.0).
-    pending: dict[tuple, tuple[complex, np.ndarray]] = {}
+    # E of the computed samples whose conjugate node has not been sampled
+    # yet (see `_reflected_sample`).
+    pending: dict[tuple, complex] = {}
 
     def g(beta_vec) -> complex:
         zeta = _project_zeta(beta_vec - base, direction.t)
         H = family(beta_vec)
-        mat = _as_matrix(H)[0]
-        partner = pending.pop(tuple(np.conj(beta_vec).tolist()), None) if real_centre else None
-        if partner is not None and _is_conjugate(mat, _as_matrix(family(np.conj(beta_vec)))[0]):
-            E, psi = partner[0].conjugate(), np.conj(partner[1])
-            if np.linalg.norm(mat @ psi - E * psi) <= residual_tol * np.linalg.norm(psi):
-                stats.mirrored += 1
-                samples.append((zeta, E))
-                return E
+        E = _reflected_sample(family, beta_vec, H, pending) if real_centre else None
+        if E is not None:
+            stats.mirrored += 1
+            samples.append((zeta, E))
+            return E
         try:
-            E, psi = _track_block(H, track_contour, ref_psi,
-                                  residual_tol=residual_tol, defect_tol=defect_tol,
-                                  stats=stats)
+            E = _track_block(H, track_contour, ref_psi,
+                             residual_tol=residual_tol, defect_tol=defect_tol,
+                             stats=stats)
         except QuadratureError:
             # Block defect above defect_tol / 10: the exact
             # ||P^2 - P||_2 <= defect_tol decides, as on the track path.
             stats.fallbacks += 1
-            res = track_eigenvalue(family, beta_vec, track_contour, psi0=ref_psi,
-                                   residual_tol=residual_tol,
-                                   defect_tol=defect_tol, stats=stats)
-            E, psi = res.E, res.psi
+            E = track_eigenvalue(family, beta_vec, track_contour, psi0=ref_psi,
+                                 residual_tol=residual_tol,
+                                 defect_tol=defect_tol, stats=stats).E
         if real_centre:
-            pending[tuple(beta_vec.tolist())] = (E, psi)
+            pending[tuple(beta_vec.tolist())] = E
         samples.append((zeta, E))
         return E
 
@@ -797,6 +793,20 @@ def taylor_eigenpath(
         radius=R,
         stats=stats,
     )
+
+
+def _reflected_sample(family, beta_vec, H, pending: dict) -> complex | None:
+    """conj E of the computed sample at conj(beta_vec), if H = family(beta_vec)
+    equals conj family(conj beta_vec) entry for entry; else None.
+
+    `pending` maps tuple(beta.tolist()) of each computed sample (by value, so
+    -0.0 == 0.0) to its E; the partner is removed from it either way.
+    """
+    partner = pending.pop(tuple(np.conj(beta_vec).tolist()), None)
+    if partner is None or not _is_conjugate(_as_matrix(H)[0],
+                                            _as_matrix(family(np.conj(beta_vec)))[0]):
+        return None
+    return partner.conjugate()
 
 
 def _is_conjugate(mat, other) -> bool:

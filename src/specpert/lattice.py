@@ -138,21 +138,20 @@ class DiscreteOperator:
 
 
 def is_hermitian(mat) -> bool:
-    """Exact test: the sparse matrix equals its conjugate transpose."""
-    defect = abs(mat - mat.getH())
-    return not defect.nnz or defect.max() == 0.0
+    """Exact test: the sparse matrix equals its conjugate transpose.
 
-
-def _term_is_hermitian(mat) -> bool:
-    """`is_hermitian`, read off the diagonal when every stored entry lies on
-    it: such a matrix is Hermitian exactly when its diagonal is real (and
-    finite, as the subtraction would give NaN for an infinite entry)."""
+    When every stored entry lies on the diagonal the test is read off the
+    diagonal, with no subtraction: such a matrix is Hermitian exactly when
+    its diagonal is real (and finite, as the subtraction would give NaN for
+    an infinite entry).
+    """
     mat = sp.csr_matrix(mat)
     rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
     if mat.shape[0] == mat.shape[1] and np.array_equal(mat.indices, rows):
         diag = mat.diagonal()  # sums duplicate entries, as the subtraction does
         return bool(np.all((diag.imag == 0) & np.isfinite(diag.real)))
-    return is_hermitian(mat)
+    defect = abs(mat - mat.getH())
+    return bool(not defect.nnz or defect.max() == 0.0)
 
 
 @dataclass(frozen=True)
@@ -236,7 +235,7 @@ class AffineFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "terms_hermitian",
-                           all(_term_is_hermitian(t) for t in self.terms))
+                           all(is_hermitian(t) for t in self.terms))
 
     @classmethod
     def from_potentials(cls, h0: DiscreteOperator, family) -> "AffineFamily":

@@ -495,7 +495,7 @@ class TestBlockSamples:
                 # Well resolved: the block path passes and finds E (dense
                 # input: one numpy.linalg.solve factorization per node).
                 resolved += 1
-                assert _track_block(H, contour, psi0)[0] == pytest.approx(E, abs=1e-8)
+                assert _track_block(H, contour, psi0) == pytest.approx(E, abs=1e-8)
             if full <= defect_tol:
                 continue
             failing += 1
@@ -543,7 +543,7 @@ class TestBlockSamples:
         for zeta in 0.1 * np.exp(2j * np.pi * np.arange(5) / 5):
             beta = np.array([zeta])
             full = track_eigenvalue(family, beta, contour, psi0).E
-            block = _track_block(family(beta), contour, psi0)[0]
+            block = _track_block(family(beta), contour, psi0)
             assert abs(block - full) <= 1e-12 * max(1.0, abs(full))
 
     def test_matches_full_projector_on_two_level(self):
@@ -553,7 +553,7 @@ class TestBlockSamples:
             full = track_eigenvalue(two_level, np.array([b]), contour, psi0,
                                     residual_tol=1e-10).E
             block = _track_block(two_level(np.array([b])), contour, psi0,
-                                 residual_tol=1e-10)[0]
+                                 residual_tol=1e-10)
             assert abs(block - full) <= 1e-12 * max(1.0, abs(full))
             assert block == pytest.approx(two_level_energy(b), abs=1e-10)
 
@@ -784,7 +784,7 @@ class TestSchwarzReflection:
         mirrored = [(z, E) for z, E in path.samples if z.imag < -1e-14]
         assert len(mirrored) == 18
         for zeta, E in mirrored:
-            direct = _track_block(family(base + zeta * direction.t), contour, psi0)[0]
+            direct = _track_block(family(base + zeta * direction.t), contour, psi0)
             assert abs(E - direct) <= 1e-12 * abs(direct)
             if case == "two_level":
                 assert E == pytest.approx(two_level_energy(zeta), abs=1e-10)

@@ -2,13 +2,14 @@
 scenario, written as JSON.
 
 Layers: one computed Taylor sample (`analytic._track_block` at a complex
-zeta), one sample taken by conjugation (H(conj beta), the exact-conjugate
-check and the one-matvec residual, as `taylor_eigenpath` does them), and one
+zeta), one sample taken by conjugation (the assembly of H(conj beta) and
+`analytic._reflected_sample`, as `taylor_eigenpath` calls them), and one
 `analytic._series` call on matrix-valued samples of the size `verify` uses
 (q = 64 samples of 160 x 160, the whole call and its Fourier-matrix product
-alone), next to the per-order `tensordot` loop that product replaced.  Tasks: the taylor and verify times of in-process scenario runs,
-the first run (cold) and the median of the others.  Every value is the
-median of `--repeat` timings.
+alone), next to the per-order `tensordot` loop that product replaced.
+Every layer value is the median of REPEAT timings.  Tasks: the taylor and
+verify times of RUNS in-process scenario runs, the first run (cold) and the
+median of the others.
 
 Run from the repository root:
 
@@ -34,11 +35,13 @@ import scipy
 from specpert import analytic, cli, lattice, serialize
 
 ROOT = Path(__file__).resolve().parents[1]
+REPEAT = 21
+RUNS = 5
 
 
-def median_time(fn, repeat: int) -> float:
+def median_time(fn) -> float:
     times = []
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
@@ -56,7 +59,7 @@ def blas_threads() -> int | None:
     return None
 
 
-def layer_times(doc: dict, repeat: int) -> dict:
+def layer_times(doc: dict) -> dict:
     grid = serialize.grid_from_dict({"schema": 1, **doc["grid"]})
     family = cli.build_family(doc["family"], np.random.default_rng(int(doc["seed"])))
     system = lattice.AffineFamily.from_potentials(lattice.build_laplacian(grid), family)
@@ -68,17 +71,16 @@ def layer_times(doc: dict, repeat: int) -> dict:
                                  q=int(taylor.get("contour_nodes", 64)))
     psi0 = analytic._reference_vector(system, base, contour)
     zeta = analytic._conjugate_circle(r, q)[q // 8]
-    H = system(base + zeta * t)
-    E, psi = analytic._track_block(H, contour, psi0)
+    beta, mirror = base + zeta * t, base + np.conj(zeta) * t
+    H = system(beta)
+    E = analytic._track_block(H, contour, psi0)
 
     def mirrored():
-        Hc = system(base + np.conj(zeta) * t)
-        pc = np.conj(psi)
-        return (analytic._is_conjugate(Hc.matrix, H.matrix)
-                and np.linalg.norm(Hc.matrix @ pc - np.conj(E) * pc) <= 1e-8 * np.linalg.norm(psi))
+        pending = {tuple(beta.tolist()): E}
+        return analytic._reflected_sample(system, mirror, system(mirror), pending)
 
-    if not mirrored():
-        raise RuntimeError("the conjugate sample fails its checks")
+    if mirrored() != np.conj(E):
+        raise RuntimeError("the conjugate node is not reflected")
 
     rng = np.random.default_rng(0)
     d, nodes, M = system.h0.dim, 64, 8
@@ -96,20 +98,20 @@ def layer_times(doc: dict, repeat: int) -> dict:
 
     return {
         "d": d, "q": q, "contour_nodes": contour.q,
-        "taylor_sample_s": median_time(lambda: analytic._track_block(H, contour, psi0), repeat),
-        "mirrored_sample_s": median_time(mirrored, repeat),
+        "taylor_sample_s": median_time(lambda: analytic._track_block(H, contour, psi0)),
+        "mirrored_sample_s": median_time(mirrored),
         "series_matrix_shape": [nodes, d, d],
-        "series_matrix_s": median_time(series, repeat),
+        "series_matrix_s": median_time(series),
         "contraction_fourier_product_s": median_time(
-            lambda: fourier @ samples.reshape(nodes, -1), repeat),
-        "contraction_tensordot_loop_s": median_time(tensordot_loop, repeat),
+            lambda: fourier @ samples.reshape(nodes, -1)),
+        "contraction_tensordot_loop_s": median_time(tensordot_loop),
     }
 
 
-def task_times(doc: dict, runs: int) -> dict:
+def task_times(doc: dict) -> dict:
     per_task: dict[str, list[float]] = {"taylor": [], "verify": []}
     with tempfile.TemporaryDirectory() as tmp:
-        for _ in range(runs):
+        for _ in range(RUNS):
             report = cli.execute_scenario(doc, Path(tmp))
             for key, dt in report.timings.items():
                 name = key.split(":", 1)[1]
@@ -122,15 +124,13 @@ def task_times(doc: dict, runs: int) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--repeat", type=int, default=21)
-    parser.add_argument("--runs", type=int, default=5)
     args = parser.parse_args()
     doc = cli.load_scenario(ROOT / "scenarios" / "bumps_1d.yaml")
     result = {
         "scenario": "scenarios/bumps_1d.yaml",
         "command": "PYTHONPATH=src python tools/bench_taylor.py " + " ".join(sys.argv[1:]),
-        "layers": layer_times(doc, args.repeat),
-        "tasks": task_times(doc, args.runs),
+        "layers": layer_times(doc),
+        "tasks": task_times(doc),
         "env": {"numpy": np.__version__, "scipy": scipy.__version__,
                 "blas_threads": blas_threads(), "nproc": os.cpu_count(),
                 "thread_env": {k: v for k, v in os.environ.items()
