@@ -56,7 +56,7 @@ import scipy.linalg as la
 import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 
-from .lattice import DiscreteOperator
+from .lattice import DiscreteOperator, _canonical
 
 __all__ = [
     "Contour",
@@ -315,9 +315,15 @@ def _certified_action(H, contour: Contour, b: np.ndarray, defect_tol: float,
 
 def _band_eigenvalues(mat, d: int) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian sparse H from its upper band
-    (``eigvals_banded``), which gives the same bits at any BLAS thread count."""
+    (``eigvals_banded``), which gives the same bits at any BLAS thread count.
+
+    A band whose imaginary part is exactly zero (a real symmetric H) is
+    reduced in real storage, about three times faster than in complex
+    storage; a complex Hermitian band keeps the complex reduction.
+    """
     ab, kl, ku = _band_storage(mat, d)
-    return la.eigvals_banded(ab[kl:kl + ku + 1])
+    upper = ab[kl:kl + ku + 1]
+    return la.eigvals_banded(upper if upper.imag.any() else upper.real)
 
 
 def _weyl_delta(op: DiscreteOperator) -> float:
@@ -432,15 +438,18 @@ _RANK_TOL = 1e-6
 def _band_storage(mat, d: int) -> tuple[np.ndarray, int, int]:
     """H in LAPACK general band storage, with the kl extra rows ?gbtrf fills.
 
-    Entry H[i, j] sits at row kl + ku + i - j of column j.
+    Entry H[i, j] sits at row kl + ku + i - j of column j.  The band is read
+    straight off canonical CSR, and stored zeros do not widen it.
     """
-    coo = sp.coo_matrix(mat)
-    coo.sum_duplicates()
-    offsets = coo.row - coo.col
+    mat = _canonical(mat)
+    rows = np.repeat(np.arange(d), np.diff(mat.indptr))
+    nonzero = mat.data != 0
+    cols = mat.indices[nonzero]
+    offsets = rows[nonzero] - cols
     kl = int(offsets.max(initial=0))
     ku = int(-offsets.min(initial=0))
     ab = np.zeros((2 * kl + ku + 1, d), dtype=complex)
-    ab[kl + ku + offsets, coo.col] = coo.data
+    ab[kl + ku + offsets, cols] = mat.data[nonzero]
     return ab, kl, ku
 
 

@@ -15,6 +15,7 @@ import os
 import sys
 import tempfile
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -324,7 +325,8 @@ def task_geometry(ctx: RunContext, spec: dict) -> dict:
     adjacency, n0 = geometry.intersection_stats(sf)
     n1 = family.n1(float(spec.get("radius", 1.0)))
     partition = geometry.disjoint_refinement(sf)
-    per_set = [len(partition.cells_containing(i)) for i in range(1, len(sf) + 1)]
+    counts = Counter(i for c in partition.cells for i in c.index_set)
+    per_set = [counts[i] for i in range(1, len(sf) + 1)]
     bound = 2 ** n0
     ok = all(c <= bound for c in per_set)
     ctx.report.add_invariant("geometry.cells_within_2^n0", ok,
@@ -353,6 +355,9 @@ def task_geometry(ctx: RunContext, spec: dict) -> dict:
 
 def task_stummel(ctx: RunContext, spec: dict) -> dict:
     family = ctx.potential_family("stummel")
+    if any(t.support is None for t in family.terms):
+        # The probe grid covers the union of the supports.
+        raise ScenarioError("task 'stummel' needs a support for every term")
     rho = float(spec.get("rho", 1.5))
     m = family.dim
     union = geometry.SupportSet(tuple(
@@ -384,6 +389,13 @@ def task_bounds(ctx: RunContext, spec: dict) -> dict:
         # The band storage reads one triangle only, and the spectrum box and
         # the Kato margin hold for a self-adjoint H0 alone.
         raise ScenarioError("task 'bounds' needs a Hermitian H0")
+    H = ctx.hamiltonian(beta_vec)
+    if not H.hermitian and H.dim > lattice.DENSE_MAX_DIM:
+        # Checked before any band reduction: sigma_min of a non-Hermitian
+        # H(beta) needs the dense SVD.
+        raise ScenarioError(
+            f"task 'bounds' needs a dense SVD of the non-Hermitian H(beta), and its "
+            f"dimension {H.dim} exceeds the dense limit {lattice.DENSE_MAX_DIM}")
     # V(beta) is bounded, so (a, b) = (0, ||V(beta)||) holds exactly.
     rb = bounds.RelativeBound(0.0, ctx.system.perturbation(beta_vec).norm_bound())
     spectrum = analytic._band_eigenvalues(h0.matrix, h0.dim)
@@ -393,7 +405,7 @@ def task_bounds(ctx: RunContext, spec: dict) -> dict:
     try:
         lam = bounds.find_resolvent_point(rb, box)
         margin = bounds.resolvent_margin(rb, box, lam)
-        ok, smin = analytic.gamma_membership(ctx.hamiltonian, beta_vec, lam)
+        ok, smin = analytic.gamma_membership(lambda _: H, beta_vec, lam)
         result.update({"lambda": [lam.real, lam.imag], "margin": margin,
                        "sigma_min": smin})
         ctx.report.add_invariant("bounds.certified_point_resolvent", ok,

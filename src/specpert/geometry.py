@@ -205,9 +205,32 @@ def _inside(s: SupportSet, coords: list[np.ndarray]) -> np.ndarray:
     covers one contiguous index block of the grid."""
     out = np.zeros([len(c) - 1 for c in coords], dtype=bool)
     for b in s.boxes:
-        out[tuple(slice(np.searchsorted(c, lo), np.searchsorted(c, hi))
-                  for c, lo, hi in zip(coords, b.lo, b.hi))] = True
+        out[_box_block(b, coords)] = True
     return out
+
+
+def _box_block(b: Box, coords: list[np.ndarray]) -> tuple[slice, ...]:
+    """Index block of the arrangement grid of `coords` that the box b covers."""
+    return tuple(slice(np.searchsorted(c, lo), np.searchsorted(c, hi))
+                 for c, lo, hi in zip(coords, b.lo, b.hi))
+
+
+def _membership_words(family: SupportFamily, coords: list[np.ndarray]) -> np.ndarray:
+    """(n_boxes, ceil(n_sets / 64)) uint64: per arrangement box, its index set
+    packed to bits, set i at bit 7 - i % 8 of byte i // 8 of the row.
+
+    The row bytes are those ``np.packbits(member, axis=1)`` gives for the
+    box-major boolean (n_boxes, n_sets) membership matrix, zero-padded to
+    whole words.  That matrix is never formed: each box of each set sets its
+    bit in the block it covers.
+    """
+    n_bytes = 8 * -(-len(family) // 64)
+    packed = np.zeros([len(c) - 1 for c in coords] + [n_bytes], dtype=np.uint8)
+    for i, s in enumerate(family.sets):
+        bit = np.uint8(0x80 >> i % 8)
+        for b in s.boxes:
+            packed[(*_box_block(b, coords), i // 8)] |= bit
+    return packed.reshape(-1, n_bytes).view(np.uint64)
 
 
 def check_fip_variant(family: SupportFamily, radius: float = 1.0) -> int:
@@ -315,14 +338,17 @@ def disjoint_refinement(
     """
     boxes = [b for s in family.sets for b in s.boxes]
     coords = _axis_coords(boxes, family.dim, cell_budget)
-    member = np.column_stack([_inside(s, coords).ravel() for s in family.sets])
-
     # Group arrangement boxes by their (maximal) index set: one sort of the
-    # bit-packed membership rows, each viewed as a single opaque key.
-    packed = np.packbits(member, axis=1)
-    keys = packed.view(f"V{packed.shape[1]}").ravel()
-    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
-    index_sets = [frozenset(int(i) + 1 for i in np.flatnonzero(member[f])) for f in first]
+    # bit-packed membership rows, compared as whole words (a sort of opaque
+    # byte-string keys is several times slower).
+    words = _membership_words(family, coords)
+    order = np.lexsort(words.T)
+    ordered = words[order]
+    starts = np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)]
+    group = np.empty(len(order), dtype=int)
+    group[order] = np.cumsum(starts) - 1
+    member = np.unpackbits(ordered[starts].view(np.uint8), axis=1, count=len(family))
+    index_sets = [frozenset(int(i) + 1 for i in np.flatnonzero(row)) for row in member]
     order = sorted((g for g, idx in enumerate(index_sets) if idx),
                    key=lambda g: sorted(index_sets[g]))
     rank = np.full(len(index_sets), -1)

@@ -137,6 +137,11 @@ class DiscreteOperator:
         return float(np.sqrt(n1 * ninf))
 
 
+def _csr(mat):
+    """`mat` in CSR format, with no copy when it already is."""
+    return mat.tocsr() if sp.issparse(mat) else sp.csr_matrix(mat)
+
+
 def is_hermitian(mat) -> bool:
     """Exact test: the sparse matrix equals its conjugate transpose.
 
@@ -145,10 +150,11 @@ def is_hermitian(mat) -> bool:
     its diagonal is real (and finite, as the subtraction would give NaN for
     an infinite entry).
     """
-    mat = sp.csr_matrix(mat)
+    mat = _csr(mat)
     rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
     if mat.shape[0] == mat.shape[1] and np.array_equal(mat.indices, rows):
-        diag = mat.diagonal()  # sums duplicate entries, as the subtraction does
+        # Duplicate entries are summed, as the subtraction does.
+        diag = mat.data if mat.has_canonical_format else mat.diagonal()
         return bool(np.all((diag.imag == 0) & np.isfinite(diag.real)))
     defect = abs(mat - mat.getH())
     return bool(not defect.nnz or defect.max() == 0.0)
@@ -227,22 +233,43 @@ class AffineFamily:
 
     Whether every V_i is Hermitian is decided once, at construction; H(beta)
     then carries the Hermitian flag when H0 is Hermitian and beta is real.
+    The sparsity pattern of H(beta) is fixed once too, as the union of the
+    stored entries of H0 and every V_i (V(beta): of every V_i), so each call
+    is one accumulation into a data vector on that pattern.  Entries that
+    cancel, and the entries of terms with a zero coupling, are kept as
+    stored zeros.
     """
 
     h0: DiscreteOperator
     terms: tuple[sp.csr_matrix, ...]
     terms_hermitian: bool = field(init=False)
+    _h_layout: tuple = field(init=False, repr=False, compare=False)
+    _v_layout: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "terms_hermitian",
-                           all(is_hermitian(t) for t in self.terms))
+        shape = self.h0.matrix.shape
+        terms = tuple(_canonical(t) for t in self.terms)
+        for i, t in enumerate(terms):
+            if t.shape != shape:
+                raise LatticeError(f"term {i} has shape {t.shape}, H0 has {shape}")
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "terms_hermitian", all(is_hermitian(t) for t in terms))
+        indptr, indices, (h0_pos, *term_pos) = _union_pattern((self.h0.matrix, *terms),
+                                                              self.h0.dim)
+        h0_data = np.zeros(len(indices), dtype=complex)
+        h0_data[h0_pos] = self.h0.matrix.data
+        object.__setattr__(self, "_h_layout", (indptr, indices, h0_data, term_pos))
+        indptr, indices, term_pos = _union_pattern(terms, self.h0.dim)
+        object.__setattr__(self, "_v_layout", (indptr, indices,
+                                               np.zeros(len(indices), dtype=complex), term_pos))
 
     @classmethod
     def from_potentials(cls, h0: DiscreteOperator, family) -> "AffineFamily":
         """Diagonal multiplication operators V_i sampled once on H0's grid.
 
         `family` must provide `sample_on(grid) -> list of real/complex
-        arrays` (one diagonal per term).
+        arrays` (one diagonal per term).  Each V_i stores its nonzero
+        samples only, the entries ``sp.diags`` would keep.
         """
         if h0.grid is None:
             raise GridMismatchError("h0 carries no grid; cannot sample potentials")
@@ -255,31 +282,60 @@ class AffineFamily:
                 )
             if not np.all(np.isfinite(d)):
                 raise LatticeError("non-finite potential sample")
-            terms.append(sp.diags(d, format="csr"))
+            nonzero = d != 0
+            indptr = np.concatenate(([0], np.cumsum(nonzero)))
+            terms.append(sp.csr_matrix((d[nonzero], np.flatnonzero(nonzero), indptr),
+                                       shape=(h0.dim, h0.dim)))
         return cls(h0, tuple(terms))
 
     def __call__(self, beta) -> DiscreteOperator:
         """H(beta); trailing couplings beyond len(beta) are zero."""
-        return self._accumulate(self.h0.matrix.copy(), self.h0.hermitian, beta)
+        return self._accumulate(self._h_layout, self.h0.hermitian, beta)
 
     def perturbation(self, beta) -> DiscreteOperator:
         """V(beta) = sum_i beta_i V_i."""
-        zero = sp.csr_matrix(self.h0.matrix.shape, dtype=complex)
-        return self._accumulate(zero, True, beta)
+        return self._accumulate(self._v_layout, True, beta)
 
-    def _accumulate(self, mat, hermitian: bool, beta) -> DiscreteOperator:
+    def _accumulate(self, layout, hermitian: bool, beta) -> DiscreteOperator:
         if len(beta) > len(self.terms):
             raise LatticeError(
                 f"beta has {len(beta)} entries but family has only {len(self.terms)} terms"
             )
+        indptr, indices, data, term_pos = layout
+        data = data.copy()
         # Terms are added one at a time and zero couplings skipped: the
-        # summation order fixes the last bits of every reported value.
-        for b, op in zip(beta, self.terms):
+        # summation order fixes the last bits of every reported value.  Each
+        # entry takes the additions of a sequential sparse sum, in its order.
+        for b, op, pos in zip(beta, self.terms, term_pos):
             if b != 0:
-                mat = mat + complex(b) * op
+                data[pos] += op.data * complex(b)
                 hermitian = hermitian and complex(b).imag == 0
+        mat = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=self.h0.matrix.shape)
         return DiscreteOperator(
             mat, hermitian=hermitian and self.terms_hermitian, grid=self.h0.grid)
+
+
+def _canonical(mat) -> sp.csr_matrix:
+    """`mat` as CSR with sorted column indices and no duplicate entries
+    (`mat` itself when it already is)."""
+    mat = _csr(mat)
+    if not mat.has_canonical_format:
+        mat = mat.copy()
+        mat.sum_duplicates()
+    return mat
+
+
+def _union_pattern(mats, n: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """CSR (indptr, indices) of the union of the stored entries of the
+    canonical n x n matrices `mats`, and the position in it of each
+    matrix's entries."""
+    counts = np.concatenate([np.diff(m.indptr) for m in mats] or [np.zeros(0, dtype=int)])
+    rows = np.repeat(np.tile(np.arange(n, dtype=np.int64), len(mats)), counts)
+    cols = np.concatenate([m.indices for m in mats] or [np.zeros(0, dtype=int)])
+    union, pos = np.unique(rows * n + cols, return_inverse=True)
+    rows, indices = np.divmod(union, n)
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    return indptr, indices, np.split(pos, np.cumsum([m.nnz for m in mats])[:-1])
 
 
 def assemble_hamiltonian(h0: DiscreteOperator, family, beta: CouplingSeq) -> DiscreteOperator:

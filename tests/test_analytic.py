@@ -931,3 +931,46 @@ class TestGammaMembership:
             member, band = gamma_membership(lambda b: op, None, lam)
             assert member and band <= smin
             assert band + delta == pytest.approx(smin, abs=1e-12)
+
+
+class TestBandEigenvalueStorage:
+    """`_band_eigenvalues` reduces a real symmetric band in real storage and a
+    complex Hermitian band in complex storage."""
+
+    @staticmethod
+    def _record_storage(monkeypatch):
+        dtypes = []
+        eigvals_banded = analytic.la.eigvals_banded
+
+        def recorded(a_band, *args, **kwargs):
+            dtypes.append(np.asarray(a_band).dtype)
+            return eigvals_banded(a_band, *args, **kwargs)
+
+        monkeypatch.setattr(analytic.la, "eigvals_banded", recorded)
+        return dtypes
+
+    def test_real_storage_on_a_24_by_24_lattice(self, monkeypatch):
+        # d = 576, kd = 24: the band of the certify_2d lattice.
+        H = _lattice_2d(0.8, points=(24, 24))
+        ab, kl, ku = analytic._band_storage(H.matrix, H.dim)
+        assert (H.dim, ku) == (576, 24) and not ab.imag.any()
+        complex_storage = analytic.la.eigvals_banded(ab[kl:kl + ku + 1])
+        dense = np.linalg.eigvalsh(H.to_dense())
+        dtypes = self._record_storage(monkeypatch)
+        E = analytic._band_eigenvalues(H.matrix, H.dim)
+        assert dtypes == [np.float64]
+        delta = analytic._weyl_delta(H)
+        assert np.all(np.diff(E) >= 0)
+        assert np.abs(E - complex_storage).max() <= delta
+        assert np.abs(E - dense).max() <= delta
+
+    def test_complex_hermitian_band_keeps_complex_storage(self, monkeypatch):
+        H0 = _lattice_2d(0.8, points=(12, 12))
+        d = H0.dim
+        hop = sp.diags([np.full(d - 12, 0.3j)], [12], shape=(d, d))
+        H = DiscreteOperator(H0.matrix + hop + hop.getH(), hermitian=True)
+        dtypes = self._record_storage(monkeypatch)
+        E = analytic._band_eigenvalues(H.matrix, d)
+        assert dtypes == [np.complex128]
+        dense = np.linalg.eigvalsh(H.to_dense())
+        assert np.abs(E - dense).max() <= analytic._weyl_delta(H)

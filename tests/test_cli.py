@@ -13,7 +13,7 @@ import scipy.sparse as sp
 import yaml
 from click.testing import CliRunner
 
-from specpert import analytic, geometry, potentials
+from specpert import analytic, geometry, lattice, potentials
 from specpert.cli import (RunContext, RunReport, ScenarioError, build_family,
                           execute_scenario, load_scenario, main, task_bounds)
 from specpert.geometry import Box, SupportSet
@@ -262,6 +262,51 @@ class TestRun:
         assert result.exit_code == 2
         assert "without supports" in result.stderr
 
+    def test_stummel_refuses_terms_without_support(self, tmp_path):
+        # The probe grid covers the union of the term supports, which a
+        # `disordered` term does not have.
+        doc = {
+            "schema": 1,
+            "seed": 0,
+            "grid": {"extent": [[0.0, 12.0]], "points": [64]},
+            "family": {"kind": "disordered", "count": 3, "A": 1.0, "C": 1.0, "k": 3.0},
+            "beta": {"values": [0.1, 0.1, 0.1]},
+            "tasks": [{"task": "stummel"}],
+        }
+        path = write_scenario(tmp_path, doc)
+        result = run_cli(["run", "--scenario", str(path),
+                          "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "task 'stummel' needs a support for every term" in result.stderr
+
+    def test_bounds_non_hermitian_above_dense_limit_exits_before_band(self, tmp_path,
+                                                                      monkeypatch):
+        # A complex coupling makes H(beta) non-Hermitian, so its sigma_min
+        # needs the dense SVD: above the dense limit the task exits 2 before
+        # it reduces any band (H0's included).
+        monkeypatch.setattr(lattice, "DENSE_MAX_DIM", 100)
+        calls = []
+        band_eigenvalues = analytic._band_eigenvalues
+        monkeypatch.setattr(analytic, "_band_eigenvalues",
+                            lambda *a: calls.append(a) or band_eigenvalues(*a))
+        repo = Path(__file__).resolve().parents[1]
+        doc = yaml.safe_load((repo / "scenarios" / "bumps_1d.yaml").read_text())
+        doc["tasks"] = [{"task": "bounds"}]
+        doc["beta"]["values"] = [[0.05, 0.0], [0.0, 0.02], [0.03, 0.0]]
+        path = write_scenario(tmp_path, doc)
+        result = run_cli(["run", "--scenario", str(path),
+                          "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "dimension 160 exceeds the dense limit 100" in result.stderr
+        assert calls == []
+        # A real coupling keeps H(beta) Hermitian: the same run certifies.
+        doc["beta"]["values"] = [0.05, 0.02, 0.03]
+        path = write_scenario(tmp_path, doc)
+        result = run_cli(["run", "--scenario", str(path),
+                          "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 2
+
     def test_non_finite_potential_sample_is_usage_error(self, tmp_path):
         # The spike is centred on the grid node 2.0, where it samples +inf:
         # the run must stop before any H(beta) is formed.
@@ -339,8 +384,8 @@ class TestRun:
         assert "cannot certify" in bounds["certification"]
 
     @pytest.mark.parametrize("points, task", [
-        # The bounds task reaches the dense SVD of the non-Hermitian H(beta)
-        # after the band eigenvalues of H0; a 1D grid keeps those cheap.
+        # The bounds task refuses the non-Hermitian H(beta) before the band
+        # eigenvalues of H0.
         ([4100], {"task": "bounds"}),
         # The sweep places its contour on the non-Hermitian H(base) first.
         ([65, 65], {"task": "sweep", "direction": [0.1, "0.05j"], "range": [1.0, 1.0],

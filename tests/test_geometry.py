@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specpert.geometry import (
+    DEFAULT_CELL_BUDGET,
     Box,
     GeometryError,
     PackingConfig,
@@ -25,6 +26,7 @@ from specpert.geometry import (
     packing_count_bound,
     shell_count_bound,
 )
+from specpert.geometry import _axis_coords, _inside, _membership_words
 
 
 def family_1d(*intervals):
@@ -249,6 +251,73 @@ class TestDisjointRefinement:
             want = frozenset(min(sets)) if sets else frozenset()
             assert part.index_set_at(tuple(x)) == want
             assert (part.cells[cid].index_set if cid >= 0 else frozenset()) == want
+
+
+def random_box_family(rng, dim, n_sets):
+    """n_sets sets of one to three boxes with corners on a coarse lattice, so
+    that faces coincide and boxes of one set may overlap or touch."""
+    sets = []
+    for _ in range(n_sets):
+        boxes = []
+        for _ in range(rng.integers(1, 4)):
+            lo = rng.integers(0, 7, size=dim)
+            hi = lo + rng.integers(1, 4, size=dim)
+            boxes.append(Box(tuple(lo * 0.5), tuple(hi * 0.5)))
+        sets.append(SupportSet(tuple(boxes)))
+    return SupportFamily(tuple(sets))
+
+
+def box_major_refinement(family):
+    """Oracle: the arrangement grouping from the box-major (n_boxes, n_sets)
+    boolean membership matrix, column-stacked and packed along the set axis,
+    with each index set read from its first box's row."""
+    boxes = [b for s in family.sets for b in s.boxes]
+    coords = _axis_coords(boxes, family.dim, DEFAULT_CELL_BUDGET)
+    member = np.column_stack([_inside(s, coords).ravel() for s in family.sets])
+    packed = np.packbits(member, axis=1)
+    keys = packed.view(f"V{packed.shape[1]}").ravel()
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    index_sets = [frozenset(int(i) + 1 for i in np.flatnonzero(member[f])) for f in first]
+    return coords, packed, [index_sets[g] for g in group]
+
+
+class TestMembershipBytes:
+    """The arrangement keys of `disjoint_refinement`, written one box at a
+    time, against the packing of the box-major boolean membership matrix
+    (zero-padded to whole 64-bit words)."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n_sets", [1, 8, 13, 64, 70])
+    def test_keys_match_box_major_packing(self, dim, n_sets):
+        rng = np.random.default_rng(100 * dim + n_sets)
+        for _ in range(5):
+            fam = random_box_family(rng, dim, n_sets)
+            coords, oracle, _ = box_major_refinement(fam)
+            words = _membership_words(fam, coords)
+            assert words.dtype == np.uint64 and words.shape[1] == -(-n_sets // 64)
+            packed = words.view(np.uint8)
+            n_bytes = oracle.shape[1]
+            assert packed[:, :n_bytes].tobytes() == oracle.tobytes()
+            assert not packed[:, n_bytes:].any()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n_sets", [11, 70])
+    def test_partition_matches_box_major_grouping(self, dim, n_sets):
+        # With 70 sets the first 64 may all be one box over the whole
+        # lattice, so that only the second word of a key tells cells apart.
+        rng = np.random.default_rng(100 * dim + n_sets)
+        whole = SupportSet((Box((0.0,) * dim, (5.0,) * dim),))
+        for k in range(6):
+            fam = random_box_family(rng, dim, n_sets)
+            if k % 2 and n_sets > 64:
+                fam = SupportFamily((whole,) * 64 + fam.sets[64:])
+            _, _, oracle_sets = box_major_refinement(fam)
+            part = disjoint_refinement(fam)
+            got = [part.cells[j].index_set if j >= 0 else frozenset()
+                   for j in part.labels.ravel()]
+            assert got == oracle_sets
+            assert sorted(sorted(c.index_set) for c in part.cells) == sorted(
+                sorted(s) for s in set(oracle_sets) if s)
 
 
 class TestPackingBounds:

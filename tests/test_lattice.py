@@ -6,7 +6,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specpert.geometry import interval_set
+from specpert import analytic
+from specpert.geometry import Box, SupportSet, interval_set
 from specpert.lattice import (
     AffineFamily,
     CouplingSeq,
@@ -276,6 +277,99 @@ class TestAffineFamily:
 
         with pytest.raises(GridMismatchError):
             AffineFamily.from_potentials(build_laplacian(grid_1d()), Short())
+
+
+def sequential_sum(system, beta, perturbation=False):
+    """Oracle: H(beta), or V(beta), as the sparse sum H0 + beta_1 V_1 + ...
+    formed one term at a time with zero couplings skipped, and its flag."""
+    if perturbation:
+        mat, hermitian = sp.csr_matrix(system.h0.matrix.shape, dtype=complex), True
+    else:
+        mat, hermitian = system.h0.matrix.copy(), system.h0.hermitian
+    for b, op in zip(beta, system.terms):
+        if b != 0:
+            mat = mat + complex(b) * op
+            hermitian = hermitian and complex(b).imag == 0
+    return mat, hermitian and system.terms_hermitian
+
+
+def bits(mat):
+    """The dense array's float view, as integers: equal only bit for bit."""
+    return np.ascontiguousarray(mat.toarray()).view(np.float64).view(np.uint64)
+
+
+def matrix_family():
+    """A 9 x 9 complex Hermitian H0 (tridiagonal plus a corner pair) and four
+    terms: a complex Hermitian pair outside H0's band, a real diagonal, one
+    that cancels an H0 pair at coupling 1, and a non-Hermitian one."""
+    rng = np.random.default_rng(11)
+    d = 9
+    off = rng.standard_normal(d - 1) + 1j * rng.standard_normal(d - 1)
+    h0 = (np.diag(rng.standard_normal(d)) + np.diag(off, 1) + np.diag(off.conj(), -1))
+    h0[0, 2], h0[2, 0] = 0.5 - 0.25j, 0.5 + 0.25j
+    wide = np.zeros((d, d), dtype=complex)
+    wide[1, 6], wide[6, 1] = 0.3 + 1.7j, 0.3 - 1.7j
+    cancel = np.zeros((d, d), dtype=complex)
+    cancel[3, 4], cancel[4, 3] = -h0[3, 4], -h0[4, 3]
+    skew = np.zeros((d, d), dtype=complex)
+    skew[0, 5] = 2.0 - 1j
+    terms = (sp.csr_matrix(wide), sp.diags(rng.standard_normal(d), format="csr"),
+             sp.csr_matrix(cancel), sp.csr_matrix(skew))
+    return AffineFamily(DiscreteOperator(sp.csr_matrix(h0), hermitian=True), terms)
+
+
+class TestFixedPattern:
+    """H(beta) and V(beta) on the pattern fixed at construction, against the
+    sequential sparse sum they replaced."""
+
+    @pytest.mark.parametrize("beta", [
+        (0.7, -1.3, 1.0, 0.0),
+        (0.0, -1.3, 1.0),
+        (0.7, 0.0, 0.0, 0.0),
+        (0.7 + 0.2j, -1.3, 1.0, 0.0),
+        (0.0, 0.25j, 0.0, 0.0),
+        (0.7, -1.3, 1.0, 1e-3),
+        (-0.5,),
+        (0.0, 0.0, 0.0, 0.0),
+        (),
+    ])
+    def test_matrix_family_bits_and_flag(self, beta):
+        system = matrix_family()
+        for perturbation in (False, True):
+            oracle, hermitian = sequential_sum(system, beta, perturbation)
+            op = system.perturbation(beta) if perturbation else system(beta)
+            assert np.array_equal(bits(op.matrix), bits(oracle))
+            assert op.hermitian is hermitian
+        # Stored zeros (a cancelled pair, a zero-coupled wide term) leave the
+        # band of H(beta) as narrow as the sum's.
+        oracle, _ = sequential_sum(system, beta)
+        ab, kl, ku = analytic._band_storage(system(beta).matrix, 9)
+        ab_sum, kl_sum, ku_sum = analytic._band_storage(oracle, 9)
+        assert (kl, ku) == (kl_sum, ku_sum)
+        assert np.array_equal(ab, ab_sum)
+
+    def test_grid_family_bits_and_diags_terms(self):
+        g = Grid(extent=((0.0, 4.0), (0.0, 3.0)), points=(17, 13))
+        fam = PotentialFamily([
+            PotentialTerm(profile=GaussianBump((cx, cy), 0.4, 1.0),
+                          support=SupportSet((Box((cx - 1, cy - 1), (cx + 1, cy + 1)),)))
+            for cx, cy in ((1.0, 1.0), (2.0, 1.5), (3.5, 2.0))])
+        system = AffineFamily.from_potentials(build_laplacian(g), fam)
+        for term, sample in zip(system.terms, fam.sample_on(g)):
+            oracle = sp.diags(np.asarray(sample, dtype=complex), format="csr")
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(term, name), getattr(oracle, name))
+        for beta in ((0.5, -1.25, 2.0), (0.5, 0.0, 2j), (0.0, 0.0, 1e-300)):
+            for perturbation in (False, True):
+                oracle, hermitian = sequential_sum(system, beta, perturbation)
+                op = system.perturbation(beta) if perturbation else system(beta)
+                assert np.array_equal(bits(op.matrix), bits(oracle))
+                assert op.hermitian is hermitian
+
+    def test_terms_must_match_h0(self):
+        h0 = DiscreteOperator(sp.identity(4, format="csr"), hermitian=True)
+        with pytest.raises(LatticeError, match="term 0 has shape"):
+            AffineFamily(h0, (sp.identity(5, format="csr"),))
 
 
 class TestGraphNorm:
