@@ -43,6 +43,9 @@ H(conj beta) is the exact conjugate matrix of H(beta).
 
 `gamma_membership` reads sigma_min(H - lambda) off the same band eigenvalues
 for Hermitian H, less delta, and takes a dense SVD for any other H.
+`kato_radius` certifies that zeta -> (H + zeta V - lambda)^-1 is
+holomorphic on a disk in closed form, from Schur bounds alone
+(`resolvent_gap`); `verify_analytic_family` samples the same map.
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ import scipy.linalg as la
 import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 
-from .lattice import DiscreteOperator, _canonical
+from . import lattice
+from .lattice import DiscreteOperator, LatticeError, _canonical
 
 __all__ = [
     "Contour",
@@ -78,6 +82,8 @@ __all__ = [
     "taylor_eigenpath",
     "verify_analytic_family",
     "gamma_membership",
+    "resolvent_gap",
+    "kato_radius",
 ]
 
 
@@ -205,6 +211,14 @@ def _as_matrix(H) -> tuple[object, int]:
     return H, H.shape[0]
 
 
+def _dense_guard(d: int, what: str):
+    """Raise LatticeError, before any d x d array is built, when d exceeds
+    `lattice.DENSE_MAX_DIM`."""
+    if d > lattice.DENSE_MAX_DIM:
+        raise LatticeError(f"{what} builds a d x d array, and dimension {d} exceeds "
+                           f"the dense limit {lattice.DENSE_MAX_DIM}")
+
+
 def resolvent_apply(H, lam: complex, B, residual_tol: float = 1e-10):
     """(H - lam)^-1 B: one `_node_solves` shift, residual checked.
 
@@ -231,9 +245,11 @@ def riesz_projector(
     The idempotency defect and the integrality of the trace certify that
     the quadrature resolved the integrand and the contour stayed clear of
     the spectrum.  `stats` counts the work and keeps the worst accepted defect.
+    Raises LatticeError above `lattice.DENSE_MAX_DIM`.
     """
     stats = BlockStats() if stats is None else stats
     mat, d = _as_matrix(H)
+    _dense_guard(d, "riesz_projector")
     P = _projector_action(mat, d, contour, np.eye(d, dtype=complex), stats)
     stats.full_projectors += 1
     # P^2 by columns: matrix-vector products gave the same bits at 1 and 2
@@ -619,8 +635,8 @@ def _series(f, base, t, r: float, M: int, q: int) -> tuple[np.ndarray, float]:
     def g(zeta: complex):
         return np.asarray(f(base + zeta * t), dtype=complex)
 
-    # Filled in place, not stacked from a list: matrix samples (verify) are
-    # the largest arrays of a run, and a list would hold them twice.
+    # Filled in place, not stacked from a list: the d x d matrix samples of
+    # `verify_analytic_family` are q d^2 values, and a list would hold them twice.
     nodes = _conjugate_circle(r, q)
     first = g(nodes[0])
     samples = np.empty((q,) + first.shape, dtype=complex)
@@ -905,12 +921,17 @@ def verify_analytic_family(
       * line analyticity: scalar functionals of the action satisfy the
         Cauchy-Riemann equations to finite-difference accuracy, and those
         scalar traces pass reconstruction (weak-analyticity surrogate).
+
+    Each resolvent sample is a d x d matrix, so it raises LatticeError above
+    `lattice.DENSE_MAX_DIM`.  `kato_radius` certifies the resolvent record
+    in closed form.
     """
     report = AnalyticReport()
     for bi, beta0 in enumerate(base_points):
         beta0 = np.asarray(beta0, dtype=complex)
         H0 = family(beta0)
         mat0, d = _as_matrix(H0)
+        _dense_guard(d, "verify_analytic_family")
         eye = np.eye(d, dtype=complex)
         if resolvent_shift is None:
             bound = H0.norm_bound() if isinstance(H0, DiscreteOperator) else float(
@@ -991,3 +1012,39 @@ def gamma_membership(family, beta, lam: complex, tol: float = 1e-10) -> tuple[bo
         dense = H.toarray() if sp.issparse(H) else np.asarray(H, dtype=complex)
     smin = float(la.svdvals(dense - lam * np.eye(len(dense)))[-1])
     return smin > tol, smin
+
+
+def resolvent_gap(H, lam: complex) -> float:
+    """A lower bound on sigma_min(H - lam) from the numerical range, with no
+    solve and no d x d array.
+
+    For a unit x, ||(H - lam) x|| >= |x^* H x - lam|, so sigma_min(H - lam)
+    >= dist(lam, W(H)), W(H) the numerical range.  Im W(H) = W(S) with
+    S = (H - H^*)/(2i), which lies in [-||S||, ||S||]; hence
+    sigma_min(H - lam) >= |Im lam| - ||S||.  ||S|| is the Schur bound
+    (`DiscreteOperator.norm_bound`) of the skew part, which is exactly zero
+    for a Hermitian H, so the bound is then |Im lam|.  It holds for every H
+    and any lam, and is rounded down: the Schur sums of at most d terms
+    each, the entrywise operations, the subtraction and a later division
+    (`kato_radius`) all round by less than the relative slack (d + 8) eps.
+    """
+    mat, d = _as_matrix(H)
+    slack = (d + 8) * np.finfo(float).eps
+    skew = DiscreteOperator((mat - mat.conj().T) / 2, hermitian=False).norm_bound()
+    return (abs(complex(lam).imag) - skew * (1 + slack)) * (1 - slack)
+
+
+def kato_radius(H, V: DiscreteOperator, lam: complex) -> float:
+    """Radius rho such that zeta -> (H + zeta V - lam)^-1 is holomorphic on
+    |zeta| < rho, in closed form.
+
+    H + zeta V - lam = (H - lam)(1 + zeta (H - lam)^-1 V) is invertible, and
+    its inverse a convergent Neumann series in zeta, while
+    |zeta| ||V|| < sigma_min(H - lam) (Kato 1966, ch. VII Sec. 1-2; Reed &
+    Simon IV Sec. XII.2).  So rho = `resolvent_gap`(H, lam) / ||V||, with
+    ||V|| the Schur bound rounded up as ||S|| is there; rho is 0 when the
+    gap bound is not positive and infinite for V = 0.
+    """
+    gap = max(resolvent_gap(H, lam), 0.0)
+    v = V.norm_bound() * (1 + (V.dim + 8) * np.finfo(float).eps)
+    return gap / v if v > 0 else math.inf

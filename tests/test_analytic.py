@@ -1,9 +1,11 @@
 """Contour machinery: projectors, tracking, Taylor coefficients, radius."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from specpert import analytic
@@ -18,7 +20,9 @@ from specpert.analytic import (
     _series,
     _track_block,
     gamma_membership,
+    kato_radius,
     radius_of_convergence,
+    resolvent_gap,
     resolvent_apply,
     riesz_projector,
     taylor_along,
@@ -26,9 +30,10 @@ from specpert.analytic import (
     track_eigenvalue,
     verify_analytic_family,
 )
+from specpert import lattice
 from specpert.geometry import Box, SupportSet, interval_set
 from specpert.lattice import (AffineFamily, CouplingSeq, DiscreteOperator, Grid,
-                              assemble_hamiltonian, build_laplacian)
+                              LatticeError, assemble_hamiltonian, build_laplacian)
 from specpert.potentials import GaussianBump, PotentialFamily, PotentialTerm
 
 
@@ -130,6 +135,14 @@ class TestRieszProjector:
         H = as_input(np.diag([1.0, 10.0]))
         with pytest.raises(ShiftNearSpectrumError):
             riesz_projector(H, Contour(0.0, 1.0, q=64))
+
+    def test_refuses_dimension_above_dense_limit(self, monkeypatch):
+        # P is d x d: above the dense limit no node is solved.
+        monkeypatch.setattr(lattice, "DENSE_MAX_DIM", 2)
+        monkeypatch.setattr(analytic, "_projector_action",
+                            lambda *a: pytest.fail("solved above the dense limit"))
+        with pytest.raises(LatticeError, match="dimension 3 exceeds the dense limit 2"):
+            riesz_projector(sp.csr_matrix(np.diag([0.0, 0.5, 10.0])), Contour(0.0, 1.0))
 
     def test_doubling_q_reduces_defect(self):
         H = np.diag([0.0, 1.4, 10.0])
@@ -870,6 +883,91 @@ class TestVerifyAnalyticFamily:
 
         report = verify_analytic_family(family, [np.zeros(2)], dirs, psis)
         assert report.passed
+
+
+    def test_refuses_dimension_above_dense_limit(self, monkeypatch):
+        # Each resolvent sample is a d x d matrix: above the dense limit the
+        # check raises before it samples a non-Hermitian family.
+        H0, Vs, psis, dirs = self._setup(seed=3)
+        monkeypatch.setattr(lattice, "DENSE_MAX_DIM", 5)
+        monkeypatch.setattr(analytic, "_series",
+                            lambda *a: pytest.fail("sampled above the dense limit"))
+
+        def family(beta):
+            return H0 + 1j * beta[0] * Vs[0]
+
+        with pytest.raises(LatticeError, match="dimension 6 exceeds the dense limit 5"):
+            verify_analytic_family(family, [np.ones(2)], dirs, psis)
+
+
+def _random_non_hermitian(rng, d, skew):
+    """Dense complex H = A + skew * B with A Hermitian and B anti-Hermitian,
+    both of unit scale, as a non-Hermitian `DiscreteOperator`."""
+    A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    B = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    H = (A + A.conj().T) / 2 + skew * (B - B.conj().T) / 2
+    return DiscreteOperator(sp.csr_matrix(H), hermitian=False), H
+
+
+class TestKatoCertificate:
+    """`resolvent_gap` and `kato_radius` against dense SVDs and the
+    two-level closed form."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("skew", [0.0, 0.3, 3.0])
+    def test_gap_below_sigma_min(self, seed, skew):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 40))
+        op, H = _random_non_hermitian(rng, d, skew)
+        shifts = [10j * max(op.norm_bound(), 1.0), -3j * op.norm_bound() + 0.7,
+                  complex(*rng.standard_normal(2) * op.norm_bound())]
+        for lam in shifts:
+            gap = resolvent_gap(op, lam)
+            smin = scipy.linalg.svdvals(H - lam * np.eye(d))[-1]
+            assert gap <= smin
+        # The CLI shift keeps the bound positive and within a factor 2 of
+        # the truth, however skew H is.
+        lam = shifts[0]
+        assert 0.5 * scipy.linalg.svdvals(H - lam * np.eye(d))[-1] < resolvent_gap(op, lam)
+
+    def test_gap_of_hermitian_is_imaginary_part(self):
+        rng = np.random.default_rng(4)
+        op, H = _random_non_hermitian(rng, 12, 0.0)
+        lam = 2.0 + 5j
+        gap = resolvent_gap(op, lam)
+        assert 5.0 * (1 - 1e-12) < gap <= 5.0
+        assert gap <= scipy.linalg.svdvals(H - lam * np.eye(12))[-1]
+
+    def test_resolvent_invertible_inside_radius(self):
+        # Weyl for singular values: sigma_min(H + zeta V - lam) >=
+        # gap - |zeta| ||V|| > 0 on |zeta| < rho.
+        rng = np.random.default_rng(5)
+        op, H = _random_non_hermitian(rng, 20, 0.5)
+        vop, V = _random_non_hermitian(rng, 20, 1.0)
+        lam = 10j * op.norm_bound()
+        rho = kato_radius(op, vop, lam)
+        assert 0 < rho < math.inf
+        for zeta in 0.999 * rho * np.exp(2j * np.pi * np.arange(16) / 16):
+            assert scipy.linalg.svdvals(H + zeta * V - lam * np.eye(20))[-1] > 0
+
+    def test_two_level_radius_below_pole(self):
+        # H0 = diag(0, 1), V = sigma_x: (H0 + zeta V - 10i)^-1 has its poles
+        # where zeta^2 = lam^2 - lam = -100 - 10i, at |zeta| ~ 10.025.
+        h0 = DiscreteOperator(sp.csr_matrix(np.diag([0.0, 1.0])), hermitian=True)
+        v = DiscreteOperator(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])),
+                             hermitian=True)
+        rho = kato_radius(h0, v, 10j)
+        pole = math.sqrt(abs(-100 - 10j))
+        assert 10.0 * (1 - 1e-12) < rho <= 10.0 < pole
+        det = lambda z: np.linalg.det(two_level(z) - 10j * np.eye(2))
+        assert abs(det(cmath.sqrt(-100 - 10j))) < 1e-9
+
+    def test_degenerate_cases(self):
+        h0 = DiscreteOperator(sp.csr_matrix(np.diag([0.0, 1.0])), hermitian=True)
+        zero = DiscreteOperator(sp.csr_matrix((2, 2)), hermitian=True)
+        assert kato_radius(h0, zero, 10j) == math.inf
+        # A real shift gives no gap bound, so no radius is certified.
+        assert kato_radius(h0, h0, 0.5) == 0.0
 
 
 def _both_inputs(dense):

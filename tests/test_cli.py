@@ -351,6 +351,62 @@ class TestRun:
         assert "FAIL verify.analytic_family: 4 failed of 4" in result.output
         assert result.exit_code == 1
 
+    def test_verify_certificate_fails_just_past_certified_radius(self, tmp_path):
+        # The stderr note names the smallest certified radius of the four
+        # records; 1% past it fails the run (exit 1), 1% inside passes.
+        repo = Path(__file__).resolve().parents[1]
+        doc = yaml.safe_load((repo / "scenarios" / "bumps_1d.yaml").read_text())
+        doc["tasks"] = [{"task": "verify", "r": 0.1}]
+        path = write_scenario(tmp_path, doc)
+        result = run_cli(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0
+        note = result.stderr.split("worst r|V_t|/sigma_lb ")[1]
+        ratio, radius = (float(x) for x in note.split(", certified radius "))
+        assert 7000 < radius < 7100
+        assert ratio == pytest.approx(0.1 / radius, rel=1e-5)
+        for scale, code, status in ((1.01, 1, "FAIL"), (0.99, 0, "PASS")):
+            doc["tasks"] = [{"task": "verify", "r": scale * radius}]
+            path = write_scenario(tmp_path, doc)
+            result = run_cli(["run", "--scenario", str(path),
+                              "--out", str(tmp_path / "out")])
+            assert result.exit_code == code
+            assert f"{status} verify.analytic_family" in result.output
+
+    def test_verify_forms_no_dense_array(self, tmp_path, monkeypatch):
+        # The certificate reads Schur bounds of sparse matrices only.
+        def no_array(*args, **kwargs):
+            raise AssertionError("dense array built")
+
+        monkeypatch.setattr(sp.csr_matrix, "toarray", no_array)
+        monkeypatch.setattr(analytic, "_node_solves", no_array)
+        doc = {**BUMPS, "beta": {"values": [[0.1, 0.05], 0.2, 0.3]},
+               "tasks": [{"task": "verify", "r": 0.1}]}
+        path = write_scenario(tmp_path, doc)
+        result = run_cli(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        assert "PASS verify.analytic_family: 0 failed of 4" in result.output
+
+    def test_full_projector_above_dense_limit_is_usage_error(self, tmp_path, monkeypatch):
+        # A complex coupling makes H(beta) non-Hermitian, so track takes the
+        # full d x d projector: above the dense limit the run exits 2 before
+        # it solves against the identity.  The reference vector at beta = 0
+        # is Hermitian and takes one-column solves.
+        monkeypatch.setattr(lattice, "DENSE_MAX_DIM", 100)
+        widths = []
+        projector_action = analytic._projector_action
+        monkeypatch.setattr(analytic, "_projector_action",
+                            lambda mat, d, c, B, s: widths.append(B.shape[1])
+                            or projector_action(mat, d, c, B, s))
+        repo = Path(__file__).resolve().parents[1]
+        doc = yaml.safe_load((repo / "scenarios" / "bumps_1d.yaml").read_text())
+        doc["beta"]["values"] = [[0.05, 0.01], 0.04, 0.03]
+        doc["tasks"] = [{"task": "track", "eig_index": 0}]
+        path = write_scenario(tmp_path, doc)
+        result = run_cli(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "dimension 160 exceeds the dense limit 100" in result.stderr
+        assert widths == [1]
+
     def test_bounds_rejects_non_hermitian_h0(self, tmp_path):
         # The band eigenvalues read only the upper triangle of this H0 and
         # would certify a spectrum box it does not have.
@@ -727,16 +783,13 @@ class TestDeterminism:
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
     def test_taylor_outputs_independent_of_blas_threads(self, tmp_path):
-        """Every output of the contour and bounds tasks is the same bytes with
-        one BLAS thread and with the default: bumps_1d bounds, track and
-        taylor (d = 160), sweep_1d, a 15 x 14 lattice (d = 210) with track
-        and sweep, and a 24 x 24 lattice (d = 576) with bounds."""
+        """Every output of the shipped tasks is the same bytes with one BLAS
+        thread and with the default: the whole bumps_1d scenario (d = 160),
+        sweep_1d, a 15 x 14 lattice (d = 210) with track and sweep, and a
+        24 x 24 lattice (d = 576) with bounds."""
         repo = Path(__file__).resolve().parents[1]
-        bumps = yaml.safe_load((repo / "scenarios" / "bumps_1d.yaml").read_text())
-        bumps["tasks"] = [t for t in bumps["tasks"]
-                          if t["task"] in ("bounds", "track", "taylor")]
         docs = {
-            "bumps_1d": bumps,
+            "bumps_1d": yaml.safe_load((repo / "scenarios" / "bumps_1d.yaml").read_text()),
             "sweep_1d": yaml.safe_load((repo / "scenarios" / "sweep_1d.yaml").read_text()),
             "lattice_2d": LATTICE_2D,
             "lattice_24": LATTICE_24,

@@ -3,17 +3,22 @@ scenario, written as JSON.
 
 Layers: one computed Taylor sample (`analytic._track_block` at a complex
 zeta), one sample taken by conjugation (the assembly of H(conj beta) and
-`analytic._reflected_sample`, as `taylor_eigenpath` calls them), and one
-`analytic._series` call on matrix-valued samples of the size `verify` uses
-(q = 64 samples of 160 x 160, the whole call and its Fourier-matrix product
-alone), next to the per-order `tensordot` loop that product replaced.
-Every layer value is the median of REPEAT timings.  Tasks: the taylor and
-verify times of RUNS in-process scenario runs, the first run (cold) and the
-median of the others.
+`analytic._reflected_sample`, as `taylor_eigenpath` calls them), one
+`analytic._series` call on matrix-valued samples of the size the sampled
+library check `verify_analytic_family` takes at d = 160 (q = 64 samples of
+160 x 160, the whole call and its Fourier-matrix product alone), next to the
+per-order `tensordot` loop that product replaced, and one closed-form Kato
+resolvent record of the verify task (`analytic.kato_radius` at the base
+point 0).  Every layer value is the median of REPEAT timings.  Tasks: the
+taylor and verify times of RUNS in-process scenario runs, the first run
+(cold) and the median of the others.
 
 Run from the repository root:
 
     PYTHONPATH=src python tools/bench_taylor.py --out BENCH.json
+
+`--baseline OLD.json` copies the task times of an earlier output of this
+tool (say, run on another checkout) into the result, under "baseline".
 """
 
 from __future__ import annotations
@@ -96,6 +101,9 @@ def layer_times(doc: dict) -> dict:
         it = iter(samples)
         return analytic._series(lambda beta: next(it, samples[0]), base, t, r, M, nodes)
 
+    h0, v = system(base), system.perturbation(t)
+    lam0 = 10j * max(h0.norm_bound(), 1.0)
+
     return {
         "d": d, "q": q, "contour_nodes": contour.q,
         "taylor_sample_s": median_time(lambda: analytic._track_block(H, contour, psi0)),
@@ -105,6 +113,7 @@ def layer_times(doc: dict) -> dict:
         "contraction_fourier_product_s": median_time(
             lambda: fourier @ samples.reshape(nodes, -1)),
         "contraction_tensordot_loop_s": median_time(tensordot_loop),
+        "kato_radius_s": median_time(lambda: analytic.kato_radius(h0, v, lam0)),
     }
 
 
@@ -124,6 +133,7 @@ def task_times(doc: dict) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--baseline", type=Path, default=None)
     args = parser.parse_args()
     doc = cli.load_scenario(ROOT / "scenarios" / "bumps_1d.yaml")
     result = {
@@ -136,6 +146,9 @@ def main() -> None:
                 "thread_env": {k: v for k, v in os.environ.items()
                                if k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}},
     }
+    if args.baseline is not None:
+        old = json.loads(args.baseline.read_text())
+        result["baseline"] = {"command": old["command"], "tasks": old["tasks"]}
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))
 
