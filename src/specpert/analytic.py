@@ -6,8 +6,8 @@ Contours are circles discretized by the trapezoidal rule, which converges
 exponentially for analytic integrands; one resolvent factorization per node
 is shared across all derivative orders.
 
-Two primitives carry every computation.  `_node_solves` makes every
-factorization: one LAPACK band LU per contour node (`zgbtrf`/`zgbtrs`) for
+Two primitives carry the contour computations.  `_node_solves` makes every
+contour factorization: one LAPACK band LU per node (`zgbtrf`/`zgbtrs`) for
 sparse H, ``numpy.linalg.solve`` for a dense ndarray, whose band would be the
 whole matrix; each solve's residual is checked against H.  `_series` forms
 Cauchy coefficients on a circle and their reconstruction error, for
@@ -15,31 +15,41 @@ Cauchy coefficients on a circle and their reconstruction error, for
 of the Fourier matrix with the samples, the test-point partial sums in one
 Vandermonde product, on nodes formed conjugate-symmetric to the bit.
 
-Three sample paths continue an eigenvalue.  A Hermitian sparse H (a
-`DiscreteOperator` with ``hermitian=True``) takes the filter path of
-`track_eigenvalue` and `_reference_vector`, which never forms P.  For normal
-H the trapezoidal projector is a scalar rational filter, P_q = f(H) with
-f(E) = 1/(1 - z^q), z = (E - c)/r (Polizzi 2009; Tang & Polizzi 2014), so
-trace(P_q) = sum_j f(E_j) and ||P_q^2 - P_q||_2 = max_j |z_j^q|/|1 - z_j^q|^2
-follow from the band eigenvalues E_j (``eigvals_banded``, as the CLI places
-its contours).  The reported defect adds a first-order Weyl term
-delta |f'(E_j)| (1 + 2 |f(E_j)|), delta = d eps ||H||_1, for the error of
-the computed E_j, so to first order it bounds the defect of the exact
-spectrum.  Dense and non-Hermitian H keep the full d x d Riesz projector of
-`riesz_projector`, certified by ||P^2 - P||_2 <= defect_tol and an integral
-trace.  Either way `_certified_action` gives the certificates, a rank-one
-check and one projector action P b: P psi0 for a tracked point, P w for the
-reference vector (a multiple of the eigenvector, as P = v u^* has rank one),
-from one-column solves on the filter path.  The track and sweep tasks report
-|trace(P) - 1| of either.  The Taylor samples of
-`taylor_eigenpath` never form P either, an action-only block contour method
-(Sakurai & Sugiura 2003; Beyn 2012): each node's LU is applied to
-Y = [psi0, w1, w2] and once more to give (P^2 - P) Y, with the certificates
-that `taylor_eigenpath` states.  For a real family, base point, direction
-and contour centre, E(conj zeta) = conj E(zeta) (Schwarz reflection; Kato
-1966, ch. II Sec. 1 and ch. VII Sec. 3), so `taylor_eigenpath` takes the
-lower half of each circle as the conjugates of the upper half wherever
-H(conj beta) is the exact conjugate matrix of H(beta).
+Track and sweep continue an eigenvalue by its Riesz projector.  A Hermitian
+sparse H (a `DiscreteOperator` with ``hermitian=True``) takes the filter
+path of `track_eigenvalue` and `_reference_vector`, which never forms P.
+For normal H the trapezoidal projector is a scalar rational filter,
+P_q = f(H) with f(E) = 1/(1 - z^q), z = (E - c)/r (Polizzi 2009; Tang &
+Polizzi 2014), so trace(P_q) = sum_j f(E_j) and
+||P_q^2 - P_q||_2 = max_j |z_j^q|/|1 - z_j^q|^2 follow from the band
+eigenvalues E_j (``eigvals_banded``, as the CLI places its contours).  The
+reported defect adds a first-order Weyl term delta |f'(E_j)| (1 + 2 |f(E_j)|),
+delta = d eps ||H||_1, for the error of the computed E_j, so to first order
+it bounds the defect of the exact spectrum.  Dense and non-Hermitian H keep
+the full d x d Riesz projector of `riesz_projector`, certified by
+||P^2 - P||_2 <= defect_tol and an integral trace.  Either way
+`_certified_action` gives the certificates, a rank-one check and one
+projector action P b: P psi0 for a tracked point, P w for the reference
+vector (a multiple of the eigenvector, as P = v u^* has rank one), from
+one-column solves on the filter path.  The track and sweep tasks report
+|trace(P) - 1| of either.
+
+The Taylor samples of `taylor_eigenpath` never form P.  `contour_kato_radius`
+certifies, once per path, a radius r0 such that the contour encloses exactly
+one eigenvalue of H(base + zeta t) for every |zeta| < r0 (Kato 1966, ch. II
+Sec. 3 and ch. VII Sec. 2).  Inside it, for a complex symmetric family (every
+real one), each sample is one shift-invert solve (`_shift_invert_sample`):
+at most two band LUs, no contour, accepted when its residual lies below the
+Neumann margin, which puts it in the pseudospectral component of the one
+enclosed eigenvalue.  Otherwise a sample is an action-only block contour
+pass (Sakurai & Sugiura 2003; Beyn 2012, `_track_block`): each node's LU is
+applied to Y = [psi0, w1, w2] and once more to give (P^2 - P) Y, with the
+certificates that `taylor_eigenpath` states.  For a real family, base point,
+direction and contour centre, E(conj zeta) = conj E(zeta) (Schwarz
+reflection; Kato 1966, ch. II Sec. 1 and ch. VII Sec. 3), so
+`taylor_eigenpath` takes the lower half of each circle as the conjugates of
+the upper half wherever H(conj beta) is the exact conjugate matrix of
+H(beta).
 
 `gamma_membership` reads sigma_min(H - lambda) off the same band eigenvalues
 for Hermitian H, less delta, and takes a dense SVD for any other H.
@@ -84,6 +94,7 @@ __all__ = [
     "gamma_membership",
     "resolvent_gap",
     "kato_radius",
+    "contour_kato_radius",
 ]
 
 
@@ -165,14 +176,17 @@ class Direction:
 
 @dataclass
 class BlockStats:
-    """Work and certificate margins of contour solves: full projectors and
-    action-only samples."""
+    """Work and certificate margins of contour solves, full projectors and
+    action-only samples, and of shift-invert Taylor samples."""
 
     factorizations: int = 0
     rhs_columns: int = 0
     full_projectors: int = 0  # d x d projectors built (`riesz_projector`)
     fallbacks: int = 0  # Taylor samples re-tracked by `track_eigenvalue`
     mirrored: int = 0  # Taylor samples taken as the conjugate of an earlier one
+    shift_invert: int = 0  # Taylor samples taken by `_shift_invert_sample`
+    block_samples: int = 0  # Taylor samples taken by `_track_block`
+    max_margin_ratio: float = 0.0  # worst accepted shift-invert residual / Neumann margin
     max_defect: float = 0.0  # worst max_j ||(P^2 - P) w_j||
     max_rank_ratio: float = 0.0  # worst sigma_2(P Y) / sigma_1(P Y)
     max_projector_defect: float = 0.0  # worst accepted ||P^2 - P||_2 (full or filter)
@@ -188,6 +202,7 @@ class EigenPath:
     coefficients: np.ndarray
     radius: float
     stats: BlockStats = field(default_factory=BlockStats)
+    certified_radius: float = 0.0  # r0 of `contour_kato_radius`
 
 
 @dataclass(frozen=True)
@@ -611,6 +626,65 @@ def _track_block(
     return _eigenvalue_of(mat, PY[:, 0], psi0, residual_tol)[0]
 
 
+# Inverse-iteration steps at the Rayleigh-quotient shift, at most.
+_SHIFT_INVERT_STEPS = 8
+
+
+def _shift_invert_sample(H, sigma: complex, x: np.ndarray,
+                         stats: BlockStats) -> tuple[complex, float]:
+    """Eigenvalue E of a complex symmetric H near sigma, and its residual
+    rho = ||H x - E x|| / ||x||, by shift-invert from x.
+
+    Two inverse-iteration steps with one band LU of H - sigma (`zgbtrf`; a
+    dense ndarray goes in as CSR, whose band is the whole matrix), then one
+    LU at the quotient E = x^T H x / x^T x, stationary for complex symmetric
+    H, as the left eigenvector is the transposed right one (Arbenz &
+    Hochstenbach 2004).  Steps at that shift keep the smallest rho and stop
+    once a step no longer halves it, at the rounding floor, or after
+    `_SHIFT_INVERT_STEPS` steps.
+    Raises ShiftNearSpectrumError if a shift is exactly singular.  No
+    solve-residual gate: the shifts lie near an eigenvalue by design, and
+    the caller judges E by rho alone.
+    """
+    mat = _canonical(_as_matrix(H)[0])
+    d = mat.shape[0]
+    ab, kl, ku = _band_storage(mat, d)
+
+    def factor(shift: complex):
+        band = ab.copy()
+        band[kl + ku] -= shift
+        lu, piv, info = lapack.zgbtrf(band, kl, ku, overwrite_ab=1)
+        stats.factorizations += 1
+        if info > 0:
+            raise ShiftNearSpectrumError(f"shift {shift} is singular")
+        return lu, piv
+
+    def step(lu, piv, x):
+        stats.rhs_columns += 1
+        y = lapack.zgbtrs(lu, kl, ku, x, piv)[0]
+        return y / np.linalg.norm(y)
+
+    def quotient(x):
+        hx = mat @ x
+        E = (x @ hx) / (x @ x)
+        return E, float(np.linalg.norm(hx - E * x))
+
+    with np.errstate(all="ignore"):
+        lu, piv = factor(sigma)
+        x = step(lu, piv, step(lu, piv, np.asarray(x, dtype=complex)))
+        E, rho = quotient(x)
+        lu, piv = factor(E)
+        for _ in range(_SHIFT_INVERT_STEPS):
+            y = step(lu, piv, x)
+            E_y, rho_y = quotient(y)
+            halved = rho_y < 0.5 * rho
+            if rho_y < rho:
+                x, E, rho = y, E_y, rho_y
+            if not halved:
+                break
+    return complex(E), rho
+
+
 def _conjugate_circle(radius: float, n: int) -> np.ndarray:
     """n points radius e^(2 pi i j / n): formed for j <= n/2 and conjugated
     for the rest, so z[n - j] == conj(z[j]) to the bit."""
@@ -737,8 +811,28 @@ def taylor_eigenpath(
     """Taylor-expand the tracked eigenvalue zeta -> E(base + zeta t).
 
     The reference vector psi0 comes from `_reference_vector` at the base
-    point.  Every contour sample then tracks the eigenvalue from P Y alone,
-    Y = [psi0, w1, w2] (see `_track_block`): one LU per node, applied
+    point.  With V_t = family(base + t) - family(base), exact for an affine
+    family, `contour_kato_radius` gives r0 (`path.certified_radius`): for
+    |zeta| < r0 the contour encloses exactly one eigenvalue of
+    H(base + zeta t).  r0 is not required to exceed r.
+
+    Shift-invert samples.  When r < r0 and H(base) and V_t equal their
+    transposes entry for entry (every real family does), each computed
+    sample is `_shift_invert_sample` from the shift E0 + zeta a1, with
+    E0 = psi0^T H(base) psi0 / psi0^T psi0 and a1 = psi0^T V_t psi0 / psi0^T psi0:
+    at most two band LUs and no contour.  It is accepted iff its residual
+    rho = ||H x - E x|| / ||x|| is at most residual_tol and below the Neumann
+    margin (r0 - r) ||V_t||, less the rounding of rho, and |E - c| is below
+    the contour radius.  On
+    the contour sigma_min(H(base + zeta t) - lambda) >= (r0 - |zeta|) ||V_t||
+    > rho, so the contour misses the rho-pseudospectrum of H, and the
+    components of it inside the contour hold the one enclosed eigenvalue
+    alone; E lies in one of them (Trefethen & Embree 2005).  A sample that
+    misses the gate, or whose shift is exactly singular, is taken from the
+    block path instead, and counted there.
+
+    Block samples.  Otherwise every sample tracks the eigenvalue from P Y
+    alone, Y = [psi0, w1, w2] (see `_track_block`): one LU per node, applied
     to Y and once more to form (P^2 - P) Y.  Rank-1 failures or contour
     crossings raise TrackingError instead of giving a silent wrong series.
     The block defect test is max_j ||(P^2 - P) w_j|| <= defect_tol / 10:
@@ -759,7 +853,8 @@ def taylor_eigenpath(
     conj w_j (the complex Gaussian law is conjugation invariant), and the
     exact ||P^2 - P||_2 of a re-tracked sample carries over too, so
     (conj E, conj psi) is a sample of conj H, tracked from conj psi0,
-    certified as (E, psi) was.
+    certified as (E, psi) was.  A shift-invert sample of conj H has the
+    same residual and margin, so its certificate carries over as well.
     `_series` forms its nodes conjugate-symmetric to the bit and samples a
     node before its conjugate, so for a real base and t the conjugate of a
     node's beta has been sampled.  Its E is reused, as conj E, if c is real
@@ -771,9 +866,9 @@ def taylor_eigenpath(
     matches.
 
     `path.stats` counts the factorizations and right-hand-side columns of
-    all samples, the re-tracked samples and the full projectors they built,
-    and the mirrored samples, and keeps the worst block defect and
-    sigma_2/sigma_1.
+    all samples, the shift-invert and block samples, the re-tracked samples
+    and the full projectors they built, and the mirrored samples, and keeps
+    the worst rho / margin, block defect and sigma_2/sigma_1.
     """
     base = np.asarray(base, dtype=complex)
     samples: list[tuple[complex, complex]] = []
@@ -784,6 +879,35 @@ def taylor_eigenpath(
     # yet (see `_reflected_sample`).
     pending: dict[tuple, complex] = {}
 
+    H_base = family(base)
+    mat0 = _canonical(_as_matrix(H_base)[0])
+    V = _canonical(_as_matrix(family(base + direction.t))[0]) - mat0
+    r0 = contour_kato_radius(H_base, V, track_contour)
+    shift_invert = r < r0 and _is_symmetric(mat0) and _is_symmetric(V)
+    if shift_invert:
+        # The Neumann margin (r0 - r) ||V_t||, less the rounding of a computed
+        # rho: (d + 8) eps (||H|| + |E|) for a unit x, ||H|| <= ||H(base)|| + r ||V_t||
+        # and |E| < |c| + radius.
+        norm_v = DiscreteOperator(V, hermitian=False).norm_bound()
+        norm_h = DiscreteOperator(mat0, hermitian=False).norm_bound()
+        margin = (r0 - r) * norm_v - (mat0.shape[0] + 8) * np.finfo(float).eps * (
+            norm_h + r * norm_v + abs(track_contour.center) + track_contour.radius)
+        norm2 = ref_psi @ ref_psi
+        E0 = ref_psi @ (mat0 @ ref_psi) / norm2
+        a1 = ref_psi @ (V @ ref_psi) / norm2
+
+    def certified_sample(H, zeta: complex) -> complex | None:
+        try:
+            E, rho = _shift_invert_sample(H, E0 + zeta * a1, ref_psi, stats)
+        except ShiftNearSpectrumError:
+            return None
+        if not (rho <= residual_tol and rho < margin
+                and abs(E - track_contour.center) < track_contour.radius):
+            return None
+        stats.shift_invert += 1
+        stats.max_margin_ratio = max(stats.max_margin_ratio, rho / margin)
+        return E
+
     def g(beta_vec) -> complex:
         zeta = _project_zeta(beta_vec - base, direction.t)
         H = family(beta_vec)
@@ -792,17 +916,21 @@ def taylor_eigenpath(
             stats.mirrored += 1
             samples.append((zeta, E))
             return E
-        try:
-            E = _track_block(H, track_contour, ref_psi,
-                             residual_tol=residual_tol, defect_tol=defect_tol,
-                             stats=stats)
-        except QuadratureError:
-            # Block defect above defect_tol / 10: the exact
-            # ||P^2 - P||_2 <= defect_tol decides, as on the track path.
-            stats.fallbacks += 1
-            E = track_eigenvalue(family, beta_vec, track_contour, psi0=ref_psi,
-                                 residual_tol=residual_tol,
-                                 defect_tol=defect_tol, stats=stats).E
+        if shift_invert:
+            E = certified_sample(H, zeta)
+        if E is None:
+            stats.block_samples += 1
+            try:
+                E = _track_block(H, track_contour, ref_psi,
+                                 residual_tol=residual_tol, defect_tol=defect_tol,
+                                 stats=stats)
+            except QuadratureError:
+                # Block defect above defect_tol / 10: the exact
+                # ||P^2 - P||_2 <= defect_tol decides, as on the track path.
+                stats.fallbacks += 1
+                E = track_eigenvalue(family, beta_vec, track_contour, psi0=ref_psi,
+                                     residual_tol=residual_tol,
+                                     defect_tol=defect_tol, stats=stats).E
         if real_centre:
             pending[tuple(beta_vec.tolist())] = E
         samples.append((zeta, E))
@@ -817,6 +945,7 @@ def taylor_eigenpath(
         coefficients=np.asarray(A, dtype=complex),
         radius=R,
         stats=stats,
+        certified_radius=r0,
     )
 
 
@@ -834,11 +963,24 @@ def _reflected_sample(family, beta_vec, H, pending: dict) -> complex | None:
     return partner.conjugate()
 
 
+def _is_symmetric(mat) -> bool:
+    """Whether the sparse `mat` equals its transpose entry for entry."""
+    return (mat != mat.T).nnz == 0
+
+
 def _is_conjugate(mat, other) -> bool:
-    """Whether `mat` equals conj(`other`) entry for entry (sparse or dense)."""
+    """Whether `mat` equals conj(`other`) entry for entry (sparse or dense).
+
+    CSR matrices with the same stored pattern, as an `AffineFamily` gives,
+    compare their data arrays alone.
+    """
     if sp.issparse(mat) != sp.issparse(other) or mat.shape != other.shape:
         return False
     if sp.issparse(mat):
+        if (mat.format == other.format == "csr"
+                and np.array_equal(mat.indptr, other.indptr)
+                and np.array_equal(mat.indices, other.indices)):
+            return np.array_equal(np.conj(other.data), mat.data)
         return (other.conj() != mat).nnz == 0
     return np.array_equal(np.conj(other), mat)
 
@@ -1048,3 +1190,46 @@ def kato_radius(H, V: DiscreteOperator, lam: complex) -> float:
     gap = max(resolvent_gap(H, lam), 0.0)
     v = V.norm_bound() * (1 + (V.dim + 8) * np.finfo(float).eps)
     return gap / v if v > 0 else math.inf
+
+
+def contour_kato_radius(H, V, contour: Contour) -> float:
+    """Radius r0 such that the contour encloses exactly one eigenvalue of
+    H + zeta V, counted with algebraic multiplicity, for every |zeta| < r0;
+    0 when that is not certified.
+
+    With the Hermitian part H_h = (H + H^*)/2 and S = (H - H^*)/2, on the
+    circle sigma_min(H_h - lambda) >= g = min_j ||E_j - c| - rho| - delta,
+    E_j the band eigenvalues of H_h, each within delta = `_weyl_delta` of an
+    exact one.  So sigma_min(H_h + s S + zeta V - lambda) > 0 on the circle
+    for every s in [0, 1] and |zeta| < r0 = (g - ||S||) / ||V||, and the
+    count enclosed stays that of H_h, the number of E_j inside (Kato 1966,
+    ch. II Sec. 3 and ch. VII Sec. 2); r0 = 0 unless it is one.  A
+    Hermitian H has S = 0.  The norms are Schur bounds
+    (`DiscreteOperator.norm_bound`).
+
+    Rounding is charged toward 0 with the slack s = (d + 8) eps: the entries
+    of a sampled H(base + zeta t), and of V when it is the difference
+    H(base + t) - H(base), differ from the exact affine path by a few ulps of
+    |H| + |V| times 1 + |zeta|, which takes s (||H|| + ||V||) from g and adds
+    it to ||V||; the subtracted terms are rounded up by 1 + s, the distances
+    to the circle lose s (|c| + rho), and g and ||V|| are rounded by 1 -+ s.
+    """
+    mat = _canonical(_as_matrix(H)[0])
+    vmat = _canonical(_as_matrix(V)[0])
+    d = mat.shape[0]
+    slack = (d + 8) * np.finfo(float).eps
+    if isinstance(H, DiscreteOperator) and H.hermitian:
+        herm, skew = H, 0.0
+    else:
+        herm = DiscreteOperator((mat + mat.conj().T) / 2, hermitian=True)
+        skew = DiscreteOperator((mat - mat.conj().T) / 2, hermitian=False).norm_bound()
+    c, rho = complex(contour.center), contour.radius
+    dist = np.abs(_band_eigenvalues(herm.matrix, d) - c) - rho
+    if np.count_nonzero(dist < 0) != 1:
+        return 0.0
+    v = DiscreteOperator(vmat, hermitian=False).norm_bound()
+    noise = slack * (DiscreteOperator(mat, hermitian=False).norm_bound() + v)
+    lost = (_weyl_delta(herm) + skew + noise + slack * (abs(c) + rho)) * (1 + slack)
+    gap = (float(np.abs(dist).min()) - lost) * (1 - slack)
+    v = (v + noise) * (1 + slack)
+    return float(max(gap, 0.0) / v) if v > 0 else math.inf

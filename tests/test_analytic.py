@@ -19,6 +19,7 @@ from specpert.analytic import (
     _reference_vector,
     _series,
     _track_block,
+    contour_kato_radius,
     gamma_membership,
     kato_radius,
     radius_of_convergence,
@@ -46,6 +47,15 @@ def two_level(beta):
 
 def two_level_energy(b):
     return (1.0 - np.sqrt(1.0 + 4.0 * complex(b) ** 2)) / 2.0
+
+
+def _without_shift_invert(monkeypatch):
+    """Send every computed Taylor sample to the block contour path, as a
+    shift that is exactly singular does."""
+    def singular(*args, **kwargs):
+        raise ShiftNearSpectrumError("shift-invert disabled")
+
+    monkeypatch.setattr(analytic, "_shift_invert_sample", singular)
 
 
 def _padded_to_210(h):
@@ -574,6 +584,7 @@ class TestBlockSamples:
         def block_fails(*args, **kwargs):
             raise QuadratureError("block defect above defect_tol / 10")
 
+        _without_shift_invert(monkeypatch)
         monkeypatch.setattr(analytic, "_track_block", block_fails)
         contour = Contour(0.0, 0.5, q=64)
         path = taylor_eigenpath(two_level, np.array([0.0]),
@@ -598,6 +609,7 @@ class TestBlockSamples:
             return full(*args, **kwargs)
 
         monkeypatch.setattr(analytic, "riesz_projector", counted)
+        _without_shift_invert(monkeypatch)
         path = taylor_eigenpath(two_level, np.array([0.0]),
                                 Direction(np.array([1.0])), Contour(0.0, 0.5, q=64),
                                 r=0.3, M=8, q=32)
@@ -605,6 +617,7 @@ class TestBlockSamples:
         assert len(path.samples) == 32 + 8
         assert path.stats.fallbacks == path.stats.full_projectors == 0
         assert path.stats.mirrored == 15 + 3
+        assert path.stats.block_samples == 22 and path.stats.shift_invert == 0
         assert path.stats.factorizations == 64 * (len(path.samples) - path.stats.mirrored)
         assert path.stats.rhs_columns == 2 * 3 * path.stats.factorizations
         assert path.stats.max_defect <= 1e-9
@@ -792,7 +805,9 @@ class TestSchwarzReflection:
             contour, r = Contour(0.0, 0.5, q=64), 0.3
         path = taylor_eigenpath(family, base, direction, contour, r=r, M=8, q=32)
         assert path.stats.mirrored == 15 + 3
-        assert path.stats.factorizations == 64 * (32 + 8 - 18)
+        # r < r0: every computed sample is shift-invert, two LUs each.
+        assert path.stats.shift_invert == 32 + 8 - 18 and path.stats.block_samples == 0
+        assert path.stats.factorizations == 2 * (32 + 8 - 18)
         psi0 = _reference_vector(family, base, contour)
         mirrored = [(z, E) for z, E in path.samples if z.imag < -1e-14]
         assert len(mirrored) == 18
@@ -817,7 +832,126 @@ class TestSchwarzReflection:
             contour = Contour(1e-3j, 0.5, q=64)
         path = taylor_eigenpath(family, base, direction, contour, r=0.2, M=8, q=32)
         assert path.stats.mirrored == 0
-        assert path.stats.factorizations == 64 * (32 + 8)
+        # H(b) of the complex term is Hermitian, not symmetric: the block
+        # path, 64 LUs a sample.  The other cases are complex symmetric
+        # with r < r0: shift-invert, two LUs a sample.
+        block = case == "complex_term"
+        assert path.stats.block_samples == (32 + 8 if block else 0)
+        assert path.stats.shift_invert == (0 if block else 32 + 8)
+        assert path.stats.factorizations == (64 if block else 2) * (32 + 8)
+
+
+def _shipped_bumps_1d_path():
+    """The shipped bumps_1d taylor task's family, base, direction, contour
+    (around the lowest eigenvalue of H0, radius half the gap) and r."""
+    family = _bumps_1d_family()
+    vals = np.linalg.eigvalsh(family.h0.to_dense())
+    contour = Contour(complex(vals[0]), 0.5 * (vals[1] - vals[0]), q=64)
+    return family, np.zeros(3), Direction(np.array([1.0, 0.0, 0.0])), contour, 0.1
+
+
+class TestShiftInvertSamples:
+    """Taylor samples inside the certified radius r0 of
+    `contour_kato_radius`: one shift-invert solve each, gated by its
+    residual, checked against the block contour path and closed forms."""
+
+    @pytest.mark.parametrize("case", ["bumps_1d", "two_level"])
+    def test_samples_match_block_path(self, case):
+        if case == "bumps_1d":
+            family, base, direction, contour, r = _shipped_bumps_1d_path()
+        else:
+            family, base = two_level, np.array([0.0])
+            direction, contour, r = Direction(np.array([1.0])), Contour(0.0, 0.5, q=64), 0.3
+        path = taylor_eigenpath(family, base, direction, contour, r=r, M=8, q=32)
+        assert path.stats.shift_invert == 32 + 8 - 18 and path.stats.block_samples == 0
+        assert path.stats.factorizations == 2 * path.stats.shift_invert
+        assert 0 < path.stats.max_margin_ratio < 1e-6
+        psi0 = _reference_vector(family, base, contour)
+        computed = [(z, E) for z, E in path.samples if z.imag >= 0]
+        assert len(computed) == 22
+        assert sum(z.imag > 0.1 * r for z, _ in computed) >= 10  # complex zeta
+        for zeta, E in computed:
+            block = _track_block(family(base + zeta * direction.t), contour, psi0)
+            assert abs(E - block) <= 1e-12 * abs(block)
+            if case == "two_level":
+                assert abs(E - two_level_energy(zeta)) <= 1e-12 * abs(E)
+
+    def test_two_level_radius_is_below_branch_points(self):
+        # The eigenvalues of [[0, b], [b, 1]] meet on the contour |E| = 1/2
+        # at b = +-i/2, so no certificate may pass 0.5.
+        h0 = two_level(np.array([0.0]))
+        v = two_level(np.array([1.0])) - h0
+        r0 = contour_kato_radius(h0, v, Contour(0.0, 0.5, q=64))
+        assert 0.5 * (1 - 1e-12) < r0 <= 0.5
+        path = taylor_eigenpath(two_level, np.array([0.0]), Direction(np.array([1.0])),
+                                Contour(0.0, 0.5, q=64), r=0.3, M=8, q=32)
+        assert path.certified_radius == r0
+
+    def test_shipped_bumps_1d_radius(self):
+        family, base, direction, contour, r = _shipped_bumps_1d_path()
+        r0 = contour_kato_radius(family(base), family.perturbation(direction.t), contour)
+        assert r < r0 < 1.004 * r
+
+    def test_radius_certifies_one_enclosed_eigenvalue(self):
+        # Real symmetric and complex symmetric H (Hermitian part plus a small
+        # skew part i B) and a real symmetric V: for every sampled
+        # |zeta| < r0 the dense eigenvalues of H + zeta V put exactly one
+        # inside the contour.
+        rng = np.random.default_rng(31)
+        certified = 0
+        for case in range(60):
+            d = int(rng.integers(3, 9))
+            A, B, W = (rng.standard_normal((d, d)) for _ in range(3))
+            H = (A + A.T) / 2 + (1j * 0.05 * (B + B.T) if case % 2 else 0)
+            V = (W + W.T) / 2
+            vals = np.linalg.eigvalsh((H + H.conj().T) / 2)
+            i = int(rng.integers(d))
+            gap = np.min(np.abs(np.delete(vals, i) - vals[i]))
+            contour = Contour(complex(vals[i] + 0.1 * gap * rng.uniform(-1, 1)),
+                              gap * rng.uniform(0.3, 0.6), q=64)
+            r0 = contour_kato_radius(H, V, contour)
+            if r0 == 0:
+                continue
+            certified += 1
+            for u in (0.999, *rng.uniform(0, 1, 7)):
+                zeta = u * r0 * np.exp(2j * np.pi * rng.random())
+                E = np.linalg.eigvals(H + zeta * V)
+                assert np.count_nonzero(np.abs(E - contour.center) < contour.radius) == 1
+        assert certified >= 30
+
+    def test_contour_around_two_eigenvalues_gives_zero(self):
+        H = np.diag([0.0, 0.5, 10.0])
+        assert contour_kato_radius(H, np.eye(3), Contour(0.25, 1.0, q=64)) == 0.0
+
+    def test_radius_at_or_past_r0_takes_block_path(self):
+        # A contour of radius 1/4 around E = 0 certifies r0 < 1/4 < r.
+        contour = Contour(0.0, 0.25, q=64)
+        path = taylor_eigenpath(two_level, np.array([0.0]), Direction(np.array([1.0])),
+                                contour, r=0.3, M=8, q=32)
+        assert path.certified_radius < 0.25
+        assert path.stats.shift_invert == 0 and path.stats.block_samples == 22
+        assert path.stats.factorizations == 64 * 22
+        assert path.coefficients[2] == pytest.approx(-1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("miss", ["residual", "margin", "outside"])
+    def test_sample_missing_the_gate_falls_back(self, monkeypatch, miss):
+        # two_level, r = 0.3: r0 = 0.5 and ||V_t|| = 1 give the margin 0.2.
+        real = analytic._shift_invert_sample
+
+        def missing(H, sigma, x, stats):
+            E, rho = real(H, sigma, x, stats)
+            return {"residual": (E, 1.0), "margin": (E, 0.3),
+                    "outside": (E + 1.0, rho)}[miss]
+
+        monkeypatch.setattr(analytic, "_shift_invert_sample", missing)
+        residual_tol = 0.5 if miss == "margin" else 1e-8
+        path = taylor_eigenpath(two_level, np.array([0.0]), Direction(np.array([1.0])),
+                                Contour(0.0, 0.5, q=64), r=0.3, M=8, q=32,
+                                residual_tol=residual_tol)
+        assert path.stats.shift_invert == 0 and path.stats.block_samples == 22
+        assert path.stats.factorizations == (2 + 64) * 22
+        assert path.stats.max_margin_ratio == 0.0
+        assert path.coefficients[2] == pytest.approx(-1.0, abs=1e-8)
 
 
 class TestRadius:

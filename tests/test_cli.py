@@ -340,9 +340,10 @@ class TestRun:
         assert result.exit_code == 1
 
     def test_verify_fails_with_pole_inside_test_circle(self, tmp_path):
-        # The Kato shift sits at 10i, so the resolvent of H0 + zeta V has a
-        # pole at |zeta| ~ 10, inside the test circle |zeta| = r/2 = 15:
-        # every resolvent record fails, and the run exits 1, not 3.
+        # The Kato shift sits at 10i max(||H(beta0)||, 1) and ||V_t|| = 1,
+        # so the records certify the radius 10 at beta0 = 0 and 11.5 at
+        # beta0 = beta/2: r = 30 lies past both, every resolvent record
+        # fails, and the run exits 1, not 3.
         doc = dict(TWO_LEVEL)
         doc["tasks"] = [{"task": "verify", "r": 30.0, "M": 8}]
         path = write_scenario(tmp_path, doc)
@@ -350,6 +351,28 @@ class TestRun:
                           "--out", str(tmp_path / "out")])
         assert "FAIL verify.analytic_family: 4 failed of 4" in result.output
         assert result.exit_code == 1
+
+    def test_shipped_bumps_1d_taylor_takes_one_lu_pair_per_sample(self, tmp_path):
+        # Guard for the shift-invert samples of the shipped taylor task: at
+        # most two factorizations per computed sample, none by the block
+        # contour path (64 per sample), read from its stderr note.
+        repo = Path(__file__).resolve().parents[1]
+        doc = yaml.safe_load((repo / "scenarios" / "bumps_1d.yaml").read_text())
+        doc["tasks"] = [t for t in doc["tasks"] if t["task"] == "taylor"]
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        result = run_cli(["run", "--scenario", str(path), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        note = result.stderr.split("[0:taylor]")[1].splitlines()[0]
+        fields = dict(part.strip().rsplit(" ", 1) for part in note.split(",")[1:])
+        factorizations = int(note.split("factorizations ")[1].split(",")[0])
+        shift_invert, block = int(fields["shift-invert samples"]), int(fields["block samples"])
+        assert block == 0 and shift_invert == 136 - int(fields["mirrored samples"]) == 70
+        assert factorizations <= 2 * (shift_invert + block)
+        assert 0 < float(fields["r/r0"]) < 1 and 0 < float(fields["rho/margin"]) < 1
+        r0 = yaml.safe_load((out / "report.yaml").read_text())["tasks"][0]["result"][
+            "certified_radius"]
+        assert 0.1 < r0 < 0.1004
 
     def test_verify_certificate_fails_just_past_certified_radius(self, tmp_path):
         # The stderr note names the smallest certified radius of the four
@@ -484,9 +507,17 @@ class TestRun:
         _, rows = read_csv(out / "taylor.csv")
         report = yaml.safe_load((out / "report.yaml").read_text())
         assert report["tasks"][0]["result"]["M"] == len(rows) - 1 == 8
-        # The stderr line carries the block-sample counters.
-        # 22 of the 40 samples are computed, 18 mirrored (q = 32, 8 test points).
-        assert "factorizations 1408, rhs columns 8448" in result.stderr
+        assert report["tasks"][0]["result"]["certified_radius"] == pytest.approx(0.5)
+        # The stderr line carries the sample counters.  22 of the 40 samples
+        # are computed, 18 mirrored (q = 32, 8 test points).  r = 0.3 lies
+        # inside r0 = 0.5, so each computed sample is shift-invert: two LUs,
+        # and two solves at the first shift plus at least two, at most
+        # eight, at the second.
+        assert "factorizations 44, rhs columns " in result.stderr
+        rhs = int(result.stderr.split("rhs columns ")[1].split(",")[0])
+        assert 4 * 22 <= rhs <= 10 * 22
+        assert "r/r0 0.6, rho/margin " in result.stderr
+        assert "shift-invert samples 22, block samples 0," in result.stderr
         assert "mirrored samples 18" in result.stderr
         assert "block defect/tol" in result.stderr and "sigma2/sigma1" in result.stderr
 
@@ -646,6 +677,12 @@ class TestSweepMonotoneAndTaylorConsistency:
         out = tmp_path / "out"
         result = run_cli(["run", "--scenario", str(path), "--out", str(out)])
         assert result.exit_code == 0, result.output
+        # r = 0.1 lies past the certified radius (about 0.021): every computed
+        # sample takes the block contour path, and the series is still right.
+        r0 = yaml.safe_load((out / "report.yaml").read_text())["tasks"][1]["result"][
+            "certified_radius"]
+        assert 0 < r0 < 0.1
+        assert "shift-invert samples 0, block samples 70," in result.stderr
         _, sweep_rows = read_csv(out / "sweep.csv")
         _, taylor_rows = read_csv(out / "taylor.csv")
         coeffs = np.array([row[1] + 0j for row in taylor_rows])

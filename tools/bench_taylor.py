@@ -1,8 +1,12 @@
 """Layer and task timings of the Taylor series on the shipped bumps_1d
 scenario, written as JSON.
 
-Layers: one computed Taylor sample (`analytic._track_block` at a complex
-zeta), one sample taken by conjugation (the assembly of H(conj beta) and
+Layers: one computed Taylor sample at a complex zeta, by shift-invert
+(`analytic._shift_invert_sample` from the shift `taylor_eigenpath` takes)
+and, for comparison, by the block contour path (`analytic._track_block`, 64
+node LUs; `taylor_sample_s` in BENCH_14 and BENCH_16), the certified radius
+of the path (`analytic.contour_kato_radius`), one sample taken by
+conjugation (the assembly of H(conj beta) and
 `analytic._reflected_sample`, as `taylor_eigenpath` calls them), one
 `analytic._series` call on matrix-valued samples of the size the sampled
 library check `verify_analytic_family` takes at d = 160 (q = 64 samples of
@@ -79,6 +83,15 @@ def layer_times(doc: dict) -> dict:
     beta, mirror = base + zeta * t, base + np.conj(zeta) * t
     H = system(beta)
     E = analytic._track_block(H, contour, psi0)
+    h_base = system(base)
+    V = system(base + t).matrix - h_base.matrix
+    sigma = (psi0 @ (h_base.matrix @ psi0) + zeta * (psi0 @ (V @ psi0))) / (psi0 @ psi0)
+
+    def shift_invert():
+        return analytic._shift_invert_sample(H, sigma, psi0, analytic.BlockStats())[0]
+
+    if not abs(shift_invert() - E) <= 1e-12 * abs(E):
+        raise RuntimeError("the shift-invert sample misses the block sample")
 
     def mirrored():
         pending = {tuple(beta.tolist()): E}
@@ -106,7 +119,10 @@ def layer_times(doc: dict) -> dict:
 
     return {
         "d": d, "q": q, "contour_nodes": contour.q,
-        "taylor_sample_s": median_time(lambda: analytic._track_block(H, contour, psi0)),
+        "shift_invert_sample_s": median_time(shift_invert),
+        "block_sample_s": median_time(lambda: analytic._track_block(H, contour, psi0)),
+        "contour_kato_radius_s": median_time(
+            lambda: analytic.contour_kato_radius(h_base, V, contour)),
         "mirrored_sample_s": median_time(mirrored),
         "series_matrix_shape": [nodes, d, d],
         "series_matrix_s": median_time(series),
