@@ -10,6 +10,7 @@ schema error, 3 numerical failure.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
@@ -138,6 +139,15 @@ class ScenarioError(Exception):
     pass
 
 
+@functools.cache
+def _scenario_validator():
+    """A validator of SCENARIO_SCHEMA, built once.  The schema itself is
+    checked against its metaschema by the tests, not on every load."""
+    import jsonschema
+
+    return jsonschema.validators.validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
+
+
 def load_scenario(path: Path, overrides: tuple[str, ...] = ()) -> dict:
     import jsonschema
 
@@ -154,11 +164,10 @@ def load_scenario(path: Path, overrides: tuple[str, ...] = ()) -> dict:
             raise ScenarioError(f"override must look like key=value, got {ov!r}")
         key, _, raw = ov.partition("=")
         _apply_override(doc, key.strip(), serialize.load_document(raw))
-    try:
-        jsonschema.validate(doc, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        loc = ".".join(str(p) for p in exc.absolute_path) or "(root)"
-        raise ScenarioError(f"scenario field {loc}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_scenario_validator().iter_errors(doc))
+    if error is not None:
+        loc = ".".join(str(p) for p in error.absolute_path) or "(root)"
+        raise ScenarioError(f"scenario field {loc}: {error.message}") from error
     return doc
 
 

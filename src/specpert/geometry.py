@@ -110,6 +110,18 @@ class SupportSet:
             out |= b.contains_points(pts)
         return out
 
+    def contains_grid(self, axes: list[np.ndarray]) -> np.ndarray:
+        """`contains_points` at the nodes of the product grid of `axes`, in C
+        order, from the same comparisons made once per axis value."""
+        out = np.zeros([len(ax) for ax in axes], dtype=bool)
+        for b in self.boxes:
+            inside = True
+            for k, (ax, lo, hi) in enumerate(zip(axes, b.lo, b.hi)):
+                axis_in = (ax >= lo) & (ax <= hi)
+                inside = inside & axis_in.reshape((-1,) + (1,) * (len(axes) - k - 1))
+            out |= inside
+        return out.ravel()
+
     def bounding_box(self) -> Box:
         lo = tuple(min(b.lo[k] for b in self.boxes) for k in range(self.dim))
         hi = tuple(max(b.hi[k] for b in self.boxes) for k in range(self.dim))

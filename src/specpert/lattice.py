@@ -32,6 +32,8 @@ DEFAULT_POINT_BUDGET = 2_000_000
 # would need several such arrays more.
 DENSE_MAX_DIM = 4096
 
+_NOT_HERMITIAN = "hermitian flag set but matrix is not Hermitian"
+
 
 class LatticeError(ValueError):
     """Invalid lattice input."""
@@ -107,7 +109,24 @@ class DiscreteOperator:
         if mat.shape[0] != mat.shape[1]:
             raise LatticeError(f"operator must be square, got {mat.shape}")
         if self.hermitian and not is_hermitian(mat):
-            raise LatticeError("hermitian flag set but matrix is not Hermitian")
+            raise LatticeError(_NOT_HERMITIAN)
+
+    @classmethod
+    def _checked(cls, matrix: sp.csr_matrix, hermitian: bool,
+                 grid: Grid | None) -> "DiscreteOperator":
+        """The operator on `matrix` as given, with none of the constructor's
+        checks run again.
+
+        For `AffineFamily` alone, which has made each of them: `matrix` is a
+        square complex CSR matrix in canonical form (sorted indices, no
+        duplicates), and a set `hermitian` flag was tested exactly on the
+        stored entries (see `_Layout.is_hermitian`).
+        """
+        op = object.__new__(cls)
+        object.__setattr__(op, "matrix", matrix)
+        object.__setattr__(op, "hermitian", hermitian)
+        object.__setattr__(op, "grid", grid)
+        return op
 
     @property
     def dim(self) -> int:
@@ -234,17 +253,24 @@ class AffineFamily:
     Whether every V_i is Hermitian is decided once, at construction; H(beta)
     then carries the Hermitian flag when H0 is Hermitian and beta is real.
     The sparsity pattern of H(beta) is fixed once too, as the union of the
-    stored entries of H0 and every V_i (V(beta): of every V_i), so each call
-    is one accumulation into a data vector on that pattern.  Entries that
-    cancel, and the entries of terms with a zero coupling, are kept as
-    stored zeros.
+    stored entries of H0 and every V_i (V(beta): of every V_i), and so are
+    the CSR index arrays scipy builds for it, in the index dtype it chose.
+    Each call is one accumulation into a data vector on that pattern and one
+    CSR matrix on copies of those arrays.  Entries that cancel, and the
+    entries of terms with a zero coupling, are kept as stored zeros.
+
+    A flagged H(beta) is tested exactly on the fixed pattern, with the
+    predicate of `is_hermitian` and no sparse subtraction: every entry is
+    finite and equals the conjugate of its transpose's entry, which is 0
+    where the transpose is not stored.  An H(beta) that fails (say, a NaN
+    real coupling or an entry that overflows) raises LatticeError.
     """
 
     h0: DiscreteOperator
     terms: tuple[sp.csr_matrix, ...]
     terms_hermitian: bool = field(init=False)
-    _h_layout: tuple = field(init=False, repr=False, compare=False)
-    _v_layout: tuple = field(init=False, repr=False, compare=False)
+    _h_layout: "_Layout" = field(init=False, repr=False, compare=False)
+    _v_layout: "_Layout" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         shape = self.h0.matrix.shape
@@ -254,14 +280,9 @@ class AffineFamily:
                 raise LatticeError(f"term {i} has shape {t.shape}, H0 has {shape}")
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "terms_hermitian", all(is_hermitian(t) for t in terms))
-        indptr, indices, (h0_pos, *term_pos) = _union_pattern((self.h0.matrix, *terms),
-                                                              self.h0.dim)
-        h0_data = np.zeros(len(indices), dtype=complex)
-        h0_data[h0_pos] = self.h0.matrix.data
-        object.__setattr__(self, "_h_layout", (indptr, indices, h0_data, term_pos))
-        indptr, indices, term_pos = _union_pattern(terms, self.h0.dim)
-        object.__setattr__(self, "_v_layout", (indptr, indices,
-                                               np.zeros(len(indices), dtype=complex), term_pos))
+        n = self.h0.dim
+        object.__setattr__(self, "_h_layout", _Layout.union(n, self.h0.matrix, terms))
+        object.__setattr__(self, "_v_layout", _Layout.union(n, None, terms))
 
     @classmethod
     def from_potentials(cls, h0: DiscreteOperator, family) -> "AffineFamily":
@@ -296,23 +317,26 @@ class AffineFamily:
         """V(beta) = sum_i beta_i V_i."""
         return self._accumulate(self._v_layout, True, beta)
 
-    def _accumulate(self, layout, hermitian: bool, beta) -> DiscreteOperator:
+    def _accumulate(self, layout: "_Layout", hermitian: bool, beta) -> DiscreteOperator:
         if len(beta) > len(self.terms):
             raise LatticeError(
                 f"beta has {len(beta)} entries but family has only {len(self.terms)} terms"
             )
-        indptr, indices, data, term_pos = layout
-        data = data.copy()
+        data = layout.base.copy()
         # Terms are added one at a time and zero couplings skipped: the
         # summation order fixes the last bits of every reported value.  Each
         # entry takes the additions of a sequential sparse sum, in its order.
-        for b, op, pos in zip(beta, self.terms, term_pos):
+        for b, op, pos in zip(beta, self.terms, layout.term_pos):
             if b != 0:
                 data[pos] += op.data * complex(b)
                 hermitian = hermitian and complex(b).imag == 0
-        mat = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=self.h0.matrix.shape)
-        return DiscreteOperator(
-            mat, hermitian=hermitian and self.terms_hermitian, grid=self.h0.grid)
+        hermitian = hermitian and self.terms_hermitian
+        if hermitian and not layout.is_hermitian(data):
+            raise LatticeError(_NOT_HERMITIAN)
+        mat = sp.csr_matrix((data[:-1], layout.indices.copy(), layout.indptr.copy()),
+                            shape=layout.shape)
+        mat.has_canonical_format = True
+        return DiscreteOperator._checked(mat, hermitian, self.h0.grid)
 
 
 def _canonical(mat) -> sp.csr_matrix:
@@ -325,17 +349,55 @@ def _canonical(mat) -> sp.csr_matrix:
     return mat
 
 
-def _union_pattern(mats, n: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """CSR (indptr, indices) of the union of the stored entries of the
-    canonical n x n matrices `mats`, and the position in it of each
-    matrix's entries."""
-    counts = np.concatenate([np.diff(m.indptr) for m in mats] or [np.zeros(0, dtype=int)])
-    rows = np.repeat(np.tile(np.arange(n, dtype=np.int64), len(mats)), counts)
-    cols = np.concatenate([m.indices for m in mats] or [np.zeros(0, dtype=int)])
-    union, pos = np.unique(rows * n + cols, return_inverse=True)
-    rows, indices = np.divmod(union, n)
-    indptr = np.searchsorted(rows, np.arange(n + 1))
-    return indptr, indices, np.split(pos, np.cumsum([m.nnz for m in mats])[:-1])
+@dataclass(frozen=True)
+class _Layout:
+    """A fixed canonical CSR pattern of an `AffineFamily`.
+
+    `indptr` and `indices` are the arrays scipy's constructor made for it;
+    `base` is the data of the constant part (H0's entries, or zeros) and
+    one trailing 0, which no entry takes; `term_pos[i]` is the position in
+    the pattern of each entry of term i; `partner[k]` is the position of the
+    transpose of entry k, or nnz (the trailing 0) when it is not stored.
+    """
+
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    base: np.ndarray
+    term_pos: list[np.ndarray]
+    partner: np.ndarray
+
+    @classmethod
+    def union(cls, n: int, h0, terms) -> "_Layout":
+        """The union of the stored entries of the canonical n x n matrices
+        `h0` (or None: a zero base) and `terms`."""
+        mats = terms if h0 is None else (h0, *terms)
+        counts = np.concatenate([np.diff(m.indptr) for m in mats] or [np.zeros(0, dtype=int)])
+        rows = np.repeat(np.tile(np.arange(n, dtype=np.int64), len(mats)), counts)
+        cols = np.concatenate([m.indices for m in mats] or [np.zeros(0, dtype=int)])
+        union, pos = np.unique(rows * n + cols, return_inverse=True)
+        pos = np.split(pos, np.cumsum([m.nnz for m in mats])[:-1])
+        rows, cols = np.divmod(union, n)
+        base = np.zeros(len(union) + 1, dtype=complex)
+        if h0 is not None:
+            base[pos.pop(0)] = h0.data
+        proto = sp.csr_matrix((base[:-1], cols, np.searchsorted(rows, np.arange(n + 1))),
+                              shape=(n, n))
+        transpose = cols * n + rows
+        partner = np.searchsorted(union, transpose)
+        stored = partner < len(union)
+        stored[stored] = union[partner[stored]] == transpose[stored]
+        partner[~stored] = len(union)
+        return cls((n, n), proto.indptr, proto.indices, base, pos, partner)
+
+    def is_hermitian(self, data: np.ndarray) -> bool:
+        """`is_hermitian` of the matrix on `data` (laid out as `base`): every
+        entry is finite and equals the conjugate of its partner, and an
+        entry without a partner is 0.  For finite entries a - b == 0 exactly
+        when a == b, so this is the subtraction's verdict."""
+        entries = data[:-1]
+        return bool((entries == data[self.partner].conj()).all()
+                    and np.isfinite(entries).all())
 
 
 def assemble_hamiltonian(h0: DiscreteOperator, family, beta: CouplingSeq) -> DiscreteOperator:

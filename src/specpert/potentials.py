@@ -243,9 +243,20 @@ class PotentialFamily:
 
     def sample_on(self, grid) -> list[np.ndarray]:
         """Pointwise samples of each v_i at the grid nodes (diagonal of the
-        multiplication operator V_i)."""
-        nodes = grid.nodes()
-        return [t.evaluate(nodes) for t in self.terms]
+        multiplication operator V_i).  A term with a support is evaluated at
+        the nodes inside it only; it is 0 at the others."""
+        nodes, axes = grid.nodes(), grid.axes()
+        samples = []
+        for t in self.terms:
+            if t.support is None:
+                samples.append(t.evaluate(nodes))
+                continue
+            inside = t.support.contains_grid(axes)
+            vals = t.evaluate(nodes[inside])
+            sample = np.zeros(len(nodes), dtype=np.result_type(vals, 0.0))
+            sample[inside] = vals
+            samples.append(sample)
+        return samples
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,11 @@ from .potentials import (
 
 SCHEMA_VERSION = 1
 
+# libyaml's parser and emitter when PyYAML was built with it; the pure-Python
+# classes read and write the same documents, only slower.
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 
 class SchemaError(ValueError):
     """Document violates the canonical schema."""
@@ -248,11 +253,12 @@ def _native(obj: Any) -> Any:
 
 def dump_canonical(doc: Any) -> str:
     """Deterministic YAML: sorted keys, no anchors, plain floats."""
-    return yaml.safe_dump(_native(doc), sort_keys=True, default_flow_style=False)
+    return yaml.dump(_native(doc), Dumper=_Dumper, sort_keys=True,
+                     default_flow_style=False)
 
 
 def load_document(text: str) -> Any:
     try:
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise SchemaError(f"malformed YAML: {exc}") from exc

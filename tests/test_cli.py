@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,8 +15,8 @@ import yaml
 from click.testing import CliRunner
 
 from specpert import analytic, geometry, lattice, potentials
-from specpert.cli import (RunContext, RunReport, ScenarioError, build_family,
-                          execute_scenario, load_scenario, main, task_bounds)
+from specpert.cli import (SCENARIO_SCHEMA, RunContext, RunReport, ScenarioError,
+                          build_family, execute_scenario, load_scenario, main, task_bounds)
 from specpert.geometry import Box, SupportSet
 from specpert.lattice import CouplingSeq, DiscreteOperator, Grid
 
@@ -91,6 +92,27 @@ class TestScenarioLoading:
         path = write_scenario(tmp_path, doc)
         with pytest.raises(ScenarioError):
             load_scenario(path)
+
+    def test_schema_passes_its_metaschema(self):
+        jsonschema.validators.validator_for(SCENARIO_SCHEMA).check_schema(SCENARIO_SCHEMA)
+
+    @pytest.mark.parametrize("change", [
+        {"schema": 2}, {"seed": -1}, {"seed": "x"}, {"tasks": [{"task": "dance"}]},
+        {"tasks": [{"q": 3}]}, {"grid": {"extent": [], "points": [3]}},
+        {"family": {}, "beta": {}}, {"beta": None},
+        # The first error found is grid.extent; the shallower one is chosen.
+        {"grid": {"extent": [], "points": [3]}, "family": "x"},
+    ])
+    def test_schema_message_is_the_best_match(self, tmp_path, change):
+        # The validator built once reports the error `jsonschema.validate`
+        # would raise, by the same `best_match` choice.
+        doc = {k: v for k, v in {**TWO_LEVEL, **change}.items() if v is not None}
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(doc, SCENARIO_SCHEMA)
+        loc = ".".join(str(p) for p in expected.value.absolute_path) or "(root)"
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(write_scenario(tmp_path, doc))
+        assert str(exc.value) == f"scenario field {loc}: {expected.value.message}"
 
 
 class TestRun:

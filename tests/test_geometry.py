@@ -320,6 +320,28 @@ class TestMembershipBytes:
                 sorted(s) for s in set(oracle_sets) if s)
 
 
+class TestContainsGrid:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_contains_points(self, dim):
+        # Box edges drawn from the axis values themselves, so closed faces
+        # fall exactly on nodes, and boxes that reach past the grid.
+        rng = np.random.default_rng(dim)
+        axes = [np.linspace(-1.0, 2.0, n) for n in (7, 5, 4)[:dim]]
+        nodes = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+        for _ in range(20):
+            boxes = []
+            for _ in range(rng.integers(1, 4)):
+                lo, hi = [], []
+                for ax in axes:
+                    a, b = sorted(rng.choice(np.concatenate((ax, [-3.0, 5.0])), 2,
+                                             replace=False))
+                    lo.append(a)
+                    hi.append(b)
+                boxes.append(Box(tuple(lo), tuple(hi)))
+            s = SupportSet(tuple(boxes))
+            assert np.array_equal(s.contains_grid(axes), s.contains_points(nodes))
+
+
 class TestPackingBounds:
     def test_closed_form_values(self):
         assert packing_count_bound(1, 1.0, 1.0) == pytest.approx(2.0)

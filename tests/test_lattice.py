@@ -172,6 +172,47 @@ class TestAssembly:
             assert not build(h0, fam, CouplingSeq((1j,))).hermitian
 
 
+# 4 x 4 terms for the Hermitian tests, with their verdicts decided by the
+# sparse subtraction (`subtraction_verdict`).
+HERMITIAN_CASES = [
+    sp.diags([1.0, -2.0, 0.0, 3.5], format="csr"),
+    sp.diags([1.0, 2.0 + 1e-300j, 0.0, 3.5], format="csr"),
+    sp.diags([1.0, np.inf, 0.0, 3.5], format="csr"),
+    sp.csr_matrix((4, 4)),
+    sp.csr_matrix(([1 + 1j, 1 - 1j, 2.0], [1, 1, 2], [0, 0, 2, 3, 3]), shape=(4, 4)),
+    sp.diags([[1.0, 1.0, 1.0], [2.0, 0.0, 0.0, 1.0], [1.0, 1.0, 1.0]],
+             [-1, 0, 1], format="csr"),
+    sp.diags([[1j, 1.0, 1.0], [2.0, 0.0, 0.0, 1.0], [-1j, 1.0, 1.0]],
+             [-1, 0, 1], format="csr"),
+    sp.diags([[1.0, 1.0, 1.0], [2.0, 0.0, 0.0, 1.0], [1.0, 2.0, 1.0]],
+             [-1, 0, 1], format="csr"),
+    # An explicit zero at (0, 2) whose transpose is not stored.
+    sp.csr_matrix(([1.0, 0.0, 2.0, 3.0], [0, 2, 1, 3], [0, 2, 3, 3, 4]), shape=(4, 4)),
+    # A stored -0.0 at (0, 2) only, and a pair whose real parts are +-0.0.
+    sp.csr_matrix(([1.0, -0.0, 0.5j, -0.5j], [0, 2, 3, 1], [0, 2, 3, 3, 4]), shape=(4, 4)),
+    # A pair at (1, 2) that differs in the last bit.
+    sp.csr_matrix(([1.0, np.nextafter(1.0, 2.0)], [2, 1], [0, 0, 1, 2, 2]), shape=(4, 4)),
+    # A pair of NaN entries.
+    sp.csr_matrix(([np.nan, np.nan], [2, 1], [0, 0, 1, 2, 2]), shape=(4, 4)),
+]
+HERMITIAN_IDS = ["real_diagonal", "complex_diagonal", "infinite_diagonal", "empty",
+                 "cancelling_duplicates", "real_symmetric", "complex_hermitian",
+                 "not_hermitian", "explicit_zero_unpaired", "signed_zeros",
+                 "last_bit_pair", "nan_pair"]
+
+
+def subtraction_verdict(mat) -> bool:
+    """Whether mat - mat^H stores only zeros: the definition of Hermitian."""
+    mat = sp.csr_matrix(mat, dtype=complex)
+    defect = abs(mat - mat.conj().T)
+    return bool(not defect.nnz or defect.max() == 0.0)
+
+
+def layout_verdict(layout, op) -> bool:
+    """The family's Hermitian test of `op`, an H(beta) or V(beta) on `layout`."""
+    return layout.is_hermitian(np.append(op.matrix.data, 0))
+
+
 def bump_family(centers, width=0.3):
     return PotentialFamily([
         PotentialTerm(profile=GaussianBump((c,), width, 1.0),
@@ -234,35 +275,89 @@ class TestAffineFamily:
             system.perturbation(np.array([s, 0.0]))
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("term", [
-        sp.diags([1.0, -2.0, 0.0, 3.5], format="csr"),
-        sp.diags([1.0, 2.0 + 1e-300j, 0.0, 3.5], format="csr"),
-        sp.diags([1.0, np.inf, 0.0, 3.5], format="csr"),
-        sp.csr_matrix((4, 4)),
-        sp.csr_matrix(([1 + 1j, 1 - 1j, 2.0], [1, 1, 2], [0, 0, 2, 3, 3]), shape=(4, 4)),
-        sp.diags([[1.0, 1.0, 1.0], [2.0, 0.0, 0.0, 1.0], [1.0, 1.0, 1.0]],
-                 [-1, 0, 1], format="csr"),
-        sp.diags([[1j, 1.0, 1.0], [2.0, 0.0, 0.0, 1.0], [-1j, 1.0, 1.0]],
-                 [-1, 0, 1], format="csr"),
-        sp.diags([[1.0, 1.0, 1.0], [2.0, 0.0, 0.0, 1.0], [1.0, 2.0, 1.0]],
-                 [-1, 0, 1], format="csr"),
-    ], ids=["real_diagonal", "complex_diagonal", "infinite_diagonal", "empty",
-            "cancelling_duplicates",
-            "real_symmetric", "complex_hermitian", "not_hermitian"])
+    @pytest.mark.parametrize("term", HERMITIAN_CASES, ids=HERMITIAN_IDS)
     def test_is_hermitian_agrees_with_the_subtraction(self, term, monkeypatch):
-        # A diagonal matrix is decided from its entries, with no subtraction.
+        # A diagonal matrix is decided from its entries, with no subtraction;
+        # the family decides V(beta) and H(beta) (on H0 = I) on its fixed
+        # pattern, with none either.
         term = sp.csr_matrix(term, dtype=complex)
-        defect = abs(term - term.conj().T)
-        expected = bool(not defect.nnz or defect.max() == 0.0)
+        expected = subtraction_verdict(term)
         h0 = DiscreteOperator(sp.identity(4, format="csr"), hermitian=True)
         calls = []
         get_h = sp.csr_matrix.getH
         monkeypatch.setattr(sp.csr_matrix, "getH",
                             lambda mat: calls.append(mat) or get_h(mat))
         assert is_hermitian(term) is expected
-        assert AffineFamily(h0, (term,)).terms_hermitian is expected
+        system = AffineFamily(h0, (term,))
+        assert system.terms_hermitian is expected
+        for beta in ((1.0,), (-0.5,), (0.25j,)):
+            for layout, op in ((system._v_layout, system.perturbation(beta)),
+                               (system._h_layout, system(beta))):
+                assert layout_verdict(layout, op) is subtraction_verdict(op.matrix)
         diagonal = sp.triu(term, 1).nnz == sp.tril(term, -1).nnz == 0
         assert len(calls) == (0 if diagonal else 2)
+
+    @pytest.mark.parametrize("kind", ["grid", "matrix", "matrix_hermitian"])
+    def test_flag_is_the_exact_test_on_seeded_beta(self, kind):
+        if kind == "grid":
+            g = Grid(extent=((0.0, 4.0), (0.0, 3.0)), points=(17, 13))
+            system = AffineFamily.from_potentials(build_laplacian(g), PotentialFamily([
+                PotentialTerm(profile=GaussianBump((cx, cy), 0.4, 1.0),
+                              support=SupportSet((Box((cx - 1, cy - 1), (cx + 1, cy + 1)),)))
+                for cx, cy in ((1.0, 1.0), (2.0, 1.5), (3.5, 2.0))]))
+        else:
+            system = matrix_family()
+            if kind == "matrix_hermitian":
+                system = AffineFamily(system.h0, system.terms[:3])
+        n = len(system.terms)
+        rng = np.random.default_rng(29)
+        for _ in range(12):
+            real = rng.standard_normal(n) * (rng.random(n) < 0.8)
+            for beta in (real, real + 1j * rng.standard_normal(n) * (rng.random(n) < 0.5)):
+                asked = system.terms_hermitian and not np.any(np.imag(beta))
+                for layout, op, base in ((system._h_layout, system(beta), system.h0.hermitian),
+                                         (system._v_layout, system.perturbation(beta), True)):
+                    exact = is_hermitian(op.matrix)
+                    assert layout_verdict(layout, op) is exact
+                    assert op.hermitian is (asked and base)
+                    assert exact or not op.hermitian
+
+    def test_non_finite_flagged_entries_raise(self):
+        g = grid_1d(40, 0.0, 4.0)
+        system = AffineFamily.from_potentials(build_laplacian(g), bump_family([1.0, 3.0]))
+        with pytest.raises(LatticeError, match="not Hermitian"):
+            system(np.array([np.nan, 0.5]))
+        with pytest.raises(LatticeError, match="not Hermitian"):
+            system.perturbation(np.array([0.5, np.nan]))
+        big = AffineFamily(DiscreteOperator(sp.identity(4, format="csr"), hermitian=True),
+                           (sp.csr_matrix(([1e308, 1e308], [2, 1], [0, 0, 1, 2, 2]),
+                                          shape=(4, 4)),))
+        assert big((1.0,)).hermitian
+        with pytest.raises(LatticeError, match="not Hermitian"):
+            big((10.0,))
+        # A complex coupling asks for no flag, so nothing is tested.
+        assert not big((10.0 + 0.5j,)).hermitian
+        # -0.0 couplings are skipped like 0.0, and a -0.0 imaginary part is real.
+        for beta in ((-0.0, 0.5), (0.5 - 0.0j, complex(-0.0, -0.0))):
+            assert system(np.array(beta)).hermitian
+            assert system.perturbation(np.array(beta)).hermitian
+
+    def test_one_csr_and_no_subtraction_per_call(self, monkeypatch):
+        g = grid_1d(40, 0.0, 4.0)
+        system = AffineFamily.from_potentials(build_laplacian(g), bump_family([1.0, 3.0]))
+        built, transposed = [], []
+        init, get_h = sp.csr_matrix.__init__, sp.csr_matrix.getH
+        monkeypatch.setattr(sp.csr_matrix, "__init__",
+                            lambda mat, *a, **k: built.append(1) or init(mat, *a, **k))
+        monkeypatch.setattr(sp.csr_matrix, "getH",
+                            lambda mat: transposed.append(1) or get_h(mat))
+        for beta in (np.array([0.5, -1.5]), np.array([0.5, 0.25j])):
+            for make in (system, system.perturbation):
+                built.clear()
+                op = make(beta)
+                assert len(built) == 1
+                assert op.hermitian is not np.iscomplex(beta).any()
+        assert not transposed
 
     def test_from_potentials_needs_a_grid(self):
         h0 = build_laplacian(grid_1d())

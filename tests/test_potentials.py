@@ -410,6 +410,35 @@ class TestEsssupSumNorm:
         assert got <= 3 * v + 1e-12
 
 
+class TestSampleOn:
+    @pytest.mark.parametrize("grid", [
+        Grid(extent=((-1.0, 4.0),), points=(41,)),
+        Grid(extent=((0.0, 3.0), (-1.0, 2.0)), points=(13, 10)),
+        Grid(extent=((0.0, 2.0),) * 3, points=(5, 6, 7)),
+    ], ids=["1d", "2d", "3d"])
+    def test_equals_evaluation_at_every_node(self, grid):
+        # Sampling inside the supports only gives the same bits and dtype as
+        # evaluating each term at every node.
+        m = grid.dim
+        c, lo, hi = (1.0,) * m, (0.5,) * m, (1.5,) * m
+        terms = [
+            bump_term(c, half=0.5),
+            PotentialTerm(profile=GaussianBump(c, 0.3, -2.0),
+                          support=SupportSet((Box(lo, hi), Box((-9.0,) * m, (0.25,) * m)))),
+            PotentialTerm(profile=ConstantProfile(1.5 - 0.5j), support=SupportSet((Box(lo, hi),))),
+            # Infinite at its centre, which lies outside its support.
+            PotentialTerm(profile=PowerSpike((0.0,) * m, 0.5), support=SupportSet((Box(lo, hi),))),
+            PotentialTerm(profile=DecayTail(c, 1.0, 2.0), center=c),
+            PotentialTerm(profile=GaussianBump(c, 0.3), support=SupportSet((Box((8.0,) * m,
+                                                                                (9.0,) * m),))),
+        ]
+        nodes = grid.nodes()
+        for sample, t in zip(PotentialFamily(terms).sample_on(grid), terms):
+            full = t.evaluate(nodes)
+            assert sample.dtype == full.dtype
+            assert np.array_equal(sample.view(np.uint64), full.view(np.uint64))
+
+
 class TestDecayCertificate:
     def test_violated_certificate_rejected(self):
         with pytest.raises(ValueError):

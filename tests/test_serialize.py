@@ -1,9 +1,12 @@
 """Canonical document schema round-trips."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
-from specpert import serialize
+from specpert import cli, serialize
 from specpert.geometry import Box, PackingConfig, SupportFamily, SupportSet, interval_set
 from specpert.lattice import CouplingSeq, Grid, build_laplacian
 from specpert.potentials import GaussianBump, PotentialFamily, PotentialTerm
@@ -85,3 +88,61 @@ class TestCanonicalYaml:
     def test_malformed_yaml(self):
         with pytest.raises(SchemaError):
             serialize.load_document("a: [unclosed")
+
+    def test_python_tags_refused(self):
+        # Documents are read by a safe loader, which constructs no Python
+        # objects beyond plain data.
+        with pytest.raises(SchemaError):
+            serialize.load_document("a: !!python/tuple [1, 2]")
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+class TestLibyaml:
+    """libyaml's loader and dumper against PyYAML's pure-Python ones."""
+
+    @pytest.fixture(scope="class")
+    def reports(self, tmp_path_factory):
+        """The report.yaml text of each shipped scenario."""
+        out = tmp_path_factory.mktemp("reports")
+        texts = {}
+        for path in sorted(SCENARIOS.glob("*.yaml")):
+            cli.execute_scenario(cli.load_scenario(path), out / path.stem)
+            texts[path.stem] = (out / path.stem / "report.yaml").read_text()
+        return texts
+
+    def test_loaders_agree(self, reports):
+        texts = [p.read_text() for p in sorted(SCENARIOS.glob("*.yaml"))]
+        assert len(texts) == len(reports) == 3
+        for text in texts + list(reports.values()):
+            doc = yaml.load(text, Loader=yaml.SafeLoader)
+            assert serialize.load_document(text) == doc
+            assert yaml.load(text, Loader=yaml.CSafeLoader) == doc
+
+    def test_dumpers_agree(self, reports):
+        docs = [serialize.load_document(text) for text in reports.values()]
+        docs += [serialize.load_document(p.read_text()) for p in sorted(SCENARIOS.glob("*.yaml"))]
+        for doc in docs + [cli.SCENARIO_SCHEMA]:
+            text = serialize.dump_canonical(doc)
+            assert text == yaml.safe_dump(doc, sort_keys=True, default_flow_style=False)
+            assert text == yaml.dump(doc, Dumper=yaml.CSafeDumper, sort_keys=True,
+                                     default_flow_style=False)
+        for text in reports.values():
+            assert serialize.dump_canonical(serialize.load_document(text)) == text
+
+    @pytest.mark.parametrize("text", ["a: [unclosed\n", "a: [1, 2\nb: 3\n",
+                                      "key: value\n  bad: indent\n", "a: 'x",
+                                      "\tkey: v\n", "a: &x 1\nb: *y\n"])
+    def test_malformed_yaml_marks(self, text):
+        # libyaml words the problem differently but marks the same place.
+        # (A flow collection cut off with no final line break it marks at
+        # the start of the next line, not the end of the last.)
+        with pytest.raises(yaml.YAMLError) as pure:
+            yaml.load(text, Loader=yaml.SafeLoader)
+        with pytest.raises(SchemaError) as exc:
+            serialize.load_document(text)
+        mark = exc.value.__cause__.problem_mark
+        assert (mark.line, mark.column) == (pure.value.problem_mark.line,
+                                            pure.value.problem_mark.column)

@@ -17,12 +17,18 @@ point 0).  Every layer value is the median of REPEAT timings.  Tasks: the
 taylor and verify times of RUNS in-process scenario runs, the first run
 (cold) and the median of the others.
 
+Hamiltonian assembly: one H(beta) through `cli.RunContext.hamiltonian` at
+the scenario's real beta (Hermitian flag tested) and at a complex beta, on
+bumps_1d (d = 160) and two_level (d = 2); each value is the median of REPEAT
+batches of ASSEMBLIES calls, per call.
+
 Run from the repository root:
 
     PYTHONPATH=src python tools/bench_taylor.py --out BENCH.json
 
-`--baseline OLD.json` copies the task times of an earlier output of this
-tool (say, run on another checkout) into the result, under "baseline".
+`--baseline OLD.json` copies the task and assembly times of an earlier
+output of this tool (say, run on another checkout) into the result, under
+"baseline".
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from specpert import analytic, cli, lattice, serialize
 ROOT = Path(__file__).resolve().parents[1]
 REPEAT = 21
 RUNS = 5
+ASSEMBLIES = 200
 
 
 def median_time(fn) -> float:
@@ -133,6 +140,26 @@ def layer_times(doc: dict) -> dict:
     }
 
 
+def hamiltonian_times() -> dict:
+    result = {}
+    for name in ("bumps_1d", "two_level"):
+        doc = cli.load_scenario(ROOT / "scenarios" / f"{name}.yaml")
+        family = cli.build_family(doc["family"], np.random.default_rng(int(doc["seed"])))
+        grid = serialize.grid_from_dict({"schema": 1, **doc["grid"]}) if "grid" in doc else None
+        ctx = cli.RunContext(scenario=doc, grid=grid, family=family,
+                             beta=serialize.coupling_from_dict({"schema": 1, **doc["beta"]}),
+                             tol={}, out=Path(), report=None)
+        real = ctx.beta_vector()
+        layer = {"d": ctx.system.h0.dim}
+        for kind, beta, hermitian in (("real", real, True), ("complex", real + 0.1j, False)):
+            if ctx.hamiltonian(beta).hermitian is not hermitian:
+                raise RuntimeError(f"{name}: H(beta) at a {kind} beta has the wrong flag")
+            layer[f"hamiltonian_{kind}_s"] = median_time(
+                lambda: [ctx.hamiltonian(beta) for _ in range(ASSEMBLIES)]) / ASSEMBLIES
+        result[name] = layer
+    return result
+
+
 def task_times(doc: dict) -> dict:
     per_task: dict[str, list[float]] = {"taylor": [], "verify": []}
     with tempfile.TemporaryDirectory() as tmp:
@@ -156,6 +183,7 @@ def main() -> None:
         "scenario": "scenarios/bumps_1d.yaml",
         "command": "PYTHONPATH=src python tools/bench_taylor.py " + " ".join(sys.argv[1:]),
         "layers": layer_times(doc),
+        "hamiltonian": hamiltonian_times(),
         "tasks": task_times(doc),
         "env": {"numpy": np.__version__, "scipy": scipy.__version__,
                 "blas_threads": blas_threads(), "nproc": os.cpu_count(),
@@ -164,7 +192,8 @@ def main() -> None:
     }
     if args.baseline is not None:
         old = json.loads(args.baseline.read_text())
-        result["baseline"] = {"command": old["command"], "tasks": old["tasks"]}
+        result["baseline"] = {key: old[key] for key in ("command", "hamiltonian", "tasks")
+                              if key in old}
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))
 
