@@ -70,18 +70,37 @@ class SpectrumBox:
         return self.E_min <= E <= self.E_max
 
 
-def uniform_sum_norm_bound(family: PotentialFamily, grid) -> float:
-    """Bound v * max(n0, 1) on ||sum_i |V_i|||, cross-checked against the
-    norm of the assembled diagonal operator (its largest entry).
+def _overlap_depth(sets) -> int:
+    """The most of the closed supports `sets` that share one point, touching
+    counted.
 
-    The disjoint case n0 = 0 uses the bound v (a single support is the
-    worst case when nothing overlaps).
+    Supports sharing a point x have boxes holding x, and those boxes meet in
+    a box whose lower corner lies in all of them and has a lower box face on
+    every axis.  So the depth is the largest count at the nodes of the grid
+    of lower face coordinates.  It is at most n0 + 1, n0 of
+    `geometry.intersection_stats`.
+    """
+    axes = [np.unique([b.lo[k] for s in sets for b in s.boxes]) for k in range(sets[0].dim)]
+    depth = np.zeros(math.prod(len(a) for a in axes), dtype=int)
+    for s in sets:
+        depth += s.contains_grid(axes)
+    return int(depth.max())
+
+
+def uniform_sum_norm_bound(family: PotentialFamily, grid) -> float:
+    """Bound v * depth on ||sum_i |V_i|||, v = sup_i sup |v_i| and depth the
+    `_overlap_depth` of the supports, cross-checked against the norm of the
+    assembled diagonal operator (its largest entry).
+
+    At any point at most depth terms are nonzero, each at most v in
+    modulus.  depth <= n0 + 1; it is max(n0, 1) for disjoint supports (1)
+    and for a chain of three or more intervals that each meet only their
+    neighbours (2).
     """
     v = family.uniform_bound
     if not np.isfinite(v):
         raise ValueError("family is not uniformly bounded")
-    n0 = family.n0
-    bound = v * max(n0, 1)
+    bound = v * _overlap_depth(family.support_family().sets)
 
     diag = np.zeros(grid.size)
     for d in family.sample_on(grid):
@@ -149,18 +168,14 @@ def resolvent_margin(rb: RelativeBound, box: SpectrumBox, lam: complex) -> float
     return 1.0 - (rb.b * _sup_inv_dist(box, lam) + rb.a * _sup_weighted(box, lam))
 
 
-def find_resolvent_point(
-    rb: RelativeBound,
-    box: SpectrumBox,
-    y_min: float = 1e-3,
-    y_cap: float = 1e12,
-    bisect_steps: int = 60,
-) -> complex:
+def find_resolvent_point(rb: RelativeBound, box: SpectrumBox, y_min: float = 1e-3) -> complex:
     """Smallest tested lambda = i*y (y > 0) with positive resolvent margin.
 
-    Scans a geometric grid upward from y_min and bisects between the last
-    failing and first passing y; raises if no y below the cap certifies.
+    Scans y_min * 2^k upward and takes 60 geometric bisection steps between
+    the last failing and the first passing y; raises if no y up to 1e12
+    certifies.
     """
+    y_cap = 1e12
     y = y_min
     prev = None
     while y <= y_cap:
@@ -168,7 +183,7 @@ def find_resolvent_point(
             if prev is None:
                 return 1j * y
             lo, hi = prev, y
-            for _ in range(bisect_steps):
+            for _ in range(60):
                 mid = math.sqrt(lo * hi)
                 if resolvent_margin(rb, box, 1j * mid) > 0.0:
                     hi = mid

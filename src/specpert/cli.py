@@ -65,8 +65,8 @@ SCENARIO_SCHEMA = {
 }
 
 DEFAULT_TOLERANCES = {
-    "track_residual": 1e-8,
-    "projector_defect": 1e-8,
+    "track_residual": analytic.RESIDUAL_TOL,
+    "projector_defect": analytic.DEFECT_TOL,
     "stummel": 1e-6,
 }
 
@@ -163,7 +163,11 @@ def load_scenario(path: Path, overrides: tuple[str, ...] = ()) -> dict:
         if "=" not in ov:
             raise ScenarioError(f"override must look like key=value, got {ov!r}")
         key, _, raw = ov.partition("=")
-        _apply_override(doc, key.strip(), serialize.load_document(raw))
+        try:
+            value = serialize.load_document(raw)
+        except SchemaError as exc:
+            raise ScenarioError(f"override {ov!r}: {exc}") from exc
+        _apply_override(doc, key.strip(), value)
     error = jsonschema.exceptions.best_match(_scenario_validator().iter_errors(doc))
     if error is not None:
         loc = ".".join(str(p) for p in error.absolute_path) or "(root)"
@@ -172,14 +176,19 @@ def load_scenario(path: Path, overrides: tuple[str, ...] = ()) -> dict:
 
 
 def _apply_override(doc: dict, dotted: str, value):
-    parts = dotted.split(".")
-    node = doc
-    for part in parts[:-1]:
-        key = int(part) if isinstance(node, list) else part
-        node = node[key]
-    last = parts[-1]
-    key = int(last) if isinstance(node, list) else last
-    node[key] = value
+    """Set the field at the dotted path of `doc` to `value`; a list takes an
+    integer index.  A missing last key of a mapping is added; any other path
+    that names no field raises ScenarioError."""
+    *parents, last = dotted.split(".")
+    try:
+        node = doc
+        for part in parents:
+            node = node[int(part) if isinstance(node, list) else part]
+        node[int(last) if isinstance(node, list) else last] = value
+    except (KeyError, IndexError, ValueError, TypeError) as exc:
+        raise ScenarioError(
+            f"override {dotted!r} names no scenario field ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 @dataclass
@@ -312,13 +321,16 @@ class RunContext:
 
 def _place_contour(op: lattice.DiscreteOperator, eig_index: int,
                    q: int = 64) -> analytic.Contour:
-    """Circle around the eig_index-th lowest eigenvalue with radius half the
-    gap to its nearest neighbor.  Hermitian eigenvalues come from the band,
-    which unlike dense ``eigvalsh`` gives the same bits at any thread count."""
+    """Circle around the eig_index-th eigenvalue E_k, with radius half the
+    distance min |E_k - E_j| to its nearest neighbor.  Hermitian eigenvalues
+    come ascending from the band, which unlike dense ``eigvalsh`` gives the
+    same bits at any thread count; complex ones from the dense ``eigvals``,
+    ordered by (real, imag), and the circle is centred at the complex E_k."""
     if op.hermitian:
         vals = analytic._band_eigenvalues(op.matrix, op.dim)
     else:
-        vals = np.sort(np.linalg.eigvals(op.to_dense()).real)
+        vals = np.linalg.eigvals(op.to_dense())
+        vals = vals[np.lexsort((vals.imag, vals.real))]
     E = vals[eig_index]
     gaps = [abs(E - v) for i, v in enumerate(vals) if i != eig_index]
     gap = min(gaps) if gaps else 1.0
@@ -553,7 +565,7 @@ def task_taylor(ctx: RunContext, spec: dict) -> dict:
     else:
         tvec = np.zeros(len(ctx.family), dtype=complex)
         tvec[0] = 1.0
-    direction = analytic.Direction(tvec, p=ctx.beta.p)
+    direction = analytic.Direction(tvec)
     base = ctx.beta_vector() * 0.0
     contour = _place_contour(ctx.system.h0, eig_index,
                              q=int(spec.get("contour_nodes", 64)))

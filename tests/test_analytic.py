@@ -331,6 +331,41 @@ class TestTracking:
         assert stats.full_projectors == 1
 
 
+class TestEigenvalueOf:
+    """`_eigenvalue_of`: the survival floor, the functional and the
+    eigen-residual check of a tracked vector psi = P psi0."""
+
+    def test_vanished_vector_raises(self):
+        H = np.diag([0.0, 1.0])
+        psi0 = np.array([1.0, 0.0], dtype=complex)
+        with pytest.raises(TrackingError, match="vanished"):
+            analytic._eigenvalue_of(H, 0.99e-8 * psi0, psi0, 1e-8)
+        assert analytic._eigenvalue_of(H, 1.01e-8 * psi0, psi0, 1e-8) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("d", [40, 160, 576, 2000])
+    def test_functional_exists_at_any_dimension(self, d):
+        # psi = 0.05 e_0 is an exact eigenvector of diag(0, ..., d - 1), and
+        # psi0 overlaps it by 5%, below the 0.1 floor of conj(psi0): E comes
+        # from the largest entry of psi, at every d.
+        H = sp.diags(np.arange(d, dtype=float)).tocsr()
+        psi = np.zeros(d, dtype=complex)
+        psi[0] = 0.05
+        psi0 = np.zeros(d, dtype=complex)
+        psi0[[0, 1]] = 0.05, math.sqrt(1 - 0.05**2)
+        assert analytic._eigenvalue_of(H, psi, psi0, 1e-8) == (0.0, 0.0)
+
+    def test_residual_still_decides(self):
+        # The same functional on a vector that is no eigenvector.
+        d = 576
+        H = sp.diags(np.arange(d, dtype=float)).tocsr()
+        psi = np.zeros(d, dtype=complex)
+        psi[[0, 1]] = 0.05, 0.01
+        psi0 = np.zeros(d, dtype=complex)
+        psi0[[0, 2]] = 0.05, math.sqrt(1 - 0.05**2)
+        with pytest.raises(TrackingError, match="eigen-residual"):
+            analytic._eigenvalue_of(H, psi, psi0, 1e-8)
+
+
 def _bumps_1d():
     """H(beta) of the shipped bumps_1d scenario: 160 nodes on [0, 12], three
     Gaussian bumps, beta = (0.06, 0.04, 0.03)."""
@@ -850,6 +885,48 @@ def _shipped_bumps_1d_path():
     return family, np.zeros(3), Direction(np.array([1.0, 0.0, 0.0])), contour, 0.1
 
 
+class TestBandLU:
+    """`_band_lu` is the one band factorization: the contour nodes of
+    `_node_solves` and the shift-invert samples both take it."""
+
+    def test_one_shift_is_the_plain_band_lu(self):
+        op = _bumps_1d()
+        ab, kl, ku = analytic._band_storage(op.matrix, op.dim)
+        shift = 0.3 + 0.01j
+        band = ab.copy()
+        band[kl + ku] -= shift
+        lu, piv, info = scipy.linalg.lapack.zgbtrf(band, kl, ku)
+        stats = BlockStats()
+        got = analytic._band_lu(ab, kl, ku, op.dim, np.array([shift]), stats)
+        assert info == 0 and stats.factorizations == 1
+        assert np.array_equal(got[0], lu) and np.array_equal(got[1], piv)
+
+    @pytest.mark.parametrize("block", [False, True], ids=["shift-invert", "block"])
+    def test_counts_every_factorization(self, block, monkeypatch):
+        shifts = []
+        band_lu = analytic._band_lu
+
+        def counted(ab, kl, ku, d, lams, stats):
+            shifts.extend(lams)
+            return band_lu(ab, kl, ku, d, lams, stats)
+
+        monkeypatch.setattr(analytic, "_band_lu", counted)
+        if block:
+            _without_shift_invert(monkeypatch)
+        family, base, direction, contour, r = _shipped_bumps_1d_path()
+        stats = BlockStats()
+        psi0 = _reference_vector(family, base, contour, stats=stats)
+        track_eigenvalue(family, np.array([0.06, 0.04, 0.03]), contour, psi0, stats=stats)
+        assert len(shifts) == stats.factorizations == 2 * 64
+        shifts.clear()
+        path = taylor_eigenpath(family, base, direction, contour, r=r, M=8, q=32)
+        # The path's reference vector takes one node solve pass of its own,
+        # which `path.stats` does not count.
+        assert len(shifts) == path.stats.factorizations + contour.q
+        assert path.stats.factorizations == (64 if block else 2) * (32 + 8 - 18)
+        assert path.stats.shift_invert == (0 if block else 32 + 8 - 18)
+
+
 class TestShiftInvertSamples:
     """Taylor samples inside the certified radius r0 of
     `contour_kato_radius`: one shift-invert solve each, gated by its
@@ -1140,6 +1217,17 @@ class TestGammaMembership:
             assert 1 <= len(flips) <= 2
             window = lams[~np.asarray(flags)]
             assert abs(window.mean() - E0) <= 1e-6
+
+    def test_dense_guard_before_densifying(self, monkeypatch):
+        # A non-Hermitian H takes the dense SVD: above the dense limit it is
+        # refused before a d x d array is formed, as sparse CSR or ndarray.
+        monkeypatch.setattr(lattice, "DENSE_MAX_DIM", 2)
+        monkeypatch.setattr(analytic.la, "svdvals",
+                            lambda *a: pytest.fail("densified above the dense limit"))
+        dense = (1 + 0.5j) * np.roll(np.eye(3), 1, axis=1)
+        for H in (sp.csr_matrix(dense), dense):
+            with pytest.raises(LatticeError, match="dimension 3 exceeds the dense limit 2"):
+                gamma_membership(lambda b: H, None, 1j)
 
     @pytest.mark.parametrize("name", ["bumps_1d", "random_banded"])
     def test_band_margin_matches_dense_svd(self, name, monkeypatch):

@@ -13,7 +13,7 @@ from specpert.bounds import (
     resolvent_margin,
     uniform_sum_norm_bound,
 )
-from specpert.geometry import interval_set
+from specpert.geometry import Box, SupportSet, interval_set
 from specpert.lattice import Grid
 from specpert.potentials import ConstantProfile, PotentialFamily, PotentialTerm
 
@@ -50,6 +50,27 @@ class TestUniformSumNormBound:
         assert bound == pytest.approx(2 * v)
         dense = np.abs(sum(t.evaluate(g.nodes()) for t in fam.terms)).max()
         assert float(dense) <= bound + 1e-8
+
+    @pytest.mark.parametrize("boxes, grid, n0, depth", [
+        # Two overlapping intervals: every point of [1, 2] is in both.
+        ([((0.0,), (2.0,)), ((1.0,), (3.0,))], grid_1d(81, -1.0, 4.0), 1, 2),
+        # Two intervals touching at the grid node x = 1.
+        ([((0.0,), (1.0,)), ((1.0,), (2.0,))], grid_1d(5, -1.0, 3.0), 1, 2),
+        # Three pairwise-overlapping boxes share the square [1, 2] x [1, 2].
+        ([((0.0, 0.0), (2.0, 2.0)), ((1.0, 0.0), (3.0, 2.0)),
+          ((0.5, 1.0), (2.5, 3.0))],
+         Grid(extent=((-1.0, 4.0), (-1.0, 4.0)), points=(21, 21)), 2, 3),
+    ], ids=["overlap", "touching", "three-boxes-2d"])
+    def test_overlap_depth_beyond_n0(self, boxes, grid, n0, depth):
+        # A point can lie in n0 + 1 supports; the bound counts them all.
+        v = 1.5
+        fam = PotentialFamily([
+            PotentialTerm(profile=ConstantProfile(v), support=SupportSet((Box(lo, hi),)))
+            for lo, hi in boxes])
+        assert fam.n0 == n0
+        assert uniform_sum_norm_bound(fam, grid) == depth * v
+        dense = sum(np.abs(t.evaluate(grid.nodes())) for t in fam.terms).max()
+        assert dense == depth * v
 
     def test_unbounded_family_rejected(self):
         from specpert.potentials import PowerSpike

@@ -1,6 +1,7 @@
 """CLI: scenario validation, task execution, exit codes, determinism."""
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import scipy.sparse as sp
 import yaml
 from click.testing import CliRunner
 
-from specpert import analytic, geometry, lattice, potentials
+from specpert import analytic, cli, geometry, lattice, potentials
 from specpert.cli import (SCENARIO_SCHEMA, RunContext, RunReport, ScenarioError,
                           build_family, execute_scenario, load_scenario, main, task_bounds)
 from specpert.geometry import Box, SupportSet
@@ -81,10 +82,27 @@ class TestScenarioLoading:
         assert doc["seed"] == 9
         assert doc["beta"]["values"][0] == 0.1
 
-    def test_bad_override(self, tmp_path):
+    @pytest.mark.parametrize("override", [
+        "notakeyvalue", "tasks.9.r=0.1", "grid.points=3", "tasks.x.r=1", "seed=[1",
+    ], ids=["no-equals", "index-out-of-range", "missing-parent", "non-integer-index",
+            "malformed-yaml"])
+    def test_bad_override(self, tmp_path, override):
         path = write_scenario(tmp_path, TWO_LEVEL)
-        with pytest.raises(ScenarioError):
-            load_scenario(path, ("notakeyvalue",))
+        with pytest.raises(ScenarioError, match="override"):
+            load_scenario(path, (override,))
+
+    def test_override_adds_missing_leaf(self, tmp_path):
+        path = write_scenario(tmp_path, TWO_LEVEL)
+        doc = load_scenario(path, ("tolerances={track_residual: 1.0e-9}", "family.note=x"))
+        assert doc["tolerances"] == {"track_residual": 1e-9}
+        assert doc["family"]["note"] == "x"
+
+    def test_bad_override_is_usage_error(self, tmp_path):
+        path = write_scenario(tmp_path, TWO_LEVEL)
+        result = run_cli(["run", "--scenario", str(path), "--out", str(tmp_path / "out"),
+                          "--override", "tasks.9.r=0.1"])
+        assert result.exit_code == 2
+        assert "scenario error: override 'tasks.9.r'" in result.stderr
 
     def test_unknown_task_rejected(self, tmp_path):
         doc = dict(TWO_LEVEL)
@@ -189,6 +207,30 @@ class TestRun:
         assert result.exit_code == 0
         _, data = read_csv(out / "sweep.csv")
         assert len(data) == 1
+
+    def test_non_hermitian_contour_centred_at_complex_eigenvalue(self, tmp_path):
+        # H(i s) = [[0, i s], [i s, 0.1]] has the eigenvalues
+        # 0.05 +- i sqrt(s^2 - 0.0025): equal real parts, 2 sqrt(s^2 - 0.0025)
+        # apart, so the contour is centred at one of them.
+        doc = {**TWO_LEVEL,
+               "family": {"kind": "matrix", "h0": [[0.0, 0.0], [0.0, 0.1]],
+                          "terms": [[[0.0, 1.0], [1.0, 0.0]]]},
+               "tasks": [{"task": "sweep", "direction": ["1j"], "range": [0.5, 0.6],
+                          "steps": 2}]}
+        H = DiscreteOperator(sp.csr_matrix([[0.0, 0.5j], [0.5j, 0.1]]), hermitian=False)
+        contour = cli._place_contour(H, 0)
+        assert abs(contour.center - 0.05) == pytest.approx(math.sqrt(0.2475), abs=1e-12)
+        assert contour.radius == pytest.approx(math.sqrt(0.2475), abs=1e-12)
+        out = tmp_path / "out"
+        result = run_cli(["run", "--scenario", str(write_scenario(tmp_path, doc)),
+                          "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        _, data = read_csv(out / "sweep.csv")
+        branch = math.copysign(1.0, contour.center.imag)
+        assert [row[0] for row in data] == [0.5, 0.6]
+        for s, re_e, im_e, *_ in data:
+            assert re_e == pytest.approx(0.05, abs=1e-12)
+            assert im_e == pytest.approx(branch * math.sqrt(s**2 - 0.0025), abs=1e-12)
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # A contour-busting coupling: the tracked eigenvalue leaves the

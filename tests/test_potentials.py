@@ -440,6 +440,23 @@ class TestSampleOn:
 
 
 class TestDecayCertificate:
+    def test_tail_slower_than_declared_rejected(self):
+        # C / (1 + r)^2 declared as decaying like C / (1 + r)^3: equal at the
+        # center, broken away from it, within the spot-check reach.
+        tail = potentials.DecayTail((0.0, 0.0), 1.0, 2.0)
+        with pytest.raises(ValueError, match="decay certificate violated"):
+            PotentialTerm(profile=tail, center=(0.0, 0.0), decay=(1.0, 3.0))
+        PotentialTerm(profile=tail, center=(0.0, 0.0), decay=(1.0, 2.0))
+
+    def test_support_corner_is_the_center_without_one(self):
+        # No center: the envelope is centred at the support's lower corner.
+        box = SupportSet((Box((1.0,), (3.0,)),))
+        PotentialTerm(profile=potentials.DecayTail((1.0,), 1.0, 2.0), support=box,
+                      decay=(1.0, 2.0))
+        with pytest.raises(ValueError, match="decay certificate violated"):
+            PotentialTerm(profile=potentials.DecayTail((2.0,), 1.0, 2.0), support=box,
+                          decay=(1.0, 2.0))
+
     def test_violated_certificate_rejected(self):
         with pytest.raises(ValueError):
             PotentialTerm(

@@ -8,7 +8,7 @@ width 24, reduced in real storage) next to the same band reduced in complex
 storage; one `geometry.disjoint_refinement` of the 128 supports; one
 `lattice.AffineFamily.from_potentials`; one H(beta) and one V(beta), next to
 the sequential sparse sum H(beta) was before it had a fixed pattern.  Every
-layer value is the median of REPEAT timings.  Tasks: the geometry, stummel
+layer value is the median of REPEAT timings (`bench_common.py`).  Tasks: the geometry, stummel
 and bounds times of RUNS in-process scenario runs, the first run (cold) and
 the median of the others.
 
@@ -21,15 +21,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import statistics
 import sys
-import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 import scipy.linalg as la
 
 from specpert import analytic, cli, geometry, lattice, serialize
@@ -37,20 +32,9 @@ from specpert import analytic, cli, geometry, lattice, serialize
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "perfbench")]
 import workloads  # noqa: E402
-from bench_taylor import blas_threads  # noqa: E402
+from bench_common import environment, median_time, task_times  # noqa: E402
 
 SEED = 3
-REPEAT = 21
-RUNS = 5
-
-
-def median_time(fn) -> float:
-    times = []
-    for _ in range(REPEAT):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
 
 
 def layer_times(doc: dict) -> dict:
@@ -87,17 +71,6 @@ def layer_times(doc: dict) -> dict:
     }
 
 
-def task_times(doc: dict) -> dict:
-    per_task: dict[str, list[float]] = {"geometry": [], "stummel": [], "bounds": []}
-    with tempfile.TemporaryDirectory() as tmp:
-        for _ in range(RUNS):
-            report = cli.execute_scenario(doc, Path(tmp))
-            for key, dt in report.timings.items():
-                per_task[key.split(":", 1)[1]].append(dt)
-    return {f"{name}_task_s": {"cold": times[0], "warm_median": statistics.median(times[1:])}
-            for name, times in per_task.items()}
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, required=True)
@@ -107,11 +80,8 @@ def main() -> None:
         "scenario": f"perfbench/workloads.py certify_2d, seed {SEED}",
         "command": "PYTHONPATH=src python tools/bench_certify.py " + " ".join(sys.argv[1:]),
         "layers": layer_times(doc),
-        "tasks": task_times(doc),
-        "env": {"numpy": np.__version__, "scipy": scipy.__version__,
-                "blas_threads": blas_threads(), "nproc": os.cpu_count(),
-                "thread_env": {k: v for k, v in os.environ.items()
-                               if k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}},
+        "tasks": task_times(doc, ("geometry", "stummel", "bounds")),
+        "env": environment(),
     }
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))

@@ -13,7 +13,7 @@ library check `verify_analytic_family` takes at d = 160 (q = 64 samples of
 160 x 160, the whole call and its Fourier-matrix product alone), next to the
 per-order `tensordot` loop that product replaced, and one closed-form Kato
 resolvent record of the verify task (`analytic.kato_radius` at the base
-point 0).  Every layer value is the median of REPEAT timings.  Tasks: the
+point 0).  Every layer value is the median of REPEAT timings (`bench_common.py`).  Tasks: the
 taylor and verify times of RUNS in-process scenario runs, the first run
 (cold) and the median of the others.
 
@@ -34,45 +34,17 @@ output of this tool (say, run on another checkout) into the result, under
 from __future__ import annotations
 
 import argparse
-import ctypes
-import glob
 import json
-import os
-import statistics
 import sys
-import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
+from bench_common import environment, median_time, task_times
 from specpert import analytic, cli, lattice, serialize
 
 ROOT = Path(__file__).resolve().parents[1]
-REPEAT = 21
-RUNS = 5
 ASSEMBLIES = 200
-
-
-def median_time(fn) -> float:
-    times = []
-    for _ in range(REPEAT):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
-
-
-def blas_threads() -> int | None:
-    """OpenBLAS thread count of numpy's bundled library, if it exposes one."""
-    for lib in glob.glob(os.path.dirname(np.__file__) + ".libs/*openblas*.so*"):
-        handle = ctypes.CDLL(lib)
-        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            if hasattr(handle, symbol):
-                return int(getattr(handle, symbol)())
-    return None
 
 
 def layer_times(doc: dict) -> dict:
@@ -160,19 +132,6 @@ def hamiltonian_times() -> dict:
     return result
 
 
-def task_times(doc: dict) -> dict:
-    per_task: dict[str, list[float]] = {"taylor": [], "verify": []}
-    with tempfile.TemporaryDirectory() as tmp:
-        for _ in range(RUNS):
-            report = cli.execute_scenario(doc, Path(tmp))
-            for key, dt in report.timings.items():
-                name = key.split(":", 1)[1]
-                if name in per_task:
-                    per_task[name].append(dt)
-    return {f"{name}_task_s": {"cold": times[0], "warm_median": statistics.median(times[1:])}
-            for name, times in per_task.items()}
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, required=True)
@@ -184,11 +143,8 @@ def main() -> None:
         "command": "PYTHONPATH=src python tools/bench_taylor.py " + " ".join(sys.argv[1:]),
         "layers": layer_times(doc),
         "hamiltonian": hamiltonian_times(),
-        "tasks": task_times(doc),
-        "env": {"numpy": np.__version__, "scipy": scipy.__version__,
-                "blas_threads": blas_threads(), "nproc": os.cpu_count(),
-                "thread_env": {k: v for k, v in os.environ.items()
-                               if k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}},
+        "tasks": task_times(doc, ("taylor", "verify")),
+        "env": environment(),
     }
     if args.baseline is not None:
         old = json.loads(args.baseline.read_text())
