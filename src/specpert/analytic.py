@@ -6,15 +6,17 @@ Contours are circles discretized by the trapezoidal rule, which converges
 exponentially for analytic integrands; one resolvent factorization per node
 is shared across all derivative orders.
 
-Two primitives carry the contour computations.  `_node_solves` makes every
-contour factorization: one LAPACK band LU per node for sparse H (`_band_lu`,
-the one band factorization, which also serves the shift-invert Taylor
-samples), ``numpy.linalg.solve`` for a dense ndarray, whose band would be
-the whole matrix; each solve's residual is checked against H.  `_series`
-forms Cauchy coefficients on a circle and their reconstruction error, for
-`taylor_along` and `verify_analytic_family` alike: all orders in one product
-of the Fourier matrix with the samples, the test-point partial sums in one
-Vandermonde product, on nodes formed conjugate-symmetric to the bit.
+Three primitives carry the contour computations.  `_node_solves` makes
+every contour factorization: one LAPACK band LU per node for sparse H
+(`_band_lu`, the one band factorization, which also serves the shift-invert
+Taylor samples), ``numpy.linalg.solve`` for a dense ndarray, whose band
+would be the whole matrix; each solve's residual is checked against H.
+`_projector_action` forms every trapezoidal sum of them: P B and, for the
+block Taylor samples, (P^2 - P) B.  `_series` forms Cauchy coefficients on
+a circle and their reconstruction error, for `taylor_along` and
+`verify_analytic_family` alike: all orders in one product of the Fourier
+matrix with the samples, the test-point partial sums in one Vandermonde
+product, on nodes formed conjugate-symmetric to the bit.
 
 Track and sweep continue an eigenvalue by its Riesz projector.  A Hermitian
 sparse H (a `DiscreteOperator` with ``hermitian=True``) takes the filter
@@ -23,34 +25,30 @@ For normal H the trapezoidal projector is a scalar rational filter,
 P_q = f(H) with f(E) = 1/(1 - z^q), z = (E - c)/r (Polizzi 2009; Tang &
 Polizzi 2014), so trace(P_q) = sum_j f(E_j) and
 ||P_q^2 - P_q||_2 = max_j |z_j^q|/|1 - z_j^q|^2 follow from the band
-eigenvalues E_j (``eigvals_banded``, as the CLI places its contours).  The
-reported defect adds a first-order Weyl term delta |f'(E_j)| (1 + 2 |f(E_j)|),
-delta = d eps ||H||_1, for the error of the computed E_j, so to first order
-it bounds the defect of the exact spectrum.  Dense and non-Hermitian H keep
-the full d x d Riesz projector of `riesz_projector`, certified by
-||P^2 - P||_2 <= defect_tol and an integral trace.  Either way
-`_certified_action` gives the certificates, a rank-one check and one
-projector action P b: P psi0 for a tracked point, P w for the reference
-vector (a multiple of the eigenvector, as P = v u^* has rank one), from
-one-column solves on the filter path.  The track and sweep tasks report
-|trace(P) - 1| of either.
+eigenvalues E_j (``eigvals_banded``, as the CLI places its contours), with
+a first-order Weyl term for their rounding (`_filter_certificate`).  Dense
+and non-Hermitian H keep the full d x d Riesz projector of
+`riesz_projector`, certified by ||P^2 - P||_2 <= defect_tol and an
+integral trace.  Either way `_certified_action` gives the certificates, a
+rank-one check and one projector action P b: P psi0 for a tracked point,
+P w for the reference vector (a multiple of the eigenvector, as P = v u^*
+has rank one), from one-column solves on the filter path.  The track and
+sweep tasks report |trace(P) - 1| of either.
 
-The Taylor samples of `taylor_eigenpath` never form P.  `contour_kato_radius`
-certifies, once per path, a radius r0 such that the contour encloses exactly
-one eigenvalue of H(base + zeta t) for every |zeta| < r0 (Kato 1966, ch. II
-Sec. 3 and ch. VII Sec. 2).  Inside it, for a complex symmetric family (every
-real one), each sample is one shift-invert solve (`_shift_invert_sample`):
-at most two band LUs, no contour, accepted when its residual lies below the
-Neumann margin, which puts it in the pseudospectral component of the one
-enclosed eigenvalue.  Otherwise a sample is an action-only block contour
-pass (Sakurai & Sugiura 2003; Beyn 2012, `_track_block`): each node's LU is
-applied to Y = [psi0, w1, w2] and once more to give (P^2 - P) Y, with the
-certificates that `taylor_eigenpath` states.  For a real family, base point,
-direction and contour centre, E(conj zeta) = conj E(zeta) (Schwarz
-reflection; Kato 1966, ch. II Sec. 1 and ch. VII Sec. 3), so
-`taylor_eigenpath` takes the lower half of each circle as the conjugates of
-the upper half wherever H(conj beta) is the exact conjugate matrix of
-H(beta).
+`contour_kato_radius` certifies, once per Taylor path, a radius r0 such
+that the contour encloses exactly one eigenvalue of H(base + zeta t) for
+every |zeta| < r0 (Kato 1966, ch. II Sec. 3 and ch. VII Sec. 2).  Inside
+it, for a complex symmetric family (every real one), each sample of
+`taylor_eigenpath` is one shift-invert solve (`_shift_invert_sample`),
+gated by the Neumann margin.  Otherwise a sample is an action-only block
+contour pass (Sakurai & Sugiura 2003; Beyn 2012, `_track_block`), P Y and
+(P^2 - P) Y from one `_projector_action` pass; one that fails its defect
+test is re-tracked as `track_eigenvalue` would, the one case in which a
+sample can form the d x d P.  For a real family, base point, direction and
+contour centre, E(conj zeta) = conj E(zeta) (Schwarz reflection; Kato
+1966, ch. II Sec. 1 and ch. VII Sec. 3), so `taylor_eigenpath` takes the
+lower half of each circle as the conjugates of the upper half wherever
+H(conj beta) is the exact conjugate matrix of H(beta).
 
 `gamma_membership` reads sigma_min(H - lambda) off the same band eigenvalues
 for Hermitian H, less delta, and takes a dense SVD for any other H.
@@ -182,7 +180,7 @@ class BlockStats:
     factorizations: int = 0
     rhs_columns: int = 0
     full_projectors: int = 0  # d x d projectors built (`riesz_projector`)
-    fallbacks: int = 0  # Taylor samples re-tracked by `track_eigenvalue`
+    fallbacks: int = 0  # block samples re-tracked by `_certified_action`
     mirrored: int = 0  # Taylor samples taken as the conjugate of an earlier one
     shift_invert: int = 0  # Taylor samples taken by `_shift_invert_sample`
     block_samples: int = 0  # Taylor samples taken by `_track_block`
@@ -406,16 +404,33 @@ def _filter_certificate(op: DiscreteOperator, contour: Contour, defect_tol: floa
 
 
 def _projector_action(mat, d: int, contour: Contour, B: np.ndarray,
-                      stats: BlockStats) -> np.ndarray:
+                      stats: BlockStats, twice: bool = False):
     """P B = -(r/q) sum_j e^(i theta_j) (H - lambda_j)^-1 B for a (d, k)
     block B (`_node_solves`), added node by node as each chunk comes, so the
-    chunk size cannot change a bit."""
+    chunk size cannot change a bit.
+
+    With `twice`, (P B, (P^2 - P) B): for P = sum_j a_j R_j, R_j = (H - lambda_j)^-1,
+    the resolvent identity R_j R_k = (R_j - R_k) / (lambda_j - lambda_k) gives
+        P^2 = sum_j (a_j^2 R_j^2 + 2 a_j c_j R_j),  c_j = sum_{k != j} a_k / (lambda_j - lambda_k),
+    so each node adds its share of (P^2 - P) B from its one factorization.
+    c_j is summed over the computed nodes, for which the identity holds.
+    """
     acc = np.zeros((d, B.shape[1]), dtype=complex)
-    angles = contour.angles()
-    for nodes, X in _node_solves(mat, d, contour.nodes(), B, stats):
+    angles, lams = contour.angles(), contour.nodes()
+    if twice:
+        a = -(contour.radius / contour.q) * np.exp(1j * angles)
+        gaps = lams[:, None] - lams[None, :]
+        np.fill_diagonal(gaps, np.inf)
+        once = 2 * a * (a[None, :] / gaps).sum(axis=1) - a
+        defect = np.zeros_like(acc)
+    for nodes, X in _node_solves(mat, d, lams, B, stats, twice):
         for theta, x in zip(angles[nodes], X[0]):
             acc += np.exp(1j * theta) * x
-    return -(contour.radius / contour.q) * acc
+        if twice:
+            for u, v, x, y in zip(once[nodes], a[nodes] ** 2, X[0], X[1]):
+                defect += v * y + u * x
+    PB = -(contour.radius / contour.q) * acc
+    return (PB, defect) if twice else PB
 
 
 def _eigenvalue_of(mat, psi, psi0, residual_tol) -> tuple[complex, float]:
@@ -489,7 +504,8 @@ def _band_lu(ab: np.ndarray, kl: int, ku: int, d: int, shifts: np.ndarray,
     band factorization of the module; `stats` counts each shift as one.
     Raises ShiftNearSpectrumError if a shift is exactly singular.
     """
-    band = np.tile(ab, len(shifts))
+    band = np.empty((ab.shape[0], len(shifts) * d), dtype=complex, order="F")
+    band.T.reshape(len(shifts), d, -1)[:] = ab.T  # Fortran order: factored in place
     band[kl + ku] -= np.repeat(shifts, d)
     lu, piv, info = lapack.zgbtrf(band, kl, ku, overwrite_ab=1)
     stats.factorizations += len(shifts)
@@ -533,6 +549,7 @@ def _node_solves(mat, d: int, lams: np.ndarray, B: np.ndarray, stats: BlockStats
                 X[0] = lapack.zgbtrs(lu, kl, ku, np.tile(B, (n, 1)), piv)[0]
                 if twice:
                     X[1] = lapack.zgbtrs(lu, kl, ku, X[0], piv)[0]
+                del lu, piv  # freed before the next chunk is factored
             else:
                 shifted = mat - shifts[0] * np.eye(d)
                 try:
@@ -566,33 +583,6 @@ def _node_solves(mat, d: int, lams: np.ndarray, B: np.ndarray, stats: BlockStats
         yield slice(start, start + n), X
 
 
-def _block_action(H, contour: Contour, Y: np.ndarray,
-                  stats: BlockStats) -> tuple[np.ndarray, np.ndarray]:
-    """P Y and (P^2 - P) Y for the trapezoidal Riesz projector of H.
-
-    With weights a_j = -(r/q) e^(i theta_j) and R_j = (H - lambda_j)^-1,
-    P = sum_j a_j R_j.  The resolvent identity
-    R_j R_k = (R_j - R_k) / (lambda_j - lambda_k) turns P^2 into
-        sum_j (a_j^2 R_j^2 + 2 a_j c_j R_j),  c_j = sum_{k != j} a_k / (lambda_j - lambda_k),
-    so each node's factorization (`_node_solves`), applied twice, gives
-    P^2 Y with no factor kept across nodes.
-    """
-    mat, d = _as_matrix(H)
-    lams = contour.nodes()
-    a = -(contour.radius / contour.q) * np.exp(1j * contour.angles())
-    gaps = lams[:, None] - lams[None, :]
-    np.fill_diagonal(gaps, np.inf)
-    c = (a[None, :] / gaps).sum(axis=1)
-
-    X = np.empty((2, len(lams), d, Y.shape[1]), dtype=complex)  # R_j Y and R_j^2 Y
-    for nodes, Xn in _node_solves(mat, d, lams, Y, stats, twice=True):
-        X[:, nodes] = Xn
-    # einsum, not tensordot: no BLAS call, so no thread-pool stall.
-    PY = np.einsum("j,jdk->dk", a, X[0])
-    defect = np.einsum("j,jdk->dk", a**2, X[1]) + np.einsum("j,jdk->dk", 2 * a * c - a, X[0])
-    return PY, defect
-
-
 def _track_block(
     H,
     contour: Contour,
@@ -614,7 +604,8 @@ def _track_block(
     psi0 = np.asarray(psi0, dtype=complex)
     rng = np.random.default_rng(_BLOCK_SEED)
     W = (rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))) / math.sqrt(2)
-    PY, defect_Y = _block_action(H, contour, np.column_stack([psi0, W]), stats)
+    PY, defect_Y = _projector_action(mat, d, contour, np.column_stack([psi0, W]), stats,
+                                     twice=True)
 
     defect = float(np.linalg.norm(defect_Y[:, 1:], axis=0).max())
     stats.max_defect = max(stats.max_defect, defect)
@@ -834,17 +825,19 @@ def taylor_eigenpath(
     block path instead, and counted there.
 
     Block samples.  Otherwise every sample tracks the eigenvalue from P Y
-    alone, Y = [psi0, w1, w2] (see `_track_block`): one LU per node, applied
-    to Y and once more to form (P^2 - P) Y.  Rank-1 failures or contour
-    crossings raise TrackingError instead of giving a silent wrong series.
-    The block defect test is max_j ||(P^2 - P) w_j|| <= defect_tol / 10:
-    a random column sees about |v^* w| ~ 1 of a rank-one defect, and falls
-    below a tenth of it with probability about 1%, so the factor keeps the
-    block test at least as strict as ||P^2 - P||_2 <= defect_tol.  A sample
-    that fails it is re-tracked by `track_eigenvalue`, whose exact
-    ||P^2 - P||_2 <= defect_tol decides (filter or full projector), so a
-    projector the exact test accepts is never rejected for an unlucky draw.
-    The rank test is sigma_2(P Y) <= 1e-6 sigma_1(P Y).
+    alone, Y = [psi0, w1, w2] (see `_track_block`): each node's LU, applied
+    to Y and once more, adds its share of P Y and (P^2 - P) Y.  Rank-1
+    failures (sigma_2(P Y) > 1e-6 sigma_1(P Y)) or contour crossings raise
+    TrackingError instead of giving a silent wrong series.  The block defect
+    test is max_j ||(P^2 - P) w_j|| <= defect_tol / 10: a random column sees
+    about |v^* w| ~ 1 of a rank-one defect, and falls below a tenth of it
+    with probability about 1%, so the factor keeps the block test at least
+    as strict as ||P^2 - P||_2 <= defect_tol.  A sample that fails it is
+    re-tracked on the H(beta) it built, as `track_eigenvalue` does, so the
+    exact test decides and never rejects a projector for an unlucky draw;
+    unless H(beta) is a Hermitian `DiscreteOperator` (never at a non-real
+    zeta), that builds the d x d P and raises LatticeError above
+    `lattice.DENSE_MAX_DIM`.
 
     Schwarz reflection halves the samples of a real family.  If the
     contour centre c is real, the exact node set of the circle is closed
@@ -867,15 +860,15 @@ def taylor_eigenpath(
     not re-checked.  A non-real family, base, direction or centre never
     matches.
 
-    `path.stats` counts the factorizations and right-hand-side columns of
-    all samples, the shift-invert and block samples, the re-tracked samples
-    and the full projectors they built, and the mirrored samples, and keeps
-    the worst rho / margin, block defect and sigma_2/sigma_1.
+    `path.stats` counts the factorizations, right-hand-side columns and
+    full projectors of the reference vector and all samples, the
+    shift-invert, block, re-tracked and mirrored samples, and keeps the
+    worst rho / margin, block defect and sigma_2/sigma_1.
     """
     base = np.asarray(base, dtype=complex)
     samples: list[tuple[complex, complex]] = []
     stats = BlockStats()
-    ref_psi = _reference_vector(family, base, track_contour)
+    ref_psi = _reference_vector(family, base, track_contour, stats)
     real_centre = complex(track_contour.center).imag == 0
     # E of the computed samples whose conjugate node has not been sampled
     # yet (see `_reflected_sample`).
@@ -923,16 +916,12 @@ def taylor_eigenpath(
         if E is None:
             stats.block_samples += 1
             try:
-                E = _track_block(H, track_contour, ref_psi,
-                                 residual_tol=residual_tol, defect_tol=defect_tol,
-                                 stats=stats)
+                E = _track_block(H, track_contour, ref_psi, residual_tol, defect_tol, stats)
             except QuadratureError:
-                # Block defect above defect_tol / 10: the exact
-                # ||P^2 - P||_2 <= defect_tol decides, as on the track path.
+                # Block defect above defect_tol / 10: the exact test decides.
                 stats.fallbacks += 1
-                E = track_eigenvalue(family, beta_vec, track_contour, psi0=ref_psi,
-                                     residual_tol=residual_tol,
-                                     defect_tol=defect_tol, stats=stats).E
+                psi = _certified_action(H, track_contour, ref_psi, defect_tol, stats)[3]
+                E = _eigenvalue_of(_as_matrix(H)[0], psi, ref_psi, residual_tol)[0]
         if real_centre:
             pending[tuple(beta_vec.tolist())] = E
         samples.append((zeta, E))

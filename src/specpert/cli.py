@@ -325,7 +325,10 @@ def _place_contour(op: lattice.DiscreteOperator, eig_index: int,
     distance min |E_k - E_j| to its nearest neighbor.  Hermitian eigenvalues
     come ascending from the band, which unlike dense ``eigvalsh`` gives the
     same bits at any thread count; complex ones from the dense ``eigvals``,
-    ordered by (real, imag), and the circle is centred at the complex E_k."""
+    ordered by (real, imag), and the circle is centred at the complex E_k.
+    An eig_index outside 0..d-1 raises ScenarioError."""
+    if not 0 <= eig_index < op.dim:
+        raise ScenarioError(f"task field eig_index: {eig_index} is outside 0..{op.dim - 1}")
     if op.hermitian:
         vals = analytic._band_eigenvalues(op.matrix, op.dim)
     else:
@@ -337,6 +340,22 @@ def _place_contour(op: lattice.DiscreteOperator, eig_index: int,
     if gap <= 0:
         raise analytic.TrackingError(f"eigenvalue {eig_index} is degenerate")
     return analytic.Contour(center=complex(E), radius=gap / 2, q=q)
+
+
+def _task_direction(ctx: RunContext, spec: dict, axis: int) -> np.ndarray:
+    """A sweep or taylor task's `direction`, zero-padded to the n couplings
+    as `beta.values` is, else the unit vector of `axis`; ScenarioError for a
+    longer direction or an axis outside 1..n."""
+    n = len(ctx.family)
+    if "direction" in spec:
+        values = np.asarray(spec["direction"], dtype=complex)
+        if values.ndim != 1 or len(values) > n:
+            raise ScenarioError(f"task field direction: {spec['direction']!r} is not "
+                                f"a list of at most {n} couplings")
+        return np.pad(values, (0, n - len(values)))
+    if not 1 <= axis <= n:
+        raise ScenarioError(f"task field axis: {axis} is outside 1..{n}")
+    return np.eye(n, dtype=complex)[axis - 1]
 
 
 def task_geometry(ctx: RunContext, spec: dict) -> dict:
@@ -484,12 +503,7 @@ def task_sweep(ctx: RunContext, spec: dict) -> dict:
     eig_index = int(spec.get("eig_index", 0))
     steps = int(spec.get("steps", 11))
     lo, hi = (float(x) for x in spec.get("range", [0.0, 1.0]))
-    if "direction" in spec:
-        direction = np.asarray(spec["direction"], dtype=complex)
-    else:
-        axis = int(spec.get("axis", 1))
-        direction = np.zeros(len(ctx.family), dtype=complex)
-        direction[axis - 1] = 1.0
+    direction = _task_direction(ctx, spec, int(spec.get("axis", 1)))
     targets = [lo] if steps <= 1 else list(np.linspace(lo, hi, steps))
 
     base = targets[0] * direction
@@ -560,12 +574,7 @@ def task_taylor(ctx: RunContext, spec: dict) -> dict:
     eig_index = int(spec.get("eig_index", 0))
     M = int(spec.get("M", 12))
     r = float(spec.get("r", 0.2))
-    if "direction" in spec:
-        tvec = np.asarray(spec["direction"], dtype=complex)
-    else:
-        tvec = np.zeros(len(ctx.family), dtype=complex)
-        tvec[0] = 1.0
-    direction = analytic.Direction(tvec)
+    direction = analytic.Direction(_task_direction(ctx, spec, 1))
     base = ctx.beta_vector() * 0.0
     contour = _place_contour(ctx.system.h0, eig_index,
                              q=int(spec.get("contour_nodes", 64)))

@@ -174,7 +174,7 @@ class TestRieszProjector:
 class TestDenseSparseAgreement:
     """`_node_solves` solves a dense ndarray by NumPy's LAPACK, a sparse
     operator by band LU at every d; both must give the same resolvent,
-    projector and block action.  The 15 x 14 lattice (d = 210, band width
+    projector and block mode of `_projector_action`.  The 15 x 14 lattice (d = 210, band width
     15) is where sparse input used to take a sparse LU."""
 
     @pytest.mark.parametrize("beta, lattice", [
@@ -207,8 +207,10 @@ class TestDenseSparseAgreement:
 
         rng = np.random.default_rng(8)
         Y = rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
-        PY_dense, defect_dense = analytic._block_action(dense, contour, Y, BlockStats())
-        PY_sparse, defect_sparse = analytic._block_action(sparse, contour, Y, BlockStats())
+        PY_dense, defect_dense = analytic._projector_action(dense, d, contour, Y, BlockStats(),
+                                                            twice=True)
+        PY_sparse, defect_sparse = analytic._projector_action(sparse, d, contour, Y,
+                                                              BlockStats(), twice=True)
         scale = np.linalg.norm(PY_sparse)
         assert np.linalg.norm(PY_dense - PY_sparse) <= 1e-12 * scale
         assert np.linalg.norm(defect_dense - defect_sparse) <= 1e-12 * scale
@@ -232,9 +234,29 @@ class TestDenseSparseAgreement:
         riesz_projector(H, contour, stats=stats)
         assert (stats.factorizations, stats.rhs_columns) == (contour.q, contour.q * 40)
         stats = BlockStats()
-        analytic._block_action(H, contour, rng.standard_normal((40, 3)), stats)
+        analytic._projector_action(H, 40, contour, rng.standard_normal((40, 3)), stats,
+                                   twice=True)
         assert (stats.factorizations, stats.rhs_columns) == (contour.q, 2 * contour.q * 3)
         assert band_calls == []
+
+
+    @pytest.mark.parametrize("as_input", [np.asarray, sp.csr_matrix], ids=["dense", "sparse"])
+    def test_block_mode_is_the_projector_product(self, as_input):
+        # A non-Hermitian H with the eigenvalue 1.3 just outside the unit
+        # circle, which q = 16 under-resolves: (P^2 - P) Y is about a tenth of
+        # P Y, so the merged sum is compared with the product of the full P.
+        rng = np.random.default_rng(12)
+        S = np.eye(6) + 0.3 * rng.standard_normal((6, 6))
+        H = S @ np.diag([0.1, 1.3, 2.5, -2.0, 3.0 + 1.0j, 4.0]) @ np.linalg.inv(S)
+        contour = Contour(0.0, 1.0, q=16)
+        P = riesz_projector(H, contour, defect_tol=math.inf, trace_tol=math.inf).P
+        Y = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+        PY, defect = analytic._projector_action(as_input(H), 6, contour, Y, BlockStats(),
+                                                twice=True)
+        expected = (P @ P - P) @ Y
+        assert np.linalg.norm(expected) >= 1e-3 * np.linalg.norm(P @ Y)
+        assert np.linalg.norm(defect - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert np.linalg.norm(PY - P @ Y) <= 1e-12 * np.linalg.norm(P @ Y)
 
 
 class TestChunkInvariance:
@@ -259,7 +281,8 @@ class TestChunkInvariance:
             monkeypatch.setattr(analytic, "_CHUNK_ENTRIES", cap)
             calls.clear()
             P = riesz_projector(H, contour).P
-            PY, defect = analytic._block_action(H, contour, Y, BlockStats())
+            PY, defect = analytic._projector_action(H.matrix, H.dim, contour, Y, BlockStats(),
+                                                    twice=True)
             results.append((P, PY, defect))
             chunks.append(len(calls))
         assert chunks == [2 * contour.q, 2]
@@ -626,7 +649,9 @@ class TestBlockSamples:
                                 Direction(np.array([1.0])), contour,
                                 r=0.2, M=8, q=32)
         # Nodes 17..31 and test points 5..7 are mirrored, not re-tracked.
-        assert path.stats.fallbacks == path.stats.full_projectors == 17 + 5
+        # The reference vector builds one more full projector.
+        assert path.stats.fallbacks == 17 + 5
+        assert path.stats.full_projectors == 17 + 5 + 1
         assert path.stats.mirrored == 15 + 3
         assert len(path.samples) == 32 + 8
         assert path.coefficients[2] == pytest.approx(-1.0, abs=1e-8)
@@ -650,11 +675,14 @@ class TestBlockSamples:
                                 r=0.3, M=8, q=32)
         assert len(calls) == 1  # the reference vector at the base point
         assert len(path.samples) == 32 + 8
-        assert path.stats.fallbacks == path.stats.full_projectors == 0
+        assert path.stats.fallbacks == 0 and path.stats.full_projectors == 1
         assert path.stats.mirrored == 15 + 3
         assert path.stats.block_samples == 22 and path.stats.shift_invert == 0
-        assert path.stats.factorizations == 64 * (len(path.samples) - path.stats.mirrored)
-        assert path.stats.rhs_columns == 2 * 3 * path.stats.factorizations
+        # The reference vector's 64 identity solves of d = 2 columns, then
+        # two solves of Y's 3 columns per node of each block sample.
+        block = 64 * (len(path.samples) - path.stats.mirrored)
+        assert path.stats.factorizations == 64 + block
+        assert path.stats.rhs_columns == 64 * 2 + 2 * 3 * block
         assert path.stats.max_defect <= 1e-9
         assert path.stats.max_rank_ratio <= 1e-6
 
@@ -840,9 +868,10 @@ class TestSchwarzReflection:
             contour, r = Contour(0.0, 0.5, q=64), 0.3
         path = taylor_eigenpath(family, base, direction, contour, r=r, M=8, q=32)
         assert path.stats.mirrored == 15 + 3
-        # r < r0: every computed sample is shift-invert, two LUs each.
+        # r < r0: every computed sample is shift-invert, two LUs each, after
+        # the reference vector's one LU per contour node.
         assert path.stats.shift_invert == 32 + 8 - 18 and path.stats.block_samples == 0
-        assert path.stats.factorizations == 2 * (32 + 8 - 18)
+        assert path.stats.factorizations == contour.q + 2 * (32 + 8 - 18)
         psi0 = _reference_vector(family, base, contour)
         mirrored = [(z, E) for z, E in path.samples if z.imag < -1e-14]
         assert len(mirrored) == 18
@@ -869,11 +898,12 @@ class TestSchwarzReflection:
         assert path.stats.mirrored == 0
         # H(b) of the complex term is Hermitian, not symmetric: the block
         # path, 64 LUs a sample.  The other cases are complex symmetric
-        # with r < r0: shift-invert, two LUs a sample.
+        # with r < r0: shift-invert, two LUs a sample.  The reference vector
+        # takes one LU per contour node.
         block = case == "complex_term"
         assert path.stats.block_samples == (32 + 8 if block else 0)
         assert path.stats.shift_invert == (0 if block else 32 + 8)
-        assert path.stats.factorizations == (64 if block else 2) * (32 + 8)
+        assert path.stats.factorizations == contour.q + (64 if block else 2) * (32 + 8)
 
 
 def _shipped_bumps_1d_path():
@@ -920,10 +950,10 @@ class TestBandLU:
         assert len(shifts) == stats.factorizations == 2 * 64
         shifts.clear()
         path = taylor_eigenpath(family, base, direction, contour, r=r, M=8, q=32)
-        # The path's reference vector takes one node solve pass of its own,
-        # which `path.stats` does not count.
-        assert len(shifts) == path.stats.factorizations + contour.q
-        assert path.stats.factorizations == (64 if block else 2) * (32 + 8 - 18)
+        # `path.stats` counts the node solve pass of the path's reference
+        # vector too.
+        assert len(shifts) == path.stats.factorizations
+        assert path.stats.factorizations == contour.q + (64 if block else 2) * (32 + 8 - 18)
         assert path.stats.shift_invert == (0 if block else 32 + 8 - 18)
 
 
@@ -941,7 +971,7 @@ class TestShiftInvertSamples:
             direction, contour, r = Direction(np.array([1.0])), Contour(0.0, 0.5, q=64), 0.3
         path = taylor_eigenpath(family, base, direction, contour, r=r, M=8, q=32)
         assert path.stats.shift_invert == 32 + 8 - 18 and path.stats.block_samples == 0
-        assert path.stats.factorizations == 2 * path.stats.shift_invert
+        assert path.stats.factorizations == contour.q + 2 * path.stats.shift_invert
         assert 0 < path.stats.max_margin_ratio < 1e-6
         psi0 = _reference_vector(family, base, contour)
         computed = [(z, E) for z, E in path.samples if z.imag >= 0]
@@ -1007,7 +1037,7 @@ class TestShiftInvertSamples:
                                 contour, r=0.3, M=8, q=32)
         assert path.certified_radius < 0.25
         assert path.stats.shift_invert == 0 and path.stats.block_samples == 22
-        assert path.stats.factorizations == 64 * 22
+        assert path.stats.factorizations == contour.q + 64 * 22
         assert path.coefficients[2] == pytest.approx(-1.0, abs=1e-8)
 
     @pytest.mark.parametrize("miss", ["residual", "margin", "outside"])
@@ -1026,7 +1056,7 @@ class TestShiftInvertSamples:
                                 Contour(0.0, 0.5, q=64), r=0.3, M=8, q=32,
                                 residual_tol=residual_tol)
         assert path.stats.shift_invert == 0 and path.stats.block_samples == 22
-        assert path.stats.factorizations == (2 + 64) * 22
+        assert path.stats.factorizations == 64 + (2 + 64) * 22
         assert path.stats.max_margin_ratio == 0.0
         assert path.coefficients[2] == pytest.approx(-1.0, abs=1e-8)
 

@@ -419,7 +419,8 @@ class TestRun:
     def test_shipped_bumps_1d_taylor_takes_one_lu_pair_per_sample(self, tmp_path):
         # Guard for the shift-invert samples of the shipped taylor task: at
         # most two factorizations per computed sample, none by the block
-        # contour path (64 per sample), read from its stderr note.
+        # contour path (64 per sample), read from its stderr note, which also
+        # counts the reference vector's 64 contour nodes.
         repo = Path(__file__).resolve().parents[1]
         doc = yaml.safe_load((repo / "scenarios" / "bumps_1d.yaml").read_text())
         doc["tasks"] = [t for t in doc["tasks"] if t["task"] == "taylor"]
@@ -432,7 +433,7 @@ class TestRun:
         factorizations = int(note.split("factorizations ")[1].split(",")[0])
         shift_invert, block = int(fields["shift-invert samples"]), int(fields["block samples"])
         assert block == 0 and shift_invert == 136 - int(fields["mirrored samples"]) == 70
-        assert factorizations <= 2 * (shift_invert + block)
+        assert factorizations <= 64 + 2 * (shift_invert + block)
         assert 0 < float(fields["r/r0"]) < 1 and 0 < float(fields["rho/margin"]) < 1
         r0 = yaml.safe_load((out / "report.yaml").read_text())["tasks"][0]["result"][
             "certified_radius"]
@@ -576,14 +577,63 @@ class TestRun:
         # are computed, 18 mirrored (q = 32, 8 test points).  r = 0.3 lies
         # inside r0 = 0.5, so each computed sample is shift-invert: two LUs,
         # and two solves at the first shift plus at least two, at most
-        # eight, at the second.
-        assert "factorizations 44, rhs columns " in result.stderr
+        # eight, at the second.  The reference vector adds one LU and one
+        # column per contour node (64).
+        assert "factorizations 108, rhs columns " in result.stderr
         rhs = int(result.stderr.split("rhs columns ")[1].split(",")[0])
-        assert 4 * 22 <= rhs <= 10 * 22
+        assert 64 + 4 * 22 <= rhs <= 64 + 10 * 22
         assert "r/r0 0.6, rho/margin " in result.stderr
         assert "shift-invert samples 22, block samples 0," in result.stderr
         assert "mirrored samples 18" in result.stderr
         assert "block defect/tol" in result.stderr and "sigma2/sigma1" in result.stderr
+
+
+def _shipped_task(tmp_path, scenario, task, **fields):
+    """A shipped scenario cut to its first `task`, with `fields` set on it."""
+    repo = Path(__file__).resolve().parents[1]
+    doc = yaml.safe_load((repo / "scenarios" / f"{scenario}.yaml").read_text())
+    doc["tasks"] = [{**next(t for t in doc["tasks"] if t["task"] == task), **fields}]
+    return write_scenario(tmp_path, doc, name=f"{scenario}-{task}.yaml")
+
+
+class TestTaskFields:
+    """A task's coupling direction and eigenvalue index are checked against
+    the family before any contour is placed."""
+
+    @pytest.mark.parametrize("scenario, task, fields, named", [
+        ("bumps_1d", "taylor", {"direction": [1.0, 0.0, 0.0, 0.0]}, "direction"),
+        ("bumps_1d", "taylor", {"direction": [[1.0, 0.0, 0.0]]}, "direction"),
+        ("bumps_1d", "taylor", {"direction": 1.0}, "direction"),
+        ("sweep_1d", "sweep", {"axis": 0}, "axis"),
+        ("sweep_1d", "sweep", {"axis": 5}, "axis"),
+        ("bumps_1d", "track", {"eig_index": 160}, "eig_index"),
+        ("two_level", "track", {"eig_index": -1}, "eig_index"),
+        ("two_level", "taylor", {"eig_index": 2}, "eig_index"),
+    ], ids=["long-direction", "nested-direction", "scalar-direction", "axis-0", "axis-past-n",
+            "eig-index-past-d", "negative-eig-index", "taylor-eig-index-past-d"])
+    def test_out_of_range_field_is_usage_error(self, tmp_path, scenario, task, fields,
+                                               named):
+        path = _shipped_task(tmp_path, scenario, task, **fields)
+        result = run_cli(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert f"scenario error: task field {named}:" in result.stderr
+
+    @pytest.mark.parametrize("scenario, task, short, full, table", [
+        ("bumps_1d", "taylor", {"direction": [1.0]}, {"direction": [1.0, 0.0, 0.0]},
+         "taylor.csv"),
+        ("sweep_1d", "sweep", {"direction": [1.0]}, {"axis": 1}, "sweep.csv"),
+    ], ids=["taylor", "sweep"])
+    def test_short_direction_is_zero_padded(self, tmp_path, scenario, task, short, full,
+                                            table):
+        outputs = []
+        for name, fields in (("short", short), ("full", full)):
+            (tmp_path / name).mkdir()
+            path = _shipped_task(tmp_path / name, scenario, task, **fields)
+            out = tmp_path / name / "out"
+            result = run_cli(["run", "--scenario", str(path), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            outputs.append((out / table).read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 BUMPS = {

@@ -4,7 +4,8 @@ scenario, written as JSON.
 Layers: one computed Taylor sample at a complex zeta, by shift-invert
 (`analytic._shift_invert_sample` from the shift `taylor_eigenpath` takes)
 and, for comparison, by the block contour path (`analytic._track_block`, 64
-node LUs; `taylor_sample_s` in BENCH_14 and BENCH_16), the certified radius
+node LUs; `taylor_sample_s` in BENCH_14 and BENCH_16) with its tracemalloc
+peak (`block_sample_peak_mb`, MB = 10^6 bytes), the certified radius
 of the path (`analytic.contour_kato_radius`), one sample taken by
 conjugation (the assembly of H(conj beta) and
 `analytic._reflected_sample`, as `taylor_eigenpath` calls them), one
@@ -17,6 +18,10 @@ point 0).  Every layer value is the median of REPEAT timings (`bench_common.py`)
 taylor and verify times of RUNS in-process scenario runs, the first run
 (cold) and the median of the others.
 
+Block samples past the band of bumps_1d: the time and tracemalloc peak of
+one `analytic._track_block` at the same zeta on LATTICE, a 40 x 40 grid
+(d = 1600) with three bumps, around its lowest eigenvalue.
+
 Hamiltonian assembly: one H(beta) through `cli.RunContext.hamiltonian` at
 the scenario's real beta (Hermitian flag tested) and at a complex beta, on
 bumps_1d (d = 160) and two_level (d = 2); each value is the median of REPEAT
@@ -26,9 +31,9 @@ Run from the repository root:
 
     PYTHONPATH=src python tools/bench_taylor.py --out BENCH.json
 
-`--baseline OLD.json` copies the task and assembly times of an earlier
-output of this tool (say, run on another checkout) into the result, under
-"baseline".
+`--baseline OLD.json` copies the layer, lattice, task and assembly values
+of an earlier output of this tool (say, run on another checkout) into the
+result, under "baseline".
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -45,13 +51,27 @@ from specpert import analytic, cli, lattice, serialize
 
 ROOT = Path(__file__).resolve().parents[1]
 ASSEMBLIES = 200
+LATTICE = {"seed": 0, "grid": {"extent": [[0.0, 10.0], [0.0, 10.0]], "points": [40, 40]},
+           "family": {"kind": "bump_lattice", "count": 3, "spacing": 3.0,
+                      "origin": [2.0, 5.0], "width": 0.6, "height": 1.0}}
 
 
-def layer_times(doc: dict) -> dict:
+def peak_mb(fn) -> float:
+    """tracemalloc peak of one call of fn, in MB (10^6 bytes)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def block_setup(doc: dict, taylor: dict):
+    """The family of `doc`, its taylor contour and reference vector, and
+    H(beta) at the sample zeta = r e^(2 pi i / 8) of the `taylor` task."""
     grid = serialize.grid_from_dict({"schema": 1, **doc["grid"]})
     family = cli.build_family(doc["family"], np.random.default_rng(int(doc["seed"])))
     system = lattice.AffineFamily.from_potentials(lattice.build_laplacian(grid), family)
-    taylor = next(t for t in doc["tasks"] if t["task"] == "taylor")
     q, r = int(taylor.get("q", 128)), float(taylor["r"])
     base = np.zeros(len(family), dtype=complex)
     t = np.asarray(taylor["direction"], dtype=complex)
@@ -59,8 +79,21 @@ def layer_times(doc: dict) -> dict:
                                  q=int(taylor.get("contour_nodes", 64)))
     psi0 = analytic._reference_vector(system, base, contour)
     zeta = analytic._conjugate_circle(r, q)[q // 8]
+    return system, base, t, contour, psi0, zeta, system(base + zeta * t)
+
+
+def block_lattice(taylor: dict) -> dict:
+    system, _, _, contour, psi0, _, H = block_setup(LATTICE, taylor)
+    return {"d": system.h0.dim, "contour_nodes": contour.q,
+            "block_sample_s": median_time(lambda: analytic._track_block(H, contour, psi0)),
+            "block_sample_peak_mb": peak_mb(lambda: analytic._track_block(H, contour, psi0))}
+
+
+def layer_times(doc: dict) -> dict:
+    taylor = next(t for t in doc["tasks"] if t["task"] == "taylor")
+    system, base, t, contour, psi0, zeta, H = block_setup(doc, taylor)
+    q, r = int(taylor.get("q", 128)), float(taylor["r"])
     beta, mirror = base + zeta * t, base + np.conj(zeta) * t
-    H = system(beta)
     E = analytic._track_block(H, contour, psi0)
     h_base = system(base)
     V = system(base + t).matrix - h_base.matrix
@@ -100,6 +133,7 @@ def layer_times(doc: dict) -> dict:
         "d": d, "q": q, "contour_nodes": contour.q,
         "shift_invert_sample_s": median_time(shift_invert),
         "block_sample_s": median_time(lambda: analytic._track_block(H, contour, psi0)),
+        "block_sample_peak_mb": peak_mb(lambda: analytic._track_block(H, contour, psi0)),
         "contour_kato_radius_s": median_time(
             lambda: analytic.contour_kato_radius(h_base, V, contour)),
         "mirrored_sample_s": median_time(mirrored),
@@ -142,14 +176,15 @@ def main() -> None:
         "scenario": "scenarios/bumps_1d.yaml",
         "command": "PYTHONPATH=src python tools/bench_taylor.py " + " ".join(sys.argv[1:]),
         "layers": layer_times(doc),
+        "block_lattice": block_lattice(next(t for t in doc["tasks"] if t["task"] == "taylor")),
         "hamiltonian": hamiltonian_times(),
         "tasks": task_times(doc, ("taylor", "verify")),
         "env": environment(),
     }
     if args.baseline is not None:
         old = json.loads(args.baseline.read_text())
-        result["baseline"] = {key: old[key] for key in ("command", "hamiltonian", "tasks")
-                              if key in old}
+        result["baseline"] = {key: old[key] for key in ("command", "layers", "block_lattice",
+                                                        "hamiltonian", "tasks") if key in old}
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))
 
