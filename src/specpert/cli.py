@@ -355,7 +355,7 @@ def _task_direction(ctx: RunContext, spec: dict, axis: int) -> np.ndarray:
         return np.pad(values, (0, n - len(values)))
     if not 1 <= axis <= n:
         raise ScenarioError(f"task field axis: {axis} is outside 1..{n}")
-    return np.eye(n, dtype=complex)[axis - 1]
+    return np.pad(np.ones(1, dtype=complex), (axis - 1, n - axis))
 
 
 def task_geometry(ctx: RunContext, spec: dict) -> dict:
