@@ -174,8 +174,8 @@ class TestRieszProjector:
 class TestDenseSparseAgreement:
     """`_node_solves` solves a dense ndarray by NumPy's LAPACK, a sparse
     operator by band LU at every d; both must give the same resolvent,
-    projector and block mode of `_projector_action`.  The 15 x 14 lattice (d = 210, band width
-    15) is where sparse input used to take a sparse LU."""
+    projector and block mode of `_projector_action`.  The 15 x 14 lattice
+    (d = 210, band width 15) is where sparse input used to take a sparse LU."""
 
     @pytest.mark.parametrize("beta, lattice", [
         (0.3, "1d"), (0.3 + 0.2j, "1d"), (0.3, "2d"), (0.3 + 0.2j, "2d")],
@@ -238,7 +238,6 @@ class TestDenseSparseAgreement:
                                    twice=True)
         assert (stats.factorizations, stats.rhs_columns) == (contour.q, 2 * contour.q * 3)
         assert band_calls == []
-
 
     @pytest.mark.parametrize("as_input", [np.asarray, sp.csr_matrix], ids=["dense", "sparse"])
     def test_block_mode_is_the_projector_product(self, as_input):
