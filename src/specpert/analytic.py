@@ -685,6 +685,15 @@ def _conjugate_circle(radius: float, n: int) -> np.ndarray:
     return np.concatenate([z, np.conj(z[1:(n + 1) // 2][::-1])])
 
 
+def _pair_order(n: int) -> list[int]:
+    """0, 1, n - 1, 2, n - 2, ...: the indices of `_conjugate_circle` a
+    conjugate pair at a time, ending with n/2 for even n."""
+    order = [0]
+    for j in range(1, (n + 1) // 2):
+        order += [j, n - j]
+    return order + [n // 2] if n % 2 == 0 else order
+
+
 def _series(f, base, t, r: float, M: int, q: int) -> tuple[np.ndarray, float]:
     """Cauchy coefficients A_0..A_M of g(zeta) = f(base + zeta t) and their
     reconstruction error.
@@ -695,9 +704,11 @@ def _series(f, base, t, r: float, M: int, q: int) -> tuple[np.ndarray, float]:
     is the largest |g(zeta) - sum_m A_m zeta^m| at 8 points on |zeta| = r/2,
     the partial sums in one Vandermonde product, relative to the largest
     sample.  Nodes and test points are conjugate-symmetric to the bit
-    (`_conjugate_circle`) and sampled in index order, so for real base and
-    t a sample's conjugate node comes after it (`taylor_eigenpath` reuses
-    it).  Works for scalar-, vector- and matrix-valued analytic g.
+    (`_conjugate_circle`) and sampled a conjugate pair at a time
+    (`_pair_order`: 0, 1, q - 1, 2, q - 2, ...), each into its own index,
+    so for real base and t a node's conjugate is sampled right after it
+    (`taylor_eigenpath` reuses it).  Works for scalar-, vector- and
+    matrix-valued analytic g.
     """
     def g(zeta: complex):
         return np.asarray(f(base + zeta * t), dtype=complex)
@@ -708,7 +719,7 @@ def _series(f, base, t, r: float, M: int, q: int) -> tuple[np.ndarray, float]:
     first = g(nodes[0])
     samples = np.empty((q,) + first.shape, dtype=complex)
     samples[0] = first
-    for j in range(1, q):
+    for j in _pair_order(q)[1:]:
         samples[j] = g(nodes[j])
     if not np.all(np.isfinite(samples)):
         raise AnalyticError("non-finite samples on the contour")
@@ -719,8 +730,8 @@ def _series(f, base, t, r: float, M: int, q: int) -> tuple[np.ndarray, float]:
     A /= (q * r**orders)[:, None]
     test = _conjugate_circle(0.5 * r, 8)
     residual = np.empty((len(test), A.shape[1]), dtype=complex)
-    for k, zeta in enumerate(test):
-        residual[k] = g(zeta).ravel()
+    for k in _pair_order(len(test)):
+        residual[k] = g(test[k]).ravel()
     residual -= (test[:, None] ** orders) @ A
     error = float(np.max(np.abs(residual)))
     return A.reshape((M + 1,) + samples.shape[1:]), error / scale
@@ -850,15 +861,16 @@ def taylor_eigenpath(
     (conj E, conj psi) is a sample of conj H, tracked from conj psi0,
     certified as (E, psi) was.  A shift-invert sample of conj H has the
     same residual and margin, so its certificate carries over as well.
-    `_series` forms its nodes conjugate-symmetric to the bit and samples a
-    node before its conjugate, so for a real base and t the conjugate of a
-    node's beta has been sampled.  Its E is reused, as conj E, if c is real
-    and family(beta) equals conj family(conj beta) entry for entry
-    (`_reflected_sample`); otherwise the sample is computed.  The exact
-    conjugate matrix also carries the partner's eigen-residual over bit for
-    bit (IEEE complex products and sums commute with conjugation), so it is
-    not re-checked.  A non-real family, base, direction or centre never
-    matches.
+    `_series` forms its nodes conjugate-symmetric to the bit and samples
+    each node's conjugate right after it, so for a real base and t the
+    partner of a node is the last computed sample, whose beta, E and
+    H(beta) alone the path keeps.  A node at the conjugate of that beta
+    takes conj E if c is real and its H(beta) equals the conjugate of the
+    partner's entry for entry (`_is_conjugate`); otherwise the sample is
+    computed.  The exact conjugate matrix also carries the partner's
+    eigen-residual over bit for bit (IEEE complex products and sums commute
+    with conjugation), so it is not re-checked.  A non-real family, base,
+    direction or centre never matches.
 
     `path.stats` counts the factorizations, right-hand-side columns and
     full projectors of the reference vector and all samples, the
@@ -870,9 +882,9 @@ def taylor_eigenpath(
     stats = BlockStats()
     ref_psi = _reference_vector(family, base, track_contour, stats)
     real_centre = complex(track_contour.center).imag == 0
-    # E of the computed samples whose conjugate node has not been sampled
-    # yet (see `_reflected_sample`).
-    pending: dict[tuple, complex] = {}
+    # (beta, E, H(beta)) of the last computed sample: its conjugate node
+    # comes next (see `_series`).
+    last = None
 
     H_base = family(base)
     mat0 = _canonical(_as_matrix(H_base)[0])
@@ -904,15 +916,16 @@ def taylor_eigenpath(
         return E
 
     def g(beta_vec) -> complex:
+        nonlocal last
         zeta = _project_zeta(beta_vec - base, direction.t)
         H = family(beta_vec)
-        E = _reflected_sample(family, beta_vec, H, pending) if real_centre else None
-        if E is not None:
+        if (real_centre and last is not None and np.array_equal(beta_vec, np.conj(last[0]))
+                and _is_conjugate(_as_matrix(H)[0], _as_matrix(last[2])[0])):
+            E = last[1].conjugate()
             stats.mirrored += 1
             samples.append((zeta, E))
             return E
-        if shift_invert:
-            E = certified_sample(H, zeta)
+        E = certified_sample(H, zeta) if shift_invert else None
         if E is None:
             stats.block_samples += 1
             try:
@@ -922,8 +935,7 @@ def taylor_eigenpath(
                 stats.fallbacks += 1
                 psi = _certified_action(H, track_contour, ref_psi, defect_tol, stats)[3]
                 E = _eigenvalue_of(_as_matrix(H)[0], psi, ref_psi, residual_tol)[0]
-        if real_centre:
-            pending[tuple(beta_vec.tolist())] = E
+        last = (beta_vec, E, H)
         samples.append((zeta, E))
         return E
 
@@ -938,20 +950,6 @@ def taylor_eigenpath(
         stats=stats,
         certified_radius=r0,
     )
-
-
-def _reflected_sample(family, beta_vec, H, pending: dict) -> complex | None:
-    """conj E of the computed sample at conj(beta_vec), if H = family(beta_vec)
-    equals conj family(conj beta_vec) entry for entry; else None.
-
-    `pending` maps tuple(beta.tolist()) of each computed sample (by value, so
-    -0.0 == 0.0) to its E; the partner is removed from it either way.
-    """
-    partner = pending.pop(tuple(np.conj(beta_vec).tolist()), None)
-    if partner is None or not _is_conjugate(_as_matrix(H)[0],
-                                            _as_matrix(family(np.conj(beta_vec)))[0]):
-        return None
-    return partner.conjugate()
 
 
 def _is_symmetric(mat) -> bool:

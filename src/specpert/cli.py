@@ -325,15 +325,20 @@ def _place_contour(op: lattice.DiscreteOperator, eig_index: int,
     distance min |E_k - E_j| to its nearest neighbor.  Hermitian eigenvalues
     come ascending from the band, which unlike dense ``eigvalsh`` gives the
     same bits at any thread count; complex ones from the dense ``eigvals``,
-    ordered by (real, imag), and the circle is centred at the complex E_k.
-    An eig_index outside 0..d-1 raises ScenarioError."""
+    ordered by real part, and the circle is centred at the complex E_k.
+    Real parts within delta = d eps ||H||_1 (`analytic._weyl_delta`) of the
+    previous one count as equal and are ordered by imaginary part,
+    ascending, so of a conjugate pair index k takes Im E < 0 and k + 1
+    Im E > 0, whatever the rounding of the real parts.  An eig_index
+    outside 0..d-1 raises ScenarioError."""
     if not 0 <= eig_index < op.dim:
         raise ScenarioError(f"task field eig_index: {eig_index} is outside 0..{op.dim - 1}")
     if op.hermitian:
         vals = analytic._band_eigenvalues(op.matrix, op.dim)
     else:
-        vals = np.linalg.eigvals(op.to_dense())
-        vals = vals[np.lexsort((vals.imag, vals.real))]
+        vals = np.sort_complex(np.linalg.eigvals(op.to_dense()))
+        tied = np.cumsum(np.diff(vals.real, prepend=vals.real[0]) > analytic._weyl_delta(op))
+        vals = vals[np.lexsort((vals.imag, tied))]
     E = vals[eig_index]
     gaps = [abs(E - v) for i, v in enumerate(vals) if i != eig_index]
     gap = min(gaps) if gaps else 1.0
@@ -646,32 +651,7 @@ _TASK_FUNCS = {
 }
 
 
-def _retain_freed_heap():
-    """Have glibc keep 16 MB of freed heap (M_TOP_PAD) instead of trimming
-    it back to the system after each large free.
-
-    Each node-solve pass of a contour (`analytic._node_solves`: track,
-    sweep, the reference vector and block Taylor samples) allocates and
-    frees its chunk temporaries, the tiled band and right-hand sides, the
-    LAPACK output and the residual products.  With the default padding
-    glibc returns them after every pass, and the next pass re-faults them:
-    on the sparse_track_2d benchmark workload (d = 210) about 3,200 minor
-    page faults per pass against 3 with the pad, and run_s 0.101 s against
-    0.087 s (medians of 10 alternating pairs, 2 vCPU).  Only the allocator's
-    bookkeeping changes, never a computed value; other C libraries are left
-    alone.
-    """
-    import ctypes
-
-    if sys.platform.startswith("linux"):
-        try:
-            ctypes.CDLL(None).mallopt(-2, 16 << 20)  # M_TOP_PAD
-        except (OSError, AttributeError):
-            pass
-
-
 def execute_scenario(doc: dict, out_dir: Path) -> RunReport:
-    _retain_freed_heap()
     seed = int(doc["seed"])
     grid = None
     if "grid" in doc:

@@ -53,7 +53,6 @@ class Grid:
 
     extent: tuple[tuple[float, float], ...]
     points: tuple[int, ...]
-    point_budget: int = DEFAULT_POINT_BUDGET
 
     def __post_init__(self):
         m = len(self.extent)
@@ -66,9 +65,9 @@ class Grid:
                 raise LatticeError(f"need at least 3 points per axis, got {n}")
             if b <= a:
                 raise LatticeError(f"empty extent [{a}, {b}]")
-        if self.size > self.point_budget:
+        if self.size > DEFAULT_POINT_BUDGET:
             raise LatticeError(
-                f"grid has {self.size} points, budget is {self.point_budget}"
+                f"grid has {self.size} points, budget is {DEFAULT_POINT_BUDGET}"
             )
 
     @property

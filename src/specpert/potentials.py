@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import binom, gamma, roots_jacobi, zeta
 
 from .geometry import (
     PackingConfig,
@@ -72,6 +71,8 @@ class TailDivergenceError(ValueError):
 
 def unit_ball_volume(m: int) -> float:
     """Volume c_m of the unit ball in R^m."""
+    from scipy.special import gamma
+
     return math.pi ** (m / 2) / gamma(m / 2 + 1)
 
 
@@ -272,6 +273,8 @@ def _radial_rule(q: int, exponent: float) -> tuple[np.ndarray, np.ndarray]:
 
     Gauss-Jacobi on [-1, 1] with weight (1+t)^exponent, mapped to [0, 1].
     """
+    from scipy.special import roots_jacobi
+
     t, w = roots_jacobi(q, 0.0, exponent)
     r = 0.5 * (t + 1.0)
     w = w / 2.0 ** (exponent + 1.0)
@@ -461,6 +464,8 @@ def tail_sum_bound(family: PotentialFamily, x, A: float, l: int) -> float:
     terms of the shell-count polynomial are kept explicitly and summed with
     the Hurwitz zeta function.  Finite only for k > m.
     """
+    from scipy.special import zeta
+
     if not family.terms:
         return 0.0
     if any(t.decay is None for t in family.terms):
@@ -486,7 +491,7 @@ def tail_sum_bound(family: PotentialFamily, x, A: float, l: int) -> float:
     # C * coeff_j * zeta_Hurwitz(k - j, l).
     shells = 0.0
     for j in range(m):
-        coeff = binom(m, j) * ((1 + A) ** (m - j) - (-A) ** (m - j)) / A**m
+        coeff = math.comb(m, j) * ((1 + A) ** (m - j) - (-A) ** (m - j)) / A**m
         shells += coeff * float(zeta(k - j, l))
     return inner + C * shells
 

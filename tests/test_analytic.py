@@ -822,7 +822,10 @@ class TestSchwarzReflection:
         _series(f, np.zeros(1, dtype=complex), np.ones(1, dtype=complex), 0.3, 8, q)
         nodes, test = np.array(zetas[:q]), np.array(zetas[q:])
         assert len(test) == 8
-        for z, n in ((nodes, q), (test, 8)):
+        for calls, n in ((nodes, q), (test, 8)):
+            # Called a conjugate pair at a time; z[j] is node j.
+            z = np.empty(n, dtype=complex)
+            z[analytic._pair_order(n)] = calls
             j = np.arange(1, (n + 1) // 2)
             assert np.array_equal(z[n - j].view(float)[0::2], z[j].view(float)[0::2])
             assert np.array_equal(z[n - j].view(float)[1::2], -z[j].view(float)[1::2])
@@ -903,6 +906,22 @@ class TestSchwarzReflection:
         assert path.stats.block_samples == (32 + 8 if block else 0)
         assert path.stats.shift_invert == (0 if block else 32 + 8)
         assert path.stats.factorizations == contour.q + (64 if block else 2) * (32 + 8)
+
+    def test_mirrored_sample_builds_one_hamiltonian(self):
+        """A mirrored sample is checked against the H(beta) its partner,
+        sampled just before it, built, and builds only its own."""
+        family, base, direction, contour, r = _shipped_bumps_1d_path()
+        calls = []
+
+        def counted(beta):
+            calls.append(beta)
+            return family(beta)
+
+        path = taylor_eigenpath(counted, base, direction, contour, r=r, M=8, q=32)
+        # H(base) for the reference vector and for r0, H(base + t) for V_t,
+        # then one H(beta) per node and test point.
+        assert len(calls) == 3 + 32 + 8
+        assert path.stats.mirrored == 18 and path.stats.shift_invert == 22
 
 
 def _shipped_bumps_1d_path():

@@ -232,6 +232,14 @@ class TestRun:
             assert re_e == pytest.approx(0.05, abs=1e-12)
             assert im_e == pytest.approx(branch * math.sqrt(s**2 - 0.0025), abs=1e-12)
 
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.7, 1.3])
+    def test_conjugate_pair_ordered_by_imaginary_part(self, s):
+        # The computed real parts of 0.05 +- i sqrt(s^2 - 0.0025) differ in
+        # their last bits, one way or the other depending on s.
+        H = DiscreteOperator(sp.csr_matrix([[0.0, 1j * s], [1j * s, 0.1]]), hermitian=False)
+        assert cli._place_contour(H, 0).center.imag < 0
+        assert cli._place_contour(H, 1).center.imag > 0
+
     def test_numerical_failure_exit_code(self, tmp_path):
         # A contour-busting coupling: the tracked eigenvalue leaves the
         # contour placed at beta = 0, so tracking fails numerically.

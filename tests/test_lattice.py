@@ -1,5 +1,7 @@
 """Lattice: grids, Laplacian, Hamiltonian assembly, coupling sequences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -37,6 +39,16 @@ class TestGrid:
     def test_budget(self):
         with pytest.raises(LatticeError):
             Grid(extent=((0, 1), (0, 1), (0, 1)), points=(200, 200, 200))
+
+    def test_budget_checked_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(LatticeError, match="budget is 2000000"):
+                Grid(extent=((0, 1), (0, 1)), points=(1500, 1500))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_rejects_tiny_axes(self):
         with pytest.raises(LatticeError):

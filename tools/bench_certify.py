@@ -9,8 +9,8 @@ storage; one `geometry.disjoint_refinement` of the 128 supports; one
 `lattice.AffineFamily.from_potentials`; one H(beta) and one V(beta), next to
 the sequential sparse sum H(beta) was before it had a fixed pattern.  Every
 layer value is the median of REPEAT timings (`bench_common.py`).  Tasks: the geometry, stummel
-and bounds times of RUNS in-process scenario runs, the first run (cold) and
-the median of the others.
+and bounds times and the minor page faults of RUNS in-process scenario
+runs, the first run (cold) and the median of the others.
 
 Run from the repository root:
 

@@ -1,12 +1,14 @@
 """What the layer benches in this directory share: the median of REPEAT
-timings, the per-task times of RUNS in-process scenario runs, and the
-numpy/scipy versions and BLAS thread configuration they record."""
+timings, the per-task times and minor page faults of RUNS in-process
+scenario runs, and the numpy/scipy versions and BLAS thread configuration
+they record."""
 
 from __future__ import annotations
 
 import ctypes
 import glob
 import os
+import resource
 import statistics
 import tempfile
 import time
@@ -42,18 +44,27 @@ def blas_threads() -> int | None:
 
 
 def task_times(doc: dict, names: tuple[str, ...]) -> dict:
-    """`<name>_task_s` of each named task over RUNS runs of `doc`: the first
-    run (cold) and the median of the others."""
+    """`<name>_task_s` of each named task and the process's minor page
+    faults (`ru_minflt`) per run, over RUNS runs of `doc`: the first run
+    (cold) and the median of the others."""
     per_task: dict[str, list[float]] = {name: [] for name in names}
+    faults = []
     with tempfile.TemporaryDirectory() as tmp:
         for _ in range(RUNS):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             report = cli.execute_scenario(doc, Path(tmp))
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
             for key, dt in report.timings.items():
                 name = key.split(":", 1)[1]
                 if name in per_task:
                     per_task[name].append(dt)
-    return {f"{name}_task_s": {"cold": times[0], "warm_median": statistics.median(times[1:])}
-            for name, times in per_task.items()}
+    result = {f"{name}_task_s": cold_warm(times) for name, times in per_task.items()}
+    result["minor_faults_per_run"] = cold_warm(faults)
+    return result
+
+
+def cold_warm(values: list) -> dict:
+    return {"cold": values[0], "warm_median": statistics.median(values[1:])}
 
 
 def environment() -> dict:

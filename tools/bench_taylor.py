@@ -7,16 +7,17 @@ and, for comparison, by the block contour path (`analytic._track_block`, 64
 node LUs; `taylor_sample_s` in BENCH_14 and BENCH_16) with its tracemalloc
 peak (`block_sample_peak_mb`, MB = 10^6 bytes), the certified radius
 of the path (`analytic.contour_kato_radius`), one sample taken by
-conjugation (the assembly of H(conj beta) and
-`analytic._reflected_sample`, as `taylor_eigenpath` calls them), one
+conjugation (`mirrored_sample_s`: the assembly of H(conj beta) and
+`analytic._is_conjugate` against the partner's H(beta), as
+`taylor_eigenpath` takes it), one
 `analytic._series` call on matrix-valued samples of the size the sampled
 library check `verify_analytic_family` takes at d = 160 (q = 64 samples of
 160 x 160, the whole call and its Fourier-matrix product alone), next to the
 per-order `tensordot` loop that product replaced, and one closed-form Kato
 resolvent record of the verify task (`analytic.kato_radius` at the base
 point 0).  Every layer value is the median of REPEAT timings (`bench_common.py`).  Tasks: the
-taylor and verify times of RUNS in-process scenario runs, the first run
-(cold) and the median of the others.
+taylor and verify times and the minor page faults of RUNS in-process
+scenario runs, the first run (cold) and the median of the others.
 
 Block samples past the band of bumps_1d: the time and tracemalloc peak of
 one `analytic._track_block` at the same zeta on LATTICE, a 40 x 40 grid
@@ -93,7 +94,7 @@ def layer_times(doc: dict) -> dict:
     taylor = next(t for t in doc["tasks"] if t["task"] == "taylor")
     system, base, t, contour, psi0, zeta, H = block_setup(doc, taylor)
     q, r = int(taylor.get("q", 128)), float(taylor["r"])
-    beta, mirror = base + zeta * t, base + np.conj(zeta) * t
+    mirror = base + np.conj(zeta) * t
     E = analytic._track_block(H, contour, psi0)
     h_base = system(base)
     V = system(base + t).matrix - h_base.matrix
@@ -106,10 +107,9 @@ def layer_times(doc: dict) -> dict:
         raise RuntimeError("the shift-invert sample misses the block sample")
 
     def mirrored():
-        pending = {tuple(beta.tolist()): E}
-        return analytic._reflected_sample(system, mirror, system(mirror), pending)
+        return analytic._is_conjugate(system(mirror).matrix, H.matrix)
 
-    if mirrored() != np.conj(E):
+    if not mirrored():
         raise RuntimeError("the conjugate node is not reflected")
 
     rng = np.random.default_rng(0)
