@@ -8,11 +8,12 @@ is shared across all derivative orders.
 
 Three primitives carry the contour computations.  `_node_solves` makes
 every contour factorization: one LAPACK band LU per node for sparse H
-(`_band_lu`, the one band factorization, which also serves the shift-invert
-Taylor samples), ``numpy.linalg.solve`` for a dense ndarray, whose band
-would be the whole matrix; each solve's residual is checked against H.
-`_projector_action` forms every trapezoidal sum of them: P B and, for the
-block Taylor samples, (P^2 - P) B.  `_series` forms Cauchy coefficients on
+(`_band_lu`, the one band factorization, which also serves every
+shift-invert step, `_inverse_step`), ``numpy.linalg.solve`` for a dense
+ndarray, whose band would be the whole matrix; each solve's residual is
+checked against H.  `_projector_action` forms every trapezoidal sum of
+them: the full P and, for the block Taylor samples, P Y and (P^2 - P) Y.
+`_series` forms Cauchy coefficients on
 a circle and their reconstruction error, for `taylor_along` and
 `verify_analytic_family` alike: all orders in one product of the Fourier
 matrix with the samples, the test-point partial sums in one Vandermonde
@@ -20,20 +21,23 @@ product, on nodes formed conjugate-symmetric to the bit.
 
 Track and sweep continue an eigenvalue by its Riesz projector.  A Hermitian
 sparse H (a `DiscreteOperator` with ``hermitian=True``) takes the filter
-path of `track_eigenvalue` and `_reference_vector`, which never forms P.
-For normal H the trapezoidal projector is a scalar rational filter,
-P_q = f(H) with f(E) = 1/(1 - z^q), z = (E - c)/r (Polizzi 2009; Tang &
-Polizzi 2014), so trace(P_q) = sum_j f(E_j) and
-||P_q^2 - P_q||_2 = max_j |z_j^q|/|1 - z_j^q|^2 follow from the band
-eigenvalues E_j (``eigvals_banded``, as the CLI places its contours), with
-a first-order Weyl term for their rounding (`_filter_certificate`).  Dense
-and non-Hermitian H keep the full d x d Riesz projector of
-`riesz_projector`, certified by ||P^2 - P||_2 <= defect_tol and an
-integral trace.  Either way `_certified_action` gives the certificates, a
-rank-one check and one projector action P b: P psi0 for a tracked point,
-P w for the reference vector (a multiple of the eigenvector, as P = v u^*
-has rank one), from one-column solves on the filter path.  The track and
-sweep tasks report |trace(P) - 1| of either.
+path of `track_eigenvalue` and `_reference_vector`, which never forms P
+and makes no contour solve.  For normal H the trapezoidal projector is a
+scalar rational filter, P_q = f(H) with f(E) = 1/(1 - z^q),
+z = (E - c)/r (Polizzi 2009; Tang & Polizzi 2014), so
+trace(P_q) = sum_j f(E_j) and ||P_q^2 - P_q||_2 = max_j |z_j^q|/|1 - z_j^q|^2
+follow from the band eigenvalues E_j (``eigvals_banded``, as the CLI
+places its contours), with a first-order Weyl term for their rounding
+(`_filter_certificate`), which also gives the one enclosed band
+eigenvalue E_k.  P = v v^* then has rank one, and P b = v (v^* b) comes
+from one band LU at E_k + i delta and two inverse-iteration steps
+(`_enclosed_action`).  Dense and non-Hermitian H keep the full d x d Riesz
+projector of `riesz_projector`, certified by ||P^2 - P||_2 <= defect_tol
+and an integral trace.  Either way `_certified_action` gives the
+certificates, a rank-one check and one projector action P b: P psi0 for a
+tracked point, P w for the reference vector (a multiple of the
+eigenvector, as P = v u^* has rank one).  The track and sweep tasks report
+|trace(P_q) - 1| of either.
 
 `contour_kato_radius` certifies, once per Taylor path, a radius r0 such
 that the contour encloses exactly one eigenvalue of H(base + zeta t) for
@@ -188,6 +192,7 @@ class BlockStats:
     max_defect: float = 0.0  # worst max_j ||(P^2 - P) w_j||
     max_rank_ratio: float = 0.0  # worst sigma_2(P Y) / sigma_1(P Y)
     max_projector_defect: float = 0.0  # worst accepted ||P^2 - P||_2 (full or filter)
+    max_residual: float = 0.0  # worst accepted eigen-residual of `_eigenvalue_of`
 
 
 @dataclass
@@ -296,16 +301,19 @@ def track_eigenvalue(
     `beta` via the spectral projector of H(beta) on the given contour.
 
     Requires the projector to keep rank 1 (non-degeneracy preserved); the
-    eigenvector is psi(beta) = P(beta) psi0, from one `_certified_action`,
-    and the eigenvalue and its residual come from `_eigenvalue_of`: a
-    fixed functional, survival floor 1e-8 ||psi0||, and the eigen-residual
-    held to residual_tol.  `stats` counts the work.
+    eigenvector is psi(beta) = P(beta) psi0, from one `_certified_action`
+    (for a Hermitian `DiscreteOperator` one shift-invert band LU at the
+    enclosed band eigenvalue, no contour solve), and the eigenvalue and its
+    residual come from `_eigenvalue_of`: a fixed functional, survival floor
+    1e-8 ||psi0||, and the eigen-residual held to residual_tol.  `stats`
+    counts the work and keeps the worst residual.
     """
     H = family(beta)
     stats = BlockStats() if stats is None else stats
     psi0 = np.asarray(psi0, dtype=complex)
     trace, trace_defect, defect, psi = _certified_action(H, contour, psi0, defect_tol, stats)
     E, residual = _eigenvalue_of(_as_matrix(H)[0], psi, psi0, residual_tol)
+    stats.max_residual = max(stats.max_residual, residual)
     return TrackResult(E=E, psi=psi, residual=residual, trace=trace,
                        trace_defect=trace_defect, defect=defect)
 
@@ -315,16 +323,15 @@ def _certified_action(H, contour: Contour, b: np.ndarray, defect_tol: float,
     """trace(P), |trace(P) - 1|, ||P^2 - P||_2 and P b for the rank-one Riesz
     projector of H on the contour.
 
-    A Hermitian `DiscreteOperator` takes `_filter_certificate`, then one
-    `_projector_action` pass on b; any other H the full P of
-    `riesz_projector`, then P @ b.  Both certificates hold the trace within
-    `_RANK_TOL` of an integer, so TrackingError is raised, before any solve
-    on b, when that integer is not 1.
+    A Hermitian `DiscreteOperator` takes `_filter_certificate`, then P b by
+    shift-invert at the enclosed band eigenvalue (`_enclosed_action`); any
+    other H the full P of `riesz_projector`, then P @ b.  Both certificates
+    hold the trace within `_RANK_TOL` of an integer, so TrackingError is
+    raised, before any solve on b, when that integer is not 1.
     """
-    mat, d = _as_matrix(H)
     if isinstance(H, DiscreteOperator) and H.hermitian:
-        trace, trace_defect, defect = _filter_certificate(H, contour, defect_tol, stats)
-        act = lambda: _projector_action(mat, d, contour, b.reshape(d, 1), stats)[:, 0]
+        trace, trace_defect, defect, E_k = _filter_certificate(H, contour, defect_tol, stats)
+        act = lambda: _enclosed_action(H, E_k, b, stats)
     else:
         proj = riesz_projector(H, contour, defect_tol=defect_tol, stats=stats)
         trace, trace_defect, defect = proj.trace, abs(proj.trace - 1.0), proj.defect
@@ -360,8 +367,10 @@ def _weyl_delta(op: DiscreteOperator) -> float:
 
 def _filter_certificate(op: DiscreteOperator, contour: Contour, defect_tol: float = DEFECT_TOL,
                         stats: BlockStats | None = None) -> tuple[complex, float, float]:
-    """trace(P_q), |trace(P_q) - 1| and a bound on ||P_q^2 - P_q||_2 for a
-    Hermitian `op`, from its band eigenvalues E_j, with no solve.
+    """trace(P_q), |trace(P_q) - 1|, a bound on ||P_q^2 - P_q||_2 and the
+    band eigenvalue E_k nearest the centre (the enclosed one when the trace
+    certifies rank one) for a Hermitian `op`, from its band eigenvalues
+    E_j, with no solve.
 
     The trapezoidal projector of a normal H is P_q = f(H),
     f(E) = 1/(1 - z^q), z = (E - c)/r.  With u = z^q for |z| < 1 and
@@ -400,7 +409,33 @@ def _filter_certificate(op: DiscreteOperator, contour: Contour, defect_tol: floa
         )
     if stats is not None:
         stats.max_projector_defect = max(stats.max_projector_defect, defect)
-    return enclosed + excess, abs(enclosed - 1 + excess), defect
+    return enclosed + excess, abs(enclosed - 1 + excess), defect, float(E[np.argmin(az)])
+
+
+def _enclosed_action(op: DiscreteOperator, E_k: float, b: np.ndarray,
+                     stats: BlockStats) -> np.ndarray:
+    """P b = v (v^* b) for the rank-one projector P = v v^* of a Hermitian
+    `op` onto the eigenvector v of the one eigenvalue inside the contour,
+    whose band value is E_k, by shift-invert.
+
+    One band LU of H - sigma at sigma = E_k + i delta, delta = `_weyl_delta`
+    (never singular, as sigma is not real), and two `_inverse_step`s give
+    a unit x.  The exact eigenvalue lies within sqrt(2) delta of sigma and
+    every other outside the contour, so each step shrinks the rest of x
+    against v by about delta / gap, and x (x^* b) is P b to rounding
+    (Ipsen, SIAM Rev. 39, 1997; Parlett, The Symmetric Eigenvalue Problem,
+    ch. 4).  The steps start from the seeded real Gaussian w of
+    `_reference_vector`, not from b: x then carries no error along b, so
+    x^* b is v^* b to rounding even when v^* b vanishes and the survival
+    floor of `_eigenvalue_of` must reject it, and a b inside an invariant
+    subspace of a reducible H that misses v still gives x = v.
+    """
+    mat, d = op.matrix, op.dim
+    ab, kl, ku = _band_storage(mat, d)
+    lu, piv = _band_lu(ab, kl, ku, d, np.array([complex(E_k, _weyl_delta(op))]), stats)
+    w = np.random.default_rng(_BLOCK_SEED).standard_normal(d)
+    x = _inverse_step(lu, piv, kl, ku, _inverse_step(lu, piv, kl, ku, w, stats), stats)
+    return x * np.vdot(x, b)
 
 
 def _projector_action(mat, d: int, contour: Contour, B: np.ndarray,
@@ -622,11 +657,22 @@ def _track_block(
             f"sigma_2/sigma_1 of P Y is {ratio:.3g}: projector rank != 1, "
             "degeneracy or eigenvalue crossed contour; shrink step or re-center"
         )
-    return _eigenvalue_of(mat, PY[:, 0], psi0, residual_tol)[0]
+    E, residual = _eigenvalue_of(mat, PY[:, 0], psi0, residual_tol)
+    stats.max_residual = max(stats.max_residual, residual)
+    return E
 
 
 # Inverse-iteration steps at the Rayleigh-quotient shift, at most.
 _SHIFT_INVERT_STEPS = 8
+
+
+def _inverse_step(lu, piv, kl: int, ku: int, x: np.ndarray, stats: BlockStats) -> np.ndarray:
+    """One inverse-iteration step: (H - sigma)^-1 x by ``zgbtrs`` on the band
+    LU of H - sigma (`_band_lu`), scaled to unit length; `stats` counts one
+    right-hand-side column."""
+    stats.rhs_columns += 1
+    y = lapack.zgbtrs(lu, kl, ku, x, piv)[0]
+    return y / np.linalg.norm(y)
 
 
 def _shift_invert_sample(H, sigma: complex, x: np.ndarray,
@@ -652,11 +698,6 @@ def _shift_invert_sample(H, sigma: complex, x: np.ndarray,
     def factor(shift: complex):
         return _band_lu(ab, kl, ku, d, np.array([shift], dtype=complex), stats)
 
-    def step(lu, piv, x):
-        stats.rhs_columns += 1
-        y = lapack.zgbtrs(lu, kl, ku, x, piv)[0]
-        return y / np.linalg.norm(y)
-
     def quotient(x):
         hx = mat @ x
         E = (x @ hx) / (x @ x)
@@ -664,11 +705,13 @@ def _shift_invert_sample(H, sigma: complex, x: np.ndarray,
 
     with np.errstate(all="ignore"):
         lu, piv = factor(sigma)
-        x = step(lu, piv, step(lu, piv, np.asarray(x, dtype=complex)))
+        x = _inverse_step(lu, piv, kl, ku,
+                          _inverse_step(lu, piv, kl, ku, np.asarray(x, dtype=complex), stats),
+                          stats)
         E, rho = quotient(x)
         lu, piv = factor(E)
         for _ in range(_SHIFT_INVERT_STEPS):
-            y = step(lu, piv, x)
+            y = _inverse_step(lu, piv, kl, ku, x, stats)
             E_y, rho_y = quotient(y)
             halved = rho_y < 0.5 * rho
             if rho_y < rho:
@@ -934,7 +977,8 @@ def taylor_eigenpath(
                 # Block defect above defect_tol / 10: the exact test decides.
                 stats.fallbacks += 1
                 psi = _certified_action(H, track_contour, ref_psi, defect_tol, stats)[3]
-                E = _eigenvalue_of(_as_matrix(H)[0], psi, ref_psi, residual_tol)[0]
+                E, residual = _eigenvalue_of(_as_matrix(H)[0], psi, ref_psi, residual_tol)
+                stats.max_residual = max(stats.max_residual, residual)
         last = (beta_vec, E, H)
         samples.append((zeta, E))
         return E
@@ -983,7 +1027,8 @@ def _project_zeta(delta: np.ndarray, t: np.ndarray) -> complex:
 def _reference_vector(family, base, contour: Contour,
                       stats: BlockStats | None = None) -> np.ndarray:
     """Eigenvector of H(base) for the eigenvalue enclosed by the contour:
-    P w / ||P w|| for a seeded real Gaussian w, from one `_certified_action`.
+    P w / ||P w|| for a seeded real Gaussian w, from one `_certified_action`
+    (one shift-invert band LU for a Hermitian `DiscreteOperator`).
 
     For a rank-one P = v u^*, P w = v (u^* w) is a multiple of v.  A real w
     keeps P w real, up to rounding, for a real symmetric H.

@@ -462,12 +462,14 @@ def task_bounds(ctx: RunContext, spec: dict) -> dict:
     return result
 
 
-def _contour_note(stats: analytic.BlockStats, defect_tol: float) -> str:
+def _contour_note(stats: analytic.BlockStats, tol: dict) -> str:
     """Stderr note of a track or sweep task: its work, the d x d projectors
-    it built (none on the Hermitian filter path) and its worst defect."""
+    it built (none on the Hermitian filter path) and its worst defect and
+    eigen-residual, each as a fraction of its tolerance."""
     return (f"factorizations {stats.factorizations}, rhs columns "
             f"{stats.rhs_columns}, full-P {stats.full_projectors}, defect/tol "
-            f"{stats.max_projector_defect / defect_tol:.3g}")
+            f"{stats.max_projector_defect / tol['projector_defect']:.3g}, residual/tol "
+            f"{stats.max_residual / tol['track_residual']:.3g}")
 
 
 def task_track(ctx: RunContext, spec: dict) -> dict:
@@ -483,7 +485,7 @@ def task_track(ctx: RunContext, spec: dict) -> dict:
     res = analytic.track_eigenvalue(ctx.hamiltonian, beta_vec, contour, psi0,
                                     residual_tol=math.inf, defect_tol=math.inf,
                                     stats=stats)
-    ctx.note = _contour_note(stats, ctx.tol["projector_defect"])
+    ctx.note = _contour_note(stats, ctx.tol)
     resid = res.residual
     ok = (resid <= ctx.tol["track_residual"]
           and res.defect <= ctx.tol["projector_defect"])
@@ -568,7 +570,7 @@ def task_sweep(ctx: RunContext, spec: dict) -> dict:
         ["s", "re_e", "im_e", "residual", "trace_defect"],
         rows,
     )
-    ctx.note = _contour_note(stats, ctx.tol["projector_defect"])
+    ctx.note = _contour_note(stats, ctx.tol)
     ok = failure is None
     ctx.report.add_invariant("sweep.completed", ok, failure or f"{len(rows)} rows")
     return {"rows": len(rows), "halvings": halvings, "failure": failure,

@@ -436,14 +436,15 @@ def _closed_form(op, contour):
 
 class TestHermitianFilter:
     """Hermitian `DiscreteOperator` input: trace and defect of P_q = f(H)
-    from the band eigenvalues, P psi0 from one-column solves, no d x d P.
-    The same matrix as a bare sparse matrix takes `riesz_projector`."""
+    from the band eigenvalues, P psi0 from one shift-invert LU at the
+    enclosed band eigenvalue, no d x d P.  The same matrix as a bare sparse
+    matrix takes `riesz_projector`."""
 
     @pytest.mark.parametrize("shape", ["centred", "wide"])
     @pytest.mark.parametrize("name", list(_HERMITIAN_OPERATORS))
     def test_matches_full_projector_and_closed_form(self, name, shape, monkeypatch):
         op = _HERMITIAN_OPERATORS[name]()
-        vals = np.linalg.eigvalsh(op.to_dense())
+        vals, vecs = np.linalg.eigh(op.to_dense())
         gap = vals[1] - vals[0]
         # "wide": an off-centre circle reaching 0.7 of the gap, whose defect
         # (about 1e-10) is far above rounding, so the comparison has teeth.
@@ -459,12 +460,20 @@ class TestHermitianFilter:
 
         monkeypatch.setattr(analytic, "riesz_projector", no_full_projector)
         psi_filter = _reference_vector(lambda b: op, None, contour, stats=filter_stats)
-        assert _up_to_scale(psi_filter, psi_full) <= 1e-12
+        # The filter path gives P w for the exact projector P = v v^*; the
+        # full path gives P_q w, which differs from it by the weights
+        # f(E_j) = 1/(1 - z_j^q), j > 0, of the other eigenvectors.
+        assert _up_to_scale(psi_filter, vecs[:, 0]) <= 1e-12
+        w = np.random.default_rng(analytic._BLOCK_SEED).standard_normal(op.dim)
+        z = (vals[1:] - contour.center) / contour.radius
+        leak = np.abs(1 / (1 - z ** contour.q)).max() * np.linalg.norm(w) / abs(vecs[:, 0] @ w)
+        assert _up_to_scale(psi_filter, psi_full) <= 1e-12 + leak
         filt = track_eigenvalue(lambda b: op, None, contour, psi_full, stats=filter_stats)
 
         assert abs(filt.E - full.E) <= 1e-12 * max(1.0, abs(full.E))
         assert abs(filt.E - vals[0]) <= 1e-12 * max(1.0, abs(vals[0]))
         assert _up_to_scale(filt.psi, full.psi) <= 1e-12
+        assert np.linalg.norm(filt.psi - full.psi) <= 1e-12 * np.linalg.norm(full.psi)
         assert abs(filt.trace - full.trace) <= 1e-12
         assert abs(filt.trace_defect - full.trace_defect) <= 1e-12
         assert abs(filt.defect - full.defect) <= 1e-12
@@ -474,12 +483,72 @@ class TestHermitianFilter:
         if shape == "wide":
             assert 1e-13 < defect < 1e-8  # the wide contour is not trivially exact
             assert filt.trace_defect == pytest.approx(abs(trace - 1), rel=1e-6)
-        # Reference (P w) and track (P psi0): one right-hand-side column per
-        # node, no P.
-        q = contour.q
-        assert (filter_stats.factorizations, filter_stats.rhs_columns) == (2 * q, 2 * q)
+        # Reference (P w) and track (P psi0): one LU and two inverse-iteration
+        # columns each, no P.
+        assert (filter_stats.factorizations, filter_stats.rhs_columns) == (2, 4)
         assert (filter_stats.full_projectors, full_stats.full_projectors) == (0, 2)
         assert filter_stats.max_projector_defect >= filt.defect
+
+    @pytest.mark.parametrize("name", list(_HERMITIAN_OPERATORS))
+    def test_one_shift_and_no_node_solves(self, name, monkeypatch):
+        # The reference vector and a tracked point take one band LU each, at
+        # E_k + i delta, and never reach the contour node solves.
+        op = _HERMITIAN_OPERATORS[name]()
+        vals = np.linalg.eigvalsh(op.to_dense())
+        contour = Contour(complex(vals[0]), 0.5 * (vals[1] - vals[0]), q=64)
+        shifts = []
+        band_lu = analytic._band_lu
+
+        def counted(ab, kl, ku, d, lams, stats):
+            shifts.append(list(lams))
+            return band_lu(ab, kl, ku, d, lams, stats)
+
+        def no_node_solves(*args, **kwargs):
+            raise AssertionError("_node_solves called")
+
+        monkeypatch.setattr(analytic, "_band_lu", counted)
+        monkeypatch.setattr(analytic, "_node_solves", no_node_solves)
+        psi0 = _reference_vector(lambda b: op, None, contour)
+        assert len(shifts) == 1
+        track_eigenvalue(lambda b: op, None, contour, psi0)
+        assert len(shifts) == 2
+        delta = analytic._weyl_delta(op)
+        for (shift,) in shifts:
+            assert shift.imag == delta and abs(shift.real - vals[0]) <= 2 * delta
+        if not op.matrix.data.imag.any():
+            # A real symmetric H and a real w keep P w real, up to rounding.
+            assert np.abs(psi0.imag).max() <= 1e-14
+
+    @pytest.mark.parametrize("name", list(_HERMITIAN_OPERATORS))
+    def test_psi0_orthogonal_to_the_eigenvector_fails_survival(self, name):
+        # psi0 is the next eigenvector: P psi0 vanishes to rounding.
+        op = _HERMITIAN_OPERATORS[name]()
+        vals, vecs = np.linalg.eigh(op.to_dense())
+        contour = Contour(complex(vals[0]), 0.5 * (vals[1] - vals[0]), q=64)
+        with pytest.raises(TrackingError, match="vanished"):
+            track_eigenvalue(lambda b: op, None, contour, vecs[:, 1])
+
+    def test_psi0_in_another_invariant_subspace_fails_survival(self):
+        # H = diag(1, 0) is reducible: inverse iteration from psi0 = e_0
+        # would never see e_1, the eigenvector of the enclosed 0, and would
+        # return e_0, whose eigenvalue 1 lies outside the contour.  P psi0 = 0.
+        op = DiscreteOperator(sp.diags([1.0, 0.0]).tocsr(), hermitian=True)
+        with pytest.raises(TrackingError, match="vanished"):
+            track_eigenvalue(lambda b: op, None, Contour(0.0, 0.5, q=64),
+                             np.array([1.0, 0.0]))
+
+    def test_exact_band_eigenvalue_is_no_singular_shift(self):
+        # two_level at beta = 0: H0 = diag(0, 1), whose band eigenvalue 0 is
+        # exact.  The shift 0 + i delta keeps H - sigma regular.
+        family = AffineFamily(DiscreteOperator(sp.diags([0.0, 1.0]).tocsr(), hermitian=True),
+                              (sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])),))
+        contour = Contour(0.0, 0.5, q=128)
+        base = np.zeros(1)
+        assert analytic._filter_certificate(family(base), contour)[3] == 0.0
+        psi0 = _reference_vector(family, base, contour)
+        res = track_eigenvalue(family, base, contour, psi0)
+        assert abs(res.E) <= 1e-15 and res.residual <= 1e-15
+        assert abs(abs(psi0[0]) - 1.0) <= 1e-15 and abs(psi0[1]) <= 1e-15
 
     @pytest.mark.parametrize("name", list(_HERMITIAN_OPERATORS))
     def test_contour_around_two_eigenvalues_raises(self, name):
@@ -515,7 +584,7 @@ class TestHermitianFilter:
         # moves h by about 2e-15: the reported defect exceeds h at the
         # computed eigenvalue by the first-order change of h over delta.
         op = DiscreteOperator(sp.diags([0.0, 1.3, 1e6]), hermitian=True)
-        _, _, defect = analytic._filter_certificate(
+        _, _, defect, _ = analytic._filter_certificate(
             op, Contour(0.0, 1.0, q=64), defect_tol=math.inf)
 
         def h(E):
@@ -871,9 +940,11 @@ class TestSchwarzReflection:
         path = taylor_eigenpath(family, base, direction, contour, r=r, M=8, q=32)
         assert path.stats.mirrored == 15 + 3
         # r < r0: every computed sample is shift-invert, two LUs each, after
-        # the reference vector's one LU per contour node.
+        # the reference vector's one LU (Hermitian H) or one LU per contour
+        # node (dense two_level).
         assert path.stats.shift_invert == 32 + 8 - 18 and path.stats.block_samples == 0
-        assert path.stats.factorizations == contour.q + 2 * (32 + 8 - 18)
+        reference = 1 if case == "bumps_1d" else contour.q
+        assert path.stats.factorizations == reference + 2 * (32 + 8 - 18)
         psi0 = _reference_vector(family, base, contour)
         mirrored = [(z, E) for z, E in path.samples if z.imag < -1e-14]
         assert len(mirrored) == 18
@@ -899,13 +970,15 @@ class TestSchwarzReflection:
         path = taylor_eigenpath(family, base, direction, contour, r=0.2, M=8, q=32)
         assert path.stats.mirrored == 0
         # H(b) of the complex term is Hermitian, not symmetric: the block
-        # path, 64 LUs a sample.  The other cases are complex symmetric
-        # with r < r0: shift-invert, two LUs a sample.  The reference vector
-        # takes one LU per contour node.
+        # path, 64 LUs a sample, and a reference vector of one shift-invert
+        # LU.  The other cases are complex symmetric with r < r0:
+        # shift-invert, two LUs a sample, and the dense two_level reference
+        # vector takes one LU per contour node.
         block = case == "complex_term"
         assert path.stats.block_samples == (32 + 8 if block else 0)
         assert path.stats.shift_invert == (0 if block else 32 + 8)
-        assert path.stats.factorizations == contour.q + (64 if block else 2) * (32 + 8)
+        reference = 1 if block else contour.q
+        assert path.stats.factorizations == reference + (64 if block else 2) * (32 + 8)
 
     def test_mirrored_sample_builds_one_hamiltonian(self):
         """A mirrored sample is checked against the H(beta) its partner,
@@ -965,13 +1038,13 @@ class TestBandLU:
         stats = BlockStats()
         psi0 = _reference_vector(family, base, contour, stats=stats)
         track_eigenvalue(family, np.array([0.06, 0.04, 0.03]), contour, psi0, stats=stats)
-        assert len(shifts) == stats.factorizations == 2 * 64
+        # One shift-invert LU for the reference vector, one for the point.
+        assert len(shifts) == stats.factorizations == 2
         shifts.clear()
         path = taylor_eigenpath(family, base, direction, contour, r=r, M=8, q=32)
-        # `path.stats` counts the node solve pass of the path's reference
-        # vector too.
+        # `path.stats` counts the LU of the path's reference vector too.
         assert len(shifts) == path.stats.factorizations
-        assert path.stats.factorizations == contour.q + (64 if block else 2) * (32 + 8 - 18)
+        assert path.stats.factorizations == 1 + (64 if block else 2) * (32 + 8 - 18)
         assert path.stats.shift_invert == (0 if block else 32 + 8 - 18)
 
 
@@ -989,7 +1062,10 @@ class TestShiftInvertSamples:
             direction, contour, r = Direction(np.array([1.0])), Contour(0.0, 0.5, q=64), 0.3
         path = taylor_eigenpath(family, base, direction, contour, r=r, M=8, q=32)
         assert path.stats.shift_invert == 32 + 8 - 18 and path.stats.block_samples == 0
-        assert path.stats.factorizations == contour.q + 2 * path.stats.shift_invert
+        # The reference vector: one LU for the Hermitian bumps_1d H, one per
+        # contour node for the dense two_level H.
+        reference = 1 if case == "bumps_1d" else contour.q
+        assert path.stats.factorizations == reference + 2 * path.stats.shift_invert
         assert 0 < path.stats.max_margin_ratio < 1e-6
         psi0 = _reference_vector(family, base, contour)
         computed = [(z, E) for z, E in path.samples if z.imag >= 0]

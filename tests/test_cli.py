@@ -265,10 +265,10 @@ class TestRun:
         assert result.exit_code == 1
 
     def test_track_and_sweep_print_solve_counters(self, tmp_path):
-        # The Hermitian filter path: one right-hand-side column per node, 64
-        # nodes per pass, and no d x d projector.  A reference vector (P w)
-        # and a tracked point (P psi0) take one pass each: 1 + 1 for track,
-        # 1 + 4 for the sweep.
+        # The Hermitian filter path: one shift-invert LU and two
+        # inverse-iteration columns per vector, and no d x d projector.  A
+        # reference vector (P w) and a tracked point (P psi0) take one LU
+        # each: 1 + 1 for track, 1 + 4 for the sweep.
         doc = dict(TWO_LEVEL)
         doc["tasks"] = [
             {"task": "track", "eig_index": 0},
@@ -281,9 +281,44 @@ class TestRun:
         report = yaml.safe_load((out / "report.yaml").read_text())
         assert report["tasks"][1]["result"]["halvings"] == 0
         lines = [line for line in result.stderr.splitlines() if "[" in line]
-        assert "factorizations 128, rhs columns 128, full-P 0, defect/tol" in lines[0]
-        assert "factorizations 320, rhs columns 320, full-P 0, defect/tol" in lines[1]
+        assert "factorizations 2, rhs columns 4, full-P 0, defect/tol" in lines[0]
+        assert "factorizations 5, rhs columns 10, full-P 0, defect/tol" in lines[1]
         assert "factorizations" not in (out / "report.yaml").read_text()
+
+    def test_track_and_sweep_print_worst_residual(self, tmp_path, monkeypatch):
+        # The stderr line gives the worst eigen-residual as a fraction of
+        # track_residual; report.yaml does not depend on it.
+        doc = dict(TWO_LEVEL)
+        doc["tolerances"] = {"track_residual": 1e-10}
+        doc["tasks"] = [
+            {"task": "track", "eig_index": 0},
+            {"task": "sweep", "axis": 1, "range": [0.0, 0.3], "steps": 4},
+        ]
+        path = write_scenario(tmp_path, doc)
+        result = run_cli(["run", "--scenario", str(path), "--out", str(tmp_path / "a")])
+        assert result.exit_code == 0
+        residuals = [yaml.safe_load((tmp_path / "a" / "report.yaml").read_text())
+                     ["tasks"][0]["result"]["residual"]]
+        residuals += [row[3] for row in read_csv(tmp_path / "a" / "sweep.csv")[1]]
+        lines = [line for line in result.stderr.splitlines() if "[" in line]
+        notes = [float(line.split("residual/tol ")[1]) for line in lines]
+        assert notes[0] == pytest.approx(residuals[0] / 1e-10, rel=1e-2)
+        assert notes[1] == pytest.approx(max(residuals[1:]) / 1e-10, rel=1e-2)
+        assert 0 < max(notes) < 1e-4
+
+        track = analytic.track_eigenvalue
+
+        def inflated(*args, **kwargs):
+            res = track(*args, **kwargs)
+            kwargs["stats"].max_residual = 123.0
+            return res
+
+        monkeypatch.setattr(analytic, "track_eigenvalue", inflated)
+        result = run_cli(["run", "--scenario", str(path), "--out", str(tmp_path / "b")])
+        assert result.exit_code == 0
+        assert result.stderr.count("residual/tol 1.23e+12") == 2
+        assert ((tmp_path / "a" / "report.yaml").read_bytes()
+                == (tmp_path / "b" / "report.yaml").read_bytes())
 
     def test_sweep_through_level_crossing_fails_invariant(self, tmp_path):
         # H(s) = diag(0, 1 - s): the tracked level 0 meets the other level at
@@ -486,13 +521,13 @@ class TestRun:
         # A complex coupling makes H(beta) non-Hermitian, so track takes the
         # full d x d projector: above the dense limit the run exits 2 before
         # it solves against the identity.  The reference vector at beta = 0
-        # is Hermitian and takes one-column solves.
+        # is Hermitian and takes one shift-invert LU.
         monkeypatch.setattr(lattice, "DENSE_MAX_DIM", 100)
-        widths = []
-        projector_action = analytic._projector_action
-        monkeypatch.setattr(analytic, "_projector_action",
-                            lambda mat, d, c, B, s: widths.append(B.shape[1])
-                            or projector_action(mat, d, c, B, s))
+        shifts = []
+        band_lu = analytic._band_lu
+        monkeypatch.setattr(analytic, "_band_lu",
+                            lambda ab, kl, ku, d, lams, s: shifts.extend(lams)
+                            or band_lu(ab, kl, ku, d, lams, s))
         repo = Path(__file__).resolve().parents[1]
         doc = yaml.safe_load((repo / "scenarios" / "bumps_1d.yaml").read_text())
         doc["beta"]["values"] = [[0.05, 0.01], 0.04, 0.03]
@@ -501,7 +536,7 @@ class TestRun:
         result = run_cli(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert "dimension 160 exceeds the dense limit 100" in result.stderr
-        assert widths == [1]
+        assert len(shifts) == 1
 
     def test_bounds_rejects_non_hermitian_h0(self, tmp_path):
         # The band eigenvalues read only the upper triangle of this H0 and
@@ -585,11 +620,11 @@ class TestRun:
         # are computed, 18 mirrored (q = 32, 8 test points).  r = 0.3 lies
         # inside r0 = 0.5, so each computed sample is shift-invert: two LUs,
         # and two solves at the first shift plus at least two, at most
-        # eight, at the second.  The reference vector adds one LU and one
-        # column per contour node (64).
-        assert "factorizations 108, rhs columns " in result.stderr
+        # eight, at the second.  The Hermitian reference vector adds one
+        # shift-invert LU and two columns.
+        assert "factorizations 45, rhs columns " in result.stderr
         rhs = int(result.stderr.split("rhs columns ")[1].split(",")[0])
-        assert 64 + 4 * 22 <= rhs <= 64 + 10 * 22
+        assert 2 + 4 * 22 <= rhs <= 2 + 10 * 22
         assert "r/r0 0.6, rho/margin " in result.stderr
         assert "shift-invert samples 22, block samples 0," in result.stderr
         assert "mirrored samples 18" in result.stderr
