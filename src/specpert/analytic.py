@@ -331,7 +331,7 @@ def _certified_action(H, contour: Contour, b: np.ndarray, defect_tol: float,
     """
     if isinstance(H, DiscreteOperator) and H.hermitian:
         trace, trace_defect, defect, E_k = _filter_certificate(H, contour, defect_tol, stats)
-        act = lambda: _enclosed_action(H, E_k, b, stats)
+        act = lambda: _enclosed_action(H, E_k, contour, b, stats)
     else:
         proj = riesz_projector(H, contour, defect_tol=defect_tol, stats=stats)
         trace, trace_defect, defect = proj.trace, abs(proj.trace - 1.0), proj.defect
@@ -412,15 +412,15 @@ def _filter_certificate(op: DiscreteOperator, contour: Contour, defect_tol: floa
     return enclosed + excess, abs(enclosed - 1 + excess), defect, float(E[np.argmin(az)])
 
 
-def _enclosed_action(op: DiscreteOperator, E_k: float, b: np.ndarray,
+def _enclosed_action(op: DiscreteOperator, E_k: float, contour: Contour, b: np.ndarray,
                      stats: BlockStats) -> np.ndarray:
     """P b = v (v^* b) for the rank-one projector P = v v^* of a Hermitian
     `op` onto the eigenvector v of the one eigenvalue inside the contour,
     whose band value is E_k, by shift-invert.
 
     One band LU of H - sigma at sigma = E_k + i delta, delta = `_weyl_delta`
-    (never singular, as sigma is not real), and two `_inverse_step`s give
-    a unit x.  The exact eigenvalue lies within sqrt(2) delta of sigma and
+    (eps r for H = 0, whose delta is 0; never singular, as sigma is not
+    real), and two `_inverse_step`s give a unit x.  The exact eigenvalue lies within sqrt(2) delta of sigma and
     every other outside the contour, so each step shrinks the rest of x
     against v by about delta / gap, and x (x^* b) is P b to rounding
     (Ipsen, SIAM Rev. 39, 1997; Parlett, The Symmetric Eigenvalue Problem,
@@ -432,7 +432,8 @@ def _enclosed_action(op: DiscreteOperator, E_k: float, b: np.ndarray,
     """
     mat, d = op.matrix, op.dim
     ab, kl, ku = _band_storage(mat, d)
-    lu, piv = _band_lu(ab, kl, ku, d, np.array([complex(E_k, _weyl_delta(op))]), stats)
+    delta = max(_weyl_delta(op), np.finfo(float).eps * contour.radius)
+    lu, piv = _band_lu(ab, kl, ku, d, np.array([complex(E_k, delta)]), stats)
     w = np.random.default_rng(_BLOCK_SEED).standard_normal(d)
     x = _inverse_step(lu, piv, kl, ku, _inverse_step(lu, piv, kl, ku, w, stats), stats)
     return x * np.vdot(x, b)

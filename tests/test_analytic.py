@@ -503,11 +503,12 @@ class TestHermitianFilter:
             shifts.append(list(lams))
             return band_lu(ab, kl, ku, d, lams, stats)
 
-        def no_node_solves(*args, **kwargs):
-            raise AssertionError("_node_solves called")
+        def no_contour_solves(*args, **kwargs):
+            raise AssertionError("contour solves called")
 
         monkeypatch.setattr(analytic, "_band_lu", counted)
-        monkeypatch.setattr(analytic, "_node_solves", no_node_solves)
+        monkeypatch.setattr(analytic, "_node_solves", no_contour_solves)
+        monkeypatch.setattr(analytic, "_projector_action", no_contour_solves)
         psi0 = _reference_vector(lambda b: op, None, contour)
         assert len(shifts) == 1
         track_eigenvalue(lambda b: op, None, contour, psi0)
@@ -537,18 +538,22 @@ class TestHermitianFilter:
             track_eigenvalue(lambda b: op, None, Contour(0.0, 0.5, q=64),
                              np.array([1.0, 0.0]))
 
-    def test_exact_band_eigenvalue_is_no_singular_shift(self):
-        # two_level at beta = 0: H0 = diag(0, 1), whose band eigenvalue 0 is
-        # exact.  The shift 0 + i delta keeps H - sigma regular.
-        family = AffineFamily(DiscreteOperator(sp.diags([0.0, 1.0]).tocsr(), hermitian=True),
-                              (sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])),))
+    @pytest.mark.parametrize("h0, term", [([0.0, 1.0], [[0.0, 1.0], [1.0, 0.0]]),
+                                          ([0.0], [[1.0]])], ids=["two_level", "zero"])
+    def test_exact_band_eigenvalue_is_no_singular_shift(self, h0, term):
+        # At beta = 0 the band eigenvalue 0 of H0 = diag(h0) is exact
+        # (two_level, and the 1 x 1 H0 = 0).  The shift 0 + i delta keeps
+        # H - sigma regular; for H0 = 0, whose delta = d eps ||H||_1 is 0,
+        # the shift is 0 + i eps r.
+        family = AffineFamily(DiscreteOperator(sp.diags(h0).tocsr(), hermitian=True),
+                              (sp.csr_matrix(np.array(term)),))
         contour = Contour(0.0, 0.5, q=128)
         base = np.zeros(1)
         assert analytic._filter_certificate(family(base), contour)[3] == 0.0
         psi0 = _reference_vector(family, base, contour)
         res = track_eigenvalue(family, base, contour, psi0)
         assert abs(res.E) <= 1e-15 and res.residual <= 1e-15
-        assert abs(abs(psi0[0]) - 1.0) <= 1e-15 and abs(psi0[1]) <= 1e-15
+        assert abs(abs(psi0[0]) - 1.0) <= 1e-15 and np.all(np.abs(psi0[1:]) <= 1e-15)
 
     @pytest.mark.parametrize("name", list(_HERMITIAN_OPERATORS))
     def test_contour_around_two_eigenvalues_raises(self, name):
