@@ -366,7 +366,7 @@ def _weyl_delta(op: DiscreteOperator) -> float:
 
 
 def _filter_certificate(op: DiscreteOperator, contour: Contour, defect_tol: float = DEFECT_TOL,
-                        stats: BlockStats | None = None) -> tuple[complex, float, float]:
+                        stats: BlockStats | None = None) -> tuple[complex, float, float, float]:
     """trace(P_q), |trace(P_q) - 1|, a bound on ||P_q^2 - P_q||_2 and the
     band eigenvalue E_k nearest the centre (the enclosed one when the trace
     certifies rank one) for a Hermitian `op`, from its band eigenvalues
@@ -420,18 +420,20 @@ def _enclosed_action(op: DiscreteOperator, E_k: float, contour: Contour, b: np.n
 
     One band LU of H - sigma at sigma = E_k + i delta, delta = `_weyl_delta`
     (eps r for H = 0, whose delta is 0; never singular, as sigma is not
-    real), and two `_inverse_step`s give a unit x.  The exact eigenvalue lies within sqrt(2) delta of sigma and
-    every other outside the contour, so each step shrinks the rest of x
-    against v by about delta / gap, and x (x^* b) is P b to rounding
+    real), and two `_inverse_step`s give a unit x.  The exact eigenvalue
+    lies within sqrt(2) delta of sigma and every other outside the
+    contour, so each step shrinks the rest of x against v by about
+    delta / gap, and x (x^* b) is P b to rounding
     (Ipsen, SIAM Rev. 39, 1997; Parlett, The Symmetric Eigenvalue Problem,
     ch. 4).  The steps start from the seeded real Gaussian w of
-    `_reference_vector`, not from b: x then carries no error along b, so
-    x^* b is v^* b to rounding even when v^* b vanishes and the survival
-    floor of `_eigenvalue_of` must reject it, and a b inside an invariant
-    subspace of a reducible H that misses v still gives x = v.
+    `_reference_vector`, not from b, so x does not depend on b.  From b, x
+    would keep about (delta / gap)^2 / |v^* b| of b's other components, and
+    for a vanishing v^* b, which the survival floor of `_eigenvalue_of` must
+    reject, x^* b would not vanish; a b in an invariant subspace of a
+    reducible H that misses v would give an x outside the contour.
     """
-    mat, d = op.matrix, op.dim
-    ab, kl, ku = _band_storage(mat, d)
+    d = op.dim
+    ab, kl, ku = _band_storage(op.matrix, d)
     delta = max(_weyl_delta(op), np.finfo(float).eps * contour.radius)
     lu, piv = _band_lu(ab, kl, ku, d, np.array([complex(E_k, delta)]), stats)
     w = np.random.default_rng(_BLOCK_SEED).standard_normal(d)
