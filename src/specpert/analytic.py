@@ -26,8 +26,9 @@ and makes no contour solve.  For normal H the trapezoidal projector is a
 scalar rational filter, P_q = f(H) with f(E) = 1/(1 - z^q),
 z = (E - c)/r (Polizzi 2009; Tang & Polizzi 2014), so
 trace(P_q) = sum_j f(E_j) and ||P_q^2 - P_q||_2 = max_j |z_j^q|/|1 - z_j^q|^2
-follow from the band eigenvalues E_j (``eigvals_banded``, as the CLI
-places its contours), with a first-order Weyl term for their rounding
+follow from the band eigenvalues E_j (``eigvals_banded``, reduced once
+per operator and kept on it by `_spectrum`, which the CLI's contour
+placement reads too), with a first-order Weyl term for their rounding
 (`_filter_certificate`), which also gives the one enclosed band
 eigenvalue E_k.  P = v v^* then has rank one, and P b = v (v^* b) comes
 from one band LU at E_k + i delta and two inverse-iteration steps
@@ -351,7 +352,9 @@ def _band_eigenvalues(mat, d: int) -> np.ndarray:
 
     A band whose imaginary part is exactly zero (a real symmetric H) is
     reduced in real storage, about three times faster than in complex
-    storage; a complex Hermitian band keeps the complex reduction.
+    storage; a complex Hermitian band keeps the complex reduction.  Each
+    call reduces the band anew; `_spectrum` keeps one reduction per
+    operator.
     """
     ab, kl, ku = _band_storage(mat, d)
     upper = ab[kl:kl + ku + 1]
@@ -361,8 +364,29 @@ def _band_eigenvalues(mat, d: int) -> np.ndarray:
 def _weyl_delta(op: DiscreteOperator) -> float:
     """delta = d eps ||H||_1: each band eigenvalue of a Hermitian `op` lies
     within delta of the exact one (Weyl, with the backward error of the
-    band reduction)."""
-    return op.dim * np.finfo(float).eps * float(abs(op.matrix).sum(axis=0).max())
+    band reduction).
+
+    The column sums come straight from the CSR arrays: ``bincount`` adds
+    each column's |entries| in storage order (ascending rows), the order of
+    scipy's ``abs(H).sum(axis=0)``, whose bits delta keeps at a
+    fraction of its cost.
+    """
+    mat = op.matrix
+    sums = np.bincount(mat.indices, weights=np.abs(mat.data), minlength=op.dim)
+    return op.dim * np.finfo(float).eps * float(sums.max())
+
+
+def _spectrum(op: DiscreteOperator) -> tuple[np.ndarray, float]:
+    """The band eigenvalues (`_band_eigenvalues`, read-only) and
+    `_weyl_delta` of a Hermitian `op`, computed on first use and kept on
+    it, so each operator is reduced once however many certificates read it
+    (the CLI's `RunContext.hamiltonian` returns one operator for a repeated
+    beta)."""
+    if op._spectrum is None:
+        E = _band_eigenvalues(op.matrix, op.dim)
+        E.flags.writeable = False
+        object.__setattr__(op, "_spectrum", (E, _weyl_delta(op)))
+    return op._spectrum
 
 
 def _filter_certificate(op: DiscreteOperator, contour: Contour, defect_tol: float = DEFECT_TOL,
@@ -383,12 +407,11 @@ def _filter_certificate(op: DiscreteOperator, contour: Contour, defect_tol: floa
     `riesz_projector` does at its default trace_tol; `stats` keeps the worst
     accepted defect.
     """
-    E = _band_eigenvalues(op.matrix, op.dim)
+    E, delta = _spectrum(op)
     q, r = contour.q, contour.radius
     z = (E - contour.center) / r
     az = np.abs(z)
     inside = az < 1
-    delta = _weyl_delta(op)
     with np.errstate(all="ignore"):
         u = np.where(inside, z, 1 / z) ** q
         gap = np.abs(1 - u) ** 2
@@ -434,7 +457,7 @@ def _enclosed_action(op: DiscreteOperator, E_k: float, contour: Contour, b: np.n
     """
     d = op.dim
     ab, kl, ku = _band_storage(op.matrix, d)
-    delta = max(_weyl_delta(op), np.finfo(float).eps * contour.radius)
+    delta = max(_spectrum(op)[1], np.finfo(float).eps * contour.radius)
     lu, piv = _band_lu(ab, kl, ku, d, np.array([complex(E_k, delta)]), stats)
     w = np.random.default_rng(_BLOCK_SEED).standard_normal(d)
     x = _inverse_step(lu, piv, kl, ku, _inverse_step(lu, piv, kl, ku, w, stats), stats)
@@ -1179,8 +1202,8 @@ def gamma_membership(family, beta, lam: complex, tol: float = 1e-10) -> tuple[bo
     """
     H = family(beta)
     if isinstance(H, DiscreteOperator) and H.hermitian:
-        E = _band_eigenvalues(H.matrix, H.dim)
-        smin = float(np.abs(E - lam).min()) - _weyl_delta(H)
+        E, delta = _spectrum(H)
+        smin = float(np.abs(E - lam).min()) - delta
         return smin > tol, smin
     mat, d = _as_matrix(H)
     _dense_guard(d, "gamma_membership")
@@ -1257,12 +1280,13 @@ def contour_kato_radius(H, V, contour: Contour) -> float:
         herm = DiscreteOperator((mat + mat.conj().T) / 2, hermitian=True)
         skew = DiscreteOperator((mat - mat.conj().T) / 2, hermitian=False).norm_bound()
     c, rho = complex(contour.center), contour.radius
-    dist = np.abs(_band_eigenvalues(herm.matrix, d) - c) - rho
+    E, delta = _spectrum(herm)
+    dist = np.abs(E - c) - rho
     if np.count_nonzero(dist < 0) != 1:
         return 0.0
     v = DiscreteOperator(vmat, hermitian=False).norm_bound()
     noise = slack * (DiscreteOperator(mat, hermitian=False).norm_bound() + v)
-    lost = (_weyl_delta(herm) + skew + noise + slack * (abs(c) + rho)) * (1 + slack)
+    lost = (delta + skew + noise + slack * (abs(c) + rho)) * (1 + slack)
     gap = (float(np.abs(dist).min()) - lost) * (1 - slack)
     v = (v + noise) * (1 + slack)
     return float(max(gap, 0.0) / v) if v > 0 else math.inf

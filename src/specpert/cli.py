@@ -287,6 +287,7 @@ class RunContext:
     report: RunReport
 
     _system: lattice.AffineFamily | None = None
+    _last: tuple[bytes, lattice.DiscreteOperator] | None = None  # see `hamiltonian`
     note: str = ""  # the running task's stderr summary
 
     def potential_family(self, task: str) -> potentials.PotentialFamily:
@@ -309,8 +310,19 @@ class RunContext:
         return self._system
 
     def hamiltonian(self, beta_vec: np.ndarray) -> lattice.DiscreteOperator:
-        """H(beta) = H0 + sum_i beta_i V_i: the only place the CLI forms it."""
-        return self.system(beta_vec)
+        """H(beta) = H0 + sum_i beta_i V_i: the only place the CLI forms it.
+
+        A beta bit-identical to the previous call's (as complex bytes) gets
+        the same operator back, so the band eigenvalues and Weyl delta it
+        keeps (`analytic._spectrum`) are reduced once: a task's contour
+        placement, reference vector and first step at its base point share
+        one.  The one entry lives on this context, that is for one
+        `execute_scenario`.
+        """
+        key = np.asarray(beta_vec, dtype=complex).tobytes()
+        if self._last is None or self._last[0] != key:
+            self._last = (key, self.system(beta_vec))
+        return self._last[1]
 
     def beta_vector(self) -> np.ndarray:
         vec = np.zeros(len(self.family), dtype=complex)
@@ -324,8 +336,10 @@ def _place_contour(op: lattice.DiscreteOperator, eig_index: int,
     """Circle around the eig_index-th eigenvalue E_k, with radius half the
     distance min |E_k - E_j| to its nearest neighbor.  Hermitian eigenvalues
     come ascending from the band, which unlike dense ``eigvalsh`` gives the
-    same bits at any thread count; complex ones from the dense ``eigvals``,
-    ordered by real part, and the circle is centred at the complex E_k.
+    same bits at any thread count, and stay on `op` for the certificates
+    that read them next (`analytic._spectrum`); complex ones from the dense
+    ``eigvals``, ordered by real part, and the circle is centred at the
+    complex E_k.
     Real parts within delta = d eps ||H||_1 (`analytic._weyl_delta`) of the
     previous one count as equal and are ordered by imaginary part,
     ascending, so of a conjugate pair index k takes Im E < 0 and k + 1
@@ -334,7 +348,7 @@ def _place_contour(op: lattice.DiscreteOperator, eig_index: int,
     if not 0 <= eig_index < op.dim:
         raise ScenarioError(f"task field eig_index: {eig_index} is outside 0..{op.dim - 1}")
     if op.hermitian:
-        vals = analytic._band_eigenvalues(op.matrix, op.dim)
+        vals = analytic._spectrum(op)[0]
     else:
         vals = np.sort_complex(np.linalg.eigvals(op.to_dense()))
         tied = np.cumsum(np.diff(vals.real, prepend=vals.real[0]) > analytic._weyl_delta(op))
@@ -442,8 +456,7 @@ def task_bounds(ctx: RunContext, spec: dict) -> dict:
             f"dimension {H.dim} exceeds the dense limit {lattice.DENSE_MAX_DIM}")
     # V(beta) is bounded, so (a, b) = (0, ||V(beta)||) holds exactly.
     rb = bounds.RelativeBound(0.0, ctx.system.perturbation(beta_vec).norm_bound())
-    spectrum = analytic._band_eigenvalues(h0.matrix, h0.dim)
-    delta = analytic._weyl_delta(h0)
+    spectrum, delta = analytic._spectrum(h0)
     box = bounds.SpectrumBox(float(spectrum[0] - delta), float(spectrum[-1] + delta))
     result = {"a": rb.a, "b": rb.b, "E_min": box.E_min, "E_max": box.E_max}
     try:
@@ -476,7 +489,7 @@ def task_track(ctx: RunContext, spec: dict) -> dict:
     eig_index = int(spec.get("eig_index", 0))
     beta_vec = ctx.beta_vector()
     base = np.zeros_like(beta_vec)
-    contour = _place_contour(ctx.system.h0, eig_index,
+    contour = _place_contour(ctx.hamiltonian(base), eig_index,
                              q=int(spec.get("contour_nodes", 64)))
     stats = analytic.BlockStats()
     psi0 = analytic._reference_vector(ctx.hamiltonian, base, contour, stats=stats)
@@ -583,7 +596,7 @@ def task_taylor(ctx: RunContext, spec: dict) -> dict:
     r = float(spec.get("r", 0.2))
     direction = analytic.Direction(_task_direction(ctx, spec, 1))
     base = ctx.beta_vector() * 0.0
-    contour = _place_contour(ctx.system.h0, eig_index,
+    contour = _place_contour(ctx.hamiltonian(base), eig_index,
                              q=int(spec.get("contour_nodes", 64)))
     path = analytic.taylor_eigenpath(
         ctx.hamiltonian, base, direction, contour, r=r, M=max(M, 8),

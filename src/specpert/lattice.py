@@ -100,6 +100,11 @@ class DiscreteOperator:
     matrix: sp.csr_matrix
     hermitian: bool
     grid: Grid | None = None
+    # (band eigenvalues, Weyl delta) of a Hermitian operator, set by
+    # `analytic._spectrum` on first use.  The matrix is never written in
+    # place, so it cannot go stale.
+    _spectrum: tuple[np.ndarray, float] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = sp.csr_matrix(self.matrix, dtype=complex)

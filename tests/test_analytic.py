@@ -2,13 +2,15 @@
 
 import cmath
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from specpert import analytic
+from specpert import analytic, cli
 from specpert.analytic import (
     BlockStats,
     Contour,
@@ -1423,3 +1425,77 @@ class TestBandEigenvalueStorage:
         assert dtypes == [np.complex128]
         dense = np.linalg.eigvalsh(H.to_dense())
         assert np.abs(E - dense).max() <= analytic._weyl_delta(H)
+
+
+def _sparse_track_2d():
+    """H(beta) of perfbench's seed-3 sparse_track_2d scenario: a 15 x 14
+    lattice (d = 210) with three bumps."""
+    root = Path(__file__).resolve().parents[1]
+    sys.path.insert(0, str(root / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(root / "perfbench"))
+    (_, doc), = workloads.scenarios("sparse_track_2d", 3, root)
+    grid = Grid(extent=tuple(tuple(e) for e in doc["grid"]["extent"]),
+                points=tuple(doc["grid"]["points"]))
+    family = cli.build_family(doc["family"], np.random.default_rng(doc["seed"]))
+    return AffineFamily.from_potentials(build_laplacian(grid), family)(
+        np.asarray(doc["beta"]["values"], dtype=complex))
+
+
+def _stored_zeros():
+    """A complex Hermitian band with stored zeros: H(0) of a family whose one
+    term has entries outside the band's pattern."""
+    band = _random_banded(d=40, width=2)
+    term = sp.diags([np.full(35, 0.5 - 0.25j)], [5], shape=(40, 40), format="csr")
+    H = AffineFamily(band, (term + term.getH(),))(np.zeros(1))
+    assert H.hermitian and (H.matrix.data == 0).any()
+    return H
+
+
+_WEYL_OPERATORS = {
+    "bumps_1d": _bumps_1d,
+    "sparse_track_2d": _sparse_track_2d,
+    "stored_zeros": _stored_zeros,
+    "non_hermitian": lambda: _random_non_hermitian(np.random.default_rng(5), 30, 0.3)[0],
+    "zero_1x1": lambda: DiscreteOperator(sp.csr_matrix((1, 1)), hermitian=True),
+}
+
+
+class TestSpectrumOncePerOperator:
+    """`_weyl_delta` from the CSR arrays, and the band eigenvalues and delta
+    `_spectrum` keeps on a Hermitian operator."""
+
+    @pytest.mark.parametrize("name", list(_WEYL_OPERATORS))
+    def test_weyl_delta_has_the_bits_of_the_sparse_column_sums(self, name):
+        op = _WEYL_OPERATORS[name]()
+        sums = abs(op.matrix).sum(axis=0)
+        assert analytic._weyl_delta(op) == op.dim * np.finfo(float).eps * float(sums.max())
+
+    def test_weyl_delta_bits_on_random_sparse_matrices(self):
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            d = int(rng.integers(1, 60))
+            mat = sp.random(d, d, density=rng.uniform(0.05, 0.6), format="csr", rng=rng)
+            mat = mat + 1j * sp.random(d, d, density=0.3, format="csr", rng=rng) * 1e3
+            op = DiscreteOperator(mat, hermitian=False)
+            sums = abs(op.matrix).sum(axis=0)
+            assert analytic._weyl_delta(op) == d * np.finfo(float).eps * float(sums.max())
+
+    @pytest.mark.parametrize("name", ["bumps_1d", "stored_zeros", "zero_1x1"])
+    def test_reduced_once_and_read_only(self, name, monkeypatch):
+        op = _WEYL_OPERATORS[name]()
+        fresh = analytic._band_eigenvalues(op.matrix, op.dim)
+        calls = []
+        band_eigenvalues = analytic._band_eigenvalues
+        monkeypatch.setattr(analytic, "_band_eigenvalues",
+                            lambda mat, d: calls.append(d) or band_eigenvalues(mat, d))
+        E, delta = analytic._spectrum(op)
+        assert analytic._spectrum(op)[0] is E and len(calls) == 1
+        assert np.array_equal(E, fresh) and delta == analytic._weyl_delta(op)
+        with pytest.raises(ValueError):
+            E[0] = 1.0
+        # A new operator on the same matrix is reduced anew.
+        analytic._spectrum(DiscreteOperator(op.matrix, hermitian=True))
+        assert len(calls) == 2

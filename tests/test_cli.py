@@ -722,6 +722,60 @@ class TestHamiltonianHermitianFlag:
         assert not ctx.hamiltonian(ctx.beta_vector()).hermitian
 
 
+class TestHamiltonianReuse:
+    """`RunContext.hamiltonian` returns one operator for a repeated beta,
+    and each Hermitian operator's band is reduced once; nothing is kept past
+    one `execute_scenario`."""
+
+    def test_same_operator_for_a_bit_identical_beta(self, tmp_path):
+        ctx = make_context(tmp_path, BUMPS)
+        beta = ctx.beta_vector()
+        H = ctx.hamiltonian(beta)
+        assert ctx.hamiltonian(beta.copy()) is H
+        other = ctx.hamiltonian(2 * beta)
+        assert other is not H and ctx.hamiltonian(2 * beta) is other
+        # One entry: beta again after another beta builds a new operator,
+        # and so does a new context.
+        again = ctx.hamiltonian(beta)
+        assert again is not H and np.array_equal(again.to_dense(), H.to_dense())
+        assert make_context(tmp_path, BUMPS).hamiltonian(beta) is not again
+
+    @staticmethod
+    def _record_reductions(monkeypatch):
+        """Every LAPACK band reduction and the matrix each `_band_eigenvalues`
+        call reduced (kept alive, so no two share an id)."""
+        lapack_calls, matrices = [], []
+        eigvals_banded = analytic.la.eigvals_banded
+        band_eigenvalues = analytic._band_eigenvalues
+        monkeypatch.setattr(analytic.la, "eigvals_banded",
+                            lambda *a, **k: lapack_calls.append(1) or eigvals_banded(*a, **k))
+        monkeypatch.setattr(analytic, "_band_eigenvalues",
+                            lambda mat, d: matrices.append(mat) or band_eigenvalues(mat, d))
+        return lapack_calls, matrices
+
+    # None of these runs a stummel task, whose Gauss-Jacobi rule calls
+    # eigvals_banded too.
+    @pytest.mark.parametrize("scenario, reductions", [
+        ("sparse_track_2d", 4), ("sweep_1d", 9), ("two_level", 13)])
+    def test_band_reductions_per_run(self, tmp_path, monkeypatch, scenario, reductions):
+        repo = Path(__file__).resolve().parents[1]
+        if scenario == "sparse_track_2d":
+            monkeypatch.syspath_prepend(str(repo / "perfbench"))
+            import workloads
+            (_, doc), = workloads.scenarios(scenario, 3, repo)
+        else:
+            doc = load_scenario(repo / "scenarios" / f"{scenario}.yaml")
+        assert all(t["task"] != "stummel" for t in doc["tasks"])
+        lapack_calls, matrices = self._record_reductions(monkeypatch)
+        for run in range(2):
+            # A second run in the same process reduces as often as the first.
+            execute_scenario(doc, tmp_path / f"out{run}")
+            assert len(lapack_calls) == reductions
+            assert len({id(mat) for mat in matrices}) == len(matrices) == reductions
+            lapack_calls.clear()
+            matrices.clear()
+
+
 def test_stummel_task_computes_each_norm_once(tmp_path, monkeypatch):
     # One sampling serves the per-term norms and the direct norm of the
     # sum: each term is evaluated once per probe whose node box one of its

@@ -4,10 +4,12 @@ the certify_2d benchmark scenario at seed 3, written as JSON.
 The scenario is 128 box-supported Gaussian bumps on a 24 x 24 grid
 (d = 576), built by `perfbench/workloads.py`.  Layers: one
 `analytic._band_eigenvalues` call on H(beta) (a real symmetric band of
-width 24, reduced in real storage) next to the same band reduced in complex
-storage; one `geometry.disjoint_refinement` of the 128 supports; one
-`lattice.AffineFamily.from_potentials`; one H(beta) and one V(beta), next to
-the sequential sparse sum H(beta) was before it had a fixed pattern.  Every
+width 24, reduced in real storage; each call reduces anew, where
+`analytic._spectrum` keeps one reduction per operator) next to the same
+band reduced in complex storage; one `geometry.disjoint_refinement` of the
+128 supports; one `lattice.AffineFamily.from_potentials`; one H(beta) and
+one V(beta), next to the sequential sparse sum H(beta) was before it had a
+fixed pattern.  Every
 layer value is the median of REPEAT timings (`bench_common.py`).  Tasks: the geometry, stummel
 and bounds times and the minor page faults of RUNS in-process scenario
 runs, the first run (cold) and the median of the others.

@@ -6,7 +6,8 @@ Layers: one computed Taylor sample at a complex zeta, by shift-invert
 and, for comparison, by the block contour path (`analytic._track_block`, 64
 node LUs; `taylor_sample_s` in BENCH_14 and BENCH_16) with its tracemalloc
 peak (`block_sample_peak_mb`, MB = 10^6 bytes), the certified radius
-of the path (`analytic.contour_kato_radius`), one sample taken by
+of the path (`analytic.contour_kato_radius` on a newly assembled H(base),
+as an operator keeps its band eigenvalues once reduced), one sample taken by
 conjugation (`mirrored_sample_s`: the assembly of H(conj beta) and
 `analytic._is_conjugate` against the partner's H(beta), as
 `taylor_eigenpath` takes it), one
@@ -23,7 +24,8 @@ Block samples past the band of bumps_1d: the time and tracemalloc peak of
 one `analytic._track_block` at the same zeta on LATTICE, a 40 x 40 grid
 (d = 1600) with three bumps, around its lowest eigenvalue.
 
-Hamiltonian assembly: one H(beta) through `cli.RunContext.hamiltonian` at
+Hamiltonian assembly: one H(beta) from `cli.RunContext.system`, the family
+`cli.RunContext.hamiltonian` calls for a beta other than its last one, at
 the scenario's real beta (Hermitian flag tested) and at a complex beta, on
 bumps_1d (d = 160) and two_level (d = 2); each value is the median of REPEAT
 batches of ASSEMBLIES calls, per call.
@@ -76,7 +78,7 @@ def block_setup(doc: dict, taylor: dict):
     q, r = int(taylor.get("q", 128)), float(taylor["r"])
     base = np.zeros(len(family), dtype=complex)
     t = np.asarray(taylor["direction"], dtype=complex)
-    contour = cli._place_contour(system.h0, int(taylor.get("eig_index", 0)),
+    contour = cli._place_contour(system(base), int(taylor.get("eig_index", 0)),
                                  q=int(taylor.get("contour_nodes", 64)))
     psi0 = analytic._reference_vector(system, base, contour)
     zeta = analytic._conjugate_circle(r, q)[q // 8]
@@ -135,7 +137,7 @@ def layer_times(doc: dict) -> dict:
         "block_sample_s": median_time(lambda: analytic._track_block(H, contour, psi0)),
         "block_sample_peak_mb": peak_mb(lambda: analytic._track_block(H, contour, psi0)),
         "contour_kato_radius_s": median_time(
-            lambda: analytic.contour_kato_radius(h_base, V, contour)),
+            lambda: analytic.contour_kato_radius(system(base), V, contour)),
         "mirrored_sample_s": median_time(mirrored),
         "series_matrix_shape": [nodes, d, d],
         "series_matrix_s": median_time(series),
@@ -161,7 +163,7 @@ def hamiltonian_times() -> dict:
             if ctx.hamiltonian(beta).hermitian is not hermitian:
                 raise RuntimeError(f"{name}: H(beta) at a {kind} beta has the wrong flag")
             layer[f"hamiltonian_{kind}_s"] = median_time(
-                lambda: [ctx.hamiltonian(beta) for _ in range(ASSEMBLIES)]) / ASSEMBLIES
+                lambda: [ctx.system(beta) for _ in range(ASSEMBLIES)]) / ASSEMBLIES
         result[name] = layer
     return result
 

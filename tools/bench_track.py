@@ -1,12 +1,17 @@
 """Layer and task timings of eigenvalue tracking, written as JSON.
 
 Per scenario: one Hermitian tracking step (`analytic.track_eigenvalue` at
-the scenario's beta from the reference vector, H(beta) assembly included)
-with the factorizations and right-hand-side columns it takes, one
-`analytic._reference_vector` at beta = 0, and the track and sweep task
-times and minor page faults of RUNS in-process runs of the scenario cut to
-those tasks, the first run (cold) and the median of the others.  Every
-layer value is the median of REPEAT timings (`bench_common.py`).
+the scenario's beta from the reference vector) with the factorizations and
+right-hand-side columns it takes, one `analytic._reference_vector` at
+beta = 0, the track and sweep task times and minor page faults of RUNS
+in-process runs of the scenario cut to those tasks, the first run (cold)
+and the median of the others, and the band reductions
+(`analytic._band_eigenvalues` calls) each task makes in one run.  Every
+layer value is the median of REPEAT timings (`bench_common.py`).  The
+layers take H(beta) from the family (`RunContext.system`), not from the
+CLI's `RunContext.hamiltonian`, which returns the operator of a repeated
+beta with its band eigenvalues kept: each repeat assembles and reduces a
+new H(beta), as a step at a new beta does.
 Scenarios: bumps_1d (d = 160), its track task with a sweep added
 (SWEEP_1D), and the seed-3 lattice of perfbench's sparse_track_2d
 workload (d = 210), whose track task and two-step sweep are its own.
@@ -34,6 +39,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -65,28 +71,56 @@ def layer_times(doc: dict) -> dict:
                          tol={}, out=Path(), report=None)
     track = next(t for t in doc["tasks"] if t["task"] == "track")
     beta, base = ctx.beta_vector(), np.zeros(len(family), dtype=complex)
-    if not ctx.hamiltonian(beta).hermitian:
+    system = ctx.system
+    if not system(beta).hermitian:
         raise RuntimeError("H(beta) of the track task is not Hermitian")
-    contour = cli._place_contour(ctx.system.h0, int(track.get("eig_index", 0)),
+    # On H(base), as `cli.task_track` places it.
+    contour = cli._place_contour(system(base), int(track.get("eig_index", 0)),
                                  q=int(track.get("contour_nodes", 64)))
-    psi0 = analytic._reference_vector(ctx.hamiltonian, base, contour)
+    psi0 = analytic._reference_vector(system, base, contour)
     stats = analytic.BlockStats()
-    analytic.track_eigenvalue(ctx.hamiltonian, beta, contour, psi0, stats=stats)
+    analytic.track_eigenvalue(system, beta, contour, psi0, stats=stats)
     return {
-        "d": ctx.system.h0.dim, "contour_nodes": contour.q,
+        "d": system.h0.dim, "contour_nodes": contour.q,
         "step_factorizations": stats.factorizations,
         "step_rhs_columns": stats.rhs_columns,
         "track_step_s": median_time(
-            lambda: analytic.track_eigenvalue(ctx.hamiltonian, beta, contour, psi0)),
+            lambda: analytic.track_eigenvalue(system, beta, contour, psi0)),
         "reference_vector_s": median_time(
-            lambda: analytic._reference_vector(ctx.hamiltonian, base, contour)),
+            lambda: analytic._reference_vector(system, base, contour)),
     }
+
+
+def band_reductions(doc: dict) -> dict:
+    """`analytic._band_eigenvalues` calls of each task in one in-process run
+    of doc, by task name."""
+    counts = {t["task"]: 0 for t in doc["tasks"]}
+    running = None
+    reduce = analytic._band_eigenvalues
+
+    def counted(mat, d):
+        counts[running] += 1
+        return reduce(mat, d)
+
+    def entered(name, task):
+        def run(ctx, spec):
+            nonlocal running
+            running = name
+            return task(ctx, spec)
+        return run
+
+    tasks = {name: entered(name, task) for name, task in cli._TASK_FUNCS.items()}
+    with mock.patch.object(analytic, "_band_eigenvalues", counted), \
+            mock.patch.dict(cli._TASK_FUNCS, tasks), tempfile.TemporaryDirectory() as tmp:
+        cli.execute_scenario(doc, Path(tmp))
+    return counts
 
 
 def measure() -> dict:
     result = {}
     for name, doc in scenario_docs().items():
-        result[name] = {"layers": layer_times(doc), "tasks": task_times(doc, ("track", "sweep"))}
+        result[name] = {"layers": layer_times(doc), "tasks": task_times(doc, ("track", "sweep")),
+                        "band_reductions": band_reductions(doc)}
     return {"scenarios": result, "env": environment()}
 
 
