@@ -13,11 +13,12 @@ shift-invert step, `_inverse_step`), ``numpy.linalg.solve`` for a dense
 ndarray, whose band would be the whole matrix; each solve's residual is
 checked against H.  `_projector_action` forms every trapezoidal sum of
 them: the full P and, for the block Taylor samples, P Y and (P^2 - P) Y.
-`_series` forms Cauchy coefficients on
-a circle and their reconstruction error, for `taylor_along` and
-`verify_analytic_family` alike: all orders in one product of the Fourier
-matrix with the samples, the test-point partial sums in one Vandermonde
-product, on nodes formed conjugate-symmetric to the bit.
+`_series` forms Cauchy coefficients on a circle and their reconstruction
+error from samples its caller takes at `_series_points` (`_sampled` for
+`taylor_along` and `verify_analytic_family`, `taylor_eigenpath` its
+own): all orders in one product of the Fourier matrix with the samples,
+the test-point partial sums in one Vandermonde product, on points formed
+conjugate-symmetric to the bit.
 
 Track and sweep continue an eigenvalue by its Riesz projector.  A Hermitian
 sparse H (a `DiscreteOperator` with ``hermitian=True``) takes the filter
@@ -43,13 +44,15 @@ eigenvector, as P = v u^* has rank one).  The track and sweep tasks report
 `contour_kato_radius` certifies, once per Taylor path, a radius r0 such
 that the contour encloses exactly one eigenvalue of H(base + zeta t) for
 every |zeta| < r0 (Kato 1966, ch. II Sec. 3 and ch. VII Sec. 2).  Inside
-it, for a complex symmetric family (every real one), each sample of
-`taylor_eigenpath` is one shift-invert solve (`_shift_invert_sample`),
-gated by the Neumann margin.  Otherwise a sample is an action-only block
-contour pass (Sakurai & Sugiura 2003; Beyn 2012, `_track_block`), P Y and
-(P^2 - P) Y from one `_projector_action` pass; one that fails its defect
-test is re-tracked as `track_eigenvalue` would, the one case in which a
-sample can form the d x d P.  For a real family, base point, direction and
+it, for a complex symmetric family (every real one), each computed sample
+of `taylor_eigenpath` is one shift-invert solve, gated by the Neumann
+margin, taken a chunk of samples at a time (`_shift_invert_samples`: two
+block-diagonal band LUs and one stacked inverse iteration per chunk).
+Otherwise a sample is an action-only block contour pass (Sakurai &
+Sugiura 2003; Beyn 2012, `_track_block`), P Y and (P^2 - P) Y from one
+`_projector_action` pass; one that fails its defect test is re-tracked as
+`track_eigenvalue` would, the one case in which a sample can form the
+d x d P.  For a real family, base point, direction and
 contour centre, E(conj zeta) = conj E(zeta) (Schwarz reflection; Kato
 1966, ch. II Sec. 1 and ch. VII Sec. 3), so `taylor_eigenpath` takes the
 lower half of each circle as the conjugates of the upper half wherever
@@ -187,7 +190,7 @@ class BlockStats:
     full_projectors: int = 0  # d x d projectors built (`riesz_projector`)
     fallbacks: int = 0  # block samples re-tracked by `_certified_action`
     mirrored: int = 0  # Taylor samples taken as the conjugate of an earlier one
-    shift_invert: int = 0  # Taylor samples taken by `_shift_invert_sample`
+    shift_invert: int = 0  # Taylor samples taken by `_shift_invert_samples`
     block_samples: int = 0  # Taylor samples taken by `_track_block`
     max_margin_ratio: float = 0.0  # worst accepted shift-invert residual / Neumann margin
     max_defect: float = 0.0  # worst max_j ||(P^2 - P) w_j||
@@ -458,9 +461,13 @@ def _enclosed_action(op: DiscreteOperator, E_k: float, contour: Contour, b: np.n
     d = op.dim
     ab, kl, ku = _band_storage(op.matrix, d)
     delta = max(_spectrum(op)[1], np.finfo(float).eps * contour.radius)
-    lu, piv = _band_lu(ab, kl, ku, d, np.array([complex(E_k, delta)]), stats)
-    w = np.random.default_rng(_BLOCK_SEED).standard_normal(d)
-    x = _inverse_step(lu, piv, kl, ku, _inverse_step(lu, piv, kl, ku, w, stats), stats)
+    sigma = complex(E_k, delta)
+    lu, piv, singular = _band_lu(ab, kl, ku, d, np.array([sigma]), stats)
+    if singular.any():
+        raise ShiftNearSpectrumError(f"shift {sigma} is singular")
+    w = np.random.default_rng(_BLOCK_SEED).standard_normal((1, d))
+    x = _inverse_step(lu, piv, kl, ku, _inverse_step(lu, piv, kl, ku, w))[0]
+    stats.rhs_columns += 2
     return x * np.vdot(x, b)
 
 
@@ -541,38 +548,61 @@ def _band_storage(mat, d: int) -> tuple[np.ndarray, int, int]:
     """H in LAPACK general band storage, with the kl extra rows ?gbtrf fills.
 
     Entry H[i, j] sits at row kl + ku + i - j of column j.  The band is read
-    straight off canonical CSR, and stored zeros do not widen it.
+    straight off canonical CSR (`_band_positions`).
     """
     mat = _canonical(mat)
+    nonzero, band_rows, cols, kl, ku = _band_positions(mat, d)
+    ab = np.zeros((2 * kl + ku + 1, d), dtype=complex)
+    ab[band_rows, cols] = mat.data[nonzero]
+    return ab, kl, ku
+
+
+def _band_positions(mat, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """Where `_band_storage` puts the entries of the canonical d x d CSR
+    `mat`: the mask of its nonzero stored entries, their rows in the band
+    and their columns, and the band widths kl, ku; stored zeros do not
+    widen the band."""
     rows = np.repeat(np.arange(d), np.diff(mat.indptr))
     nonzero = mat.data != 0
     cols = mat.indices[nonzero]
     offsets = rows[nonzero] - cols
     kl = int(offsets.max(initial=0))
     ku = int(-offsets.min(initial=0))
-    ab = np.zeros((2 * kl + ku + 1, d), dtype=complex)
-    ab[kl + ku + offsets, cols] = mat.data[nonzero]
-    return ab, kl, ku
+    return nonzero, kl + ku + offsets, cols, kl, ku
 
 
 def _band_lu(ab: np.ndarray, kl: int, ku: int, d: int, shifts: np.ndarray,
              stats: BlockStats):
-    """LU (`zgbtrf`) of the band `ab` of `_band_storage` less each shift, as
-    one block-diagonal band matrix of len(shifts) blocks of size d.
+    """LU (`zgbtrf`) of one block-diagonal band matrix with a block of size d
+    per shift: block k is the band of block k of `ab` less shifts[k].
 
-    Its off-block entries are exact zeros, so pivoting never crosses a
-    block and the number of shifts cannot change a bit.  This is the one
-    band factorization of the module; `stats` counts each shift as one.
-    Raises ShiftNearSpectrumError if a shift is exactly singular.
+    `ab` holds bands in the rows of `_band_storage`, side by side: one band,
+    shared by every shift (the contour nodes of `_node_solves`), or one per
+    shift (a chunk of `_shift_invert_samples`).  The off-block entries are
+    exact zeros, so pivoting never crosses a block and how the blocks are
+    stacked cannot change a bit.  This is the one band factorization of the
+    module; `stats` counts each shift as one.
+
+    Returns the LU, its pivots and a mask of the exactly singular blocks
+    (a zero pivot, ``zgbtrf`` info > 0).  A singular block is left as the
+    identity, so a ``zgbtrs`` on the stack stays finite in every other
+    block; the caller decides what a singular shift means.
     """
-    band = np.empty((ab.shape[0], len(shifts) * d), dtype=complex, order="F")
-    band.T.reshape(len(shifts), d, -1)[:] = ab.T  # Fortran order: factored in place
+    n = len(shifts)
+    band = np.empty((ab.shape[0], n * d), dtype=complex, order="F")
+    # Fortran order: factored in place.  A shared band broadcasts.
+    band.T.reshape(n, d, -1)[:] = ab.T.reshape(-1, d, ab.shape[0])
     band[kl + ku] -= np.repeat(shifts, d)
     lu, piv, info = lapack.zgbtrf(band, kl, ku, overwrite_ab=1)
-    stats.factorizations += len(shifts)
+    stats.factorizations += n
+    singular = np.zeros(n, dtype=bool)
     if info > 0:
-        raise ShiftNearSpectrumError(f"shift {shifts[(info - 1) // d]} is singular")
-    return lu, piv
+        singular = (lu[kl + ku].reshape(n, d) == 0).any(axis=1)
+        cols = np.repeat(singular, d)
+        lu[:, cols] = 0
+        lu[kl + ku, cols] = 1
+        piv[cols] = np.flatnonzero(cols)
+    return lu, piv, singular
 
 
 def _node_solves(mat, d: int, lams: np.ndarray, B: np.ndarray, stats: BlockStats,
@@ -606,7 +636,9 @@ def _node_solves(mat, d: int, lams: np.ndarray, B: np.ndarray, stats: BlockStats
         with np.errstate(all="ignore"):
             X = np.empty((s, n * d, k), dtype=complex)
             if banded:
-                lu, piv = _band_lu(ab, kl, ku, d, shifts, stats)
+                lu, piv, singular = _band_lu(ab, kl, ku, d, shifts, stats)
+                if singular.any():
+                    raise ShiftNearSpectrumError(f"shift {shifts[singular.argmax()]} is singular")
                 X[0] = lapack.zgbtrs(lu, kl, ku, np.tile(B, (n, 1)), piv)[0]
                 if twice:
                     X[1] = lapack.zgbtrs(lu, kl, ku, X[0], piv)[0]
@@ -692,59 +724,158 @@ def _track_block(
 _SHIFT_INVERT_STEPS = 8
 
 
-def _inverse_step(lu, piv, kl: int, ku: int, x: np.ndarray, stats: BlockStats) -> np.ndarray:
-    """One inverse-iteration step: (H - sigma)^-1 x by ``zgbtrs`` on the band
-    LU of H - sigma (`_band_lu`), scaled to unit length; `stats` counts one
-    right-hand-side column."""
-    stats.rhs_columns += 1
-    y = lapack.zgbtrs(lu, kl, ku, x, piv)[0]
-    return y / np.linalg.norm(y)
+def _inverse_step(lu, piv, kl: int, ku: int, X: np.ndarray) -> np.ndarray:
+    """One inverse-iteration step on a stack: (H_k - sigma_k)^-1 x_k for each
+    row x_k of the (N, d) X, by one ``zgbtrs`` on the stacked band LU of
+    `_band_lu`, each scaled to unit length (`_norms`).  Callers count the
+    right-hand-side columns of the samples they step."""
+    Y = lapack.zgbtrs(lu, kl, ku, X.ravel(), piv)[0].reshape(X.shape)
+    Y /= _norms(Y)[:, None]
+    return Y
 
 
-def _shift_invert_sample(H, sigma: complex, x: np.ndarray,
-                         stats: BlockStats) -> tuple[complex, float]:
-    """Eigenvalue E of a complex symmetric H near sigma, and its residual
-    rho = ||H x - E x|| / ||x||, by shift-invert from x.
+def _norms(X: np.ndarray) -> np.ndarray:
+    """||x|| of each row x of the complex X, in the bits of
+    ``np.linalg.norm(x)``: the same strided dot products of its real and
+    imaginary parts."""
+    return np.sqrt(np.vecdot(X.real, X.real) + np.vecdot(X.imag, X.imag))
 
-    Two inverse-iteration steps with one band LU of H - sigma (`_band_lu`; a
-    dense ndarray goes in as CSR, whose band is the whole matrix), then one
-    LU at the quotient E = x^T H x / x^T x, stationary for complex symmetric
-    H, as the left eigenvector is the transposed right one (Arbenz &
-    Hochstenbach 2004).  Steps at that shift keep the smallest rho and stop
-    once a step no longer halves it, at the rounding floor, or after
-    `_SHIFT_INVERT_STEPS` steps.
-    Raises ShiftNearSpectrumError if a shift is exactly singular.  No
-    solve-residual gate: the shifts lie near an eigenvalue by design, and
-    the caller judges E by rho alone.
+
+def _quotients(H, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E = x^T H_k x / x^T x and rho = ||H_k x - E x|| for each row x of the
+    (N, d) X, H the block-diagonal CSR matrix of the H_k.
+
+    One product with H; x^T y as a stack of 1 x d by d x 1 products, each
+    the dot product of one sample's ``x @ y``, so every value has the bits
+    of the sample alone."""
+    R = (H @ X.ravel()).reshape(X.shape)
+    E = np.matmul(X[:, None, :], R[:, :, None])[:, 0, 0] / np.matmul(
+        X[:, None, :], X[:, :, None])[:, 0, 0]
+    R -= E[:, None] * X
+    return E, _norms(R)
+
+
+def _block_diagonal(mats: list, d: int) -> sp.csr_matrix:
+    """The canonical d x d CSR matrices `mats` as one canonical
+    block-diagonal CSR matrix, each row's stored entries in their order."""
+    n = len(mats)
+    nnz = np.array([m.nnz for m in mats])
+    data = np.concatenate([m.data for m in mats])
+    indices = np.concatenate([m.indices for m in mats]) + np.repeat(d * np.arange(n), nnz)
+    indptr = np.concatenate([[0]] + [m.indptr[1:] for m in mats])
+    indptr[1:] += np.repeat(np.cumsum(nnz) - nnz, d)
+    H = sp.csr_matrix((data, indices, indptr), shape=(n * d, n * d))
+    H.has_canonical_format = True
+    return H
+
+
+def _sample_chunk(d: int, kl: int, ku: int) -> int:
+    """Shift-invert samples in one chunk of `_shift_invert_samples` at band
+    widths kl, ku: as many as keep, in complex entries, their stacked band
+    and its LU copy, their entries and column indices in the block-diagonal
+    matrix (at most kl + ku + 1 a row), and five iterates (x, y, H y, E x
+    and the solve's copy of its right-hand side) within `_CHUNK_ENTRIES`."""
+    return max(1, _CHUNK_ENTRIES // ((2 * (2 * kl + ku + 1) + 2 * (kl + ku + 1) + 5) * d))
+
+
+def _shift_invert_samples(mats, sigmas, x: np.ndarray,
+                          stats: BlockStats) -> list[tuple[complex, float] | None]:
+    """Eigenvalue E of each complex symmetric H in `mats` near its shift in
+    `sigmas`, and its residual rho = ||H x - E x|| / ||x||, by shift-invert
+    from x; None for a sample whose shift is exactly singular.
+
+    Each sample takes two inverse-iteration steps with one band LU of
+    H - sigma (a dense ndarray goes in as CSR, whose band is the whole
+    matrix), then one LU at the quotient E = x^T H x / x^T x, stationary for
+    complex symmetric H, as the left eigenvector is the transposed right one
+    (Arbenz & Hochstenbach 2004).  Steps at that shift keep the smallest rho
+    and stop once a step no longer halves it, at the rounding floor, or
+    after `_SHIFT_INVERT_STEPS` steps.
+
+    The samples go a chunk at a time (`_shift_invert_chunk`): a run of
+    samples with equal band widths, at most `_sample_chunk` of them.  A
+    sample's values do not depend on the chunk it falls in, and `stats`
+    counts what the samples taken one by one would: one factorization per
+    shift, one right-hand-side column per step of a sample still stepping.
+    No solve-residual gate: the shifts lie near an eigenvalue by design,
+    and the caller judges E by rho alone.
     """
-    mat = _canonical(_as_matrix(H)[0])
-    d = mat.shape[0]
-    ab, kl, ku = _band_storage(mat, d)
+    x = np.asarray(x, dtype=complex)
+    d = len(x)
+    results: list[tuple[complex, float] | None] = []
+    chunk: list[tuple[sp.csr_matrix, complex]] = []
+    positions = None
+    for i, (H, sigma) in enumerate(zip(mats, sigmas)):
+        mat = _canonical(_as_matrix(H)[0])
+        # The H(beta) of an `AffineFamily` share their index arrays: one
+        # with the nonzero entries of the last shares its band positions.
+        if not (positions is not None and mat.indptr is pattern[0]
+                and mat.indices is pattern[1] and np.array_equal(mat.data != 0, positions[0])):
+            positions, pattern = _band_positions(mat, d), (mat.indptr, mat.indices)
+        nonzero, band_rows, cols, kl, ku = positions
+        if chunk and ((kl, ku) != widths or len(chunk) == size):
+            results += _shift_invert_chunk(chunk, bands, widths, x, stats)
+            chunk = []
+        if not chunk:
+            # Each band goes straight into the chunk's stacked band.
+            widths, size = (kl, ku), min(_sample_chunk(d, kl, ku), len(mats) - i)
+            bands = np.zeros((2 * kl + ku + 1, size * d), dtype=complex, order="F")
+        bands[band_rows, cols + len(chunk) * d] = mat.data[nonzero]
+        chunk.append((mat, complex(sigma)))
+    if chunk:
+        results += _shift_invert_chunk(chunk, bands, widths, x, stats)
+    return results
 
-    def factor(shift: complex):
-        return _band_lu(ab, kl, ku, d, np.array([shift], dtype=complex), stats)
 
-    def quotient(x):
-        hx = mat @ x
-        E = (x @ hx) / (x @ x)
-        return E, float(np.linalg.norm(hx - E * x))
+def _shift_invert_chunk(chunk: list[tuple[sp.csr_matrix, complex]], bands: np.ndarray,
+                        widths: tuple[int, int], x0: np.ndarray,
+                        stats: BlockStats) -> list[tuple[complex, float] | None]:
+    """`_shift_invert_samples` of one chunk of (mat, sigma), all at once:
+    `bands` holds their bands side by side (`_band_storage`), all of band
+    widths `widths`.
 
+    Each of the two `_band_lu` calls factors every sample of the chunk, each
+    `_inverse_step` is one ``zgbtrs`` on the stack, and the quotients one
+    product with the samples' block-diagonal CSR matrix (`_quotients`).
+    Pivoting never crosses a block, so each sample keeps the bits it has
+    alone.  A sample whose first shift is exactly singular leaves the chunk
+    before the second LU; one singular at the second stops there.
+    """
+    n, d = len(chunk), len(x0)
+    kl, ku = widths
+    out: list[tuple[complex, float] | None] = [None] * n
+    ab = bands[:, :n * d]
+    H = _block_diagonal([mat for mat, _ in chunk], d)
     with np.errstate(all="ignore"):
-        lu, piv = factor(sigma)
-        x = _inverse_step(lu, piv, kl, ku,
-                          _inverse_step(lu, piv, kl, ku, np.asarray(x, dtype=complex), stats),
-                          stats)
-        E, rho = quotient(x)
-        lu, piv = factor(E)
+        sigmas = np.array([c[1] for c in chunk])
+        lu, piv, singular = _band_lu(ab, kl, ku, d, sigmas, stats)
+        X = _inverse_step(lu, piv, kl, ku,
+                          _inverse_step(lu, piv, kl, ku, np.tile(x0, (n, 1))))
+        stats.rhs_columns += 2 * int(n - singular.sum())
+        del lu, piv
+        E, rho = _quotients(H, X)
+        keep = ~singular
+        if not keep.any():
+            return out
+        if not keep.all():
+            ab = ab[:, np.repeat(keep, d)]
+            H = _block_diagonal([mat for (mat, _), kept in zip(chunk, keep) if kept], d)
+            X, E, rho = X[keep], E[keep], rho[keep]
+        lu, piv, singular = _band_lu(ab, kl, ku, d, E, stats)
+        stepping = ~singular
         for _ in range(_SHIFT_INVERT_STEPS):
-            y = _inverse_step(lu, piv, kl, ku, x, stats)
-            E_y, rho_y = quotient(y)
-            halved = rho_y < 0.5 * rho
-            if rho_y < rho:
-                x, E, rho = y, E_y, rho_y
-            if not halved:
+            if not stepping.any():
                 break
-    return complex(E), rho
+            Y = _inverse_step(lu, piv, kl, ku, X)
+            stats.rhs_columns += int(stepping.sum())
+            E_y, rho_y = _quotients(H, Y)
+            better = stepping & (rho_y < rho)
+            stepping &= rho_y < 0.5 * rho
+            X[better], E[better], rho[better] = Y[better], E_y[better], rho_y[better]
+    for i, k in enumerate(np.flatnonzero(keep)):
+        if not singular[i]:
+            out[k] = (complex(E[i]), float(rho[i]))
+    return out
 
 
 def _conjugate_circle(radius: float, n: int) -> np.ndarray:
@@ -763,47 +894,77 @@ def _pair_order(n: int) -> list[int]:
     return order + [n // 2] if n % 2 == 0 else order
 
 
-def _series(f, base, t, r: float, M: int, q: int) -> tuple[np.ndarray, float]:
-    """Cauchy coefficients A_0..A_M of g(zeta) = f(base + zeta t) and their
-    reconstruction error.
+def _series_points(r: float, q: int) -> np.ndarray:
+    """The q nodes zeta_j = r e^(2 pi i j / q) of `_series`, then its 8 test
+    points on |zeta| = r/2, each circle conjugate-symmetric to the bit
+    (`_conjugate_circle`)."""
+    return np.concatenate([_conjugate_circle(r, q), _conjugate_circle(0.5 * r, 8)])
 
-    g is sampled at q trapezoidal nodes zeta_j = r e^(i theta_j) and
+
+def _series_order(q: int) -> list[int]:
+    """The indices of `_series_points` a conjugate pair at a time: the nodes
+    in `_pair_order` (0, 1, q - 1, 2, q - 2, ...), then the test points in
+    theirs, so for real base and t a point's conjugate comes right after it
+    (`taylor_eigenpath` reuses it)."""
+    return _pair_order(q) + [q + k for k in _pair_order(8)]
+
+
+def _sampled(f, base, t, r: float, q: int) -> np.ndarray:
+    """g(zeta) = f(base + zeta t) at the `_series_points`, called in
+    `_series_order` and stacked in point order.
+
+    Filled in place, not stacked from a list: the d x d matrix samples of
+    `verify_analytic_family` are q d^2 values, and a list would hold them
+    twice."""
+    points = _series_points(r, q)
+    order = _series_order(q)
+    first = np.asarray(f(base + points[order[0]] * t), dtype=complex)
+    samples = np.empty((len(points),) + first.shape, dtype=complex)
+    samples[order[0]] = first
+    for j in order[1:]:
+        samples[j] = f(base + points[j] * t)
+    return samples
+
+
+def _series(samples: np.ndarray, r: float, M: int) -> tuple[np.ndarray, float]:
+    """Cauchy coefficients A_0..A_M of an analytic g on |zeta| <= r, and
+    their reconstruction error, from its samples at the q + 8
+    `_series_points`, in that order.
+
+    The nodes zeta_j = r e^(i theta_j) give
     A_m = (1 / (q r^m)) sum_j e^(-i m theta_j) g(zeta_j), all orders in one
     product of the (M + 1) x q Fourier matrix with the samples.  The error
-    is the largest |g(zeta) - sum_m A_m zeta^m| at 8 points on |zeta| = r/2,
-    the partial sums in one Vandermonde product, relative to the largest
-    sample.  Nodes and test points are conjugate-symmetric to the bit
-    (`_conjugate_circle`) and sampled a conjugate pair at a time
-    (`_pair_order`: 0, 1, q - 1, 2, q - 2, ...), each into its own index,
-    so for real base and t a node's conjugate is sampled right after it
-    (`taylor_eigenpath` reuses it).  Works for scalar-, vector- and
-    matrix-valued analytic g.
+    is the largest |g(zeta) - sum_m A_m zeta^m| at the 8 test points on
+    |zeta| = r/2, the partial sums in one Vandermonde product, relative to
+    the largest node sample.  Works for scalar-, vector- and matrix-valued
+    samples; the callers take them (`_sampled`, `taylor_eigenpath`).
     """
-    def g(zeta: complex):
-        return np.asarray(f(base + zeta * t), dtype=complex)
-
-    # Filled in place, not stacked from a list: the d x d matrix samples of
-    # `verify_analytic_family` are q d^2 values, and a list would hold them twice.
-    nodes = _conjugate_circle(r, q)
-    first = g(nodes[0])
-    samples = np.empty((q,) + first.shape, dtype=complex)
-    samples[0] = first
-    for j in _pair_order(q)[1:]:
-        samples[j] = g(nodes[j])
-    if not np.all(np.isfinite(samples)):
+    q = len(samples) - 8
+    nodes = samples[:q]
+    if not np.all(np.isfinite(nodes)):
         raise AnalyticError("non-finite samples on the contour")
-    scale = float(np.max(np.abs(samples))) or 1.0
+    scale = float(np.max(np.abs(nodes))) or 1.0
     orders = np.arange(M + 1)
     fourier = np.exp(-1j * orders[:, None] * (2 * np.pi * np.arange(q) / q))
-    A = fourier @ samples.reshape(q, -1)
+    A = fourier @ nodes.reshape(q, -1)
     A /= (q * r**orders)[:, None]
-    test = _conjugate_circle(0.5 * r, 8)
-    residual = np.empty((len(test), A.shape[1]), dtype=complex)
-    for k in _pair_order(len(test)):
-        residual[k] = g(test[k]).ravel()
-    residual -= (test[:, None] ** orders) @ A
+    test = _series_points(r, q)[q:]
+    residual = samples[q:].reshape(len(test), -1) - (test[:, None] ** orders) @ A
     error = float(np.max(np.abs(residual)))
     return A.reshape((M + 1,) + samples.shape[1:]), error / scale
+
+
+def _coefficients(samples: np.ndarray, r: float, M: int, recon_tol: float) -> np.ndarray:
+    """`_series` of the samples; raises ReconstructionError unless the
+    partial sums reproduce them on the test circle |zeta| = r/2 to
+    recon_tol relative to the largest sample."""
+    A, err = _series(samples, r, M)
+    if not err <= recon_tol:
+        raise ReconstructionError(
+            f"relative reconstruction error {err:.3g} on |zeta| = {0.5 * r:.3g}: "
+            "radius too large or singularity inside disk"
+        )
+    return A
 
 
 def taylor_along(
@@ -818,18 +979,12 @@ def taylor_along(
     """Directional Taylor coefficients A_0..A_M of zeta -> f(base + zeta t).
 
     A_m = (1/m!) * m-th Cauchy derivative, all orders sharing one set of
-    contour samples (`_series`).  Raises ReconstructionError unless the
-    partial sums reproduce f on the test circle |zeta| = r/2 to recon_tol
-    relative to the largest sample.
+    contour samples (`_sampled`, `_series`).  Raises ReconstructionError
+    unless the partial sums reproduce f on the test circle |zeta| = r/2 to
+    recon_tol relative to the largest sample.
     """
     t = direction.t if isinstance(direction, Direction) else np.asarray(direction)
-    A, err = _series(f, np.asarray(base), t, r, M, q)
-    if not err <= recon_tol:
-        raise ReconstructionError(
-            f"relative reconstruction error {err:.3g} on |zeta| = {0.5 * r:.3g}: "
-            "radius too large or singularity inside disk"
-        )
-    return A
+    return _coefficients(_sampled(f, np.asarray(base), t, r, q), r, M, recon_tol)
 
 
 def radius_of_convergence(coefficients) -> float:
@@ -891,12 +1046,16 @@ def taylor_eigenpath(
 
     Shift-invert samples.  When r < r0 and H(base) and V_t equal their
     transposes entry for entry (every real family does), each computed
-    sample is `_shift_invert_sample` from the shift E0 + zeta a1, with
+    sample is a shift-invert sample (`_shift_invert_samples`) from the
+    shift E0 + zeta a1, with
     E0 = psi0^T H(base) psi0 / psi0^T psi0 and a1 = psi0^T V_t psi0 / psi0^T psi0:
-    at most two band LUs and no contour.  It is accepted iff its residual
-    rho = ||H x - E x|| / ||x|| is at most residual_tol and below the Neumann
-    margin (r0 - r) ||V_t||, less the rounding of rho, and |E - c| is below
-    the contour radius.  On
+    at most two band LUs and no contour.  The computed samples wait for a
+    chunk of them, each chunk two block-diagonal band LUs in all, so the
+    path holds at most one chunk of H(beta) and the last computed one; a
+    sample's value does not depend on its chunk.  It is accepted iff its
+    residual rho = ||H x - E x|| / ||x|| is at most residual_tol and below
+    the Neumann margin (r0 - r) ||V_t||, less the rounding of rho, and
+    |E - c| is below the contour radius.  On
     the contour sigma_min(H(base + zeta t) - lambda) >= (r0 - |zeta|) ||V_t||
     > rho, so the contour misses the rho-pseudospectrum of H, and the
     components of it inside the contour hold the one enclosed eigenvalue
@@ -930,16 +1089,17 @@ def taylor_eigenpath(
     (conj E, conj psi) is a sample of conj H, tracked from conj psi0,
     certified as (E, psi) was.  A shift-invert sample of conj H has the
     same residual and margin, so its certificate carries over as well.
-    `_series` forms its nodes conjugate-symmetric to the bit and samples
-    each node's conjugate right after it, so for a real base and t the
-    partner of a node is the last computed sample, whose beta, E and
-    H(beta) alone the path keeps.  A node at the conjugate of that beta
-    takes conj E if c is real and its H(beta) equals the conjugate of the
-    partner's entry for entry (`_is_conjugate`); otherwise the sample is
-    computed.  The exact conjugate matrix also carries the partner's
-    eigen-residual over bit for bit (IEEE complex products and sums commute
-    with conjugation), so it is not re-checked.  A non-real family, base,
-    direction or centre never matches.
+    The points of `_series_points` are conjugate-symmetric to the bit, and
+    the path walks them in `_series_order`, each point's conjugate right
+    after it, so for a real base and t the partner of a point is the last
+    computed sample, whose beta and H(beta) the path keeps.  A point at the
+    conjugate of that beta takes conj E of it, once E is computed, if c is
+    real and its H(beta) equals the conjugate of the partner's entry for
+    entry (`_is_conjugate`); otherwise the sample is computed.  The exact
+    conjugate matrix also carries the partner's eigen-residual over bit for
+    bit (IEEE complex products and sums commute with conjugation), so it is
+    not re-checked.  A non-real family, base, direction or centre never
+    matches.
 
     `path.stats` counts the factorizations, right-hand-side columns and
     full projectors of the reference vector and all samples, the
@@ -947,17 +1107,15 @@ def taylor_eigenpath(
     worst rho / margin, block defect and sigma_2/sigma_1.
     """
     base = np.asarray(base, dtype=complex)
-    samples: list[tuple[complex, complex]] = []
+    t = direction.t
     stats = BlockStats()
     ref_psi = _reference_vector(family, base, track_contour, stats)
     real_centre = complex(track_contour.center).imag == 0
-    # (beta, E, H(beta)) of the last computed sample: its conjugate node
-    # comes next (see `_series`).
-    last = None
 
     H_base = family(base)
     mat0 = _canonical(_as_matrix(H_base)[0])
-    V = _canonical(_as_matrix(family(base + direction.t))[0]) - mat0
+    mat1 = _canonical(_as_matrix(family(base + t))[0])
+    V = mat1 - mat0
     r0 = contour_kato_radius(H_base, V, track_contour)
     shift_invert = r < r0 and _is_symmetric(mat0) and _is_symmetric(V)
     if shift_invert:
@@ -971,50 +1129,75 @@ def taylor_eigenpath(
         norm2 = ref_psi @ ref_psi
         E0 = ref_psi @ (mat0 @ ref_psi) / norm2
         a1 = ref_psi @ (V @ ref_psi) / norm2
+        # Computed samples wait for a chunk of `_shift_invert_samples`, sized
+        # by the band of H(base + t), which the path's H(beta) share.
+        chunk = _sample_chunk(mat0.shape[0], *_band_positions(mat1, mat0.shape[0])[3:])
+    del mat1
 
-    def certified_sample(H, zeta: complex) -> complex | None:
+    points = _series_points(r, q)
+    # Each sample's zeta is read back off its beta, along the largest |t_i|.
+    axis = int(np.argmax(np.abs(t)))
+    zetas = np.empty(len(points), dtype=complex)
+    values = np.empty(len(points), dtype=complex)
+    mirrors: list[tuple[int, int]] = []  # (point, the computed point it mirrors)
+    pending: list[tuple[int, object]] = []  # (point, H(beta)) awaiting its chunk
+
+    def block_sample(H) -> complex:
+        stats.block_samples += 1
         try:
-            E, rho = _shift_invert_sample(H, E0 + zeta * a1, ref_psi, stats)
-        except ShiftNearSpectrumError:
-            return None
-        if not (rho <= residual_tol and rho < margin
-                and abs(E - track_contour.center) < track_contour.radius):
-            return None
-        stats.shift_invert += 1
-        stats.max_margin_ratio = max(stats.max_margin_ratio, rho / margin)
-        return E
-
-    def g(beta_vec) -> complex:
-        nonlocal last
-        zeta = _project_zeta(beta_vec - base, direction.t)
-        H = family(beta_vec)
-        if (real_centre and last is not None and np.array_equal(beta_vec, np.conj(last[0]))
-                and _is_conjugate(_as_matrix(H)[0], _as_matrix(last[2])[0])):
-            E = last[1].conjugate()
-            stats.mirrored += 1
-            samples.append((zeta, E))
+            return _track_block(H, track_contour, ref_psi, residual_tol, defect_tol, stats)
+        except QuadratureError:
+            # Block defect above defect_tol / 10: the exact test decides.
+            stats.fallbacks += 1
+            psi = _certified_action(H, track_contour, ref_psi, defect_tol, stats)[3]
+            E, residual = _eigenvalue_of(_as_matrix(H)[0], psi, ref_psi, residual_tol)
+            stats.max_residual = max(stats.max_residual, residual)
             return E
-        E = certified_sample(H, zeta) if shift_invert else None
-        if E is None:
-            stats.block_samples += 1
-            try:
-                E = _track_block(H, track_contour, ref_psi, residual_tol, defect_tol, stats)
-            except QuadratureError:
-                # Block defect above defect_tol / 10: the exact test decides.
-                stats.fallbacks += 1
-                psi = _certified_action(H, track_contour, ref_psi, defect_tol, stats)[3]
-                E, residual = _eigenvalue_of(_as_matrix(H)[0], psi, ref_psi, residual_tol)
-                stats.max_residual = max(stats.max_residual, residual)
-        last = (beta_vec, E, H)
-        samples.append((zeta, E))
-        return E
 
-    A = taylor_along(g, base, direction, r=r, M=M, q=q, recon_tol=residual_tol * 100)
+    def solve_pending():
+        shifts = [E0 + zetas[j] * a1 for j, _ in pending]
+        results = _shift_invert_samples([H for _, H in pending], shifts, ref_psi, stats)
+        for (j, H), result in zip(pending, results):
+            E, rho = result if result is not None else (math.nan, math.nan)
+            if (rho <= residual_tol and rho < margin
+                    and abs(E - track_contour.center) < track_contour.radius):
+                stats.shift_invert += 1
+                stats.max_margin_ratio = max(stats.max_margin_ratio, rho / margin)
+                values[j] = E
+            else:
+                values[j] = block_sample(H)
+        pending.clear()
+
+    # (beta, point, H(beta)) of the last computed sample: its conjugate
+    # point comes next (see `_series_order`).
+    last = None
+    for j in _series_order(q):
+        beta = base + points[j] * t
+        zetas[j] = (beta[axis] - base[axis]) / t[axis]
+        H = family(beta)
+        if (real_centre and last is not None and np.array_equal(beta, np.conj(last[0]))
+                and _is_conjugate(_as_matrix(H)[0], _as_matrix(last[2])[0])):
+            stats.mirrored += 1
+            mirrors.append((j, last[1]))
+            continue
+        last = (beta, j, H)
+        if not shift_invert:
+            values[j] = block_sample(H)
+            continue
+        pending.append((j, H))
+        if len(pending) == chunk:
+            solve_pending()
+    if pending:
+        solve_pending()
+    for j, k in mirrors:
+        values[j] = values[k].conjugate()
+
+    A = _coefficients(values, r, M, residual_tol * 100)
     R = radius_of_convergence(A) if M >= 8 else math.nan
     return EigenPath(
         base=base,
         direction=direction,
-        samples=samples,
+        samples=[(complex(zetas[j]), complex(values[j])) for j in _series_order(q)],
         coefficients=np.asarray(A, dtype=complex),
         radius=R,
         stats=stats,
@@ -1037,17 +1220,12 @@ def _is_conjugate(mat, other) -> bool:
         return False
     if sp.issparse(mat):
         if (mat.format == other.format == "csr"
-                and np.array_equal(mat.indptr, other.indptr)
-                and np.array_equal(mat.indices, other.indices)):
+                and (mat.indptr is other.indptr or np.array_equal(mat.indptr, other.indptr))
+                and (mat.indices is other.indices
+                     or np.array_equal(mat.indices, other.indices))):
             return np.array_equal(np.conj(other.data), mat.data)
         return (other.conj() != mat).nnz == 0
     return np.array_equal(np.conj(other), mat)
-
-
-def _project_zeta(delta: np.ndarray, t: np.ndarray) -> complex:
-    """Coordinate zeta of delta = zeta * t along the direction t."""
-    j = int(np.argmax(np.abs(t)))
-    return complex(delta[j] / t[j])
 
 
 def _reference_vector(family, base, contour: Contour,
@@ -1182,7 +1360,7 @@ def _recon_residual(f, base, t, r, M, tol) -> tuple[float, bool]:
     """Reconstruction error of `_series` on q = 64 samples as (residual,
     pass); a sample or test point that hits the spectrum fails the check."""
     try:
-        resid = _series(f, base, t, r, M, 64)[1]
+        resid = _series(_sampled(f, base, t, r, 64), r, M)[1]
     except AnalyticError:
         return math.inf, False
     return resid, resid <= tol

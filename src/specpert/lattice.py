@@ -9,6 +9,7 @@ on one axis the 1D Laplacian is tridiag(-1, 2, -1)/h^2 with eigenvalues
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -254,13 +255,15 @@ def laplacian_eigenvalues_1d(n: int, h: float) -> np.ndarray:
 class AffineFamily:
     """beta -> H(beta) = H0 + sum_i beta_i V_i over fixed sparse terms V_i.
 
-    Whether every V_i is Hermitian is decided once, at construction; H(beta)
-    then carries the Hermitian flag when H0 is Hermitian and beta is real.
+    Whether each V_i is Hermitian is decided once, at construction; H(beta)
+    then carries the Hermitian flag when H0 is Hermitian, beta is real and
+    every V_i with a nonzero coupling is Hermitian, so H(0) keeps H0's flag.
     The sparsity pattern of H(beta) is fixed once too, as the union of the
-    stored entries of H0 and every V_i (V(beta): of every V_i), and so are
-    the CSR index arrays scipy builds for it, in the index dtype it chose.
-    Each call is one accumulation into a data vector on that pattern and one
-    CSR matrix on copies of those arrays.  Entries that cancel, and the
+    stored entries of H0 and every V_i (V(beta): of every V_i), and so is
+    one prototype CSR matrix on it, whose read-only index arrays scipy built
+    and checked once.  Each call is one accumulation into a data vector on
+    that pattern and a shallow copy of the prototype that carries it, with
+    none of scipy's constructor checks.  Entries that cancel, and the
     entries of terms with a zero coupling, are kept as stored zeros.
 
     A flagged H(beta) is tested exactly on the fixed pattern, with the
@@ -272,7 +275,7 @@ class AffineFamily:
 
     h0: DiscreteOperator
     terms: tuple[sp.csr_matrix, ...]
-    terms_hermitian: bool = field(init=False)
+    terms_hermitian: tuple[bool, ...] = field(init=False)
     _h_layout: "_Layout" = field(init=False, repr=False, compare=False)
     _v_layout: "_Layout" = field(init=False, repr=False, compare=False)
 
@@ -283,7 +286,7 @@ class AffineFamily:
             if t.shape != shape:
                 raise LatticeError(f"term {i} has shape {t.shape}, H0 has {shape}")
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "terms_hermitian", all(is_hermitian(t) for t in terms))
+        object.__setattr__(self, "terms_hermitian", tuple(is_hermitian(t) for t in terms))
         n = self.h0.dim
         object.__setattr__(self, "_h_layout", _Layout.union(n, self.h0.matrix, terms))
         object.__setattr__(self, "_v_layout", _Layout.union(n, None, terms))
@@ -330,16 +333,15 @@ class AffineFamily:
         # Terms are added one at a time and zero couplings skipped: the
         # summation order fixes the last bits of every reported value.  Each
         # entry takes the additions of a sequential sparse sum, in its order.
-        for b, op, pos in zip(beta, self.terms, layout.term_pos):
+        for b, op, pos, term_hermitian in zip(beta, self.terms, layout.term_pos,
+                                              self.terms_hermitian):
             if b != 0:
                 data[pos] += op.data * complex(b)
-                hermitian = hermitian and complex(b).imag == 0
-        hermitian = hermitian and self.terms_hermitian
+                hermitian = hermitian and term_hermitian and complex(b).imag == 0
         if hermitian and not layout.is_hermitian(data):
             raise LatticeError(_NOT_HERMITIAN)
-        mat = sp.csr_matrix((data[:-1], layout.indices.copy(), layout.indptr.copy()),
-                            shape=layout.shape)
-        mat.has_canonical_format = True
+        mat = copy.copy(layout.proto)
+        mat.data = data[:-1]
         return DiscreteOperator._checked(mat, hermitian, self.h0.grid)
 
 
@@ -357,16 +359,16 @@ def _canonical(mat) -> sp.csr_matrix:
 class _Layout:
     """A fixed canonical CSR pattern of an `AffineFamily`.
 
-    `indptr` and `indices` are the arrays scipy's constructor made for it;
-    `base` is the data of the constant part (H0's entries, or zeros) and
-    one trailing 0, which no entry takes; `term_pos[i]` is the position in
-    the pattern of each entry of term i; `partner[k]` is the position of the
-    transpose of entry k, or nnz (the trailing 0) when it is not stored.
+    `proto` is the CSR matrix of the constant part on it, in canonical
+    form, whose `indptr` and `indices` (made by scipy's constructor) are
+    read-only, so every shallow copy can share them; `base` is the data of
+    the constant part (H0's entries, or zeros) and one trailing 0, which no
+    entry takes; `term_pos[i]` is the position in the pattern of each entry
+    of term i; `partner[k]` is the position of the transpose of entry k, or
+    nnz (the trailing 0) when it is not stored.
     """
 
-    shape: tuple[int, int]
-    indptr: np.ndarray
-    indices: np.ndarray
+    proto: sp.csr_matrix
     base: np.ndarray
     term_pos: list[np.ndarray]
     partner: np.ndarray
@@ -387,12 +389,14 @@ class _Layout:
             base[pos.pop(0)] = h0.data
         proto = sp.csr_matrix((base[:-1], cols, np.searchsorted(rows, np.arange(n + 1))),
                               shape=(n, n))
+        proto.has_canonical_format = True
+        proto.indptr.flags.writeable = proto.indices.flags.writeable = False
         transpose = cols * n + rows
         partner = np.searchsorted(union, transpose)
         stored = partner < len(union)
         stored[stored] = union[partner[stored]] == transpose[stored]
         partner[~stored] = len(union)
-        return cls((n, n), proto.indptr, proto.indices, base, pos, partner)
+        return cls(proto, base, pos, partner)
 
     def is_hermitian(self, data: np.ndarray) -> bool:
         """`is_hermitian` of the matrix on `data` (laid out as `base`): every

@@ -3,6 +3,7 @@
 import cmath
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -54,10 +55,10 @@ def two_level_energy(b):
 def _without_shift_invert(monkeypatch):
     """Send every computed Taylor sample to the block contour path, as a
     shift that is exactly singular does."""
-    def singular(*args, **kwargs):
-        raise ShiftNearSpectrumError("shift-invert disabled")
+    def singular(mats, sigmas, x, stats):
+        return [None for _ in sigmas]
 
-    monkeypatch.setattr(analytic, "_shift_invert_sample", singular)
+    monkeypatch.setattr(analytic, "_shift_invert_samples", singular)
 
 
 def _padded_to_210(h):
@@ -895,7 +896,7 @@ class TestSchwarzReflection:
             zetas.append(complex(beta[0]))
             return 1.0
 
-        _series(f, np.zeros(1, dtype=complex), np.ones(1, dtype=complex), 0.3, 8, q)
+        analytic._sampled(f, np.zeros(1, dtype=complex), np.ones(1, dtype=complex), 0.3, q)
         nodes, test = np.array(zetas[:q]), np.array(zetas[q:])
         assert len(test) == 8
         for calls, n in ((nodes, q), (test, 8)):
@@ -919,7 +920,7 @@ class TestSchwarzReflection:
             return np.linalg.inv(H0 + beta[0] * V - lam0 * np.eye(d))
 
         base, t = np.zeros(1, dtype=complex), np.ones(1, dtype=complex)
-        A, err = _series(f, base, t, r, M, q)
+        A, err = _series(analytic._sampled(f, base, t, r, q), r, M)
         nodes = analytic._conjugate_circle(r, q)
         samples = np.stack([f(base + z * t) for z in nodes])
         angles = 2 * np.pi * np.arange(q) / q
@@ -1028,6 +1029,33 @@ class TestBandLU:
         got = analytic._band_lu(ab, kl, ku, op.dim, np.array([shift]), stats)
         assert info == 0 and stats.factorizations == 1
         assert np.array_equal(got[0], lu) and np.array_equal(got[1], piv)
+
+    def test_singular_block_is_flagged_and_left_as_the_identity(self):
+        # Stored zeros cut row and column 0 off: at shift H[0, 0] the
+        # middle block's first column is zero.  The other blocks keep the
+        # bits of their own LU and solve, and the stack stays finite.
+        mat = sp.csr_matrix(_bumps_1d().matrix, copy=True)
+        mat[0, 1] = mat[1, 0] = 0.0
+        d = mat.shape[0]
+        ab, kl, ku = analytic._band_storage(mat, d)
+        assert (kl, ku) == (1, 1)
+        shifts = np.array([0.3 + 0.01j, mat[0, 0], 0.5 - 0.02j])
+        stats = BlockStats()
+        lu, piv, singular = analytic._band_lu(ab, kl, ku, d, shifts, stats)
+        assert singular.tolist() == [False, True, False] and stats.factorizations == 3
+        rng = np.random.default_rng(3)
+        b = rng.standard_normal(3 * d) + 1j * rng.standard_normal(3 * d)
+        x = scipy.linalg.lapack.zgbtrs(lu, kl, ku, b, piv)[0]
+        assert np.array_equal(x[d:2 * d], b[d:2 * d])
+        for k in (0, 2):
+            one_lu, one_piv, one_singular = analytic._band_lu(ab, kl, ku, d, shifts[k:k + 1],
+                                                              BlockStats())
+            block = slice(k * d, (k + 1) * d)
+            assert not one_singular.any()
+            assert np.array_equal(lu[:, block], one_lu)
+            assert np.array_equal(piv[block] - k * d, one_piv)
+            one_x = scipy.linalg.lapack.zgbtrs(one_lu, kl, ku, b[block], one_piv)[0]
+            assert np.array_equal(x[block], one_x)
 
     @pytest.mark.parametrize("block", [False, True], ids=["shift-invert", "block"])
     def test_counts_every_factorization(self, block, monkeypatch):
@@ -1144,14 +1172,14 @@ class TestShiftInvertSamples:
     @pytest.mark.parametrize("miss", ["residual", "margin", "outside"])
     def test_sample_missing_the_gate_falls_back(self, monkeypatch, miss):
         # two_level, r = 0.3: r0 = 0.5 and ||V_t|| = 1 give the margin 0.2.
-        real = analytic._shift_invert_sample
+        real = analytic._shift_invert_samples
 
-        def missing(H, sigma, x, stats):
-            E, rho = real(H, sigma, x, stats)
-            return {"residual": (E, 1.0), "margin": (E, 0.3),
-                    "outside": (E + 1.0, rho)}[miss]
+        def missing(mats, sigmas, x, stats):
+            return [{"residual": (E, 1.0), "margin": (E, 0.3),
+                     "outside": (E + 1.0, rho)}[miss]
+                    for E, rho in real(mats, sigmas, x, stats)]
 
-        monkeypatch.setattr(analytic, "_shift_invert_sample", missing)
+        monkeypatch.setattr(analytic, "_shift_invert_samples", missing)
         residual_tol = 0.5 if miss == "margin" else 1e-8
         path = taylor_eigenpath(two_level, np.array([0.0]), Direction(np.array([1.0])),
                                 Contour(0.0, 0.5, q=64), r=0.3, M=8, q=32,
@@ -1160,6 +1188,97 @@ class TestShiftInvertSamples:
         assert path.stats.factorizations == 64 + (2 + 64) * 22
         assert path.stats.max_margin_ratio == 0.0
         assert path.coefficients[2] == pytest.approx(-1.0, abs=1e-8)
+
+
+class TestChunkedShiftInvert:
+    """`_shift_invert_samples` takes a path's computed samples a chunk at a
+    time: how they are chunked cannot change a bit, and a singular sample
+    leaves the rest of its chunk as it would be."""
+
+    def test_chunk_size_changes_no_bit(self, monkeypatch):
+        family, base, direction, contour, r = _shipped_bumps_1d_path()
+        factor = analytic.lapack.zgbtrf
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(analytic.lapack, "zgbtrf", counted)
+        paths, factorizations = [], []
+        for cap in (1, 1 << 40):
+            monkeypatch.setattr(analytic, "_CHUNK_ENTRIES", cap)
+            calls.clear()
+            paths.append(taylor_eigenpath(family, base, direction, contour, r=r, M=16, q=128))
+            factorizations.append(len(calls))
+        one, whole = paths
+        computed = 128 + 8 - one.stats.mirrored
+        assert one.stats.shift_invert == computed == 70
+        # The reference vector's LU, then two per sample, or two in all.
+        assert factorizations == [1 + 2 * computed, 1 + 2]
+        assert one.stats == whole.stats and one.stats.factorizations == 1 + 2 * computed
+        assert np.array_equal(np.array(one.samples).view(float),
+                              np.array(whole.samples).view(float))
+        assert np.array_equal(one.coefficients.view(float), whole.coefficients.view(float))
+
+    def test_singular_sample_leaves_its_chunk(self, monkeypatch):
+        # The middle sample of the first chunk gets a zero first column at
+        # its shift (its band widths kept by stored zeros): only it goes to
+        # the block path, on the H(beta) the path built.
+        family, base, direction, contour, r = _shipped_bumps_1d_path()
+        plain = taylor_eigenpath(family, base, direction, contour, r=r, M=8, q=32)
+        real = analytic._shift_invert_samples
+        singular = []
+
+        def with_singular(mats, sigmas, x, stats):
+            mats, sigmas = list(mats), list(sigmas)
+            if not singular:
+                k = len(mats) // 2
+                mat = sp.csr_matrix(mats[k].matrix, copy=True)
+                mat[0, 1] = mat[1, 0] = 0.0
+                mats[k], sigmas[k] = mat, mat[0, 0]
+                singular.append((k, len(mats)))
+            results = real(mats, sigmas, x, stats)
+            if len(singular) == 1:
+                k, _ = singular[0]
+                assert results[k] is None
+                singular.append(results)
+            return results
+
+        monkeypatch.setattr(analytic, "_shift_invert_samples", with_singular)
+        path = taylor_eigenpath(family, base, direction, contour, r=r, M=8, q=32)
+        (k, n), results = singular
+        assert 2 < k < n - 2
+        assert results[:k] + results[k + 1:] != [] and None not in results[:k] + results[k + 1:]
+        assert path.stats.shift_invert == plain.stats.shift_invert - 1
+        assert path.stats.block_samples == 1 and plain.stats.block_samples == 0
+        # Its first LU counts, its second is never made; the block path's
+        # 64 node LUs replace it.
+        assert path.stats.factorizations == plain.stats.factorizations - 1 + 64
+        computed = [i for i, (z, _) in enumerate(plain.samples) if z.imag >= 0]
+        moved = computed[k]
+        z_moved, E_moved = path.samples[moved]
+        for i, ((z, E), (z0, E0)) in enumerate(zip(path.samples, plain.samples)):
+            assert z == z0
+            if i == moved:
+                assert E != E0 and abs(E - E0) <= 1e-12 * abs(E0)
+            elif z == z_moved.conjugate():  # its mirror
+                assert E == E_moved.conjugate()
+            else:
+                assert complex(E).real == complex(E0).real and complex(E).imag == complex(E0).imag
+
+    def test_memory_is_one_chunk_whatever_q(self):
+        family, base, direction, contour, r = _shipped_bumps_1d_path()
+        peaks = []
+        for q in (64, 256):
+            taylor_eigenpath(family, base, direction, contour, r=r, M=16, q=q)
+            tracemalloc.start()
+            try:
+                taylor_eigenpath(family, base, direction, contour, r=r, M=16, q=q)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
 
 class TestRadius:

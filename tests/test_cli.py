@@ -959,6 +959,30 @@ def test_lattice_track_and_sweep_build_no_full_projector(tmp_path, monkeypatch):
     assert len(lines) == 2 and all("full-P 0," in line for line in lines)
 
 
+def test_zero_coupled_non_hermitian_term_keeps_the_band_path(tmp_path, monkeypatch):
+    # The second term [[0, 1], [0, 0]] is not Hermitian, but its coupling is
+    # 0: H(0) and H(beta) are Hermitian, so the track task places its contour
+    # from the band and tracks by shift-invert, with no full projector and
+    # no dense eigenvalue call.
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense call on a Hermitian H")
+
+    monkeypatch.setattr(analytic, "riesz_projector", no_dense)
+    monkeypatch.setattr(np.linalg, "eigvals", no_dense)
+    doc = dict(TWO_LEVEL)
+    doc["family"] = {"kind": "matrix", "h0": [[0.0, 0.0], [0.0, 1.0]],
+                     "terms": [[[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]]}
+    doc["beta"] = {"values": [0.3, 0.0], "p": "inf"}
+    doc["tasks"] = [{"task": "track", "eig_index": 0}]
+    out = tmp_path / "out"
+    result = run_cli(["run", "--scenario", str(write_scenario(tmp_path, doc)),
+                      "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert "full-P 0," in result.stderr
+    _, rows = read_csv(out / "track.csv")
+    assert rows[0][0] == pytest.approx((1 - math.sqrt(1 + 4 * 0.3**2)) / 2, abs=1e-12)
+
+
 # A 2D bump lattice on 24 x 24 nodes: d = 576, above the old probe scan's
 # d = 400 switch to ARPACK, with a bounds task only.
 LATTICE_24 = {

@@ -301,7 +301,7 @@ class TestAffineFamily:
                             lambda mat: calls.append(mat) or get_h(mat))
         assert is_hermitian(term) is expected
         system = AffineFamily(h0, (term,))
-        assert system.terms_hermitian is expected
+        assert system.terms_hermitian == (expected,)
         for beta in ((1.0,), (-0.5,), (0.25j,)):
             for layout, op in ((system._v_layout, system.perturbation(beta)),
                                (system._h_layout, system(beta))):
@@ -326,7 +326,8 @@ class TestAffineFamily:
         for _ in range(12):
             real = rng.standard_normal(n) * (rng.random(n) < 0.8)
             for beta in (real, real + 1j * rng.standard_normal(n) * (rng.random(n) < 0.5)):
-                asked = system.terms_hermitian and not np.any(np.imag(beta))
+                asked = all(h for b, h in zip(beta, system.terms_hermitian)
+                            if b != 0) and not np.any(np.imag(beta))
                 for layout, op, base in ((system._h_layout, system(beta), system.h0.hermitian),
                                          (system._v_layout, system.perturbation(beta), True)):
                     exact = is_hermitian(op.matrix)
@@ -367,9 +368,40 @@ class TestAffineFamily:
             for make in (system, system.perturbation):
                 built.clear()
                 op = make(beta)
-                assert len(built) == 1
+                # A shallow copy of the layout's prototype: no constructor.
+                assert len(built) == 0
                 assert op.hermitian is not np.iscomplex(beta).any()
         assert not transposed
+
+    def test_index_arrays_are_shared_and_read_only(self):
+        g = grid_1d(40, 0.0, 4.0)
+        system = AffineFamily.from_potentials(build_laplacian(g), bump_family([1.0, 3.0]))
+        ops = [make(beta) for make in (system, system.perturbation)
+               for beta in (np.array([0.5, -1.5]), np.array([0.5, -1.5]), np.array([0.5, 0.25j]))]
+        for op in ops:
+            for name in ("indices", "indptr"):
+                with pytest.raises(ValueError):
+                    getattr(op.matrix, name)[0] = 1
+        # Each H(beta) carries its own data, even for a repeated beta.
+        for i, op in enumerate(ops):
+            for other in ops[i + 1:]:
+                assert not np.shares_memory(op.matrix.data, other.matrix.data)
+        op = system(np.array([0.5, -1.5]))
+        before = system(np.array([0.5, -1.5])).matrix.toarray()
+        op.matrix.data[:] = 0
+        assert np.array_equal(system(np.array([0.5, -1.5])).matrix.toarray(), before)
+
+    def test_zero_coupled_non_hermitian_term_keeps_the_flag(self):
+        # H(0) is exactly H0, so it keeps H0's flag; a nonzero coupling to
+        # the non-Hermitian term drops it.
+        h0 = DiscreteOperator(sp.diags([0.0, 1.0], format="csr"), hermitian=True)
+        system = AffineFamily(h0, (sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])),))
+        assert h0.hermitian and system.terms_hermitian == (False,)
+        for beta in (np.zeros(1), np.array([-0.0]), np.zeros(0)):
+            assert system(beta).hermitian
+            assert system.perturbation(beta).hermitian
+        assert not system(np.array([0.1])).hermitian
+        assert not system.perturbation(np.array([0.1])).hermitian
 
     def test_from_potentials_needs_a_grid(self):
         h0 = build_laplacian(grid_1d())
@@ -388,7 +420,9 @@ class TestAffineFamily:
 
 def sequential_sum(system, beta, perturbation=False):
     """Oracle: H(beta), or V(beta), as the sparse sum H0 + beta_1 V_1 + ...
-    formed one term at a time with zero couplings skipped, and its flag."""
+    formed one term at a time with zero couplings skipped, and its flag:
+    set when the base is flagged and every term it adds is real-coupled
+    and Hermitian."""
     if perturbation:
         mat, hermitian = sp.csr_matrix(system.h0.matrix.shape, dtype=complex), True
     else:
@@ -396,8 +430,8 @@ def sequential_sum(system, beta, perturbation=False):
     for b, op in zip(beta, system.terms):
         if b != 0:
             mat = mat + complex(b) * op
-            hermitian = hermitian and complex(b).imag == 0
-    return mat, hermitian and system.terms_hermitian
+            hermitian = hermitian and complex(b).imag == 0 and is_hermitian(op)
+    return mat, hermitian
 
 
 def bits(mat):

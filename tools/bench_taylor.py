@@ -1,24 +1,28 @@
 """Layer and task timings of the Taylor series on the shipped bumps_1d
 scenario, written as JSON.
 
-Layers: one computed Taylor sample at a complex zeta, by shift-invert
-(`analytic._shift_invert_sample` from the shift `taylor_eigenpath` takes)
-and, for comparison, by the block contour path (`analytic._track_block`, 64
-node LUs; `taylor_sample_s` in BENCH_14 and BENCH_16) with its tracemalloc
-peak (`block_sample_peak_mb`, MB = 10^6 bytes), the certified radius
-of the path (`analytic.contour_kato_radius` on a newly assembled H(base),
-as an operator keeps its band eigenvalues once reduced), one sample taken by
-conjugation (`mirrored_sample_s`: the assembly of H(conj beta) and
+Layers: every computed (not mirrored) Taylor sample of the bumps_1d path,
+the nodes and test points with Im zeta >= 0, by shift-invert from the
+shift `taylor_eigenpath` takes, in one `analytic._shift_invert_samples`
+call (`shift_invert_samples_s`, and per sample), and one sample at a complex
+zeta by the block contour path (`analytic._track_block`, 64 node LUs;
+`taylor_sample_s` in BENCH_14 and BENCH_16) with its tracemalloc peak
+(`block_sample_peak_mb`, MB = 10^6 bytes), the certified radius of the path
+(`analytic.contour_kato_radius` on a newly assembled H(base), as an operator
+keeps its band eigenvalues once reduced), one sample taken by conjugation
+(`mirrored_sample_s`: the assembly of H(conj beta) and
 `analytic._is_conjugate` against the partner's H(beta), as
-`taylor_eigenpath` takes it), one
-`analytic._series` call on matrix-valued samples of the size the sampled
-library check `verify_analytic_family` takes at d = 160 (q = 64 samples of
-160 x 160, the whole call and its Fourier-matrix product alone), next to the
-per-order `tensordot` loop that product replaced, and one closed-form Kato
-resolvent record of the verify task (`analytic.kato_radius` at the base
-point 0).  Every layer value is the median of REPEAT timings (`bench_common.py`).  Tasks: the
-taylor and verify times and the minor page faults of RUNS in-process
-scenario runs, the first run (cold) and the median of the others.
+`taylor_eigenpath` takes it), one `analytic.taylor_along` call on
+matrix-valued samples of the size the sampled library check
+`verify_analytic_family` takes at d = 160 (q = 64 samples of 160 x 160; the
+whole call and its Fourier-matrix product alone), next to the per-order
+`tensordot` loop that product replaced, and one closed-form Kato resolvent
+record of the verify task (`analytic.kato_radius` at the base point 0).
+Every layer value is the median of REPEAT timings (`bench_common.py`).
+Tasks: the taylor and verify times and the minor page faults of RUNS
+in-process scenario runs, the first run (cold) and the median of the
+others, and the ``zgbtrf`` calls each task makes in one run, on bumps_1d
+and two_level.
 
 Block samples past the band of bumps_1d: the time and tracemalloc peak of
 one `analytic._track_block` at the same zeta on LATTICE, a 40 x 40 grid
@@ -30,26 +34,27 @@ the scenario's real beta (Hermitian flag tested) and at a complex beta, on
 bumps_1d (d = 160) and two_level (d = 2); each value is the median of REPEAT
 batches of ASSEMBLIES calls, per call.
 
+`--compare SRC --processes N` alternates this checkout and SRC in 2N fresh
+processes (`bench_common.compare`).  Against a `src/` that takes its
+shift-invert samples one call each (`analytic._shift_invert_sample`),
+`shift_invert_samples_s` is those calls in a loop.
+
 Run from the repository root:
 
     PYTHONPATH=src python tools/bench_taylor.py --out BENCH.json
-
-`--baseline OLD.json` copies the layer, lattice, task and assembly values
-of an earlier output of this tool (say, run on another checkout) into the
-result, under "baseline".
+    PYTHONPATH=src python tools/bench_taylor.py --out BENCH.json \
+        --compare ../parent/src --processes 5
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
+import math
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
-from bench_common import environment, median_time, task_times
+from bench_common import calls_per_task, environment, main, median_time, task_times
 from specpert import analytic, cli, lattice, serialize
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -92,20 +97,35 @@ def block_lattice(taylor: dict) -> dict:
             "block_sample_peak_mb": peak_mb(lambda: analytic._track_block(H, contour, psi0))}
 
 
+def shift_invert_samples(system, base, t, psi0, r: float, q: int):
+    """A function taking every computed sample of the path by shift-invert
+    (a fresh `BlockStats` each call), and the number of samples."""
+    zetas = np.concatenate([analytic._conjugate_circle(r, q), analytic._conjugate_circle(r / 2, 8)])
+    zetas = zetas[zetas.imag >= 0]
+    mats = [system(base + zeta * t) for zeta in zetas]
+    h_base = system(base).matrix
+    V = system(base + t).matrix - h_base
+    norm2 = psi0 @ psi0
+    E0, a1 = psi0 @ (h_base @ psi0) / norm2, psi0 @ (V @ psi0) / norm2
+    sigmas = [E0 + zeta * a1 for zeta in zetas]
+    if hasattr(analytic, "_shift_invert_samples"):
+        return (lambda: [E for E, _ in analytic._shift_invert_samples(
+            mats, sigmas, psi0, analytic.BlockStats())]), len(zetas)
+    return (lambda: [analytic._shift_invert_sample(H, sigma, psi0, analytic.BlockStats())[0]
+                     for H, sigma in zip(mats, sigmas)]), len(zetas)
+
+
 def layer_times(doc: dict) -> dict:
     taylor = next(t for t in doc["tasks"] if t["task"] == "taylor")
     system, base, t, contour, psi0, zeta, H = block_setup(doc, taylor)
     q, r = int(taylor.get("q", 128)), float(taylor["r"])
     mirror = base + np.conj(zeta) * t
     E = analytic._track_block(H, contour, psi0)
-    h_base = system(base)
-    V = system(base + t).matrix - h_base.matrix
-    sigma = (psi0 @ (h_base.matrix @ psi0) + zeta * (psi0 @ (V @ psi0))) / (psi0 @ psi0)
+    V = system(base + t).matrix - system(base).matrix
 
-    def shift_invert():
-        return analytic._shift_invert_sample(H, sigma, psi0, analytic.BlockStats())[0]
-
-    if not abs(shift_invert() - E) <= 1e-12 * abs(E):
+    samples_fn, computed = shift_invert_samples(system, base, t, psi0, r, q)
+    shift_invert_E = samples_fn()[q // 8]  # the sample at zeta
+    if not abs(shift_invert_E - E) <= 1e-12 * abs(E):
         raise RuntimeError("the shift-invert sample misses the block sample")
 
     def mirrored():
@@ -126,14 +146,18 @@ def layer_times(doc: dict) -> dict:
 
     def series():
         it = iter(samples)
-        return analytic._series(lambda beta: next(it, samples[0]), base, t, r, M, nodes)
+        return analytic.taylor_along(lambda beta: next(it, samples[0]), base, t, r, M, nodes,
+                                     recon_tol=math.inf)
 
     h0, v = system(base), system.perturbation(t)
     lam0 = 10j * max(h0.norm_bound(), 1.0)
+    samples_s = median_time(samples_fn)
 
     return {
         "d": d, "q": q, "contour_nodes": contour.q,
-        "shift_invert_sample_s": median_time(shift_invert),
+        "shift_invert_samples": computed,
+        "shift_invert_samples_s": samples_s,
+        "shift_invert_per_sample_s": samples_s / computed,
         "block_sample_s": median_time(lambda: analytic._track_block(H, contour, psi0)),
         "block_sample_peak_mb": peak_mb(lambda: analytic._track_block(H, contour, psi0)),
         "contour_kato_radius_s": median_time(
@@ -168,28 +192,27 @@ def hamiltonian_times() -> dict:
     return result
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--baseline", type=Path, default=None)
-    args = parser.parse_args()
+def tasks() -> dict:
+    result = {}
+    for name in ("bumps_1d", "two_level"):
+        doc = cli.load_scenario(ROOT / "scenarios" / f"{name}.yaml")
+        names = tuple(t["task"] for t in doc["tasks"] if t["task"] in ("taylor", "verify"))
+        result[name] = {**task_times(doc, names),
+                        "zgbtrf_calls": calls_per_task(doc, analytic.lapack, "zgbtrf")}
+    return result
+
+
+def measure() -> dict:
     doc = cli.load_scenario(ROOT / "scenarios" / "bumps_1d.yaml")
-    result = {
+    return {
         "scenario": "scenarios/bumps_1d.yaml",
-        "command": "PYTHONPATH=src python tools/bench_taylor.py " + " ".join(sys.argv[1:]),
         "layers": layer_times(doc),
         "block_lattice": block_lattice(next(t for t in doc["tasks"] if t["task"] == "taylor")),
         "hamiltonian": hamiltonian_times(),
-        "tasks": task_times(doc, ("taylor", "verify")),
+        "tasks": tasks(),
         "env": environment(),
     }
-    if args.baseline is not None:
-        old = json.loads(args.baseline.read_text())
-        result["baseline"] = {key: old[key] for key in ("command", "layers", "block_lattice",
-                                                        "hamiltonian", "tasks") if key in old}
-    args.out.write_text(json.dumps(result, indent=2) + "\n")
-    print(json.dumps(result, indent=2))
 
 
 if __name__ == "__main__":
-    main()
+    main(__file__, measure)

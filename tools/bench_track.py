@@ -16,11 +16,8 @@ Scenarios: bumps_1d (d = 160), its track task with a sweep added
 (SWEEP_1D), and the seed-3 lattice of perfbench's sparse_track_2d
 workload (d = 210), whose track task and two-step sweep are its own.
 
-One process of this tool runs at one of two speeds, so a single run
-cannot compare two checkouts.  `--compare SRC --processes N` runs the tool
-in 2N fresh processes, alternating the `src/` of this checkout and SRC (say,
-the parent commit's), and writes every run and the median of every value
-per side.
+`--compare SRC --processes N` alternates this checkout and SRC in 2N fresh
+processes (`bench_common.compare`).
 
 Run from the repository root:
 
@@ -31,19 +28,12 @@ Run from the repository root:
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import statistics
-import subprocess
 import sys
-import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 
-from bench_common import environment, median_time, task_times
+from bench_common import calls_per_task, environment, main, median_time, task_times
 from specpert import analytic, cli, serialize
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -91,78 +81,13 @@ def layer_times(doc: dict) -> dict:
     }
 
 
-def band_reductions(doc: dict) -> dict:
-    """`analytic._band_eigenvalues` calls of each task in one in-process run
-    of doc, by task name."""
-    counts = {t["task"]: 0 for t in doc["tasks"]}
-    running = None
-    reduce = analytic._band_eigenvalues
-
-    def counted(mat, d):
-        counts[running] += 1
-        return reduce(mat, d)
-
-    def entered(name, task):
-        def run(ctx, spec):
-            nonlocal running
-            running = name
-            return task(ctx, spec)
-        return run
-
-    tasks = {name: entered(name, task) for name, task in cli._TASK_FUNCS.items()}
-    with mock.patch.object(analytic, "_band_eigenvalues", counted), \
-            mock.patch.dict(cli._TASK_FUNCS, tasks), tempfile.TemporaryDirectory() as tmp:
-        cli.execute_scenario(doc, Path(tmp))
-    return counts
-
-
 def measure() -> dict:
     result = {}
     for name, doc in scenario_docs().items():
         result[name] = {"layers": layer_times(doc), "tasks": task_times(doc, ("track", "sweep")),
-                        "band_reductions": band_reductions(doc)}
+                        "band_reductions": calls_per_task(doc, analytic, "_band_eigenvalues")}
     return {"scenarios": result, "env": environment()}
 
 
-def median_of(runs: list):
-    """The median of every numeric leaf over runs of the same shape."""
-    first = runs[0]
-    if isinstance(first, dict):
-        return {key: median_of([run[key] for run in runs]) for key in first}
-    if isinstance(first, (int, float)) and not isinstance(first, bool):
-        return statistics.median(runs)
-    return first
-
-
-def compare(src: Path, processes: int) -> dict:
-    sides = {"change": ROOT / "src", "parent": src}
-    runs: dict[str, list] = {side: [] for side in sides}
-    with tempfile.TemporaryDirectory() as tmp:
-        for i in range(processes):
-            # Alternate which side goes first in each round.
-            for side in sorted(sides, reverse=bool(i % 2)):
-                out = Path(tmp) / f"{side}-{i}.json"
-                env = {**os.environ, "PYTHONPATH": str(sides[side])}
-                subprocess.run([sys.executable, __file__, "--out", str(out)], env=env,
-                               check=True, stdout=subprocess.DEVNULL)
-                runs[side].append(json.loads(out.read_text()))
-    return {"sides": {"change": "src", "parent": str(src)},
-            "processes": processes,
-            "median": {side: median_of(side_runs) for side, side_runs in runs.items()},
-            "runs": runs}
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--compare", type=Path, default=None, metavar="SRC")
-    parser.add_argument("--processes", type=int, default=5)
-    args = parser.parse_args()
-    result = measure() if args.compare is None else compare(args.compare, args.processes)
-    result["command"] = "python tools/bench_track.py " + " ".join(sys.argv[1:])
-    args.out.write_text(json.dumps(result, indent=2) + "\n")
-    print(json.dumps(result.get("median", result), indent=2))
-
-
 if __name__ == "__main__":
-    main()
+    main(__file__, measure)
