@@ -211,18 +211,9 @@ def _axis_coords(boxes: list[Box], dim: int, cell_budget: int) -> list[np.ndarra
     return coords
 
 
-def _inside(s: SupportSet, coords: list[np.ndarray]) -> np.ndarray:
-    """Boolean grid over the arrangement boxes of `coords`: True for those
-    inside s.  The faces of every box of s are face coordinates, so each box
-    covers one contiguous index block of the grid."""
-    out = np.zeros([len(c) - 1 for c in coords], dtype=bool)
-    for b in s.boxes:
-        out[_box_block(b, coords)] = True
-    return out
-
-
 def _box_block(b: Box, coords: list[np.ndarray]) -> tuple[slice, ...]:
-    """Index block of the arrangement grid of `coords` that the box b covers."""
+    """Index block of the arrangement grid of `coords` that the box b covers:
+    the faces of b are face coordinates, so it is one contiguous block."""
     return tuple(slice(np.searchsorted(c, lo), np.searchsorted(c, hi))
                  for c, lo, hi in zip(coords, b.lo, b.hi))
 
@@ -251,17 +242,17 @@ def check_fip_variant(family: SupportFamily, radius: float = 1.0) -> int:
     Each box is inflated by `radius` per axis (max-norm ball), so the result
     is an exact overlap depth for inflated boxes and an upper bound for the
     Euclidean-ball count.  Computed as the maximum overlap depth over the
-    arrangement induced by all inflated box faces.
+    arrangement induced by all inflated box faces: the largest popcount of
+    an arrangement box's `_membership_words`, in which a set whose boxes
+    overlap there holds one bit.
     """
     if radius <= 0:
         raise GeometryError("radius must be positive")
-    inflated = [s.inflate(radius) for s in family.sets]
-    coords = _axis_coords([b for s in inflated for b in s.boxes], family.dim,
+    inflated = SupportFamily(tuple(s.inflate(radius) for s in family.sets))
+    coords = _axis_coords([b for s in inflated.sets for b in s.boxes], family.dim,
                           DEFAULT_CELL_BUDGET)
-    depth = np.zeros([len(c) - 1 for c in coords], dtype=int)
-    for s in inflated:
-        depth += _inside(s, coords)
-    return int(depth.max())
+    words = _membership_words(inflated, coords)
+    return int(np.bitwise_count(words).sum(axis=1, dtype=np.int64).max())
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ on one axis the 1D Laplacian is tridiag(-1, 2, -1)/h^2 with eigenvalues
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -251,20 +252,21 @@ def laplacian_eigenvalues_1d(n: int, h: float) -> np.ndarray:
     return (2.0 / h**2) * (1.0 - np.cos(k * np.pi / (n + 1)))
 
 
-@dataclass(frozen=True)
 class AffineFamily:
     """beta -> H(beta) = H0 + sum_i beta_i V_i over fixed sparse terms V_i.
 
-    Whether each V_i is Hermitian is decided once, at construction; H(beta)
-    then carries the Hermitian flag when H0 is Hermitian, beta is real and
-    every V_i with a nonzero coupling is Hermitian, so H(0) keeps H0's flag.
-    The sparsity pattern of H(beta) is fixed once too, as the union of the
-    stored entries of H0 and every V_i (V(beta): of every V_i), and so is
-    one prototype CSR matrix on it, whose read-only index arrays scipy built
-    and checked once.  Each call is one accumulation into a data vector on
-    that pattern and a shallow copy of the prototype that carries it, with
-    none of scipy's constructor checks.  Entries that cancel, and the
-    entries of terms with a zero coupling, are kept as stored zeros.
+    The terms are stored as one `_Terms` table of every term's entries,
+    however the family was built.  Whether each V_i is Hermitian is decided
+    once, at construction, on that table; H(beta) then carries the Hermitian
+    flag when H0 is Hermitian, beta is real and every V_i with a nonzero
+    coupling is Hermitian, so H(0) keeps H0's flag.  The sparsity pattern of
+    H(beta) is fixed once too, as the union of the stored entries of H0 and
+    every V_i (V(beta): of every V_i), and so is one prototype CSR matrix on
+    it, whose read-only index arrays scipy built and checked once.  Each call
+    is one accumulation into a data vector on that pattern and a shallow copy
+    of the prototype that carries it, with none of scipy's constructor
+    checks.  Entries that cancel, and the entries of terms with a zero
+    coupling, are kept as stored zeros.
 
     A flagged H(beta) is tested exactly on the fixed pattern, with the
     predicate of `is_hermitian` and no sparse subtraction: every entry is
@@ -273,48 +275,55 @@ class AffineFamily:
     real coupling or an entry that overflows) raises LatticeError.
     """
 
-    h0: DiscreteOperator
-    terms: tuple[sp.csr_matrix, ...]
-    terms_hermitian: tuple[bool, ...] = field(init=False)
-    _h_layout: "_Layout" = field(init=False, repr=False, compare=False)
-    _v_layout: "_Layout" = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        shape = self.h0.matrix.shape
-        terms = tuple(_canonical(t) for t in self.terms)
-        for i, t in enumerate(terms):
+    def __init__(self, h0: DiscreteOperator, terms: tuple):
+        """The family of the n x n matrices `terms` (sparse or dense), each
+        stored in canonical form."""
+        shape = h0.matrix.shape
+        mats = tuple(_canonical(t) for t in terms)
+        for i, t in enumerate(mats):
             if t.shape != shape:
                 raise LatticeError(f"term {i} has shape {t.shape}, H0 has {shape}")
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "terms_hermitian", tuple(is_hermitian(t) for t in terms))
-        n = self.h0.dim
-        object.__setattr__(self, "_h_layout", _Layout.union(n, self.h0.matrix, terms))
-        object.__setattr__(self, "_v_layout", _Layout.union(n, None, terms))
+        self._init(h0, _Terms.of_matrices(h0.dim, mats))
+
+    def _init(self, h0: DiscreteOperator, table: "_Terms") -> None:
+        self.h0 = h0
+        self._table = table
+        self._term_data = table.per_term(table.data)
+        self.terms_hermitian = table.hermitian()
+        self._h_layout = _Layout.union(h0.matrix, table)
+        self._v_layout = _Layout.union(None, table)
 
     @classmethod
     def from_potentials(cls, h0: DiscreteOperator, family) -> "AffineFamily":
         """Diagonal multiplication operators V_i sampled once on H0's grid.
 
-        `family` must provide `sample_on(grid) -> list of real/complex
-        arrays` (one diagonal per term).  Each V_i stores its nonzero
-        samples only, the entries ``sp.diags`` would keep.
+        `family` must provide `sample_table(grid)` (see
+        `potentials.PotentialFamily.sample_table`): every term's samples at
+        the grid nodes inside its supports, as one table.  Each V_i stores its
+        nonzero samples only, the entries ``sp.diags`` would keep, and no
+        per-term matrix is built.
         """
         if h0.grid is None:
             raise GridMismatchError("h0 carries no grid; cannot sample potentials")
-        terms = []
-        for d in family.sample_on(h0.grid):
-            d = np.asarray(d, dtype=complex)
-            if d.shape[0] != h0.dim:
-                raise GridMismatchError(
-                    f"potential sampled with {d.shape[0]} values on a {h0.dim}-point grid"
-                )
-            if not np.all(np.isfinite(d)):
-                raise LatticeError("non-finite potential sample")
-            nonzero = d != 0
-            indptr = np.concatenate(([0], np.cumsum(nonzero)))
-            terms.append(sp.csr_matrix((d[nonzero], np.flatnonzero(nonzero), indptr),
-                                       shape=(h0.dim, h0.dim)))
-        return cls(h0, tuple(terms))
+        if h0.grid.size != h0.dim:
+            raise GridMismatchError(
+                f"potential sampled with {h0.grid.size} values on a {h0.dim}-point operator")
+        ptr, nodes, values = family.sample_table(h0.grid)
+        values = np.asarray(values, dtype=complex)
+        if not np.all(np.isfinite(values)):
+            raise LatticeError("non-finite potential sample")
+        nonzero = values != 0
+        kept = np.concatenate(([0], np.cumsum(nonzero)))[ptr]
+        system = cls.__new__(cls)
+        system._init(h0, _Terms(h0.dim, kept, nodes[nonzero], nodes[nonzero],
+                                values[nonzero]))
+        return system
+
+    @functools.cached_property
+    def terms(self) -> tuple[sp.csr_matrix, ...]:
+        """Each V_i as a canonical CSR matrix, built on first use (H(beta)
+        never uses them)."""
+        return tuple(self._table.matrix(i) for i in range(len(self._table)))
 
     def __call__(self, beta) -> DiscreteOperator:
         """H(beta); trailing couplings beyond len(beta) are zero."""
@@ -325,18 +334,18 @@ class AffineFamily:
         return self._accumulate(self._v_layout, True, beta)
 
     def _accumulate(self, layout: "_Layout", hermitian: bool, beta) -> DiscreteOperator:
-        if len(beta) > len(self.terms):
+        if len(beta) > len(self._table):
             raise LatticeError(
-                f"beta has {len(beta)} entries but family has only {len(self.terms)} terms"
+                f"beta has {len(beta)} entries but family has only {len(self._table)} terms"
             )
         data = layout.base.copy()
         # Terms are added one at a time and zero couplings skipped: the
         # summation order fixes the last bits of every reported value.  Each
         # entry takes the additions of a sequential sparse sum, in its order.
-        for b, op, pos, term_hermitian in zip(beta, self.terms, layout.term_pos,
-                                              self.terms_hermitian):
+        for b, values, pos, term_hermitian in zip(beta, self._term_data, layout.term_pos,
+                                                  self.terms_hermitian):
             if b != 0:
-                data[pos] += op.data * complex(b)
+                data[pos] += values * complex(b)
                 hermitian = hermitian and term_hermitian and complex(b).imag == 0
         if hermitian and not layout.is_hermitian(data):
             raise LatticeError(_NOT_HERMITIAN)
@@ -353,6 +362,63 @@ def _canonical(mat) -> sp.csr_matrix:
         mat = mat.copy()
         mat.sum_duplicates()
     return mat
+
+
+@dataclass(frozen=True)
+class _Terms:
+    """The stored entries of every n x n term V_i of an `AffineFamily`, term
+    after term: entries ptr[i]:ptr[i+1] of rows, cols and data (complex) are
+    V_i's, in canonical CSR order (by row, then column, no duplicates)."""
+
+    n: int
+    ptr: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    data: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "data", np.asarray(self.data, dtype=complex))
+
+    @classmethod
+    def of_matrices(cls, n: int, mats: tuple) -> "_Terms":
+        """The table of the canonical n x n CSR matrices `mats`."""
+        empty = np.zeros(0, dtype=np.int64)
+        rows = [np.repeat(np.arange(n, dtype=np.int64), np.diff(m.indptr)) for m in mats]
+        return cls(n, np.concatenate(([0], np.cumsum([len(r) for r in rows], dtype=np.int64))),
+                   np.concatenate(rows or [empty]),
+                   np.concatenate([m.indices for m in mats] or [empty]).astype(np.int64),
+                   np.concatenate([m.data for m in mats] or [empty]))
+
+    def __len__(self) -> int:
+        return len(self.ptr) - 1
+
+    def per_term(self, entries: np.ndarray) -> list[np.ndarray]:
+        """`entries`, one value per table entry, as one view per term."""
+        ptr = self.ptr.tolist()
+        return [entries[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
+
+    def hermitian(self) -> tuple[bool, ...]:
+        """`is_hermitian` of every term, from one pass over the table: each
+        stored entry is finite and equals the conjugate of its transpose's
+        entry in the same term, 0 where that is not stored."""
+        if not len(self.data):
+            return (True,) * len(self)
+        n, term = self.n, np.repeat(np.arange(len(self)), np.diff(self.ptr))
+        key = (term * n + self.rows) * n + self.cols  # ascending
+        transpose = (term * n + self.cols) * n + self.rows
+        pos = np.minimum(np.searchsorted(key, transpose), len(key) - 1)
+        partner = np.where(key[pos] == transpose, self.data[pos], 0)
+        fails = ~((self.data == partner.conj()) & np.isfinite(self.data))
+        return tuple((np.bincount(term[fails], minlength=len(self)) == 0).tolist())
+
+    def matrix(self, i: int) -> sp.csr_matrix:
+        """Term i as a canonical CSR matrix."""
+        n, entries = self.n, slice(self.ptr[i], self.ptr[i + 1])
+        mat = sp.csr_matrix((self.data[entries], self.cols[entries],
+                             np.searchsorted(self.rows[entries], np.arange(n + 1))),
+                            shape=(n, n))
+        mat.has_canonical_format = True
+        return mat
 
 
 @dataclass(frozen=True)
@@ -374,19 +440,20 @@ class _Layout:
     partner: np.ndarray
 
     @classmethod
-    def union(cls, n: int, h0, terms) -> "_Layout":
-        """The union of the stored entries of the canonical n x n matrices
-        `h0` (or None: a zero base) and `terms`."""
-        mats = terms if h0 is None else (h0, *terms)
-        counts = np.concatenate([np.diff(m.indptr) for m in mats] or [np.zeros(0, dtype=int)])
-        rows = np.repeat(np.tile(np.arange(n, dtype=np.int64), len(mats)), counts)
-        cols = np.concatenate([m.indices for m in mats] or [np.zeros(0, dtype=int)])
+    def union(cls, h0, terms: _Terms) -> "_Layout":
+        """The union of the stored entries of the canonical n x n matrix
+        `h0` (or None: a zero base) and the term table `terms`."""
+        n, rows, cols = terms.n, terms.rows, terms.cols
+        if h0 is not None:
+            rows = np.concatenate((np.repeat(np.arange(n, dtype=np.int64), np.diff(h0.indptr)),
+                                   rows))
+            cols = np.concatenate((h0.indices, cols))
         union, pos = np.unique(rows * n + cols, return_inverse=True)
-        pos = np.split(pos, np.cumsum([m.nnz for m in mats])[:-1])
         rows, cols = np.divmod(union, n)
         base = np.zeros(len(union) + 1, dtype=complex)
         if h0 is not None:
-            base[pos.pop(0)] = h0.data
+            base[pos[:h0.nnz]] = h0.data
+            pos = pos[h0.nnz:]
         proto = sp.csr_matrix((base[:-1], cols, np.searchsorted(rows, np.arange(n + 1))),
                               shape=(n, n))
         proto.has_canonical_format = True
@@ -396,7 +463,7 @@ class _Layout:
         stored = partner < len(union)
         stored[stored] = union[partner[stored]] == transpose[stored]
         partner[~stored] = len(union)
-        return cls(proto, base, pos, partner)
+        return cls(proto, base, terms.per_term(pos), partner)
 
     def is_hermitian(self, data: np.ndarray) -> bool:
         """`is_hermitian` of the matrix on `data` (laid out as `base`): every

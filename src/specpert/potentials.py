@@ -4,15 +4,24 @@ A potential term is a profile (constant plateau, Gaussian bump, power-law
 spike, or decaying tail) restricted to a box support, optionally with a
 certified decay envelope |v(x)| <= C/(1 + |R - x|)^k around its center.
 
+A family samples its terms as one table, not one term at a time: it stacks
+the support boxes and each profile kind's arguments once (`_TermTable`), and
+one kernel (`_sample_terms`) evaluates many terms at many points, with the
+same formula a single profile call uses, so every sample has the same bits.
+`PotentialFamily.sample_table` samples every term at the grid nodes inside its
+supports with one kernel call; `sample_on` and `AffineFamily.from_potentials`
+read that table.
+
 The local Stummel norm integrates |v|^2 over the unit ball around a probe
 point, with the singular radial kernel |x-y|^(rho-m) absorbed analytically:
 in radial-angular coordinates the integrand carries the weight r^(rho-1)
 (or r^(m-1) for rho >= m), which Gauss-Jacobi quadrature integrates exactly.
 For a family, one pass over the probes samples each term once per quadrature
-node for both the per-term norms and the direct norm of the truncated sum.
-It skips a term at a probe when none of the term's closed support boxes meets
-the bounding box of the probe's nodes: the term is zero at every such node, so
-skipping it gives the same bits.
+node for both the per-term norms and the direct norm of the truncated sum,
+with one kernel call per probe for the terms that reach it.  It skips a term
+at a probe when none of the term's closed support boxes meets the bounding
+box of the probe's nodes: the term is zero at every such node, so skipping it
+gives the same bits.
 """
 
 from __future__ import annotations
@@ -78,61 +87,119 @@ def unit_ball_volume(m: int) -> float:
 
 # ---------------------------------------------------------------------------
 # Profiles
+#
+# Each profile writes its formula once, as a static `formula(pts, *args)`
+# that broadcasts over points and over stacked arguments.  `shared()` gives
+# the arguments that stay Python scalars and `stacked()` those a family's
+# term table stacks one row per term (see `_sample_terms`); calling a profile
+# is the formula on its own arguments.  An exponent is shared, not stacked:
+# numpy's power takes special paths for some scalar exponents (0.5 by sqrt,
+# -1 by reciprocal) that an array of exponents does not, and those paths
+# round differently.
+
+
+def _dist2(pts, center) -> np.ndarray:
+    """|pts - center|^2 over the last axis, the axes added in order: the bits
+    of ``np.sum((pts - center) ** 2, axis=-1)`` (and of the square of
+    ``np.linalg.norm``), without numpy's reduction over a short axis."""
+    d2 = (pts[..., 0] - center[..., 0]) ** 2
+    for k in range(1, np.shape(pts)[-1]):
+        d2 = d2 + (pts[..., k] - center[..., k]) ** 2
+    return d2
+
+
+class _Profile:
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        return self.formula(pts, *self.shared(), *self.stacked())
+
+    def shared(self) -> tuple:
+        return ()
 
 
 @dataclass(frozen=True)
-class ConstantProfile:
+class ConstantProfile(_Profile):
     value: complex = 1.0
 
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        return np.full(len(pts), self.value)
+    def stacked(self) -> tuple:
+        return (self.value,)
+
+    @staticmethod
+    def formula(pts, value):
+        return np.full(np.broadcast_shapes(np.shape(pts)[:-1], np.shape(value)), value)
 
     def sup_abs(self) -> float:
         return abs(self.value)
 
 
 @dataclass(frozen=True)
-class GaussianBump:
+class GaussianBump(_Profile):
+    """height * exp(-|x - center|^2 / (2 width^2)), for a finite center and
+    height and a finite width > 0."""
+
     center: tuple[float, ...]
     width: float
     height: float = 1.0
 
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        d2 = np.sum((pts - np.asarray(self.center)) ** 2, axis=1)
-        return self.height * np.exp(-d2 / (2 * self.width**2))
+    def __post_init__(self):
+        if not (math.isfinite(self.width) and self.width > 0):
+            raise ValueError(f"Gaussian width must be finite and > 0, got {self.width}")
+        if not all(math.isfinite(x) for x in (*self.center, self.height)):
+            raise ValueError(f"Gaussian center {self.center} and height {self.height} "
+                             "must be finite")
+
+    def stacked(self) -> tuple:
+        return np.asarray(self.center), 2 * self.width**2, self.height
+
+    @staticmethod
+    def formula(pts, center, denom, height):
+        return height * np.exp(-_dist2(pts, center) / denom)
 
     def sup_abs(self) -> float:
         return abs(self.height)
 
 
 @dataclass(frozen=True)
-class PowerSpike:
+class PowerSpike(_Profile):
     """|x - center|^(-alpha); unbounded at the center."""
 
     center: tuple[float, ...]
     alpha: float
     scale: float = 1.0
 
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        d = np.linalg.norm(pts - np.asarray(self.center), axis=1)
+    def shared(self) -> tuple:
+        return (-self.alpha,)
+
+    def stacked(self) -> tuple:
+        return np.asarray(self.center), self.scale
+
+    @staticmethod
+    def formula(pts, power, center, scale):
+        d = np.sqrt(_dist2(pts, center))
         with np.errstate(divide="ignore"):
-            return self.scale * d ** (-self.alpha)
+            return scale * d ** power
 
     def sup_abs(self) -> float:
         return math.inf
 
 
 @dataclass(frozen=True)
-class DecayTail:
+class DecayTail(_Profile):
     """C/(1 + |center - x|)^k, infinite range."""
 
     center: tuple[float, ...]
     C: float
     k: float
 
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        d = np.linalg.norm(pts - np.asarray(self.center), axis=1)
-        return self.C / (1.0 + d) ** self.k
+    def shared(self) -> tuple:
+        return (self.k,)
+
+    def stacked(self) -> tuple:
+        return np.asarray(self.center), self.C
+
+    @staticmethod
+    def formula(pts, k, center, C):
+        d = np.sqrt(_dist2(pts, center))
+        return C / (1.0 + d) ** k
 
     def sup_abs(self) -> float:
         return abs(self.C)
@@ -186,15 +253,98 @@ class PotentialTerm:
         vals = np.asarray(self.profile(pts))
         if self.support is not None:
             vals = np.where(self.support.contains_points(pts), vals, 0.0)
-        if not np.all(np.isfinite(vals[vals != 0].real)):
-            # Singular profiles are allowed; infinities only at isolated
-            # points, which quadrature nodes never hit.  NaN is a bug.
-            if np.any(np.isnan(vals)):
-                raise ValueError("non-finite potential sample")
+        _reject_nan(vals)
         return vals
 
     def sup_abs(self) -> float:
         return self.profile.sup_abs()
+
+
+def _reject_nan(vals: np.ndarray) -> None:
+    # Singular profiles are allowed; infinities only at isolated points,
+    # which quadrature nodes never hit.  NaN (in either part) is a bug.
+    if np.isnan(vals).any():
+        raise ValueError("non-finite potential sample")
+
+
+@dataclass(frozen=True)
+class _TermTable:
+    """A family's terms as arrays, built once per family, for `_sample_terms`.
+
+    lo, hi and owner are the `geometry.box_table` of the supports, and
+    unbounded marks the terms without one.  box_lo and box_hi,
+    (n_terms, most boxes of a term, m), hold every term's boxes, padded with
+    empty boxes; a term without a support has the one box R^m.  A group
+    holds the terms of one profile formula with equal shared arguments, as
+    (formula, shared, rows, stacked): member i's stacked arguments are row
+    rows[i] of the arrays `stacked` (rows[i] = 0 for the other terms), and
+    group_of[i] is term i's group.  real[i] says term i samples real values.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    owner: np.ndarray
+    unbounded: np.ndarray
+    box_lo: np.ndarray
+    box_hi: np.ndarray
+    groups: tuple
+    group_of: np.ndarray
+    real: np.ndarray
+
+    @classmethod
+    def of(cls, terms: list[PotentialTerm], dim: int) -> "_TermTable":
+        n = len(terms)
+        supports = [t.support for t in terms]
+        lo, hi, owner = box_table(supports, dim)
+        unbounded = np.array([s is None for s in supports])
+        slot = np.arange(len(owner)) - np.searchsorted(owner, owner)
+        shape = (n, int(slot.max(initial=0)) + 1, dim)
+        box_lo, box_hi = np.full(shape, np.inf), np.full(shape, -np.inf)
+        box_lo[owner, slot], box_hi[owner, slot] = lo, hi
+        box_lo[unbounded, 0], box_hi[unbounded, 0] = -np.inf, np.inf
+        members: dict[tuple, list[int]] = {}
+        for i, t in enumerate(terms):
+            members.setdefault((t.profile.formula, t.profile.shared()), []).append(i)
+        groups, group_of = [], np.empty(n, dtype=int)
+        for g, ((formula, shared), idx) in enumerate(members.items()):
+            rows = np.zeros(n, dtype=int)
+            rows[idx] = np.arange(len(idx))
+            stacked = tuple(np.array(col) for col in zip(*(terms[i].profile.stacked()
+                                                           for i in idx)))
+            groups.append((formula, shared, rows, stacked))
+            group_of[idx] = g
+        real = np.array([not any(np.iscomplexobj(a) for a in t.profile.stacked())
+                         for t in terms])
+        return cls(lo, hi, owner, unbounded, box_lo, box_hi, tuple(groups), group_of, real)
+
+
+def _sample_terms(table: _TermTable, terms: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """The samples v_i(x) of the terms i of `table` in the index array `terms`
+    at the points `pts` (..., m), broadcast against each other: term
+    terms[k] at point pts[k] for terms (N,) and pts (N, m), or every term at
+    every point for terms (T, 1) and pts (P, m).
+
+    Each group's formula runs once on the stacked arguments, a mixed family
+    keeps each term's own group by `np.where`, and a sample is 0 outside the
+    term's closed support boxes (one box holding the point suffices).  So
+    every sample has the bits `PotentialTerm.evaluate` gives.  Raises
+    ValueError on a NaN sample, as `evaluate` does.
+    """
+    group = table.group_of[terms]
+    vals = None
+    for g, (formula, shared, rows, stacked) in enumerate(table.groups):
+        part = formula(pts, *shared, *(a[rows[terms]] for a in stacked))
+        vals = part if vals is None else np.where(group == g, part, vals)
+    lo, hi = table.box_lo[terms], table.box_hi[terms]
+    inside = False
+    for j in range(lo.shape[-2]):
+        in_box = True
+        for k in range(lo.shape[-1]):
+            in_box = in_box & (pts[..., k] >= lo[..., j, k]) & (pts[..., k] <= hi[..., j, k])
+        inside = inside | in_box
+    vals = np.where(inside, vals, 0.0)
+    _reject_nan(vals)
+    return vals
 
 
 @dataclass
@@ -211,6 +361,7 @@ class PotentialFamily:
             raise ValueError(f"inconsistent term dimensions: {dims}")
         self._n0: int | None = None
         self._n1: dict[float, int] = {}
+        self._table: _TermTable | None = None
 
     @property
     def dim(self) -> int:
@@ -245,22 +396,55 @@ class PotentialFamily:
             self._n1[radius] = depth + len(self.terms) - len(sets)
         return self._n1[radius]
 
+    @property
+    def _term_table(self) -> _TermTable:
+        """The terms as one `_TermTable`, built on first use."""
+        if self._table is None:
+            self._table = _TermTable.of(self.terms, self.dim)
+        return self._table
+
+    def sample_table(self, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every term's samples at the grid nodes inside its support boxes,
+        from one `_sample_terms` call: (ptr, nodes, values), term i's node
+        indices (C order, ascending) in nodes[ptr[i]:ptr[i+1]] and its samples
+        in the same slice of values.  A term without a support has every node.
+
+        The nodes of a box are the product of the index ranges its closed
+        faces cut from the grid axes, so no term is tested against the nodes
+        outside its boxes; a node that several boxes of a term hold is
+        sampled once.
+        """
+        table, axes, size = self._term_table, grid.axes(), grid.size
+        start = np.stack([np.searchsorted(ax, table.lo[:, k], "left")
+                          for k, ax in enumerate(axes)], axis=1)
+        stop = np.stack([np.searchsorted(ax, table.hi[:, k], "right")
+                         for k, ax in enumerate(axes)], axis=1)
+        extent = np.maximum(stop - start, 0)
+        count = extent.prod(axis=1)
+        # Entry j of box b is its node number j in C order over its index
+        # ranges: unravel j by the box's extents, last axis fastest.
+        box = np.repeat(np.arange(len(count)), count)
+        local = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        node, stride = np.zeros(len(box), dtype=np.int64), 1
+        for k in reversed(range(len(axes))):
+            node += (start[box, k] + local % extent[box, k]) * stride
+            local //= extent[box, k]
+            stride *= len(axes[k])
+        everywhere = np.flatnonzero(table.unbounded)[:, None] * size + np.arange(size)
+        key = np.unique(np.concatenate((table.owner[box] * size + node, everywhere.ravel())))
+        term, node = np.divmod(key, size)
+        values = _sample_terms(table, term, grid.nodes()[node])
+        return np.searchsorted(term, np.arange(len(self.terms) + 1)), node, values
+
     def sample_on(self, grid) -> list[np.ndarray]:
         """Pointwise samples of each v_i at the grid nodes (diagonal of the
-        multiplication operator V_i).  A term with a support is evaluated at
-        the nodes inside it only; it is 0 at the others."""
-        nodes, axes = grid.nodes(), grid.axes()
-        samples = []
-        for t in self.terms:
-            if t.support is None:
-                samples.append(t.evaluate(nodes))
-                continue
-            inside = t.support.contains_grid(axes)
-            vals = t.evaluate(nodes[inside])
-            sample = np.zeros(len(nodes), dtype=np.result_type(vals, 0.0))
-            sample[inside] = vals
-            samples.append(sample)
-        return samples
+        multiplication operator V_i), each in its term's own dtype: the
+        `sample_table` samples, 0 at the nodes outside the term's supports."""
+        ptr, nodes, values = self.sample_table(grid)
+        out = np.zeros((len(self.terms), grid.size), dtype=values.dtype)
+        out[np.repeat(np.arange(len(self.terms)), np.diff(ptr)), nodes] = values
+        return [row.real.copy() if real and np.iscomplexobj(row) else row
+                for row, real in zip(out, self._term_table.real)]
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +533,20 @@ def _ball_rule(params: StummelParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 def _ball_norm(vals, wr: np.ndarray, wa: np.ndarray) -> float:
     """sqrt(wr @ |vals|^2 @ wa) for samples at the offsets of `_ball_rule`."""
-    vals = (np.abs(np.asarray(vals)) ** 2).reshape(len(wr), len(wa))
-    if not np.all(np.isfinite(vals)):
+    return _ball_integral(_squared(vals), wr, wa)
+
+
+def _squared(vals) -> np.ndarray:
+    """|vals|^2, which must be finite."""
+    sq = np.abs(np.asarray(vals)) ** 2
+    if not np.all(np.isfinite(sq)):
         raise StummelError("profile singularity too strong for quadrature")
-    integral = float(wr @ vals @ wa)
+    return sq
+
+
+def _ball_integral(sq: np.ndarray, wr: np.ndarray, wa: np.ndarray) -> float:
+    """sqrt(wr @ sq @ wa) for the squared samples of one ball."""
+    integral = float(wr @ sq.reshape(len(wr), len(wa)) @ wa)
     if not np.isfinite(integral):
         raise StummelError("non-finite quadrature result")
     return math.sqrt(max(integral, 0.0))
@@ -390,33 +584,36 @@ def stummel_class_norm(v, params: StummelParams) -> float:
 def _family_sweep(family: PotentialFamily, beta,
                   params: StummelParams) -> tuple[list[float], float]:
     """Stummel norms of each term and of the truncated sum sum_i beta_i v_i from one
-    pass over the probes: each term is evaluated at most once per probe, and the
-    sum is accumulated from those samples in term order (missing couplings = 0).
+    pass over the probes: at each probe, one `_sample_terms` call samples every
+    term that reaches it at the probe's nodes, and the sum is accumulated from
+    those samples in term order (missing couplings = 0).
 
-    A term is evaluated at a probe only if it has no support (infinite range)
-    or one of its closed support boxes meets the bounding box of that probe's
-    nodes x + offsets.  Any other term is zero at every node, and skipping it
+    A term reaches a probe only if it has no support (infinite range) or one
+    of its closed support boxes meets the bounding box of that probe's nodes
+    x + offsets.  Any other term is zero at every node, and skipping it
     changes no bit: its norm there would be 0.0, which the running maxima,
     started at 0.0, already hold, and adding beta_i * 0 (finite beta_i) changes
-    no |sum| value.
+    no |sum| value.  The arrays of one probe hold (terms reaching it) x
+    (nodes of a ball) samples.
     """
     if family.dim != params.m:
         raise StummelError(f"family dimension {family.dim} != params.m = {params.m}")
     offsets, wr, wa = _ball_rule(params)
-    supports = [t.support for t in family.terms]
-    lo, hi, owner = box_table(supports, family.dim)
-    unbounded = np.array([s is None for s in supports])
+    table = family._term_table
     norms, direct = [0.0] * len(family.terms), 0.0
     for x in _probe_points(params):
         pts = x.reshape(1, params.m) + offsets
-        reach = unbounded.copy()
-        reach[owner[boxes_meeting(lo, hi, pts.min(axis=0), pts.max(axis=0))]] = True
+        reach = table.unbounded.copy()
+        reach[table.owner[boxes_meeting(table.lo, table.hi, pts.min(axis=0),
+                                        pts.max(axis=0))]] = True
+        terms = np.flatnonzero(reach)
+        vals = _sample_terms(table, terms[:, None], pts)
+        sq = _squared(vals)
         acc = np.zeros(len(pts), dtype=complex)
-        for i in np.flatnonzero(reach).tolist():
-            vals = family.terms[i].evaluate(pts)
-            norms[i] = max(norms[i], _ball_norm(vals, wr, wa))
+        for k, i in enumerate(terms.tolist()):
+            norms[i] = max(norms[i], _ball_integral(sq[k], wr, wa))
             if i < len(beta.values):
-                acc += complex(beta.values[i]) * vals
+                acc += complex(beta.values[i]) * vals[k]
         direct = max(direct, _ball_norm(acc, wr, wa))
     return norms, direct
 

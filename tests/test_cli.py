@@ -432,6 +432,23 @@ class TestRun:
         assert result.exit_code == 2
         assert "non-finite potential sample" in result.stderr
 
+    @pytest.mark.parametrize("family", [
+        {"kind": "explicit", "terms": [
+            {"profile": {"kind": "gaussian", "center": [1.05], "width": 0}},
+            {"profile": {"kind": "gaussian", "center": [1.05], "width": 0.5},
+             "support": [[[0.0, 2.0]]]}]},
+        {"kind": "bump_lattice", "count": 2, "spacing": 1.0, "origin": [1.0], "width": 0},
+    ], ids=["explicit", "bump_lattice"])
+    def test_zero_gaussian_width_is_usage_error(self, tmp_path, family):
+        doc = {"schema": 1, "seed": 0, "grid": {"extent": [[0.0, 4.0]], "points": [41]},
+               "family": family, "beta": {"values": [0.1, 0.1]},
+               "tasks": [{"task": "bounds"}]}
+        path = write_scenario(tmp_path, doc)
+        result = run_cli(["run", "--scenario", str(path),
+                          "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "width must be finite and > 0" in result.stderr
+
     def test_taylor_radius_below_sampling_radius_fails(self, tmp_path, monkeypatch):
         # A radius estimate inside the sampling circle |zeta| = r contradicts
         # the Cauchy samples, so the path invariant must fail.
@@ -781,13 +798,13 @@ def test_stummel_task_computes_each_norm_once(tmp_path, monkeypatch):
     # sum: each term is evaluated once per probe whose node box one of its
     # support boxes meets, and at no other probe.
     calls = []
-    evaluate = potentials.PotentialTerm.evaluate
+    sample = potentials._sample_terms
 
-    def counted(self, pts):
-        calls.append(self)
-        return evaluate(self, pts)
+    def counted(table, terms, pts):
+        calls.extend(np.ravel(terms).tolist())
+        return sample(table, terms, pts)
 
-    monkeypatch.setattr(potentials.PotentialTerm, "evaluate", counted)
+    monkeypatch.setattr(potentials, "_sample_terms", counted)
     doc = dict(BUMPS, tasks=[{"task": "stummel", "probe_density": 5,
                               "quad_order": 8}])
     report = execute_scenario(doc, tmp_path)

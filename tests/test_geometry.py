@@ -26,7 +26,7 @@ from specpert.geometry import (
     packing_count_bound,
     shell_count_bound,
 )
-from specpert.geometry import _axis_coords, _inside, _membership_words
+from specpert.geometry import _axis_coords, _membership_words
 
 
 def family_1d(*intervals):
@@ -141,6 +141,32 @@ class TestFipVariant:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(GeometryError):
             check_fip_variant(family_1d((0, 1)), radius=0.0)
+
+    def test_overlapping_boxes_of_one_set_count_once(self):
+        # Three boxes of one set overlap around x = (1.5, 1.5); a second set
+        # meets them there.
+        s = SupportSet((Box((0.0, 0.0), (2.0, 2.0)), Box((1.0, 1.0), (3.0, 3.0)),
+                        Box((1.0, 0.0), (2.0, 3.0))))
+        other = SupportSet((Box((1.5, 1.5), (4.0, 4.0)),))
+        assert check_fip_variant(SupportFamily((s,)), radius=0.5) == 1
+        assert check_fip_variant(SupportFamily((s, other)), radius=0.5) == 2
+        assert check_fip_variant(SupportFamily((s, s, other)), radius=0.5) == 3
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n_sets", [6, 70])
+    def test_random_families_match_midpoint_count(self, dim, n_sets):
+        # Oracle: at the midpoint of every arrangement box of the inflated
+        # faces, the number of inflated sets holding it, each counted once.
+        rng = np.random.default_rng(10 * dim + n_sets)
+        for _ in range(5):
+            fam = random_box_family(rng, dim, n_sets)
+            radius = float(rng.choice([0.25, 0.5, 1.0]))
+            inflated = [s.inflate(radius) for s in fam.sets]
+            coords = _axis_coords([b for s in inflated for b in s.boxes], dim,
+                                  DEFAULT_CELL_BUDGET)
+            mids = cell_midpoints(coords)
+            depth = sum(s.contains_points(mids).astype(int) for s in inflated)
+            assert check_fip_variant(fam, radius=radius) == int(depth.max())
 
     def test_cell_budget(self):
         # 64 disjoint unit cubes [4k, 4k+1]^3: inflated by 1 their faces cut
@@ -267,13 +293,19 @@ def random_box_family(rng, dim, n_sets):
     return SupportFamily(tuple(sets))
 
 
+def cell_midpoints(coords):
+    """The midpoint of every arrangement box of `coords`, box-major (C order)."""
+    mids = [(c[:-1] + c[1:]) / 2 for c in coords]
+    return np.column_stack([g.ravel() for g in np.meshgrid(*mids, indexing="ij")])
+
+
 def box_major_refinement(family):
     """Oracle: the arrangement grouping from the box-major (n_boxes, n_sets)
     boolean membership matrix, column-stacked and packed along the set axis,
     with each index set read from its first box's row."""
     boxes = [b for s in family.sets for b in s.boxes]
     coords = _axis_coords(boxes, family.dim, DEFAULT_CELL_BUDGET)
-    member = np.column_stack([_inside(s, coords).ravel() for s in family.sets])
+    member = family.membership_matrix(cell_midpoints(coords))
     packed = np.packbits(member, axis=1)
     keys = packed.view(f"V{packed.shape[1]}").ravel()
     _, first, group = np.unique(keys, return_index=True, return_inverse=True)

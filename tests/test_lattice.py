@@ -23,7 +23,8 @@ from specpert.lattice import (
     is_hermitian,
     laplacian_eigenvalues_1d,
 )
-from specpert.potentials import ConstantProfile, GaussianBump, PotentialFamily, PotentialTerm
+from specpert.potentials import (ConstantProfile, GaussianBump, PotentialFamily, PotentialTerm,
+                                 PowerSpike)
 
 
 def grid_1d(n=32, a=0.0, b=1.0):
@@ -273,13 +274,13 @@ class TestAffineFamily:
 
     def test_samples_potentials_once(self, monkeypatch):
         calls = []
-        sample_on = PotentialFamily.sample_on
+        sample_table = PotentialFamily.sample_table
 
         def counted(self, grid):
             calls.append(grid)
-            return sample_on(self, grid)
+            return sample_table(self, grid)
 
-        monkeypatch.setattr(PotentialFamily, "sample_on", counted)
+        monkeypatch.setattr(PotentialFamily, "sample_table", counted)
         g = grid_1d(40, 0.0, 4.0)
         system = AffineFamily.from_potentials(build_laplacian(g), bump_family([1.0, 3.0]))
         for s in np.linspace(0.0, 1.0, 5):
@@ -306,8 +307,10 @@ class TestAffineFamily:
             for layout, op in ((system._v_layout, system.perturbation(beta)),
                                (system._h_layout, system(beta))):
                 assert layout_verdict(layout, op) is subtraction_verdict(op.matrix)
+        # Only the test's own `is_hermitian` call subtracts: the family
+        # decides its terms on its entry table.
         diagonal = sp.triu(term, 1).nnz == sp.tril(term, -1).nnz == 0
-        assert len(calls) == (0 if diagonal else 2)
+        assert len(calls) == (0 if diagonal else 1)
 
     @pytest.mark.parametrize("kind", ["grid", "matrix", "matrix_hermitian"])
     def test_flag_is_the_exact_test_on_seeded_beta(self, kind):
@@ -403,6 +406,14 @@ class TestAffineFamily:
         assert not system(np.array([0.1])).hermitian
         assert not system.perturbation(np.array([0.1])).hermitian
 
+    def test_non_finite_sample_raises(self):
+        # The spike is centred on the node 2.0, where it samples +inf.
+        g = grid_1d(41, 0.0, 4.0)
+        spike = PotentialFamily([bump_family([1.0]).terms[0], PotentialTerm(
+            profile=PowerSpike((2.0,), 0.5), center=(2.0,))])
+        with pytest.raises(LatticeError, match="non-finite potential sample"):
+            AffineFamily.from_potentials(build_laplacian(g), spike)
+
     def test_from_potentials_needs_a_grid(self):
         h0 = build_laplacian(grid_1d())
         gridless = DiscreteOperator(h0.matrix, hermitian=True)
@@ -410,12 +421,13 @@ class TestAffineFamily:
             AffineFamily.from_potentials(gridless, bump_family([0.5]))
 
     def test_rejects_wrong_sample_length(self):
-        class Short:
-            def sample_on(self, grid):
-                return [np.ones(grid.size - 1)]
-
-        with pytest.raises(GridMismatchError):
-            AffineFamily.from_potentials(build_laplacian(grid_1d()), Short())
+        # H0's grid has one node more than H0 has rows: each sample would be
+        # one value too long.
+        g = grid_1d()
+        short = build_laplacian(grid_1d(g.points[0] - 1))
+        h0 = DiscreteOperator(short.matrix, hermitian=True, grid=g)
+        with pytest.raises(GridMismatchError, match="values on a"):
+            AffineFamily.from_potentials(h0, bump_family([0.5]))
 
 
 def sequential_sum(system, beta, perturbation=False):

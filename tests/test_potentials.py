@@ -439,6 +439,127 @@ class TestSampleOn:
             assert np.array_equal(sample.view(np.uint64), full.view(np.uint64))
 
 
+def mixed_terms(m):
+    """All four profile kinds in m dimensions: multi-box supports that
+    overlap, terms without a support, a complex constant, and a spike whose
+    center is a node but lies outside its support."""
+    c, lo, hi = (1.0,) * m, (0.5,) * m, (1.5,) * m
+    return [
+        bump_term(c, half=0.5),
+        PotentialTerm(profile=GaussianBump(c, 0.3, -2.0),
+                      support=SupportSet((Box(lo, hi), Box((-9.0,) * m, (0.75,) * m)))),
+        PotentialTerm(profile=ConstantProfile(1.5 - 0.5j),
+                      support=SupportSet((Box(lo, hi), Box((1.0,) * m, (2.0,) * m)))),
+        PotentialTerm(profile=PowerSpike((0.0,) * m, 0.5), support=SupportSet((Box(lo, hi),))),
+        PotentialTerm(profile=PowerSpike((0.25,) * m, 1.0, 2.0),
+                      support=SupportSet((Box(lo, hi),))),
+        PotentialTerm(profile=DecayTail(c, 1.0, 2.0), center=c),
+        PotentialTerm(profile=DecayTail((0.5,) * m, 2.0, 3.5), center=(0.5,) * m),
+        PotentialTerm(profile=ConstantProfile(-0.75), support=SupportSet((Box(lo, hi),))),
+    ]
+
+
+def face_points(m, rng):
+    """Random points, and points on the faces and corners of the boxes of
+    `mixed_terms` (every coordinate one of their face values)."""
+    faces = np.array([-9.0, 0.5, 0.75, 1.0, 1.5, 2.0, 0.1, 1.7])
+    on_faces = rng.choice(faces, size=(60, m))
+    return np.concatenate((on_faces, rng.uniform(-1.0, 2.5, size=(60, m))))
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=complex).view(np.uint64)
+
+
+class TestSampleTerms:
+    """The batched term kernel against per-term `PotentialTerm.evaluate`."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_every_term_at_every_point_is_evaluate(self, m):
+        terms = mixed_terms(m)
+        pts = face_points(m, np.random.default_rng(m))
+        table = PotentialFamily(terms)._term_table
+        got = potentials._sample_terms(table, np.arange(len(terms))[:, None], pts)
+        assert got.shape == (len(terms), len(pts))
+        for row, t in zip(got, terms):
+            assert np.array_equal(bits(row), bits(t.evaluate(pts)))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_pairs_are_evaluate(self, m):
+        terms = mixed_terms(m)
+        rng = np.random.default_rng(10 + m)
+        pts = face_points(m, rng)
+        which = rng.integers(0, len(terms), size=len(pts))
+        got = potentials._sample_terms(PotentialFamily(terms)._term_table, which, pts)
+        want = [terms[i].evaluate(x)[0] for i, x in zip(which, pts)]
+        assert np.array_equal(bits(got), bits(np.array(want)))
+
+    def test_single_kind_family_stays_real(self):
+        terms = [bump_term([0.0, 0.0]), bump_term([1.0, 0.5], width=0.2)]
+        got = potentials._sample_terms(PotentialFamily(terms)._term_table,
+                                       np.arange(2)[:, None], np.zeros((3, 2)))
+        assert got.dtype == np.float64
+
+    def test_nan_sample_raises(self):
+        nan = PotentialTerm(profile=ConstantProfile(complex(1.0, np.nan)),
+                            support=interval_set(0.0, 1.0))
+        family = PotentialFamily([bump_term([0.5]), nan])
+        grid = Grid(extent=((0.0, 2.0),), points=(9,))
+        with pytest.raises(ValueError, match="non-finite potential sample"):
+            nan.evaluate(grid.nodes())
+        with pytest.raises(ValueError, match="non-finite potential sample"):
+            family.sample_on(grid)
+        with pytest.raises(ValueError, match="non-finite potential sample"):
+            potentials._sample_terms(family._term_table, np.array([[1]]), grid.nodes())
+        # Outside the support the NaN is never sampled.
+        far = PotentialFamily([bump_term([0.5]), PotentialTerm(
+            profile=ConstantProfile(np.nan), support=interval_set(5.0, 6.0))])
+        assert not far.sample_on(grid)[1].any()
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_sample_table_nodes_once_and_ascending(self, m):
+        grid = Grid(extent=((0.0, 2.0),) * m, points=(9,) * m)
+        terms = mixed_terms(m)
+        ptr, nodes, values = PotentialFamily(terms).sample_table(grid)
+        everything = grid.nodes()
+        for i, t in enumerate(terms):
+            mine = nodes[ptr[i]:ptr[i + 1]]
+            assert np.all(np.diff(mine) > 0)
+            inside = (np.ones(grid.size, dtype=bool) if t.support is None
+                      else t.support.contains_points(everything))
+            assert np.array_equal(mine, np.flatnonzero(inside))
+            assert np.array_equal(bits(values[ptr[i]:ptr[i + 1]]),
+                                  bits(t.evaluate(everything[mine])))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_sweep_of_mixed_family_is_per_term_maxima(self, m):
+        # The spike centred at 0 is singular at a node only if a probe puts
+        # one there; these probes do not.
+        terms = mixed_terms(m)
+        union = SupportSet(tuple(b for t in terms if t.support for b in t.support.boxes))
+        params = StummelParams(rho=m + 0.5, m=m, quad_order=8, angular_order=8,
+                               probe_points=make_probe_grid(union, density=4) + 0.013)
+        beta = CouplingSeq((0.5, -1.0, 0.25j, 0.1, 0.2, -0.3))
+        norms, direct = potentials._family_sweep(PotentialFamily(terms), beta, params)
+        want = [max(stummel_local_norm(t.evaluate, x, params) for x in params.probe_points)
+                for t in terms]
+        assert norms == want
+        assert (norms, direct) == unculled_oracles(terms, beta, params)
+
+
+class TestGaussianWidth:
+    @pytest.mark.parametrize("width", [0.0, -0.5, math.inf, math.nan])
+    def test_degenerate_width_rejected(self, width):
+        with pytest.raises(ValueError, match="width must be finite and > 0"):
+            GaussianBump((1.05,), width, 1.0)
+
+    @pytest.mark.parametrize("center,height", [((math.nan,), 1.0), ((1.0,), math.inf),
+                                               ((1.0,), math.nan)])
+    def test_non_finite_center_or_height_rejected(self, center, height):
+        with pytest.raises(ValueError, match="must be finite"):
+            GaussianBump(center, 0.5, height)
+
+
 class TestDecayCertificate:
     def test_tail_slower_than_declared_rejected(self):
         # C / (1 + r)^2 declared as decaying like C / (1 + r)^3: equal at the
