@@ -77,7 +77,7 @@ import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 
 from . import lattice
-from .lattice import DiscreteOperator, LatticeError, _canonical
+from .lattice import DiscreteOperator, LatticeError, _canonical, schur_norm
 
 __all__ = [
     "Contour",
@@ -255,7 +255,7 @@ def resolvent_apply(H, lam: complex, B):
 
 
 def riesz_projector(
-    H, contour: Contour, defect_tol: float = DEFECT_TOL, trace_tol: float = 1e-6,
+    H, contour: Contour, defect_tol: float = DEFECT_TOL,
     stats: BlockStats | None = None,
 ) -> RieszProjector:
     """P = -(2 pi i)^-1 * contour integral of (H - lambda)^-1.
@@ -264,9 +264,10 @@ def riesz_projector(
         P = -(r/q) sum_j e^(i theta_j) (H - lambda_j)^-1.
     P is `_projector_action` on the identity, so the q solutions are never
     held at once.
-    The idempotency defect and the integrality of the trace certify that
-    the quadrature resolved the integrand and the contour stayed clear of
-    the spectrum.  `stats` counts the work and keeps the worst accepted defect.
+    The idempotency defect and the integrality of the trace (to `_RANK_TOL`)
+    certify that the quadrature resolved the integrand and the contour stayed
+    clear of the spectrum.  `stats` counts the work and keeps the worst
+    accepted defect.
     Raises LatticeError above `lattice.DENSE_MAX_DIM`.
     """
     stats = BlockStats() if stats is None else stats
@@ -284,7 +285,7 @@ def riesz_projector(
             f"projector defect {defect:.3g} exceeds {defect_tol:.3g}: "
             "eigenvalue too close to contour or quadrature under-resolved"
         )
-    if abs(trace - round(trace.real)) > trace_tol:
+    if abs(trace - round(trace.real)) > _RANK_TOL:
         raise QuadratureError(
             f"projector trace {trace:.6g} is not near an integer"
         )
@@ -407,8 +408,7 @@ def _filter_certificate(op: DiscreteOperator, contour: Contour, defect_tol: floa
     is within delta = `_weyl_delta` of the exact one, which adds the
     first-order term delta |f'(E_j)| (1 + 2 |f(E_j)|) to the defect, with
     |f'| = q |z|^(q-1)/(r |1 - z^q|^2).  Raises QuadratureError as
-    `riesz_projector` does at its default trace_tol; `stats` keeps the worst
-    accepted defect.
+    `riesz_projector` does; `stats` keeps the worst accepted defect.
     """
     E, delta = _spectrum(op)
     q, r = contour.q, contour.radius
@@ -538,8 +538,8 @@ _SOLVE_RESIDUAL_TOL = 1e-10
 # solves (one node per chunk at d = 210, band width 15).
 _CHUNK_ENTRIES = 1 << 16
 # Seed of the random block columns, and the sigma_2/sigma_1 bound of the
-# rank test, which is also the filter path's trace-integrality bound
-# (riesz_projector's default trace_tol).
+# rank test, which is also the trace-integrality bound of riesz_projector
+# and the filter path.
 _BLOCK_SEED = 7
 _RANK_TOL = 1e-6
 
@@ -1115,17 +1115,16 @@ def taylor_eigenpath(
     H_base = family(base)
     mat0 = _canonical(_as_matrix(H_base)[0])
     mat1 = _canonical(_as_matrix(family(base + t))[0])
-    V = mat1 - mat0
+    V = _canonical(mat1 - mat0)
     r0 = contour_kato_radius(H_base, V, track_contour)
     shift_invert = r < r0 and _is_symmetric(mat0) and _is_symmetric(V)
     if shift_invert:
         # The Neumann margin (r0 - r) ||V_t||, less the rounding of a computed
         # rho: (d + 8) eps (||H|| + |E|) for a unit x, ||H|| <= ||H(base)|| + r ||V_t||
         # and |E| < |c| + radius.
-        norm_v = DiscreteOperator(V, hermitian=False).norm_bound()
-        norm_h = DiscreteOperator(mat0, hermitian=False).norm_bound()
+        norm_v = schur_norm(V)
         margin = (r0 - r) * norm_v - (mat0.shape[0] + 8) * np.finfo(float).eps * (
-            norm_h + r * norm_v + abs(track_contour.center) + track_contour.radius)
+            schur_norm(mat0) + r * norm_v + abs(track_contour.center) + track_contour.radius)
         norm2 = ref_psi @ ref_psi
         E0 = ref_psi @ (mat0 @ ref_psi) / norm2
         a1 = ref_psi @ (V @ ref_psi) / norm2
@@ -1206,8 +1205,10 @@ def taylor_eigenpath(
 
 
 def _is_symmetric(mat) -> bool:
-    """Whether the sparse `mat` equals its transpose entry for entry."""
-    return (mat != mat.T).nnz == 0
+    """Whether the square sparse `mat` equals its transpose entry for entry
+    (NaN equals nothing): `lattice.is_hermitian`'s lookup, unconjugated."""
+    data, partner = lattice._with_transpose(mat)
+    return bool((data[:-1] == data[partner]).all())
 
 
 def _is_conjugate(mat, other) -> bool:
@@ -1294,7 +1295,7 @@ def verify_analytic_family(
       * constant-domain action: zeta -> H(beta + zeta t) psi passes the
         Taylor-reconstruction test;
       * resolvent: zeta -> (H(beta + zeta t) - lambda0)^-1 passes the same
-        test at lambda0 = 10i max(||H(beta)||, 1);
+        test at lambda0 = 10i max(||H(beta)||, 1), ||.|| the Schur bound;
       * line analyticity: scalar functionals of the action satisfy the
         Cauchy-Riemann equations to finite-difference accuracy, residual at
         most 1e-4 (weak-analyticity surrogate).
@@ -1312,10 +1313,7 @@ def verify_analytic_family(
         mat0, d = _as_matrix(H0)
         _dense_guard(d, "verify_analytic_family")
         eye = np.eye(d, dtype=complex)
-        bound = H0.norm_bound() if isinstance(H0, DiscreteOperator) else float(
-            np.linalg.norm(np.asarray(mat0), 2)
-        )
-        lam0 = 10j * max(bound, 1.0)
+        lam0 = 10j * max(schur_norm(_canonical(mat0)), 1.0)
 
         for di, direction in enumerate(directions):
             t = direction.t if isinstance(direction, Direction) else np.asarray(direction)
@@ -1398,7 +1396,7 @@ def resolvent_gap(H, lam: complex) -> float:
     >= dist(lam, W(H)), W(H) the numerical range.  Im W(H) = W(S) with
     S = (H - H^*)/(2i), which lies in [-||S||, ||S||]; hence
     sigma_min(H - lam) >= |Im lam| - ||S||.  ||S|| is the Schur bound
-    (`DiscreteOperator.norm_bound`) of the skew part, which is exactly zero
+    (`lattice.schur_norm`) of the skew part, which is exactly zero
     for a Hermitian H, so the bound is then |Im lam|.  It holds for every H
     and any lam, and is rounded down: the Schur sums of at most d terms
     each, the entrywise operations, the subtraction and a later division
@@ -1406,7 +1404,7 @@ def resolvent_gap(H, lam: complex) -> float:
     """
     mat, d = _as_matrix(H)
     slack = (d + 8) * np.finfo(float).eps
-    skew = DiscreteOperator((mat - mat.conj().T) / 2, hermitian=False).norm_bound()
+    skew = schur_norm(_canonical((mat - mat.conj().T) / 2))
     return (abs(complex(lam).imag) - skew * (1 + slack)) * (1 - slack)
 
 
@@ -1439,7 +1437,7 @@ def contour_kato_radius(H, V, contour: Contour) -> float:
     count enclosed stays that of H_h, the number of E_j inside (Kato 1966,
     ch. II Sec. 3 and ch. VII Sec. 2); r0 = 0 unless it is one.  A
     Hermitian H has S = 0.  The norms are Schur bounds
-    (`DiscreteOperator.norm_bound`).
+    (`lattice.schur_norm`).
 
     Rounding is charged toward 0 with the slack s = (d + 8) eps: the entries
     of a sampled H(base + zeta t), and of V when it is the difference
@@ -1449,21 +1447,20 @@ def contour_kato_radius(H, V, contour: Contour) -> float:
     to the circle lose s (|c| + rho), and g and ||V|| are rounded by 1 -+ s.
     """
     mat = _canonical(_as_matrix(H)[0])
-    vmat = _canonical(_as_matrix(V)[0])
     d = mat.shape[0]
     slack = (d + 8) * np.finfo(float).eps
     if isinstance(H, DiscreteOperator) and H.hermitian:
         herm, skew = H, 0.0
     else:
         herm = DiscreteOperator((mat + mat.conj().T) / 2, hermitian=True)
-        skew = DiscreteOperator((mat - mat.conj().T) / 2, hermitian=False).norm_bound()
+        skew = schur_norm(_canonical((mat - mat.conj().T) / 2))
     c, rho = complex(contour.center), contour.radius
     E, delta = _spectrum(herm)
     dist = np.abs(E - c) - rho
     if np.count_nonzero(dist < 0) != 1:
         return 0.0
-    v = DiscreteOperator(vmat, hermitian=False).norm_bound()
-    noise = slack * (DiscreteOperator(mat, hermitian=False).norm_bound() + v)
+    v = schur_norm(_canonical(_as_matrix(V)[0]))
+    noise = slack * (schur_norm(mat) + v)
     lost = (delta + skew + noise + slack * (abs(c) + rho)) * (1 + slack)
     gap = (float(np.abs(dist).min()) - lost) * (1 - slack)
     v = (v + noise) * (1 + slack)

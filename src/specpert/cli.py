@@ -447,13 +447,8 @@ def task_bounds(ctx: RunContext, spec: dict) -> dict:
         # The band storage reads one triangle only, and the spectrum box and
         # the Kato margin hold for a self-adjoint H0 alone.
         raise ScenarioError("task 'bounds' needs a Hermitian H0")
+    _check_dense_limit(ctx, "bounds", beta_vec, "a dense SVD")
     H = ctx.hamiltonian(beta_vec)
-    if not H.hermitian and H.dim > lattice.DENSE_MAX_DIM:
-        # Checked before any band reduction: sigma_min of a non-Hermitian
-        # H(beta) needs the dense SVD.
-        raise ScenarioError(
-            f"task 'bounds' needs a dense SVD of the non-Hermitian H(beta), and its "
-            f"dimension {H.dim} exceeds the dense limit {lattice.DENSE_MAX_DIM}")
     # V(beta) is bounded, so (a, b) = (0, ||V(beta)||) holds exactly.
     rb = bounds.RelativeBound(0.0, ctx.system.perturbation(beta_vec).norm_bound())
     spectrum, delta = analytic._spectrum(h0)
@@ -485,9 +480,19 @@ def _contour_note(stats: analytic.BlockStats, tol: dict) -> str:
             f"{stats.max_residual / tol['track_residual']:.3g}")
 
 
+def _check_dense_limit(ctx: RunContext, task: str, beta_vec, needs: str) -> None:
+    """Before any band reduction: ScenarioError (exit 2) if `task` `needs` a
+    d x d array of a non-Hermitian H(beta_vec) above `lattice.DENSE_MAX_DIM`."""
+    if ctx.system.h0.dim > lattice.DENSE_MAX_DIM and not ctx.hamiltonian(beta_vec).hermitian:
+        raise ScenarioError(
+            f"task {task!r} needs {needs} of the non-Hermitian H(beta), and its "
+            f"dimension {ctx.system.h0.dim} exceeds the dense limit {lattice.DENSE_MAX_DIM}")
+
+
 def task_track(ctx: RunContext, spec: dict) -> dict:
     eig_index = int(spec.get("eig_index", 0))
     beta_vec = ctx.beta_vector()
+    _check_dense_limit(ctx, "track", beta_vec, "the full projector")
     base = np.zeros_like(beta_vec)
     contour = _place_contour(ctx.hamiltonian(base), eig_index,
                              q=int(spec.get("contour_nodes", 64)))
@@ -525,6 +530,7 @@ def task_sweep(ctx: RunContext, spec: dict) -> dict:
     lo, hi = (float(x) for x in spec.get("range", [0.0, 1.0]))
     direction = _task_direction(ctx, spec, int(spec.get("axis", 1)))
     targets = [lo] if steps <= 1 else list(np.linspace(lo, hi, steps))
+    _check_dense_limit(ctx, "sweep", targets[-1] * direction, "the full projector")
 
     base = targets[0] * direction
     contour = _place_contour(ctx.hamiltonian(base), eig_index,

@@ -109,8 +109,8 @@ class DiscreteOperator:
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mat = sp.csr_matrix(self.matrix, dtype=complex)
-        mat.sum_duplicates()
+        # `_canonical` sums in a copy: csr_matrix may share the caller's indptr.
+        mat = _canonical(sp.csr_matrix(self.matrix, dtype=complex))
         object.__setattr__(self, "matrix", mat)
         if mat.shape[0] != mat.shape[1]:
             raise LatticeError(f"operator must be square, got {mat.shape}")
@@ -155,34 +155,50 @@ class DiscreteOperator:
         return self.matrix.diagonal()
 
     def norm_bound(self) -> float:
-        """Cheap upper bound on the operator 2-norm (sqrt(norm1*norminf))."""
-        a = abs(self.matrix)
-        n1 = a.sum(axis=0).max()
-        ninf = a.sum(axis=1).max()
-        return float(np.sqrt(n1 * ninf))
+        """Cheap upper bound on the operator 2-norm (`schur_norm`)."""
+        return schur_norm(self.matrix)
 
 
-def _csr(mat):
-    """`mat` in CSR format, with no copy when it already is."""
-    return mat.tocsr() if sp.issparse(mat) else sp.csr_matrix(mat)
+def schur_norm(mat) -> float:
+    """The Schur bound sqrt(max column sum * max row sum of |entries|) on the
+    2-norm of the sparse `mat`, summed in storage order: pass it canonical."""
+    a = abs(mat)
+    return float(np.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max()))
+
+
+def _rows(mat) -> np.ndarray:
+    """The row of every stored entry of the CSR `mat`."""
+    return np.repeat(np.arange(mat.shape[0], dtype=np.int64), np.diff(mat.indptr))
+
+
+def _transpose_positions(key: np.ndarray, n: int) -> np.ndarray:
+    """For the ascending keys (t n + row) n + col of stored entries of n x n
+    terms t, the position of each entry's transpose (col, row) in its term,
+    or len(key), which reads the trailing 0 callers append to their data."""
+    rest = key % (n * n)
+    rows, cols = np.divmod(rest, n)
+    transpose = key - rest + cols * n + rows
+    pos = np.searchsorted(key, transpose)
+    return np.where(np.append(key, -1)[pos] == transpose, pos, len(key))
+
+
+def _with_transpose(mat) -> tuple[np.ndarray, np.ndarray]:
+    """The square `mat`'s canonical entries, a 0, and `_transpose_positions`."""
+    mat = _canonical(mat)
+    n = mat.shape[0]
+    return np.append(mat.data, 0), _transpose_positions(_rows(mat) * n + mat.indices, n)
+
+
+def _hermitian_entries(data: np.ndarray, partner: np.ndarray) -> np.ndarray:
+    """Whether each entry of `data` but its last is finite and equals the conjugate
+    of data[partner]; all are exactly when mat - mat^H stores only zeros."""
+    entries = data[:-1]
+    return (entries == data[partner].conj()) & np.isfinite(entries)
 
 
 def is_hermitian(mat) -> bool:
-    """Exact test: the sparse matrix equals its conjugate transpose.
-
-    When every stored entry lies on the diagonal the test is read off the
-    diagonal, with no subtraction: such a matrix is Hermitian exactly when
-    its diagonal is real (and finite, as the subtraction would give NaN for
-    an infinite entry).
-    """
-    mat = _csr(mat)
-    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-    if mat.shape[0] == mat.shape[1] and np.array_equal(mat.indices, rows):
-        # Duplicate entries are summed, as the subtraction does.
-        diag = mat.data if mat.has_canonical_format else mat.diagonal()
-        return bool(np.all((diag.imag == 0) & np.isfinite(diag.real)))
-    defect = abs(mat - mat.getH())
-    return bool(not defect.nnz or defect.max() == 0.0)
+    """Exact test: the sparse `mat`, duplicates summed, equals its adjoint."""
+    return mat.shape[0] == mat.shape[1] and bool(_hermitian_entries(*_with_transpose(mat)).all())
 
 
 @dataclass(frozen=True)
@@ -268,11 +284,9 @@ class AffineFamily:
     checks.  Entries that cancel, and the entries of terms with a zero
     coupling, are kept as stored zeros.
 
-    A flagged H(beta) is tested exactly on the fixed pattern, with the
-    predicate of `is_hermitian` and no sparse subtraction: every entry is
-    finite and equals the conjugate of its transpose's entry, which is 0
-    where the transpose is not stored.  An H(beta) that fails (say, a NaN
-    real coupling or an entry that overflows) raises LatticeError.
+    A flagged H(beta) is tested exactly on the fixed pattern, as
+    `is_hermitian` tests a matrix; one that fails (say, a NaN real coupling
+    or an entry that overflows) raises LatticeError.
     """
 
     def __init__(self, h0: DiscreteOperator, terms: tuple):
@@ -357,7 +371,7 @@ class AffineFamily:
 def _canonical(mat) -> sp.csr_matrix:
     """`mat` as CSR with sorted column indices and no duplicate entries
     (`mat` itself when it already is)."""
-    mat = _csr(mat)
+    mat = mat.tocsr() if sp.issparse(mat) else sp.csr_matrix(mat)
     if not mat.has_canonical_format:
         mat = mat.copy()
         mat.sum_duplicates()
@@ -383,7 +397,7 @@ class _Terms:
     def of_matrices(cls, n: int, mats: tuple) -> "_Terms":
         """The table of the canonical n x n CSR matrices `mats`."""
         empty = np.zeros(0, dtype=np.int64)
-        rows = [np.repeat(np.arange(n, dtype=np.int64), np.diff(m.indptr)) for m in mats]
+        rows = [_rows(m) for m in mats]
         return cls(n, np.concatenate(([0], np.cumsum([len(r) for r in rows], dtype=np.int64))),
                    np.concatenate(rows or [empty]),
                    np.concatenate([m.indices for m in mats] or [empty]).astype(np.int64),
@@ -398,17 +412,11 @@ class _Terms:
         return [entries[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
 
     def hermitian(self) -> tuple[bool, ...]:
-        """`is_hermitian` of every term, from one pass over the table: each
-        stored entry is finite and equals the conjugate of its transpose's
-        entry in the same term, 0 where that is not stored."""
-        if not len(self.data):
-            return (True,) * len(self)
+        """`is_hermitian` of every term, from one pass over the table
+        (`_hermitian_entries`, each transpose looked up in the same term)."""
         n, term = self.n, np.repeat(np.arange(len(self)), np.diff(self.ptr))
         key = (term * n + self.rows) * n + self.cols  # ascending
-        transpose = (term * n + self.cols) * n + self.rows
-        pos = np.minimum(np.searchsorted(key, transpose), len(key) - 1)
-        partner = np.where(key[pos] == transpose, self.data[pos], 0)
-        fails = ~((self.data == partner.conj()) & np.isfinite(self.data))
+        fails = ~_hermitian_entries(np.append(self.data, 0), _transpose_positions(key, n))
         return tuple((np.bincount(term[fails], minlength=len(self)) == 0).tolist())
 
     def matrix(self, i: int) -> sp.csr_matrix:
@@ -430,8 +438,7 @@ class _Layout:
     read-only, so every shallow copy can share them; `base` is the data of
     the constant part (H0's entries, or zeros) and one trailing 0, which no
     entry takes; `term_pos[i]` is the position in the pattern of each entry
-    of term i; `partner[k]` is the position of the transpose of entry k, or
-    nnz (the trailing 0) when it is not stored.
+    of term i; `partner` is `_transpose_positions` of the pattern.
     """
 
     proto: sp.csr_matrix
@@ -445,8 +452,7 @@ class _Layout:
         `h0` (or None: a zero base) and the term table `terms`."""
         n, rows, cols = terms.n, terms.rows, terms.cols
         if h0 is not None:
-            rows = np.concatenate((np.repeat(np.arange(n, dtype=np.int64), np.diff(h0.indptr)),
-                                   rows))
+            rows = np.concatenate((_rows(h0), rows))
             cols = np.concatenate((h0.indices, cols))
         union, pos = np.unique(rows * n + cols, return_inverse=True)
         rows, cols = np.divmod(union, n)
@@ -458,21 +464,11 @@ class _Layout:
                               shape=(n, n))
         proto.has_canonical_format = True
         proto.indptr.flags.writeable = proto.indices.flags.writeable = False
-        transpose = cols * n + rows
-        partner = np.searchsorted(union, transpose)
-        stored = partner < len(union)
-        stored[stored] = union[partner[stored]] == transpose[stored]
-        partner[~stored] = len(union)
-        return cls(proto, base, terms.per_term(pos), partner)
+        return cls(proto, base, terms.per_term(pos), _transpose_positions(union, n))
 
     def is_hermitian(self, data: np.ndarray) -> bool:
-        """`is_hermitian` of the matrix on `data` (laid out as `base`): every
-        entry is finite and equals the conjugate of its partner, and an
-        entry without a partner is 0.  For finite entries a - b == 0 exactly
-        when a == b, so this is the subtraction's verdict."""
-        entries = data[:-1]
-        return bool((entries == data[self.partner].conj()).all()
-                    and np.isfinite(entries).all())
+        """`is_hermitian` of the matrix on `data`, laid out as `base`."""
+        return bool(_hermitian_entries(data, self.partner).all())
 
 
 def assemble_hamiltonian(h0: DiscreteOperator, family, beta: CouplingSeq) -> DiscreteOperator:

@@ -537,8 +537,7 @@ class TestRun:
     def test_full_projector_above_dense_limit_is_usage_error(self, tmp_path, monkeypatch):
         # A complex coupling makes H(beta) non-Hermitian, so track takes the
         # full d x d projector: above the dense limit the run exits 2 before
-        # it solves against the identity.  The reference vector at beta = 0
-        # is Hermitian and takes one shift-invert LU.
+        # it places its contour, so no LU is factored at all.
         monkeypatch.setattr(lattice, "DENSE_MAX_DIM", 100)
         shifts = []
         band_lu = analytic._band_lu
@@ -553,7 +552,33 @@ class TestRun:
         result = run_cli(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert "dimension 160 exceeds the dense limit 100" in result.stderr
-        assert len(shifts) == 1
+        assert shifts == []
+
+    @pytest.mark.parametrize("task, beta", [
+        ({"task": "track", "eig_index": 0}, [[0.06, 0.01], 0.04, 0.03]),
+        ({"task": "sweep", "direction": ["1j", 0, 0], "range": [0.0, 0.1], "steps": 3},
+         [0.06, 0.04, 0.03]),
+    ], ids=["track", "sweep"])
+    def test_complex_step_above_dense_limit_exits_before_band(self, tmp_path, monkeypatch,
+                                                              task, beta):
+        # The step's H(beta) (the sweep's at its last target) is not
+        # Hermitian: above the dense limit the task exits 2 before it
+        # reduces H(0) to band eigenvalues to place its contour.
+        monkeypatch.setattr(lattice, "DENSE_MAX_DIM", 100)
+        calls = []
+        band_eigenvalues = analytic._band_eigenvalues
+        monkeypatch.setattr(analytic, "_band_eigenvalues",
+                            lambda *a: calls.append(a) or band_eigenvalues(*a))
+        repo = Path(__file__).resolve().parents[1]
+        doc = yaml.safe_load((repo / "scenarios" / "bumps_1d.yaml").read_text())
+        doc["beta"]["values"] = beta
+        doc["tasks"] = [task]
+        path = write_scenario(tmp_path, doc)
+        result = run_cli(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert (f"task {task['task']!r} needs the full projector of the non-Hermitian "
+                "H(beta), and its dimension 160 exceeds the dense limit 100") in result.stderr
+        assert calls == []
 
     def test_bounds_rejects_non_hermitian_h0(self, tmp_path):
         # The band eigenvalues read only the upper triangle of this H0 and
@@ -591,7 +616,7 @@ class TestRun:
         # The bounds task refuses the non-Hermitian H(beta) before the band
         # eigenvalues of H0.
         ([4100], {"task": "bounds"}),
-        # The sweep places its contour on the non-Hermitian H(base) first.
+        # The sweep refuses the non-Hermitian H(beta) of its last target.
         ([65, 65], {"task": "sweep", "direction": [0.1, "0.05j"], "range": [1.0, 1.0],
                     "steps": 1}),
     ], ids=["bounds-1d", "sweep-65x65"])

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specpert import analytic
+from specpert import analytic, lattice
 from specpert.geometry import Box, SupportSet, interval_set
 from specpert.lattice import (
     AffineFamily,
@@ -22,6 +22,7 @@ from specpert.lattice import (
     graph_norm,
     is_hermitian,
     laplacian_eigenvalues_1d,
+    schur_norm,
 )
 from specpert.potentials import (ConstantProfile, GaussianBump, PotentialFamily, PotentialTerm,
                                  PowerSpike)
@@ -221,6 +222,122 @@ def subtraction_verdict(mat) -> bool:
     return bool(not defect.nnz or defect.max() == 0.0)
 
 
+# Entries of the random matrices of `TestTransposeLookup`: small integers,
+# so that summed duplicates give the same bits in any order, signed zeros,
+# and real, imaginary and complex infinities and NaNs.
+ENTRY_POOL = [0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 1 + 2j, 1 - 2j, -2j, np.nan,
+              complex(np.nan, 1.0), np.inf, -np.inf, complex(np.inf, 0.0),
+              complex(0.0, np.inf), complex(np.inf, -np.inf)]
+
+
+def random_sparse(rng, conj: bool) -> sp.csr_matrix:
+    """A random n x n CSR matrix (n from 1 to 6), most of whose entries have
+    their transpose, or its conjugate when `conj`, stored too; with
+    duplicate entries (an exact summand: 0, -0, or x and -x) and its column
+    indices unsorted within rows."""
+    n = int(rng.integers(1, 7))
+    entries = []
+    for _ in range(int(rng.integers(0, 2 * n + 2))):
+        i, j = (int(k) for k in rng.integers(n, size=2))
+        v = complex(ENTRY_POOL[rng.integers(len(ENTRY_POOL))])
+        entries.append((i, j, v))
+        if rng.random() < 0.8:
+            entries.append((j, i, v.conjugate() if conj else v))
+        if rng.random() < 0.2:
+            x = float(rng.choice([0.0, -0.0, 1.0]))
+            entries += [(i, j, x), (i, j, -x)]
+    order = rng.permutation(len(entries))
+    rows = np.array([entries[k][0] for k in order], dtype=np.int64)
+    cols = np.array([entries[k][1] for k in order], dtype=np.int64)
+    data = np.array([entries[k][2] for k in order], dtype=complex)
+    by_row = np.argsort(rows, kind="stable")
+    mat = sp.csr_matrix((data[by_row], cols[by_row],
+                         np.searchsorted(rows[by_row], np.arange(n + 1))), shape=(n, n))
+    if rng.random() < 0.3 and not np.iscomplex(mat.data).any():
+        mat = mat.real.tocsr()
+    return mat
+
+
+def old_norm_bound(mat) -> float:
+    """The Schur bound as `DiscreteOperator.norm_bound` computed it on its own
+    complex CSR copy of `mat`."""
+    mat = sp.csr_matrix(mat, dtype=complex, copy=True)
+    mat.sum_duplicates()
+    a = abs(mat)
+    return float(np.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max()))
+
+
+class TestTransposeLookup:
+    """`is_hermitian`, the family's term table and `analytic._is_symmetric`
+    share one transpose lookup (`lattice._transpose_positions`); the Schur
+    norm (`lattice.schur_norm`) is the one operator bound."""
+
+    def test_hermitian_verdict_is_the_subtraction(self):
+        rng = np.random.default_rng(41)
+        hermitian = 0
+        for _ in range(400):
+            mats = [random_sparse(rng, conj=True) for _ in range(3)]
+            expected = [subtraction_verdict(m) for m in mats]
+            assert [is_hermitian(m) for m in mats] == expected
+            hermitian += sum(expected)
+            # The table holds terms of one size: its per-term offsets keep
+            # each lookup inside its term.
+            n = mats[0].shape[0]
+            same = [m for m in mats if m.shape[0] == n]
+            system = AffineFamily(DiscreteOperator(sp.identity(n, format="csr"),
+                                                   hermitian=True), tuple(same))
+            assert system.terms_hermitian == tuple(expected[:1] + [
+                e for m, e in zip(mats[1:], expected[1:]) if m.shape[0] == n])
+            with np.errstate(invalid="ignore"):
+                for beta in (np.ones(len(same)), np.full(len(same), 0.5j)):
+                    for layout, op in ((system._v_layout, system.perturbation(beta)),
+                                       (system._h_layout, system(beta))):
+                        assert layout_verdict(layout, op) is subtraction_verdict(op.matrix)
+        assert 200 <= hermitian <= 1000  # both verdicts are exercised
+
+    def test_operator_leaves_its_input_alone(self):
+        # Real duplicates summed into a complex copy: csr_matrix shares the
+        # index arrays, and an in-place sum once left the input's indptr
+        # pointing at its unsummed data.
+        mat = sp.csr_matrix((np.array([np.inf, np.nan, 1.0]), np.array([0, 0, 1]),
+                             np.array([0, 2, 3])), shape=(2, 2))
+        arrays = [a.copy() for a in (mat.data, mat.indices, mat.indptr)]
+        op = DiscreteOperator(mat, hermitian=False)
+        for before, after in zip(arrays, (mat.data, mat.indices, mat.indptr)):
+            np.testing.assert_array_equal(before, after)
+        assert np.isnan(op.matrix[0, 0]) and op.matrix.nnz == 2
+
+    def test_symmetric_verdict_is_the_comparison(self):
+        rng = np.random.default_rng(43)
+        symmetric = 0
+        for _ in range(1200):
+            mat = random_sparse(rng, conj=False)
+            expected = (mat != mat.T).nnz == 0
+            assert analytic._is_symmetric(mat) is expected
+            symmetric += expected
+        assert 200 <= symmetric <= 1000
+
+    def test_schur_norm_keeps_the_operator_bits(self):
+        rng = np.random.default_rng(47)
+        for _ in range(300):
+            n = int(rng.integers(1, 12))
+            dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.4)
+            dense = dense + 1j * rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3)
+            mat = random_sparse(rng, conj=False) if rng.random() < 0.2 else sp.csr_matrix(dense)
+            with np.errstate(invalid="ignore"):
+                expected = old_norm_bound(mat)
+                for bound in (DiscreteOperator(mat, hermitian=False).norm_bound(),
+                              schur_norm(lattice._canonical(mat))):
+                    assert bound == pytest.approx(expected, rel=0, abs=0, nan_ok=True)
+            # The gap bound reads the same bits off an array, a matrix with
+            # unsorted duplicates and an operator.
+            skew = old_norm_bound((dense - dense.conj().T) / 2)
+            slack = (n + 8) * np.finfo(float).eps
+            gap = (0.7 - skew * (1 + slack)) * (1 - slack)
+            for H in (dense, sp.csr_matrix(dense), DiscreteOperator(dense, hermitian=False)):
+                assert analytic.resolvent_gap(H, 0.3 + 0.7j) == gap
+
+
 def layout_verdict(layout, op) -> bool:
     """The family's Hermitian test of `op`, an H(beta) or V(beta) on `layout`."""
     return layout.is_hermitian(np.append(op.matrix.data, 0))
@@ -290,9 +407,9 @@ class TestAffineFamily:
 
     @pytest.mark.parametrize("term", HERMITIAN_CASES, ids=HERMITIAN_IDS)
     def test_is_hermitian_agrees_with_the_subtraction(self, term, monkeypatch):
-        # A diagonal matrix is decided from its entries, with no subtraction;
-        # the family decides V(beta) and H(beta) (on H0 = I) on its fixed
-        # pattern, with none either.
+        # `is_hermitian` and the family (its terms, and V(beta) and H(beta)
+        # on H0 = I on its fixed pattern) look up each entry's transpose:
+        # none of them subtracts.
         term = sp.csr_matrix(term, dtype=complex)
         expected = subtraction_verdict(term)
         h0 = DiscreteOperator(sp.identity(4, format="csr"), hermitian=True)
@@ -307,10 +424,7 @@ class TestAffineFamily:
             for layout, op in ((system._v_layout, system.perturbation(beta)),
                                (system._h_layout, system(beta))):
                 assert layout_verdict(layout, op) is subtraction_verdict(op.matrix)
-        # Only the test's own `is_hermitian` call subtracts: the family
-        # decides its terms on its entry table.
-        diagonal = sp.triu(term, 1).nnz == sp.tril(term, -1).nnz == 0
-        assert len(calls) == (0 if diagonal else 1)
+        assert calls == []
 
     @pytest.mark.parametrize("kind", ["grid", "matrix", "matrix_hermitian"])
     def test_flag_is_the_exact_test_on_seeded_beta(self, kind):

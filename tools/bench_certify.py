@@ -10,12 +10,10 @@ band reduced in complex storage; one `geometry.disjoint_refinement` and one
 `geometry.check_fip_variant` (n1 at radius 1) of the 128 supports; one
 `PotentialFamily.sample_on` of the grid; one Stummel probe sweep
 (`potentials._family_sweep` on the probes and quadrature of the stummel
-task); one `lattice.AffineFamily.from_potentials`; where the checkout has
-one, the family's term table (`potentials._TermTable.of`), which a family
-builds once and the sample_on, sweep and from_potentials layers reuse;
-one H(beta) and one
-V(beta), next to the sequential sparse sum H(beta) was before it had a fixed
-pattern.  Every layer value is the median of REPEAT timings
+task); one `lattice.AffineFamily.from_potentials`; the family's term table
+(`potentials._TermTable.of`), which a family builds once and the sample_on,
+sweep and from_potentials layers reuse; one H(beta) and one V(beta).
+Every layer value is the median of REPEAT timings
 (`bench_common.py`).  Tasks: the geometry, stummel and bounds times and the
 minor page faults of RUNS in-process scenario runs, the first run (cold)
 and the median of the others.
@@ -72,24 +70,12 @@ def layer_times(doc: dict) -> dict:
     ab, kl, ku = analytic._band_storage(H.matrix, H.dim)
     if ab[kl:kl + ku + 1].imag.any():
         raise RuntimeError("H(beta) is not real symmetric")
-    terms = system.terms
-
-    def sequential_sum():
-        mat = h0.matrix.copy()
-        for b, op in zip(beta, terms):
-            if b != 0:
-                mat = mat + complex(b) * op
-        return mat
-
     support = family.support_family()
     params = stummel_params(doc, family)
-    table = {}
-    if hasattr(potentials, "_TermTable"):
-        table["term_table_s"] = median_time(
-            lambda: potentials._TermTable.of(family.terms, family.dim))
     return {
-        **table,
-        "d": H.dim, "kd": ku, "terms": len(terms), "probes": len(params.probe_points),
+        "d": H.dim, "kd": ku, "terms": len(family), "probes": len(params.probe_points),
+        "term_table_s": median_time(
+            lambda: potentials._TermTable.of(family.terms, family.dim)),
         "band_eigenvalues_real_s": median_time(
             lambda: analytic._band_eigenvalues(H.matrix, H.dim)),
         "band_eigenvalues_complex_s": median_time(
@@ -103,7 +89,6 @@ def layer_times(doc: dict) -> dict:
             lambda: lattice.AffineFamily.from_potentials(h0, family)),
         "hamiltonian_s": median_time(lambda: system(beta)),
         "perturbation_s": median_time(lambda: system.perturbation(beta)),
-        "hamiltonian_sequential_sum_s": median_time(sequential_sum),
     }
 
 

@@ -15,9 +15,8 @@ keeps its band eigenvalues once reduced), one sample taken by conjugation
 `taylor_eigenpath` takes it), one `analytic.taylor_along` call on
 matrix-valued samples of the size the sampled library check
 `verify_analytic_family` takes at d = 160 (q = 64 samples of 160 x 160; the
-whole call and its Fourier-matrix product alone), next to the per-order
-`tensordot` loop that product replaced, and one closed-form Kato resolvent
-record of the verify task (`analytic.kato_radius` at the base point 0).
+whole call and its Fourier-matrix product alone), and one closed-form Kato
+resolvent record of the verify task (`analytic.kato_radius` at the base point 0).
 Every layer value is the median of REPEAT timings (`bench_common.py`).
 Tasks: the taylor and verify times and the minor page faults of RUNS
 in-process scenario runs, the first run (cold) and the median of the
@@ -35,9 +34,7 @@ bumps_1d (d = 160) and two_level (d = 2); each value is the median of REPEAT
 batches of ASSEMBLIES calls, per call.
 
 `--compare SRC --processes N` alternates this checkout and SRC in 2N fresh
-processes (`bench_common.compare`).  Against a `src/` that takes its
-shift-invert samples one call each (`analytic._shift_invert_sample`),
-`shift_invert_samples_s` is those calls in a loop.
+processes (`bench_common.compare`).
 
 Run from the repository root:
 
@@ -108,11 +105,8 @@ def shift_invert_samples(system, base, t, psi0, r: float, q: int):
     norm2 = psi0 @ psi0
     E0, a1 = psi0 @ (h_base @ psi0) / norm2, psi0 @ (V @ psi0) / norm2
     sigmas = [E0 + zeta * a1 for zeta in zetas]
-    if hasattr(analytic, "_shift_invert_samples"):
-        return (lambda: [E for E, _ in analytic._shift_invert_samples(
-            mats, sigmas, psi0, analytic.BlockStats())]), len(zetas)
-    return (lambda: [analytic._shift_invert_sample(H, sigma, psi0, analytic.BlockStats())[0]
-                     for H, sigma in zip(mats, sigmas)]), len(zetas)
+    return (lambda: [E for E, _ in analytic._shift_invert_samples(
+        mats, sigmas, psi0, analytic.BlockStats())]), len(zetas)
 
 
 def layer_times(doc: dict) -> dict:
@@ -140,10 +134,6 @@ def layer_times(doc: dict) -> dict:
     angles = 2 * np.pi * np.arange(nodes) / nodes
     fourier = np.exp(-1j * np.arange(M + 1)[:, None] * angles)
 
-    def tensordot_loop():
-        return [np.tensordot(np.exp(-1j * m * angles), samples, axes=(0, 0)) / (nodes * r**m)
-                for m in range(M + 1)]
-
     def series():
         it = iter(samples)
         return analytic.taylor_along(lambda beta: next(it, samples[0]), base, t, r, M, nodes,
@@ -167,7 +157,6 @@ def layer_times(doc: dict) -> dict:
         "series_matrix_s": median_time(series),
         "contraction_fourier_product_s": median_time(
             lambda: fourier @ samples.reshape(nodes, -1)),
-        "contraction_tensordot_loop_s": median_time(tensordot_loop),
         "kato_radius_s": median_time(lambda: analytic.kato_radius(h0, v, lam0)),
     }
 
