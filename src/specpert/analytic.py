@@ -27,13 +27,15 @@ and makes no contour solve.  For normal H the trapezoidal projector is a
 scalar rational filter, P_q = f(H) with f(E) = 1/(1 - z^q),
 z = (E - c)/r (Polizzi 2009; Tang & Polizzi 2014), so
 trace(P_q) = sum_j f(E_j) and ||P_q^2 - P_q||_2 = max_j |z_j^q|/|1 - z_j^q|^2
-follow from the band eigenvalues E_j (``eigvals_banded``, reduced once
-per operator and kept on it by `_spectrum`, which the CLI's contour
-placement reads too), with a first-order Weyl term for their rounding
-(`_filter_certificate`), which also gives the one enclosed band
-eigenvalue E_k.  P = v v^* then has rank one, and P b = v (v^* b) comes
-from one band LU at E_k + i delta and two inverse-iteration steps
-(`_enclosed_action`).  Dense and non-Hermitian H keep the full d x d Riesz
+follow from the eigenvalues E_j that `_spectrum` keeps on the operator,
+which the CLI's contour placement reads too, with a first-order Weyl term
+for their error delta (`_filter_certificate`), which also gives the one
+enclosed eigenvalue E_k.  A Laplacian H0 carries its closed-form spectrum
+from `lattice.build_laplacian`, and an H(beta) that adds no term to it
+carries H0's; any other Hermitian H is reduced once, on first use, to its
+band eigenvalues (``eigvals_banded``).  P = v v^* then has rank one, and
+P b = v (v^* b) comes from one band LU at E_k + i delta and two
+inverse-iteration steps (`_enclosed_action`).  Dense and non-Hermitian H keep the full d x d Riesz
 projector of `riesz_projector`, certified by ||P^2 - P||_2 <= defect_tol
 and an integral trace.  Either way `_certified_action` gives the
 certificates, a rank-one check and one projector action P b: P psi0 for a
@@ -58,7 +60,7 @@ contour centre, E(conj zeta) = conj E(zeta) (Schwarz reflection; Kato
 lower half of each circle as the conjugates of the upper half wherever
 H(conj beta) is the exact conjugate matrix of H(beta).
 
-`gamma_membership` reads sigma_min(H - lambda) off the same band eigenvalues
+`gamma_membership` reads sigma_min(H - lambda) off the same eigenvalues
 for Hermitian H, less delta, and takes a dense SVD for any other H.
 `kato_radius` certifies that zeta -> (H + zeta V - lambda)^-1 is
 holomorphic on a disk in closed form, from Schur bounds alone
@@ -77,7 +79,7 @@ import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 
 from . import lattice
-from .lattice import DiscreteOperator, LatticeError, _canonical, schur_norm
+from .lattice import DiscreteOperator, LatticeError, _canonical, _weyl_delta, schur_norm
 
 __all__ = [
     "Contour",
@@ -365,25 +367,16 @@ def _band_eigenvalues(mat, d: int) -> np.ndarray:
     return la.eigvals_banded(upper if upper.imag.any() else upper.real)
 
 
-def _weyl_delta(op: DiscreteOperator) -> float:
-    """delta = d eps ||H||_1: each band eigenvalue of a Hermitian `op` lies
-    within delta of the exact one (Weyl, with the backward error of the
-    band reduction).
-
-    The column sums come straight from the CSR arrays: ``bincount`` adds
-    each column's |entries| in storage order (ascending rows), the order of
-    scipy's ``abs(H).sum(axis=0)``, whose bits delta keeps at a
-    fraction of its cost.
-    """
-    mat = op.matrix
-    sums = np.bincount(mat.indices, weights=np.abs(mat.data), minlength=op.dim)
-    return op.dim * np.finfo(float).eps * float(sums.max())
-
-
 def _spectrum(op: DiscreteOperator) -> tuple[np.ndarray, float]:
-    """The band eigenvalues (`_band_eigenvalues`, read-only) and
-    `_weyl_delta` of a Hermitian `op`, computed on first use and kept on
-    it, so each operator is reduced once however many certificates read it
+    """The ascending eigenvalues (read-only) of a Hermitian `op` and a
+    delta such that each lies within delta of an exact one.
+
+    An operator may carry them from its construction: the closed form of a
+    Laplacian (`lattice.build_laplacian`, delta at least `_weyl_delta`), or
+    H0's for an H(beta) that adds no term to H0 (`lattice.AffineFamily`).
+    Any other is reduced on first use to its band eigenvalues
+    (`_band_eigenvalues`) with delta = `_weyl_delta`, kept on it, so each
+    operator is reduced at most once however many certificates read it
     (the CLI's `RunContext.hamiltonian` returns one operator for a repeated
     beta)."""
     if op._spectrum is None:
@@ -396,16 +389,16 @@ def _spectrum(op: DiscreteOperator) -> tuple[np.ndarray, float]:
 def _filter_certificate(op: DiscreteOperator, contour: Contour, defect_tol: float = DEFECT_TOL,
                         stats: BlockStats | None = None) -> tuple[complex, float, float, float]:
     """trace(P_q), |trace(P_q) - 1|, a bound on ||P_q^2 - P_q||_2 and the
-    band eigenvalue E_k nearest the centre (the enclosed one when the trace
-    certifies rank one) for a Hermitian `op`, from its band eigenvalues
-    E_j, with no solve.
+    eigenvalue E_k nearest the centre (the enclosed one when the trace
+    certifies rank one) for a Hermitian `op`, from its eigenvalues E_j
+    (`_spectrum`), with no solve.
 
     The trapezoidal projector of a normal H is P_q = f(H),
     f(E) = 1/(1 - z^q), z = (E - c)/r.  With u = z^q for |z| < 1 and
     u = z^-q otherwise (so nothing overflows), f = [|z| < 1] +- u/(1 - u)
     and |f^2 - f| = |u|/|1 - u|^2.  Counting the enclosed E_j apart from the
     small terms keeps |trace - 1| to its own relative accuracy.  Each E_j
-    is within delta = `_weyl_delta` of the exact one, which adds the
+    is within the delta of `_spectrum` of the exact one, which adds the
     first-order term delta |f'(E_j)| (1 + 2 |f(E_j)|) to the defect, with
     |f'| = q |z|^(q-1)/(r |1 - z^q|^2).  Raises QuadratureError as
     `riesz_projector` does; `stats` keeps the worst accepted defect.
@@ -442,11 +435,11 @@ def _enclosed_action(op: DiscreteOperator, E_k: float, contour: Contour, b: np.n
                      stats: BlockStats) -> np.ndarray:
     """P b = v (v^* b) for the rank-one projector P = v v^* of a Hermitian
     `op` onto the eigenvector v of the one eigenvalue inside the contour,
-    whose band value is E_k, by shift-invert.
+    whose computed value is E_k, by shift-invert.
 
-    One band LU of H - sigma at sigma = E_k + i delta, delta = `_weyl_delta`
-    (eps r for H = 0, whose delta is 0; never singular, as sigma is not
-    real), and two `_inverse_step`s give a unit x.  The exact eigenvalue
+    One band LU of H - sigma at sigma = E_k + i delta, delta that of
+    `_spectrum` (eps r for H = 0, whose delta is 0; never singular, as sigma
+    is not real), and two `_inverse_step`s give a unit x.  The exact eigenvalue
     lies within sqrt(2) delta of sigma and every other outside the
     contour, so each step shrinks the rest of x against v by about
     delta / gap, and x (x^* b) is P b to rounding
@@ -1370,7 +1363,7 @@ def gamma_membership(family, beta, lam: complex, tol: float = 1e-10) -> tuple[bo
     Margin is the smallest singular value of H(beta) - lambda; positive
     margin means perturbing (beta, lambda) by less than it keeps membership.
     For a Hermitian `DiscreteOperator` it is min_j |E_j - lambda| - delta
-    from the band eigenvalues E_j, each within delta = `_weyl_delta` of the
+    from the eigenvalues E_j of `_spectrum`, each within its delta of the
     exact one, so it bounds sigma_min from below and no d x d array is
     formed.  Any other H (a non-Hermitian `DiscreteOperator`, a sparse
     matrix or an ndarray) takes the dense SVD, and raises LatticeError above
@@ -1431,7 +1424,7 @@ def contour_kato_radius(H, V, contour: Contour) -> float:
 
     With the Hermitian part H_h = (H + H^*)/2 and S = (H - H^*)/2, on the
     circle sigma_min(H_h - lambda) >= g = min_j ||E_j - c| - rho| - delta,
-    E_j the band eigenvalues of H_h, each within delta = `_weyl_delta` of an
+    E_j the eigenvalues of H_h (`_spectrum`), each within its delta of an
     exact one.  So sigma_min(H_h + s S + zeta V - lambda) > 0 on the circle
     for every s in [0, 1] and |zeta| < r0 = (g - ||S||) / ||V||, and the
     count enclosed stays that of H_h, the number of E_j inside (Kato 1966,

@@ -313,10 +313,10 @@ class RunContext:
         """H(beta) = H0 + sum_i beta_i V_i: the only place the CLI forms it.
 
         A beta bit-identical to the previous call's (as complex bytes) gets
-        the same operator back, so the band eigenvalues and Weyl delta it
-        keeps (`analytic._spectrum`) are reduced once: a task's contour
+        the same operator back, so the eigenvalues and delta it keeps
+        (`analytic._spectrum`) are computed at most once: a task's contour
         placement, reference vector and first step at its base point share
-        one.  The one entry lives on this context, that is for one
+        them.  The one entry lives on this context, that is for one
         `execute_scenario`.
         """
         key = np.asarray(beta_vec, dtype=complex).tobytes()
@@ -335,12 +335,13 @@ def _place_contour(op: lattice.DiscreteOperator, eig_index: int,
                    q: int = 64) -> analytic.Contour:
     """Circle around the eig_index-th eigenvalue E_k, with radius half the
     distance min |E_k - E_j| to its nearest neighbor.  Hermitian eigenvalues
-    come ascending from the band, which unlike dense ``eigvalsh`` gives the
-    same bits at any thread count, and stay on `op` for the certificates
-    that read them next (`analytic._spectrum`); complex ones from the dense
+    come ascending from `analytic._spectrum` (a Laplacian's closed form, or
+    the band, which unlike dense ``eigvalsh`` gives the same bits at any
+    thread count) and stay on `op` for the certificates that read them
+    next; complex ones from the dense
     ``eigvals``, ordered by real part, and the circle is centred at the
     complex E_k.
-    Real parts within delta = d eps ||H||_1 (`analytic._weyl_delta`) of the
+    Real parts within delta = d eps ||H||_1 (`lattice._weyl_delta`) of the
     previous one count as equal and are ordered by imaginary part,
     ascending, so of a conjugate pair index k takes Im E < 0 and k + 1
     Im E > 0, whatever the rounding of the real parts.  An eig_index
@@ -351,7 +352,7 @@ def _place_contour(op: lattice.DiscreteOperator, eig_index: int,
         vals = analytic._spectrum(op)[0]
     else:
         vals = np.sort_complex(np.linalg.eigvals(op.to_dense()))
-        tied = np.cumsum(np.diff(vals.real, prepend=vals.real[0]) > analytic._weyl_delta(op))
+        tied = np.cumsum(np.diff(vals.real, prepend=vals.real[0]) > lattice._weyl_delta(op))
         vals = vals[np.lexsort((vals.imag, tied))]
     E = vals[eig_index]
     gaps = [abs(E - v) for i, v in enumerate(vals) if i != eig_index]

@@ -211,13 +211,6 @@ def _axis_coords(boxes: list[Box], dim: int, cell_budget: int) -> list[np.ndarra
     return coords
 
 
-def _box_block(b: Box, coords: list[np.ndarray]) -> tuple[slice, ...]:
-    """Index block of the arrangement grid of `coords` that the box b covers:
-    the faces of b are face coordinates, so it is one contiguous block."""
-    return tuple(slice(np.searchsorted(c, lo), np.searchsorted(c, hi))
-                 for c, lo, hi in zip(coords, b.lo, b.hi))
-
-
 def _membership_words(family: SupportFamily, coords: list[np.ndarray]) -> np.ndarray:
     """(n_boxes, ceil(n_sets / 64)) uint64: per arrangement box, its index set
     packed to bits, set i at bit 7 - i % 8 of byte i // 8 of the row.
@@ -225,14 +218,17 @@ def _membership_words(family: SupportFamily, coords: list[np.ndarray]) -> np.nda
     The row bytes are those ``np.packbits(member, axis=1)`` gives for the
     box-major boolean (n_boxes, n_sets) membership matrix, zero-padded to
     whole words.  That matrix is never formed: each box of each set sets its
-    bit in the block it covers.
+    bit in the block it covers.  The faces of a box are face coordinates,
+    so that block is contiguous, its bounds one ``searchsorted`` per axis
+    of the `box_table`.
     """
     n_bytes = 8 * -(-len(family) // 64)
     packed = np.zeros([len(c) - 1 for c in coords] + [n_bytes], dtype=np.uint8)
-    for i, s in enumerate(family.sets):
-        bit = np.uint8(0x80 >> i % 8)
-        for b in s.boxes:
-            packed[(*_box_block(b, coords), i // 8)] |= bit
+    lo, hi, owner = box_table(family.sets, family.dim)
+    first = np.column_stack([np.searchsorted(c, lo[:, k]) for k, c in enumerate(coords)])
+    last = np.column_stack([np.searchsorted(c, hi[:, k]) for k, c in enumerate(coords)])
+    for a, z, i in zip(first.tolist(), last.tolist(), owner.tolist()):
+        packed[(*map(slice, a, z), i // 8)] |= np.uint8(0x80 >> i % 8)
     return packed.reshape(-1, n_bytes).view(np.uint64)
 
 
@@ -351,15 +347,24 @@ def disjoint_refinement(
     group = np.empty(len(order), dtype=int)
     group[order] = np.cumsum(starts) - 1
     member = np.unpackbits(ordered[starts].view(np.uint8), axis=1, count=len(family))
-    index_sets = [frozenset(int(i) + 1 for i in np.flatnonzero(row)) for row in member]
-    order = sorted((g for g, idx in enumerate(index_sets) if idx),
-                   key=lambda g: sorted(index_sets[g]))
-    rank = np.full(len(index_sets), -1)
+    # Each group's 1-based index set, ascending, from one nonzero, also as a
+    # zero-padded row: 0 sorts before every index, so one lexsort of the
+    # rows orders the groups as their sorted index lists compare (a prefix
+    # first).  The empty set, outside the union, is no cell.
+    rows, cols = np.nonzero(member)
+    sizes = np.bincount(rows, minlength=len(member))
+    ends = np.cumsum(sizes)
+    padded = np.zeros((len(member), sizes.max()), dtype=np.int64)
+    padded[rows, np.arange(len(rows)) - (ends - sizes)[rows]] = cols + 1
+    order = np.flatnonzero(sizes)
+    order = order[np.lexsort(padded[order, ::-1].T)]
+    rank = np.full(len(member), -1)
     rank[order] = np.arange(len(order))
     labels = rank[group]
     boxes = np.bincount(labels[labels >= 0], minlength=len(order))
-    cells = [RefinementCell(index_set=index_sets[g], boxes=int(n))
-             for g, n in zip(order, boxes)]
+    index_sets = np.split(cols + 1, ends[:-1])
+    cells = [RefinementCell(index_set=frozenset(index_sets[g].tolist()), boxes=n)
+             for g, n in zip(order.tolist(), boxes.tolist())]
     return RefinementPartition(cells=cells, family=family, coords=coords,
                                labels=labels.reshape([len(c) - 1 for c in coords]))
 

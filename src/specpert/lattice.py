@@ -102,9 +102,11 @@ class DiscreteOperator:
     matrix: sp.csr_matrix
     hermitian: bool
     grid: Grid | None = None
-    # (band eigenvalues, Weyl delta) of a Hermitian operator, set by
-    # `analytic._spectrum` on first use.  The matrix is never written in
-    # place, so it cannot go stale.
+    # (ascending eigenvalues, their error bound delta) of a Hermitian
+    # operator: the closed form for a Laplacian (`build_laplacian`), H0's
+    # for an H(beta) that adds no term (`AffineFamily`), else the band
+    # eigenvalues `analytic._spectrum` reduces on first use.  The matrix is
+    # never written in place, so it cannot go stale.
     _spectrum: tuple[np.ndarray, float] | None = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -252,20 +254,62 @@ def _laplacian_1d(n: int, h: float) -> sp.csr_matrix:
 
 def build_laplacian(grid: Grid) -> DiscreteOperator:
     """Standard (2m+1)-point second-order stencil for -Laplace with
-    Dirichlet boundary, as a sparse Hermitian operator."""
+    Dirichlet boundary, as a sparse Hermitian operator that carries its
+    spectrum: the ascending sums of the per-axis `laplacian_eigenvalues_1d`
+    (read-only), each within delta = max(d, 6) eps ||H||_1 of an exact
+    eigenvalue of the stored matrix, so no certificate reduces its band.
+
+    Soundness.  On axis i the stored diagonal is a_i = fl(2/h_i^2) =
+    -2 fl(-1/h_i^2) exactly, so the stored 1D matrix a_i tridiag(-1/2, 1,
+    -1/2) has the exact eigenvalues a_i (1 - cos(k pi/(n_i+1))), which
+    `laplacian_eigenvalues_1d` evaluates within 7 eps a_i: the argument
+    rounds by 1.2 eps relative, which moves the cosine by at most
+    max(t sin t) 1.2 eps < 2.2 eps, the cosine itself by 2 eps (4 ulps), the
+    subtraction by eps and the product by eps a_i.  The Kronecker sum
+    copies the off-diagonals unrounded and rounds only the diagonal sum,
+    one float shared by every row: the stored matrix is the exact Kronecker
+    sum shifted by less than (m - 1) eps sum_i a_i / 2, which moves every
+    eigenvalue alike.  The m - 1 additions of the per-axis values round by
+    at most (m - 1) eps sum_i a_i.  For m <= 3 that is 10 eps sum_i a_i =
+    5 eps ||H||_1 in all (||H||_1 = 2 sum_i a_i, as every axis has an
+    interior node), inside the Weyl delta d eps ||H||_1 of the band
+    reduction (`_weyl_delta`) for d >= 6; smaller grids take 6 eps ||H||_1.
+    Sorted values keep the bound, as sorting a matching never lengthens it.
+    """
     parts = [_laplacian_1d(n, h) for n, h in zip(grid.points, grid.spacing)]
     op = parts[0]
     for part in parts[1:]:
         op = sp.kron(op, sp.identity(part.shape[0], format="csr"), format="csr") + sp.kron(
             sp.identity(op.shape[0], format="csr"), part, format="csr"
         )
-    return DiscreteOperator(op, hermitian=True, grid=grid)
+    op = DiscreteOperator(op, hermitian=True, grid=grid)
+    E = functools.reduce(np.add.outer, [laplacian_eigenvalues_1d(n, h) for n, h in
+                                        zip(grid.points, grid.spacing)]).ravel()
+    E.sort()
+    E.flags.writeable = False
+    object.__setattr__(op, "_spectrum", (E, _weyl_delta(op) * max(1.0, 6 / op.dim)))
+    return op
 
 
 def laplacian_eigenvalues_1d(n: int, h: float) -> np.ndarray:
     """Closed-form Dirichlet spectrum (2/h^2)(1 - cos(k pi/(n+1))), k=1..n."""
     k = np.arange(1, n + 1)
     return (2.0 / h**2) * (1.0 - np.cos(k * np.pi / (n + 1)))
+
+
+def _weyl_delta(op: DiscreteOperator) -> float:
+    """delta = d eps ||H||_1: each band eigenvalue of a Hermitian `op` lies
+    within delta of the exact one (Weyl, with the backward error of the
+    band reduction).
+
+    The column sums come straight from the CSR arrays: ``bincount`` adds
+    each column's |entries| in storage order (ascending rows), the order of
+    scipy's ``abs(H).sum(axis=0)``, whose bits delta keeps at a
+    fraction of its cost.
+    """
+    mat = op.matrix
+    sums = np.bincount(mat.indices, weights=np.abs(mat.data), minlength=op.dim)
+    return op.dim * np.finfo(float).eps * float(sums.max())
 
 
 class AffineFamily:
@@ -275,7 +319,9 @@ class AffineFamily:
     however the family was built.  Whether each V_i is Hermitian is decided
     once, at construction, on that table; H(beta) then carries the Hermitian
     flag when H0 is Hermitian, beta is real and every V_i with a nonzero
-    coupling is Hermitian, so H(0) keeps H0's flag.  The sparsity pattern of
+    coupling is Hermitian, so H(0) keeps H0's flag, and an H(beta) that adds
+    no term carries the spectrum H0 carries (see
+    `DiscreteOperator._spectrum`).  The sparsity pattern of
     H(beta) is fixed once too, as the union of the stored entries of H0 and
     every V_i (V(beta): of every V_i), and so is one prototype CSR matrix on
     it, whose read-only index arrays scipy built and checked once.  Each call
@@ -353,6 +399,7 @@ class AffineFamily:
                 f"beta has {len(beta)} entries but family has only {len(self._table)} terms"
             )
         data = layout.base.copy()
+        added = False
         # Terms are added one at a time and zero couplings skipped: the
         # summation order fixes the last bits of every reported value.  Each
         # entry takes the additions of a sequential sparse sum, in its order.
@@ -361,11 +408,17 @@ class AffineFamily:
             if b != 0:
                 data[pos] += values * complex(b)
                 hermitian = hermitian and term_hermitian and complex(b).imag == 0
+                added = True
         if hermitian and not layout.is_hermitian(data):
             raise LatticeError(_NOT_HERMITIAN)
         mat = copy.copy(layout.proto)
         mat.data = data[:-1]
-        return DiscreteOperator._checked(mat, hermitian, self.h0.grid)
+        op = DiscreteOperator._checked(mat, hermitian, self.h0.grid)
+        if not added and layout is self._h_layout:
+            # H0's entries bit for bit, and stored zeros, which change neither
+            # its spectrum nor its delta: the spectrum H0 carries serves.
+            object.__setattr__(op, "_spectrum", self.h0._spectrum)
+        return op
 
 
 def _canonical(mat) -> sp.csr_matrix:

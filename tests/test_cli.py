@@ -390,7 +390,7 @@ class TestRun:
                                                                       monkeypatch):
         # A complex coupling makes H(beta) non-Hermitian, so its sigma_min
         # needs the dense SVD: above the dense limit the task exits 2 before
-        # it reduces any band (H0's included).
+        # it reduces any band.
         monkeypatch.setattr(lattice, "DENSE_MAX_DIM", 100)
         calls = []
         band_eigenvalues = analytic._band_eigenvalues
@@ -406,13 +406,14 @@ class TestRun:
         assert result.exit_code == 2
         assert "dimension 160 exceeds the dense limit 100" in result.stderr
         assert calls == []
-        # A real coupling keeps H(beta) Hermitian: the same run certifies.
+        # A real coupling keeps H(beta) Hermitian: the same run certifies,
+        # from H(beta)'s one band reduction and the Laplacian H0's closed form.
         doc["beta"]["values"] = [0.05, 0.02, 0.03]
         path = write_scenario(tmp_path, doc)
         result = run_cli(["run", "--scenario", str(path),
                           "--out", str(tmp_path / "out")])
         assert result.exit_code == 0, result.output
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_non_finite_potential_sample_is_usage_error(self, tmp_path):
         # The spike is centred on the grid node 2.0, where it samples +inf:
@@ -795,18 +796,24 @@ class TestHamiltonianReuse:
                             lambda mat, d: matrices.append(mat) or band_eigenvalues(mat, d))
         return lapack_calls, matrices
 
-    # None of these runs a stummel task, whose Gauss-Jacobi rule calls
-    # eigvals_banded too.
-    @pytest.mark.parametrize("scenario, reductions", [
-        ("sparse_track_2d", 4), ("sweep_1d", 9), ("two_level", 13)])
-    def test_band_reductions_per_run(self, tmp_path, monkeypatch, scenario, reductions):
+    @staticmethod
+    def _scenario(monkeypatch, scenario):
+        """A shipped scenario, or a perfbench workload's at seed 3."""
         repo = Path(__file__).resolve().parents[1]
-        if scenario == "sparse_track_2d":
+        if scenario in ("sparse_track_2d", "certify_2d"):
             monkeypatch.syspath_prepend(str(repo / "perfbench"))
             import workloads
             (_, doc), = workloads.scenarios(scenario, 3, repo)
-        else:
-            doc = load_scenario(repo / "scenarios" / f"{scenario}.yaml")
+            return doc
+        return load_scenario(repo / "scenarios" / f"{scenario}.yaml")
+
+    # None of these runs a stummel task, whose Gauss-Jacobi rule calls
+    # eigvals_banded too.  The Laplacian H0 and H(0) of the grid scenarios
+    # carry the closed-form spectrum and are never reduced.
+    @pytest.mark.parametrize("scenario, reductions", [
+        ("sparse_track_2d", 2), ("sweep_1d", 8), ("two_level", 13)])
+    def test_band_reductions_per_run(self, tmp_path, monkeypatch, scenario, reductions):
+        doc = self._scenario(monkeypatch, scenario)
         assert all(t["task"] != "stummel" for t in doc["tasks"])
         lapack_calls, matrices = self._record_reductions(monkeypatch)
         for run in range(2):
@@ -815,6 +822,21 @@ class TestHamiltonianReuse:
             assert len(lapack_calls) == reductions
             assert len({id(mat) for mat in matrices}) == len(matrices) == reductions
             lapack_calls.clear()
+            matrices.clear()
+
+    # These run a stummel task, so only `_band_eigenvalues` calls count.  The
+    # bounds task reduces its H(beta) alone (H0 has the closed form).
+    # bumps_1d's track task reduces H(beta) once more, as the context's one
+    # entry held H(0) in between, and its taylor task, at beta = 0, none.
+    @pytest.mark.parametrize("scenario, reductions", [("certify_2d", 1), ("bumps_1d", 2)])
+    def test_band_reductions_beside_a_stummel_task(self, tmp_path, monkeypatch, scenario,
+                                                   reductions):
+        doc = self._scenario(monkeypatch, scenario)
+        assert any(t["task"] == "stummel" for t in doc["tasks"])
+        _, matrices = self._record_reductions(monkeypatch)
+        for run in range(2):
+            execute_scenario(doc, tmp_path / f"out{run}")
+            assert len({id(mat) for mat in matrices}) == len(matrices) == reductions
             matrices.clear()
 
 

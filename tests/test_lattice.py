@@ -1,5 +1,6 @@
 """Lattice: grids, Laplacian, Hamiltonian assembly, coupling sequences."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -114,6 +115,98 @@ class TestLaplacian:
         monkeypatch.setattr(sp.csr_matrix, "toarray", no_array)
         with pytest.raises(LatticeError, match="dense limit 4096"):
             h0.to_dense()
+
+
+# Grids of 3 to 9 points per axis on extents where 1/h^2 is not a float.
+CLOSED_FORM_GRIDS = {
+    "1d_3": (((0.0, 0.7),), (3,)),
+    "1d_4": (((-1.3, 2.1),), (4,)),
+    "1d_5": (((0.0, 0.7),), (5,)),
+    "1d_9": (((-1.3, 2.1),), (9,)),
+    "2d_3x9": (((0.0, 0.7), (-1.3, 2.1)), (3, 9)),
+    "2d_5x4": (((0.1, 3.0), (0.0, 0.7)), (5, 4)),
+    "2d_9x9": (((-1.3, 2.1), (0.0, 1.1)), (9, 9)),
+    "3d_3x4x5": (((0.0, 0.7), (-1.3, 2.1), (0.1, 3.0)), (3, 4, 5)),
+    "3d_9x3x7": (((0.0, 1.1), (0.0, 0.7), (-1.3, 2.1)), (9, 3, 7)),
+}
+
+
+def closed_form_laplacian(name):
+    extent, points = CLOSED_FORM_GRIDS[name]
+    return build_laplacian(Grid(extent=extent, points=points))
+
+
+class TestClosedFormSpectrum:
+    """`build_laplacian` gives the operator its spectrum, and an H(beta) that
+    adds no term to H0 carries it."""
+
+    @pytest.mark.parametrize("name", list(CLOSED_FORM_GRIDS))
+    def test_within_delta_of_the_stored_matrix_exact_spectrum(self, name):
+        # Oracle: the exact eigenvalues of the stored floats, in 40 digits.
+        # Every row stores the one diagonal D and, on axis k (stride s_k),
+        # the off-diagonal -a_k/2, so the spectrum of the Kronecker sum is
+        # D - sum_k a_k cos(j_k pi/(n_k+1)).
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        op = closed_form_laplacian(name)
+        points = op.grid.points
+        E, delta = op._spectrum
+        diag = op.matrix.diagonal()
+        assert np.all(diag == diag[0])
+        strides = [int(np.prod(points[k + 1:])) for k in range(len(points))]
+        a = [-2 * mpmath.mpf(float(op.matrix[0, s].real)) for s in strides]
+        exact = sorted(
+            mpmath.mpf(float(diag[0].real))
+            - sum(a_k * mpmath.cos(j * mpmath.pi / (n + 1)) for a_k, j, n in zip(a, js, points))
+            for js in itertools.product(*[range(1, n + 1) for n in points]))
+        err = max(abs(mpmath.mpf(float(e)) - x) for e, x in zip(E, exact))
+        assert err <= delta
+        assert delta >= analytic._weyl_delta(op)
+
+    @pytest.mark.parametrize("name", list(CLOSED_FORM_GRIDS))
+    def test_agrees_with_the_band_and_dense_eigenvalues(self, name):
+        op = closed_form_laplacian(name)
+        E, delta = op._spectrum
+        # Each is within its delta of the same exact spectrum.
+        band = analytic._band_eigenvalues(op.matrix, op.dim)
+        assert np.abs(E - band).max() <= delta + analytic._weyl_delta(op)
+        dense = np.linalg.eigvalsh(op.to_dense())
+        assert np.abs(E - dense).max() <= 2 * delta
+
+    def test_read_only_and_not_reduced(self, monkeypatch):
+        monkeypatch.setattr(analytic, "_band_eigenvalues",
+                            lambda *a: pytest.fail("Laplacian band reduced"))
+        op = closed_form_laplacian("2d_9x9")
+        E, delta = analytic._spectrum(op)
+        assert E is op._spectrum[0] and delta == analytic._weyl_delta(op)
+        assert np.all(np.diff(E) >= 0)
+        with pytest.raises(ValueError):
+            E[0] = 1.0
+
+    def test_h0_spectrum_only_while_no_term_is_added(self):
+        h0 = closed_form_laplacian("2d_9x9")
+        fam = constant_family([1.0, 2.0], [SupportSet((Box((0.0, 0.0), (0.5, 1.0)),)),
+                                           SupportSet((Box((-1.0, 0.0), (1.0, 0.5)),))])
+        system = AffineFamily.from_potentials(h0, fam)
+        for beta in ((), (0.0,), (0.0, 0.0)):
+            H = system(np.asarray(beta))
+            assert H._spectrum is h0._spectrum
+            assert np.array_equal(H.to_dense(), h0.to_dense())
+        for beta in ((0.5,), (0.0, -1.0), (1e-300, 0.0), (0.5j, 0.0)):
+            assert system(np.asarray(beta, dtype=complex))._spectrum is None
+        assert system.perturbation(np.zeros(2))._spectrum is None
+
+    def test_matrix_h0_still_reduces(self):
+        # A `matrix` H0 has no closed form: H(0) reduces on first use, and
+        # carries H0's band eigenvalues once H0 was reduced.
+        band = sp.diags([np.full(5, -0.5), np.arange(6.0), np.full(5, -0.5)], [-1, 0, 1])
+        h0 = DiscreteOperator(band, hermitian=True)
+        system = AffineFamily(h0, (sp.identity(6, format="csr"),))
+        assert h0._spectrum is None and system(np.zeros(1))._spectrum is None
+        E, delta = analytic._spectrum(h0)
+        assert np.array_equal(E, analytic._band_eigenvalues(h0.matrix, 6))
+        assert delta == analytic._weyl_delta(h0)
+        assert system(np.zeros(1))._spectrum is h0._spectrum
 
 
 def constant_family(values, supports):

@@ -12,11 +12,16 @@ band reduced in complex storage; one `geometry.disjoint_refinement` and one
 (`potentials._family_sweep` on the probes and quadrature of the stummel
 task); one `lattice.AffineFamily.from_potentials`; the family's term table
 (`potentials._TermTable.of`), which a family builds once and the sample_on,
-sweep and from_potentials layers reuse; one H(beta) and one V(beta).
+sweep and from_potentials layers reuse; one H(beta) and one V(beta); one
+`lattice.build_laplacian` of the scenario's grid and of a 100 x 100 grid
+(d = 10^4), which includes the closed-form spectrum where the Laplacian
+carries one, and one `build_laplacian` of the scenario's grid followed by
+`analytic._spectrum` (a band reduction where the Laplacian carries none).
 Every layer value is the median of REPEAT timings
 (`bench_common.py`).  Tasks: the geometry, stummel and bounds times and the
 minor page faults of RUNS in-process scenario runs, the first run (cold)
-and the median of the others.
+and the median of the others, and the band reductions
+(`analytic._band_eigenvalues` calls) each task makes in one run.
 
 `--compare SRC --processes N` alternates this checkout and SRC in 2N fresh
 processes (`bench_common.compare`).
@@ -36,7 +41,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg as la
 
-from bench_common import environment, main, median_time, task_times
+from bench_common import calls_per_task, environment, main, median_time, task_times
 from specpert import analytic, cli, geometry, lattice, potentials, serialize
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,6 +50,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
 SEED = 3
+LARGE_GRID = lattice.Grid(extent=((0.0, 1.0), (0.0, 1.0)), points=(100, 100))
 
 
 def stummel_params(doc: dict, family) -> potentials.StummelParams:
@@ -89,6 +95,10 @@ def layer_times(doc: dict) -> dict:
             lambda: lattice.AffineFamily.from_potentials(h0, family)),
         "hamiltonian_s": median_time(lambda: system(beta)),
         "perturbation_s": median_time(lambda: system.perturbation(beta)),
+        "laplacian_s": median_time(lambda: lattice.build_laplacian(grid)),
+        "laplacian_10k_s": median_time(lambda: lattice.build_laplacian(LARGE_GRID)),
+        "laplacian_spectrum_s": median_time(
+            lambda: analytic._spectrum(lattice.build_laplacian(grid))),
     }
 
 
@@ -98,6 +108,7 @@ def measure() -> dict:
         "scenario": f"perfbench/workloads.py certify_2d, seed {SEED}",
         "layers": layer_times(doc),
         "tasks": task_times(doc, ("geometry", "stummel", "bounds")),
+        "band_reductions": calls_per_task(doc, analytic, "_band_eigenvalues"),
         "env": environment(),
     }
 

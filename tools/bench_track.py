@@ -11,7 +11,9 @@ layer value is the median of REPEAT timings (`bench_common.py`).  The
 layers take H(beta) from the family (`RunContext.system`), not from the
 CLI's `RunContext.hamiltonian`, which returns the operator of a repeated
 beta with its band eigenvalues kept: each repeat assembles and reduces a
-new H(beta), as a step at a new beta does.
+new H(beta), as a step at a new beta does.  H(0), which adds no term to
+the Laplacian H0, carries H0's closed-form spectrum, so the reference
+vector reduces no band.
 Scenarios: bumps_1d (d = 160), its track task with a sweep added
 (SWEEP_1D), and the seed-3 lattice of perfbench's sparse_track_2d
 workload (d = 210), whose track task and two-step sweep are its own.

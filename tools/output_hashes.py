@@ -18,6 +18,14 @@ Run from the repository root:
 missing, extra or different file.  `--root DIR` runs the `src/` and
 `scenarios/` of another checkout (say, the parent commit) with this
 checkout's workload definitions.
+
+`--values --root DIR` runs this checkout and DIR, and in place of the
+listing prints every value of a report.yaml or CSV that differs between
+them, one line each: file, key (the report's key path, or a CSV's row and
+column), DIR's value, this checkout's, |delta| and |delta| / |old| for
+numbers:
+
+    python tools/output_hashes.py --values --root ../parent
 """
 
 from __future__ import annotations
@@ -29,6 +37,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import yaml
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -49,19 +59,84 @@ def run(root: Path, scenario: Path, out: Path) -> None:
         raise SystemExit(f"{scenario.name}: exit {proc.returncode}\n{proc.stderr}")
 
 
+def outputs(root: Path, seeds: list[int], tmp: Path) -> Path:
+    """Every scenario run with the checkout `root`, under tmp/out/<run>;
+    returns tmp/out."""
+    for name in SHIPPED:
+        run(root, root / "scenarios" / f"{name}.yaml", tmp / "out" / name)
+    for seed in seeds:
+        for name in WORKLOADS:
+            docs = workloads.scenarios(name, seed, root)
+            (path,) = workloads.write(docs, tmp / "scenarios" / f"seed{seed}")
+            run(root, path, tmp / "out" / f"{name}-seed{seed}")
+    return tmp / "out"
+
+
+def files(out: Path) -> dict[str, Path]:
+    return {path.relative_to(out).as_posix(): path
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+
 def hashes(root: Path, seeds: list[int]) -> dict[str, str]:
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        for name in SHIPPED:
-            run(root, root / "scenarios" / f"{name}.yaml", tmp / "out" / name)
-        for seed in seeds:
-            for name in WORKLOADS:
-                docs = workloads.scenarios(name, seed, root)
-                (path,) = workloads.write(docs, tmp / "scenarios" / f"seed{seed}")
-                run(root, path, tmp / "out" / f"{name}-seed{seed}")
-        return {path.relative_to(tmp / "out").as_posix():
-                hashlib.sha256(path.read_bytes()).hexdigest()
-                for path in sorted((tmp / "out").rglob("*")) if path.is_file()}
+        return {name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for name, path in files(outputs(root, seeds, Path(tmp))).items()}
+
+
+def flatten(doc, prefix: str = ""):
+    """(key path, value) of every leaf of a YAML document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        yield prefix, doc
+        return
+    for key, value in items:
+        yield from flatten(value, f"{prefix}.{key}" if prefix else str(key))
+
+
+def values(path: Path) -> dict[str, object]:
+    """Every value of a report.yaml by key path, or of a CSV by
+    `<row>.<column>` (rows counted from 0 below the header)."""
+    if path.suffix == ".yaml":
+        return dict(flatten(yaml.safe_load(path.read_text())))
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    header = lines[0].split(",")
+    return {f"{i}.{column}": value for i, line in enumerate(lines[1:])
+            for column, value in zip(header, line.split(","))}
+
+
+def number(value) -> complex | None:
+    if isinstance(value, bool):
+        return None
+    try:
+        return complex(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def changed_values(old_out: Path, new_out: Path) -> list[str]:
+    """One line per value that differs between the two output trees."""
+    old_files, new_files = files(old_out), files(new_out)
+    lines = []
+    for name in sorted(old_files.keys() | new_files.keys()):
+        if name not in old_files or name not in new_files:
+            lines.append(f"{name} only in {'new' if name in new_files else 'old'}")
+            continue
+        old, new = values(old_files[name]), values(new_files[name])
+        for key in sorted(old.keys() | new.keys()):
+            a, b = old.get(key, "-"), new.get(key, "-")
+            if a == b:
+                continue
+            x, y = number(a), number(b)
+            if x is None or y is None:
+                lines.append(f"{name} {key} {a!r} -> {b!r}")
+                continue
+            delta = abs(y - x)
+            rel = delta / abs(x) if x != 0 else float("inf")
+            lines.append(f"{name} {key} {a} {b} {delta:.3g} {rel:.3g}")
+    return lines
 
 
 def main() -> None:
@@ -69,7 +144,15 @@ def main() -> None:
     parser.add_argument("--seed", type=int, nargs="+", default=[3, 11])
     parser.add_argument("--root", type=Path, default=ROOT)
     parser.add_argument("--against", type=Path, default=None)
+    parser.add_argument("--values", action="store_true")
     args = parser.parse_args()
+    if args.values:
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            old = outputs(args.root.resolve(), args.seed, tmp / "old")
+            new = outputs(ROOT, args.seed, tmp / "new")
+            print("\n".join(changed_values(old, new)))
+        return
     got = hashes(args.root.resolve(), args.seed)
     for path, digest in got.items():
         print(path, digest)
