@@ -60,8 +60,10 @@ contour centre, E(conj zeta) = conj E(zeta) (Schwarz reflection; Kato
 lower half of each circle as the conjugates of the upper half wherever
 H(conj beta) is the exact conjugate matrix of H(beta).
 
-`gamma_membership` reads sigma_min(H - lambda) off the same eigenvalues
-for Hermitian H, less delta, and takes a dense SVD for any other H.
+`gamma_membership` bounds sigma_min(H - lambda) from below for every
+sparse H, Hermitian or not, from one band LU (`_band_lu`) and one band
+Cholesky of A^H A less a guessed shift (`_gram_lower_bound`), with no
+spectrum and no d x d array; it falls back to `resolvent_gap`.
 `kato_radius` certifies that zeta -> (H + zeta V - lambda)^-1 is
 holomorphic on a disk in closed form, from Schur bounds alone
 (`resolvent_gap`); `verify_analytic_family` samples the same map.
@@ -362,9 +364,7 @@ def _band_eigenvalues(mat, d: int) -> np.ndarray:
     call reduces the band anew; `_spectrum` keeps one reduction per
     operator.
     """
-    ab, kl, ku = _band_storage(mat, d)
-    upper = ab[kl:kl + ku + 1]
-    return la.eigvals_banded(upper if upper.imag.any() else upper.real)
+    return la.eigvals_banded(_upper_band(mat, d)[0])
 
 
 def _spectrum(op: DiscreteOperator) -> tuple[np.ndarray, float]:
@@ -550,6 +550,22 @@ def _band_storage(mat, d: int) -> tuple[np.ndarray, int, int]:
     return ab, kl, ku
 
 
+def _upper_band(mat, d: int) -> tuple[np.ndarray, int]:
+    """The upper triangle of the Hermitian sparse `mat` in LAPACK upper band
+    storage (H[i, j] at row ku + i - j of column j, Fortran order), and its
+    width ku: in real storage when its imaginary part is exactly zero (a
+    real symmetric band), else in complex storage."""
+    mat = _canonical(mat)
+    nonzero, band_rows, cols, kl, ku = _band_positions(mat, d)
+    upper = band_rows <= kl + ku
+    data = mat.data[nonzero][upper]
+    if not data.imag.any():
+        data = data.real
+    ab = np.zeros((ku + 1, d), dtype=data.dtype, order="F")
+    ab[band_rows[upper] - kl, cols[upper]] = data
+    return ab, ku
+
+
 def _band_positions(mat, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Where `_band_storage` puts the entries of the canonical d x d CSR
     `mat`: the mask of its nonzero stored entries, their rows in the band
@@ -566,8 +582,10 @@ def _band_positions(mat, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, in
 
 def _band_lu(ab: np.ndarray, kl: int, ku: int, d: int, shifts: np.ndarray,
              stats: BlockStats):
-    """LU (`zgbtrf`) of one block-diagonal band matrix with a block of size d
-    per shift: block k is the band of block k of `ab` less shifts[k].
+    """LU (``?gbtrf``) of one block-diagonal band matrix with a block of size
+    d per shift: block k is the band of block k of `ab` less shifts[k].  It
+    is complex unless `ab` and the shifts are real (`gamma_membership` of a
+    real H at a real shift).
 
     `ab` holds bands in the rows of `_band_storage`, side by side: one band,
     shared by every shift (the contour nodes of `_node_solves`), or one per
@@ -577,16 +595,17 @@ def _band_lu(ab: np.ndarray, kl: int, ku: int, d: int, shifts: np.ndarray,
     module; `stats` counts each shift as one.
 
     Returns the LU, its pivots and a mask of the exactly singular blocks
-    (a zero pivot, ``zgbtrf`` info > 0).  A singular block is left as the
-    identity, so a ``zgbtrs`` on the stack stays finite in every other
+    (a zero pivot, ``?gbtrf`` info > 0).  A singular block is left as the
+    identity, so a ``?gbtrs`` on the stack stays finite in every other
     block; the caller decides what a singular shift means.
     """
     n = len(shifts)
-    band = np.empty((ab.shape[0], n * d), dtype=complex, order="F")
+    band = np.empty((ab.shape[0], n * d), dtype=np.result_type(ab, shifts), order="F")
     # Fortran order: factored in place.  A shared band broadcasts.
     band.T.reshape(n, d, -1)[:] = ab.T.reshape(-1, d, ab.shape[0])
     band[kl + ku] -= np.repeat(shifts, d)
-    lu, piv, info = lapack.zgbtrf(band, kl, ku, overwrite_ab=1)
+    factor = lapack.dgbtrf if band.dtype == float else lapack.zgbtrf
+    lu, piv, info = factor(band, kl, ku, overwrite_ab=1)
     stats.factorizations += n
     singular = np.zeros(n, dtype=bool)
     if info > 0:
@@ -1357,28 +1376,136 @@ def _recon_residual(f, base, t, r, M, tol) -> tuple[float, bool]:
     return resid, resid <= tol
 
 
+# The block inverse iteration that guesses sigma_min(A) for
+# `gamma_membership`: its columns, its steps, and the share eta of the
+# guessed sigma_min(A)^2 the certificate gives up so that a guess a little
+# above it still certifies.
+_SMIN_COLUMNS = 4
+_SMIN_STEPS = 6
+_SMIN_ETA = 1e-8
+
+
 def gamma_membership(family, beta, lam: complex, tol: float = 1e-10) -> tuple[bool, float]:
     """Whether (beta, lambda) lies in the open resolvent region, with margin.
 
-    Margin is the smallest singular value of H(beta) - lambda; positive
+    The margin is a lower bound on sigma_min(H(beta) - lambda); positive
     margin means perturbing (beta, lambda) by less than it keeps membership.
-    For a Hermitian `DiscreteOperator` it is min_j |E_j - lambda| - delta
-    from the eigenvalues E_j of `_spectrum`, each within its delta of the
-    exact one, so it bounds sigma_min from below and no d x d array is
-    formed.  Any other H (a non-Hermitian `DiscreteOperator`, a sparse
-    matrix or an ndarray) takes the dense SVD, and raises LatticeError above
-    `lattice.DENSE_MAX_DIM` before it is densified.
+    Every H, Hermitian or not, sparse or a library ndarray (taken as CSR),
+    gets one certificate, which forms no spectrum, no SVD and no d x d
+    array.  It bounds lambda_min(A^H A) from below for A = H - lambda, or,
+    for a Hermitian H, A = H - Re lambda, as then
+    (H - lambda)^H (H - lambda) = A^2 + (Im lambda)^2 exactly:
+
+    1. Guess.  One band LU of A (`_band_lu`) and `_SMIN_STEPS` steps of
+       block inverse iteration X <- A^-1 A^-H X on `_SMIN_COLUMNS` seeded
+       Gaussian columns (the block lets near-ties converge), then
+       Rayleigh-Ritz: s^2 is the least eigenvalue of (A Q)^H (A Q) for the
+       orthonormal Q of X.
+    2. Certify.  B = fl(A^H A), of band p <= kl + ku, in real storage when
+       its imaginary part is exactly zero (a real H at a real shift, so
+       every real symmetric H).  With t = s^2 (1 - `_SMIN_ETA`) - 2c, a
+       Cholesky (``?pbtrf``) of M = fl(B - t) that succeeds proves
+       lambda_min(A^H A) >= t - c, and the margin is sqrt(t - c), or
+       sqrt((Im lambda)^2 + t - c) for a Hermitian H, rounded down by
+       1 - 2 eps.
+    3. Otherwise (a singular LU, t <= c, or a failed Cholesky) the margin
+       is `resolvent_gap`, valid for every H, or 0 where that is negative.
+
+    Proof of 2, with eps the machine epsilon (twice the unit roundoff) and
+    S = sqrt(max column sum * max row sum of |A|) >= || |A| ||_2, the Schur
+    bound (as `lattice.schur_norm`).  (i) Rounding the shift
+    into the diagonal of A and every complex inner product of
+    n <= kl + ku + 1 terms (sqrt(2) gamma_(n+2), Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, Sec. 3.6) give
+    |B - A^H A| <= (n + 4) eps |A|^T |A| entrywise, so
+    ||B - A^H A||_2 <= (n + 4) eps S^2.  (ii) If the Cholesky runs to
+    completion, R^H R = M + dM with |dM| <= g |R^H| |R|, where
+    g = sqrt(2) gamma_(p+3) < 0.75 (p + 4) eps covers real and complex
+    inner products of at most p + 1 terms in any order, blocked or not
+    (Higham 2002, Thm 10.3; Rump, BIT 46 (2006)).  Every pivot was then
+    positive, so t < B_jj, M_jj <= (1 + eps) B_jj and
+    ||r_j||^2 <= M_jj / (1 - g); hence
+    |dM_ij| <= g ||r_i|| ||r_j|| <= (p + 4) eps b for |i - j| <= p and 0
+    otherwise, b = max_j B_jj, and ||dM||_2 <= (p + 4)(2p + 1) eps b.
+    (iii) Rounding B_jj - t moves M by at most eps b.  As R^H R >= 0, Weyl
+    gives lambda_min(A^H A) >= t - c
+    with c = eps ((n + 4) S^2 + ((p + 4)(2p + 1) + 1) b), rounded up by
+    1 + (d + 8) eps as `resolvent_gap` rounds its sums.  c is fixed a
+    priori by the band widths, S and b, never read off the factor, whose
+    bits may depend on the BLAS thread count.
+
+    A certified margin is thus below sigma_min by about
+    (eta sigma_min(A)^2 + 3c) / (2 sigma_min): 5e-9 at lambda = 0.001i on
+    the certify benchmark lattice (d = 576, p = 48) and 4e-8 on bumps_1d
+    (d = 160, p = 2), but a relative 1.5e-4 on a 100 x 100 Laplacian
+    (p = 200), as c grows like p^2 eps ||A||^2.  The Ritz value converges like
+    (sigma_1 / sigma_5)^24 in the singular values of A, so a non-Hermitian
+    H whose five smallest singular values at lambda lie within a few
+    percent of each other (lambda far from its spectrum) fails the
+    Cholesky and gets the gap.
     """
     H = family(beta)
-    if isinstance(H, DiscreteOperator) and H.hermitian:
-        E, delta = _spectrum(H)
-        smin = float(np.abs(E - lam).min()) - delta
-        return smin > tol, smin
     mat, d = _as_matrix(H)
-    _dense_guard(d, "gamma_membership")
-    dense = mat.toarray() if sp.issparse(mat) else np.asarray(mat, dtype=complex)
-    smin = float(la.svdvals(dense - lam * np.eye(len(dense)))[-1])
+    mat = _canonical(mat)
+    lam = complex(lam)
+    hermitian = H.hermitian if isinstance(H, DiscreteOperator) else lattice.is_hermitian(mat)
+    shift, floor = (lam.real, lam.imag ** 2) if hermitian else (lam, 0.0)
+    low = _gram_lower_bound(mat, d, shift)
+    if low is None:
+        smin = max(float(resolvent_gap(mat, lam)), 0.0)
+    else:
+        smin = math.sqrt(floor + low) * (1 - 2 * float(np.finfo(float).eps))
     return smin > tol, smin
+
+
+def _gram_lower_bound(mat, d: int, shift: complex) -> float | None:
+    """Step 2 of `gamma_membership` for A = mat - shift, `mat` canonical
+    CSR: t - c <= lambda_min(A^H A) when the Cholesky certifies it, else
+    None."""
+    A = _canonical(mat - shift * sp.identity(d, format="csr"))
+    guess = _ritz_guess(mat, d, shift, A)
+    if guess is None:
+        return None
+    upper, p = _upper_band(A.conj().T @ A, d)
+    eps = np.finfo(float).eps
+    b = float(upper[p].real.max())
+    # S^2, the Schur bound of A squared, from its column and row sums.
+    a = np.abs(A.data)
+    S2 = np.bincount(A.indices, a, d).max() * np.bincount(lattice._rows(A), a, d).max()
+    kl, ku = _band_positions(A, d)[3:]
+    c = eps * ((kl + ku + 5) * S2 + ((p + 4) * (2 * p + 1) + 1) * b) * (1 + (d + 8) * eps)
+    t = guess * (1 - _SMIN_ETA) - 2 * c
+    if not t - c > 0:
+        return None
+    upper[p] -= t
+    factor = lapack.dpbtrf if upper.dtype == float else lapack.zpbtrf
+    if factor(upper, lower=0, overwrite_ab=1)[1] != 0:
+        return None
+    return float(t - c)
+
+
+def _ritz_guess(mat, d: int, shift: complex, A) -> float | None:
+    """Step 1 of `gamma_membership`: the least Ritz value of A^H A, A =
+    mat - shift, after `_SMIN_STEPS` block inverse-iteration steps on one
+    band LU (real for a real `mat` at a real shift); None when the LU is
+    singular or the iteration overflows."""
+    ab, kl, ku = _band_storage(mat, d)
+    if not ab.imag.any():
+        ab = ab.real
+    lu, piv, singular = _band_lu(ab, kl, ku, d, np.array([shift]), BlockStats())
+    if singular[0]:
+        return None
+    gbtrs, geqrf, orgqr = ((lapack.dgbtrs, lapack.dgeqrf, lapack.dorgqr) if lu.dtype == float
+                           else (lapack.zgbtrs, lapack.zgeqrf, lapack.zungqr))
+    X = np.random.default_rng(_BLOCK_SEED).standard_normal((d, min(_SMIN_COLUMNS, d)))
+    with np.errstate(all="ignore"):
+        for _ in range(_SMIN_STEPS):
+            Y = gbtrs(lu, kl, ku, X, piv, trans=2)[0]
+            X = orgqr(*geqrf(gbtrs(lu, kl, ku, Y, piv)[0])[:2])[0]  # Q of the QR
+        AX = A @ X
+    if not np.isfinite(AX).all():
+        return None
+    return la.eigvalsh(np.einsum("ik,il->kl", AX.conj(), AX))[0]
 
 
 def resolvent_gap(H, lam: complex) -> float:

@@ -448,7 +448,6 @@ def task_bounds(ctx: RunContext, spec: dict) -> dict:
         # The band storage reads one triangle only, and the spectrum box and
         # the Kato margin hold for a self-adjoint H0 alone.
         raise ScenarioError("task 'bounds' needs a Hermitian H0")
-    _check_dense_limit(ctx, "bounds", beta_vec, "a dense SVD")
     H = ctx.hamiltonian(beta_vec)
     # V(beta) is bounded, so (a, b) = (0, ||V(beta)||) holds exactly.
     rb = bounds.RelativeBound(0.0, ctx.system.perturbation(beta_vec).norm_bound())

@@ -1435,13 +1435,78 @@ class TestKatoCertificate:
 
 
 def _both_inputs(dense):
-    """The same Hermitian matrix as a dense ndarray (the SVD path of
-    `gamma_membership`) and as a Hermitian `DiscreteOperator` (its band path)."""
+    """The same Hermitian matrix as a dense ndarray (a library input, taken
+    as CSR by `gamma_membership`) and as a Hermitian `DiscreteOperator`."""
     return dense, DiscreteOperator(sp.csr_matrix(dense), hermitian=True)
 
 
+def _random_band(kind, d, seed):
+    """A random sparse band matrix of dimension d: real symmetric, complex
+    Hermitian, or non-Hermitian with unequal band widths."""
+    rng = np.random.default_rng(seed)
+    lower, upper = (2, 3) if kind == "non_hermitian" else (3, 3)
+    offsets = [k for k in range(-lower, upper + 1) if abs(k) < d]
+    diags = [rng.standard_normal(d - abs(k)) for k in offsets]
+    if kind != "real_symmetric":
+        diags = [v + 1j * rng.standard_normal(len(v)) for v in diags]
+    mat = sp.diags(diags, offsets, format="csr")
+    if kind == "non_hermitian":
+        return DiscreteOperator(mat, hermitian=False)
+    return DiscreteOperator((mat + mat.getH()) / 2, hermitian=True)
+
+
+def _shifts(dense, hermitian):
+    """lambda on the imaginary axis near the spectrum and far from it, in
+    the interior of the spectrum (a quarter of the way from the middle
+    eigenvalue to its nearest neighbour) and exactly on that eigenvalue."""
+    vals = np.linalg.eigvalsh(dense) if hermitian else np.linalg.eigvals(dense)
+    vals = vals[np.argsort(vals.real, kind="stable")]
+    mid = complex(vals[len(vals) // 2])
+    others = np.delete(vals, len(vals) // 2)
+    near = complex(others[np.argmin(np.abs(others - mid))]) if len(others) else mid + 1
+    return {"imaginary": 0.05j, "far": 100j, "interior": mid + 0.25 * (near - mid),
+            "eigenvalue": mid}
+
+
+def _stated_slack(dense, lam):
+    """sigma_min^2 - margin^2 that the `gamma_membership` docstring allows a
+    certified margin, recomputed from the dense H: eta sigma_min(A)^2 + 3c
+    for A = H - lambda, or H - Re lambda for a Hermitian H, with c from the
+    band widths kl, ku, the band p of A^H A, the Schur bound S of |A| and
+    b = max_j (A^H A)_jj; plus the rounding of the Ritz value and of the
+    margin, and the error of the dense SVD it is compared with."""
+    d = len(dense)
+    hermitian = np.array_equal(dense, dense.conj().T)
+    A = dense - (lam.real if hermitian else lam) * np.eye(d)
+    rows, cols = np.nonzero(A)
+    kl, ku = max(0, int((rows - cols).max())), max(0, int((cols - rows).max()))
+    p = min(kl + ku, d - 1)
+    S2 = np.abs(A).sum(axis=0).max() * np.abs(A).sum(axis=1).max()
+    b = float((np.abs(A) ** 2).sum(axis=0).max())
+    eps = np.finfo(float).eps
+    c = eps * ((kl + ku + 5) * S2 + ((p + 4) * (2 * p + 1) + 1) * b) * (1 + (d + 8) * eps)
+    sv = scipy.linalg.svdvals(A)
+    ritz = 8 * eps * (sv[-min(analytic._SMIN_COLUMNS, d):] ** 2).sum()
+    full = scipy.linalg.svdvals(dense - lam * np.eye(d))
+    rounding = 4 * eps * full[-1] * (full[-1] + full[0])
+    return analytic._SMIN_ETA * sv[-1] ** 2 + 3 * c + ritz + rounding
+
+
+def _no_dense_path(monkeypatch):
+    """Fail on any band reduction, SVD or densification."""
+    def dense(*args, **kwargs):
+        raise AssertionError("dense path taken")
+
+    monkeypatch.setattr(analytic, "_band_eigenvalues", dense)
+    monkeypatch.setattr(analytic.la, "svdvals", dense)
+    monkeypatch.setattr(analytic.la, "svd", dense)
+    monkeypatch.setattr(DiscreteOperator, "to_dense", dense)
+    monkeypatch.setattr(sp.csr_matrix, "toarray", dense)
+
+
 class TestGammaMembership:
-    """Each check runs on both inputs of `_both_inputs`."""
+    """The far, eigenvalue and boundary checks run on both inputs of
+    `_both_inputs`."""
 
     def test_far_shift(self):
         dense = np.diag([0.0, 1.0, 2.0])
@@ -1472,38 +1537,96 @@ class TestGammaMembership:
             assert abs(window.mean() - E0) <= 1e-6
 
     def test_dense_guard_before_densifying(self, monkeypatch):
-        # A non-Hermitian H takes the dense SVD: above the dense limit it is
-        # refused before a d x d array is formed, as sparse CSR or ndarray.
+        # No dense guard is left: above the dense limit a non-Hermitian H,
+        # as sparse CSR or as ndarray, certifies with no SVD and no
+        # densified copy, below the SVD and within the stated slack of it.
+        dense = (1 + 0.5j) * np.roll(np.eye(3), 1, axis=1) + np.diag([0.0, 1.0, 2.0])
+        lam = 0.3 + 0.2j
+        sigma = scipy.linalg.svdvals(dense - lam * np.eye(3))[-1]
+        slack = _stated_slack(dense, lam)
         monkeypatch.setattr(lattice, "DENSE_MAX_DIM", 2)
-        monkeypatch.setattr(analytic.la, "svdvals",
-                            lambda *a: pytest.fail("densified above the dense limit"))
-        dense = (1 + 0.5j) * np.roll(np.eye(3), 1, axis=1)
+        _no_dense_path(monkeypatch)
         for H in (sp.csr_matrix(dense), dense):
-            with pytest.raises(LatticeError, match="dimension 3 exceeds the dense limit 2"):
-                gamma_membership(lambda b: H, None, 1j)
+            member, margin = gamma_membership(lambda b: H, None, lam)
+            assert member and margin <= sigma
+            assert sigma ** 2 - margin ** 2 <= slack
 
     @pytest.mark.parametrize("name", ["bumps_1d", "random_banded"])
     def test_band_margin_matches_dense_svd(self, name, monkeypatch):
-        # The band margin is min_j |E_j - lambda| less the Weyl rounding
-        # delta: below the SVD of the same matrix, and within 1e-12 of it
-        # once delta is added back.  The band path forms no d x d array.
+        # The Cholesky margin lies below the SVD of the same matrix and
+        # within the stated slack of it, a relative 1e-6 here, with no band
+        # reduction and no d x d array.
         op = _HERMITIAN_OPERATORS[name]()
         dense = op.to_dense()
         vals = np.linalg.eigvalsh(dense)
-        delta = analytic._weyl_delta(op)
         lams = [1e-3j, complex(vals[0] - 0.5, 0.0),
                 complex(0.6 * vals[0] + 0.4 * vals[1], 1e-4)]
-        svd = [gamma_membership(lambda b: dense, None, lam)[1] for lam in lams]
+        svd = [scipy.linalg.svdvals(dense - lam * np.eye(len(dense)))[-1] for lam in lams]
+        slacks = [_stated_slack(dense, lam) for lam in lams]
+        _no_dense_path(monkeypatch)
+        for lam, smin, slack in zip(lams, svd, slacks):
+            member, margin = gamma_membership(lambda b: op, None, lam)
+            assert member and margin <= smin
+            assert smin ** 2 - margin ** 2 <= slack
+            assert margin == pytest.approx(smin, rel=1e-6)
 
-        def no_dense(*args, **kwargs):
-            raise AssertionError("dense path taken")
+    @pytest.mark.parametrize("kind", ["real_symmetric", "hermitian", "non_hermitian"])
+    @pytest.mark.parametrize("d", [2, 3, 8, 41, 300])
+    def test_certificate_against_dense_svd(self, kind, d, monkeypatch):
+        # 0 <= margin <= sigma_min of the dense SVD, and sigma_min^2 -
+        # margin^2 within the stated slack; exactly on an eigenvalue that
+        # slack is all of sigma_min^2.  Far from the spectrum a non-Hermitian
+        # H's smallest singular values cluster, the guess does not converge
+        # and the margin may be the gap (see `gamma_membership`).  A real
+        # symmetric H is certified in real storage at a complex lambda, any
+        # other in complex storage.
+        op = _random_band(kind, d, seed=d)
+        dense = op.matrix.toarray()
+        shifts = _shifts(dense, op.hermitian)
+        expected = {lam: (scipy.linalg.svdvals(dense - lam * np.eye(d))[-1],
+                          _stated_slack(dense, lam)) for lam in shifts.values()}
+        factors = []
+        for name in ("dpbtrf", "zpbtrf"):
+            real = getattr(analytic.lapack, name)
+            monkeypatch.setattr(analytic.lapack, name,
+                                lambda *a, real=real, name=name, **k:
+                                factors.append(name) or real(*a, **k))
+        _no_dense_path(monkeypatch)
+        for where, lam in shifts.items():
+            sigma, slack = expected[lam]
+            member, margin = gamma_membership(lambda b: op, None, lam)
+            assert max(resolvent_gap(op, lam), 0.0) <= margin <= sigma, where
+            if op.hermitian or where != "far":
+                assert sigma ** 2 - margin ** 2 <= slack, where
+            if where != "eigenvalue":
+                assert member, where
+        assert factors.count("dpbtrf" if kind == "real_symmetric" else "zpbtrf") >= 2
+        assert set(factors) == {"dpbtrf" if kind == "real_symmetric" else "zpbtrf"}
 
-        monkeypatch.setattr(analytic.la, "svdvals", no_dense)
-        monkeypatch.setattr(DiscreteOperator, "to_dense", no_dense)
-        for lam, smin in zip(lams, svd):
-            member, band = gamma_membership(lambda b: op, None, lam)
-            assert member and band <= smin
-            assert band + delta == pytest.approx(smin, abs=1e-12)
+    @pytest.mark.parametrize("kind", ["real_symmetric", "hermitian", "non_hermitian"])
+    def test_failed_cholesky_falls_back_to_resolvent_gap(self, kind, monkeypatch):
+        # The gap is |Im lambda| for a Hermitian H, and negative, so the
+        # margin 0, for this non-Hermitian one.
+        op = _random_band(kind, 41, seed=5)
+        lam = 0.1 + 2.0j
+        certified = gamma_membership(lambda b: op, None, lam)[1]
+        for name in ("dpbtrf", "zpbtrf"):
+            monkeypatch.setattr(analytic.lapack, name, lambda ab, **k: (ab, 1))
+        member, margin = gamma_membership(lambda b: op, None, lam)
+        assert margin == max(resolvent_gap(op, lam), 0.0) < certified
+        assert member == op.hermitian
+
+    def test_forms_no_d_by_d_array(self):
+        # d = 1600: the peak traced memory stays below one real d x d array.
+        H = _lattice_2d(0.8, points=(40, 40))
+        gamma_membership(lambda b: H, None, 1e-3j)
+        tracemalloc.start()
+        try:
+            member, _ = gamma_membership(lambda b: H, None, 1e-3j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert member and peak < 8 * H.dim ** 2
 
 
 class TestBandEigenvalueStorage:

@@ -386,34 +386,54 @@ class TestRun:
         assert result.exit_code == 2
         assert "task 'stummel' needs a support for every term" in result.stderr
 
-    def test_bounds_non_hermitian_above_dense_limit_exits_before_band(self, tmp_path,
-                                                                      monkeypatch):
-        # A complex coupling makes H(beta) non-Hermitian, so its sigma_min
-        # needs the dense SVD: above the dense limit the task exits 2 before
-        # it reduces any band.
-        monkeypatch.setattr(lattice, "DENSE_MAX_DIM", 100)
-        calls = []
-        band_eigenvalues = analytic._band_eigenvalues
-        monkeypatch.setattr(analytic, "_band_eigenvalues",
-                            lambda *a: calls.append(a) or band_eigenvalues(*a))
+    def test_bounds_non_hermitian_above_dense_limit_certifies(self, tmp_path, monkeypatch):
+        # A complex coupling makes H(beta) non-Hermitian.  Its sigma_min is
+        # certified from one band LU and one band Cholesky of the band of
+        # (H - lambda)^H (H - lambda), so above the dense limit the task
+        # still certifies, with no band reduction, no SVD and no densified
+        # copy: bumps_1d (d = 160) with the limit at 100, below the dense
+        # SVD's sigma_min, and a d = 4100 lattice with the shipped limit.
+        captured = []
+        membership = analytic.gamma_membership
+        monkeypatch.setattr(analytic, "gamma_membership",
+                            lambda family, beta, lam: captured.append((family(beta), lam))
+                            or membership(family, beta, lam))
+
+        def dense(*args, **kwargs):
+            raise AssertionError("dense path taken")
+        for owner, name in ((analytic, "_band_eigenvalues"), (analytic.la, "svdvals"),
+                            (DiscreteOperator, "to_dense"), (sp.csr_matrix, "toarray")):
+            monkeypatch.setattr(owner, name, dense)
         repo = Path(__file__).resolve().parents[1]
-        doc = yaml.safe_load((repo / "scenarios" / "bumps_1d.yaml").read_text())
-        doc["tasks"] = [{"task": "bounds"}]
-        doc["beta"]["values"] = [[0.05, 0.0], [0.0, 0.02], [0.03, 0.0]]
-        path = write_scenario(tmp_path, doc)
-        result = run_cli(["run", "--scenario", str(path),
-                          "--out", str(tmp_path / "out")])
-        assert result.exit_code == 2
-        assert "dimension 160 exceeds the dense limit 100" in result.stderr
-        assert calls == []
-        # A real coupling keeps H(beta) Hermitian: the same run certifies,
-        # from H(beta)'s one band reduction and the Laplacian H0's closed form.
-        doc["beta"]["values"] = [0.05, 0.02, 0.03]
-        path = write_scenario(tmp_path, doc)
-        result = run_cli(["run", "--scenario", str(path),
-                          "--out", str(tmp_path / "out")])
-        assert result.exit_code == 0, result.output
-        assert len(calls) == 1
+        bumps = yaml.safe_load((repo / "scenarios" / "bumps_1d.yaml").read_text())
+        bumps["tasks"] = [{"task": "bounds"}]
+        bumps["beta"]["values"] = [[0.05, 0.0], [0.0, 0.02], [0.03, 0.0]]
+        lattice_4100 = {
+            "schema": 1,
+            "seed": 0,
+            "grid": {"extent": [[0.0, 8.0]], "points": [4100]},
+            "family": {"kind": "bump_lattice", "count": 2, "spacing": 3.0,
+                       "origin": [2.5], "width": 0.4, "height": 1.0,
+                       "support_halfwidth": 1.2},
+            "beta": {"values": [[0.1, 0.0], [0.0, 0.05]], "p": "inf"},
+            "tasks": [{"task": "bounds"}],
+        }
+        results = []
+        for name, doc, limit in (("bumps_1d", bumps, 100),
+                                 ("lattice_4100", lattice_4100, lattice.DENSE_MAX_DIM)):
+            monkeypatch.setattr(lattice, "DENSE_MAX_DIM", limit)
+            path = write_scenario(tmp_path, doc, f"{name}.yaml")
+            result = run_cli(["run", "--scenario", str(path), "--out", str(tmp_path / name)])
+            assert result.exit_code == 0, result.output
+            report = yaml.safe_load((tmp_path / name / "report.yaml").read_text())
+            results.append(report["tasks"][0]["result"])
+        assert all(r["pass"] and r["sigma_min"] > 0 for r in results)
+        assert [H.dim for H, _ in captured] == [160, 4100]
+        assert not any(H.hermitian for H, _ in captured)
+        monkeypatch.undo()
+        H, lam = captured[0]
+        sigma = scipy.linalg.svdvals(H.to_dense() - lam * np.eye(H.dim))[-1]
+        assert results[0]["sigma_min"] <= sigma
 
     def test_non_finite_potential_sample_is_usage_error(self, tmp_path):
         # The spike is centred on the grid node 2.0, where it samples +inf:
@@ -614,13 +634,10 @@ class TestRun:
         assert "cannot certify" in bounds["certification"]
 
     @pytest.mark.parametrize("points, task", [
-        # The bounds task refuses the non-Hermitian H(beta) before the band
-        # eigenvalues of H0.
-        ([4100], {"task": "bounds"}),
         # The sweep refuses the non-Hermitian H(beta) of its last target.
         ([65, 65], {"task": "sweep", "direction": [0.1, "0.05j"], "range": [1.0, 1.0],
                     "steps": 1}),
-    ], ids=["bounds-1d", "sweep-65x65"])
+    ], ids=["sweep-65x65"])
     def test_dense_input_above_limit_is_usage_error(self, tmp_path, monkeypatch,
                                                     points, task):
         # A complex coupling makes H(beta) non-Hermitian, which only the
@@ -811,7 +828,8 @@ class TestHamiltonianReuse:
     # eigvals_banded too.  The Laplacian H0 and H(0) of the grid scenarios
     # carry the closed-form spectrum and are never reduced.
     @pytest.mark.parametrize("scenario, reductions", [
-        ("sparse_track_2d", 2), ("sweep_1d", 8), ("two_level", 13)])
+        ("sparse_track_2d", 2), ("sweep_1d", 8), ("two_level", 13)],
+        ids=["sparse_track_2d", "sweep_1d", "two_level"])
     def test_band_reductions_per_run(self, tmp_path, monkeypatch, scenario, reductions):
         doc = self._scenario(monkeypatch, scenario)
         assert all(t["task"] != "stummel" for t in doc["tasks"])
@@ -825,10 +843,11 @@ class TestHamiltonianReuse:
             matrices.clear()
 
     # These run a stummel task, so only `_band_eigenvalues` calls count.  The
-    # bounds task reduces its H(beta) alone (H0 has the closed form).
-    # bumps_1d's track task reduces H(beta) once more, as the context's one
-    # entry held H(0) in between, and its taylor task, at beta = 0, none.
-    @pytest.mark.parametrize("scenario, reductions", [("certify_2d", 1), ("bumps_1d", 2)])
+    # bounds task reduces no band (H0 has the closed form, and sigma_min of
+    # H(beta) - lambda comes from a band Cholesky).  bumps_1d's track task
+    # reduces H(beta), and its taylor task, at beta = 0, none.
+    @pytest.mark.parametrize("scenario, reductions", [("certify_2d", 0), ("bumps_1d", 1)],
+                             ids=["certify_2d", "bumps_1d"])
     def test_band_reductions_beside_a_stummel_task(self, tmp_path, monkeypatch, scenario,
                                                    reductions):
         doc = self._scenario(monkeypatch, scenario)

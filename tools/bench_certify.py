@@ -16,7 +16,13 @@ sweep and from_potentials layers reuse; one H(beta) and one V(beta); one
 `lattice.build_laplacian` of the scenario's grid and of a 100 x 100 grid
 (d = 10^4), which includes the closed-form spectrum where the Laplacian
 carries one, and one `build_laplacian` of the scenario's grid followed by
-`analytic._spectrum` (a band reduction where the Laplacian carries none).
+`analytic._spectrum` (a band reduction where the Laplacian carries none);
+one `analytic.gamma_membership` of a new H(beta) at the bounds task's
+lambda = 0.001i (the H(beta) call included, as the task makes one; an
+operator that reduced its band once would read it back), and one of the
+100 x 100 grid's Laplacian at the same lambda (a band of width 100; timed
+only where `gamma_membership` reduces no band, as one reduction there
+takes about 15 s).
 Every layer value is the median of REPEAT timings
 (`bench_common.py`).  Tasks: the geometry, stummel and bounds times and the
 minor page faults of RUNS in-process scenario runs, the first run (cold)
@@ -51,6 +57,8 @@ import workloads  # noqa: E402
 
 SEED = 3
 LARGE_GRID = lattice.Grid(extent=((0.0, 1.0), (0.0, 1.0)), points=(100, 100))
+# The bounds task's lambda on certify_2d (find_resolvent_point's first y).
+LAMBDA = 1e-3j
 
 
 def stummel_params(doc: dict, family) -> potentials.StummelParams:
@@ -99,7 +107,20 @@ def layer_times(doc: dict) -> dict:
         "laplacian_10k_s": median_time(lambda: lattice.build_laplacian(LARGE_GRID)),
         "laplacian_spectrum_s": median_time(
             lambda: analytic._spectrum(lattice.build_laplacian(grid))),
+        "gamma_membership_s": median_time(
+            lambda: analytic.gamma_membership(system, beta, LAMBDA)),
+        "gamma_membership_10k_s": gamma_membership_10k(),
     }
+
+
+def gamma_membership_10k() -> float | None:
+    """One `gamma_membership` of the 100 x 100 Laplacian, or None for a
+    checkout whose `gamma_membership` reduces the band (no
+    `analytic._gram_lower_bound`)."""
+    if not hasattr(analytic, "_gram_lower_bound"):
+        return None
+    H = lattice.build_laplacian(LARGE_GRID)
+    return median_time(lambda: analytic.gamma_membership(lambda _: H, None, LAMBDA))
 
 
 def measure() -> dict:

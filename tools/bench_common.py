@@ -7,7 +7,8 @@ One process of a bench runs at one of two speeds, so a single run cannot
 compare two checkouts.  `--compare SRC --processes N` runs the bench in 2N
 fresh processes, alternating the `src/` of this checkout and SRC (say, the
 parent commit's), and writes every run and the median of every value per
-side (`compare`)."""
+side (`compare`).  Every run records the time of one fixed band LU
+(`speed_probe`), so a run in the slow mode shows in the record."""
 
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from unittest import mock
 
 import numpy as np
 import scipy
+import scipy.linalg.lapack as lapack
 
 from specpert import cli
 
@@ -103,11 +105,23 @@ def cold_warm(values: list) -> dict:
     return {"cold": values[0], "warm_median": statistics.median(values[1:])}
 
 
+def speed_probe() -> float:
+    """Median time of one ``zgbtrf`` of a fixed complex tridiagonal band
+    (d = 160, the bumps_1d size), the same work in every process and
+    checkout: it reads about twice as long in a process of the slow mode."""
+    d = 160
+    ab = np.zeros((4, d), dtype=complex)
+    ab[1, 1:] = ab[3, :-1] = -1.0
+    ab[2] = 2.0 + 0.01j
+    return median_time(lambda: lapack.zgbtrf(ab, 1, 1))
+
+
 def environment() -> dict:
     return {"numpy": np.__version__, "scipy": scipy.__version__,
             "blas_threads": blas_threads(), "nproc": os.cpu_count(),
             "thread_env": {k: v for k, v in os.environ.items()
-                           if k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
+                           if k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+            "zgbtrf_probe_s": speed_probe()}
 
 
 def median_of(runs: list):
