@@ -386,13 +386,11 @@ class TestRun:
         assert result.exit_code == 2
         assert "task 'stummel' needs a support for every term" in result.stderr
 
-    def test_bounds_non_hermitian_above_dense_limit_certifies(self, tmp_path, monkeypatch):
-        # A complex coupling makes H(beta) non-Hermitian.  Its sigma_min is
-        # certified from one band LU and one band Cholesky of the band of
-        # (H - lambda)^H (H - lambda), so above the dense limit the task
-        # still certifies, with no band reduction, no SVD and no densified
-        # copy: bumps_1d (d = 160) with the limit at 100, below the dense
-        # SVD's sigma_min, and a d = 4100 lattice with the shipped limit.
+    @staticmethod
+    def _bounds_without_dense_path(monkeypatch, tmp_path, name, doc, limit):
+        """Run `doc`'s bounds task with `lattice.DENSE_MAX_DIM` at `limit`,
+        every band reduction, SVD and densified copy raising; return its
+        report result and the non-Hermitian H(beta) and lambda it certified."""
         captured = []
         membership = analytic.gamma_membership
         monkeypatch.setattr(analytic, "gamma_membership",
@@ -401,14 +399,41 @@ class TestRun:
 
         def dense(*args, **kwargs):
             raise AssertionError("dense path taken")
-        for owner, name in ((analytic, "_band_eigenvalues"), (analytic.la, "svdvals"),
+        for owner, attr in ((analytic, "_band_eigenvalues"), (analytic.la, "svdvals"),
                             (DiscreteOperator, "to_dense"), (sp.csr_matrix, "toarray")):
-            monkeypatch.setattr(owner, name, dense)
+            monkeypatch.setattr(owner, attr, dense)
+        monkeypatch.setattr(lattice, "DENSE_MAX_DIM", limit)
+        path = write_scenario(tmp_path, doc, f"{name}.yaml")
+        result = run_cli(["run", "--scenario", str(path), "--out", str(tmp_path / name)])
+        assert result.exit_code == 0, result.output
+        report = yaml.safe_load((tmp_path / name / "report.yaml").read_text())
+        monkeypatch.undo()
+        [(H, lam)] = captured
+        assert not H.hermitian
+        return report["tasks"][0]["result"], H, lam
+
+    def test_bounds_non_hermitian_above_dense_limit_certifies(self, tmp_path, monkeypatch):
+        # A complex coupling makes H(beta) non-Hermitian.  Its sigma_min is
+        # certified from one band LU and one band Cholesky of the band of
+        # (H - lambda)^H (H - lambda), so above the dense limit the task
+        # still certifies, with no band reduction, no SVD and no densified
+        # copy: bumps_1d (d = 160) with the limit at 100, below the dense
+        # SVD's sigma_min.
         repo = Path(__file__).resolve().parents[1]
-        bumps = yaml.safe_load((repo / "scenarios" / "bumps_1d.yaml").read_text())
-        bumps["tasks"] = [{"task": "bounds"}]
-        bumps["beta"]["values"] = [[0.05, 0.0], [0.0, 0.02], [0.03, 0.0]]
-        lattice_4100 = {
+        doc = yaml.safe_load((repo / "scenarios" / "bumps_1d.yaml").read_text())
+        doc["tasks"] = [{"task": "bounds"}]
+        doc["beta"]["values"] = [[0.05, 0.0], [0.0, 0.02], [0.03, 0.0]]
+        bounds, H, lam = self._bounds_without_dense_path(monkeypatch, tmp_path,
+                                                         "bumps_1d", doc, 100)
+        assert bounds["pass"] and bounds["sigma_min"] > 0
+        assert H.dim == 160
+        sigma = scipy.linalg.svdvals(H.to_dense() - lam * np.eye(H.dim))[-1]
+        assert bounds["sigma_min"] <= sigma
+
+    def test_bounds_non_hermitian_lattice_above_shipped_dense_limit_certifies(
+            self, tmp_path, monkeypatch):
+        # The same certificate on a d = 4100 lattice at the shipped limit.
+        doc = {
             "schema": 1,
             "seed": 0,
             "grid": {"extent": [[0.0, 8.0]], "points": [4100]},
@@ -418,22 +443,11 @@ class TestRun:
             "beta": {"values": [[0.1, 0.0], [0.0, 0.05]], "p": "inf"},
             "tasks": [{"task": "bounds"}],
         }
-        results = []
-        for name, doc, limit in (("bumps_1d", bumps, 100),
-                                 ("lattice_4100", lattice_4100, lattice.DENSE_MAX_DIM)):
-            monkeypatch.setattr(lattice, "DENSE_MAX_DIM", limit)
-            path = write_scenario(tmp_path, doc, f"{name}.yaml")
-            result = run_cli(["run", "--scenario", str(path), "--out", str(tmp_path / name)])
-            assert result.exit_code == 0, result.output
-            report = yaml.safe_load((tmp_path / name / "report.yaml").read_text())
-            results.append(report["tasks"][0]["result"])
-        assert all(r["pass"] and r["sigma_min"] > 0 for r in results)
-        assert [H.dim for H, _ in captured] == [160, 4100]
-        assert not any(H.hermitian for H, _ in captured)
-        monkeypatch.undo()
-        H, lam = captured[0]
-        sigma = scipy.linalg.svdvals(H.to_dense() - lam * np.eye(H.dim))[-1]
-        assert results[0]["sigma_min"] <= sigma
+        assert lattice.DENSE_MAX_DIM < 4100
+        bounds, H, _ = self._bounds_without_dense_path(monkeypatch, tmp_path, "lattice_4100",
+                                                       doc, lattice.DENSE_MAX_DIM)
+        assert bounds["pass"] and bounds["sigma_min"] > 0
+        assert H.dim == 4100
 
     def test_non_finite_potential_sample_is_usage_error(self, tmp_path):
         # The spike is centred on the grid node 2.0, where it samples +inf:
@@ -828,8 +842,7 @@ class TestHamiltonianReuse:
     # eigvals_banded too.  The Laplacian H0 and H(0) of the grid scenarios
     # carry the closed-form spectrum and are never reduced.
     @pytest.mark.parametrize("scenario, reductions", [
-        ("sparse_track_2d", 2), ("sweep_1d", 8), ("two_level", 13)],
-        ids=["sparse_track_2d", "sweep_1d", "two_level"])
+        ("sparse_track_2d", 2), ("sweep_1d", 8), ("two_level", 13)])
     def test_band_reductions_per_run(self, tmp_path, monkeypatch, scenario, reductions):
         doc = self._scenario(monkeypatch, scenario)
         assert all(t["task"] != "stummel" for t in doc["tasks"])
