@@ -48,12 +48,14 @@ that the contour encloses exactly one eigenvalue of H(base + zeta t) for
 every |zeta| < r0 (Kato 1966, ch. II Sec. 3 and ch. VII Sec. 2).  Inside
 it, for a complex symmetric family (every real one), each computed sample
 of `taylor_eigenpath` is one shift-invert solve, gated by the Neumann
-margin, taken a chunk of samples at a time (`_shift_invert_samples`: two
-block-diagonal band LUs and one stacked inverse iteration per chunk).
+margin.  The samples stream through `_shift_invert_samples`, the one place
+their chunks are sized (two block-diagonal band LUs and one stacked
+inverse iteration per chunk), so the path holds one chunk of H(beta) and
+at most three more.
 Otherwise a sample is an action-only block contour pass (Sakurai &
 Sugiura 2003; Beyn 2012, `_track_block`), P Y and (P^2 - P) Y from one
-`_projector_action` pass; one that fails its defect test is re-tracked as
-`track_eigenvalue` would, the one case in which a sample can form the
+`_projector_action` pass; one that fails its defect test is re-tracked by
+`track_eigenvalue`, the one case in which a sample can form the
 d x d P.  For a real family, base point, direction and
 contour centre, E(conj zeta) = conj E(zeta) (Schwarz reflection; Kato
 1966, ch. II Sec. 1 and ch. VII Sec. 3), so `taylor_eigenpath` takes the
@@ -192,7 +194,7 @@ class BlockStats:
     factorizations: int = 0
     rhs_columns: int = 0
     full_projectors: int = 0  # d x d projectors built (`riesz_projector`)
-    fallbacks: int = 0  # block samples re-tracked by `_certified_action`
+    fallbacks: int = 0  # block samples re-tracked by `track_eigenvalue`
     mirrored: int = 0  # Taylor samples taken as the conjugate of an earlier one
     shift_invert: int = 0  # Taylor samples taken by `_shift_invert_samples`
     block_samples: int = 0  # Taylor samples taken by `_track_block`
@@ -790,11 +792,12 @@ def _sample_chunk(d: int, kl: int, ku: int) -> int:
     return max(1, _CHUNK_ENTRIES // ((2 * (2 * kl + ku + 1) + 2 * (kl + ku + 1) + 5) * d))
 
 
-def _shift_invert_samples(mats, sigmas, x: np.ndarray,
-                          stats: BlockStats) -> list[tuple[complex, float] | None]:
-    """Eigenvalue E of each complex symmetric H in `mats` near its shift in
-    `sigmas`, and its residual rho = ||H x - E x|| / ||x||, by shift-invert
-    from x; None for a sample whose shift is exactly singular.
+def _shift_invert_samples(samples, x: np.ndarray, stats: BlockStats):
+    """For each (tag, H, sigma) of the iterable `samples`, in order, yield
+    (tag, (E, rho)): the eigenvalue E of the complex symmetric H near the
+    shift sigma and its residual rho = ||H x - E x|| / ||x||, by
+    shift-invert from x; (tag, None) for a sample whose shift is exactly
+    singular.
 
     Each sample takes two inverse-iteration steps with one band LU of
     H - sigma (a dense ndarray goes in as CSR, whose band is the whole
@@ -804,62 +807,61 @@ def _shift_invert_samples(mats, sigmas, x: np.ndarray,
     and stop once a step no longer halves it, at the rounding floor, or
     after `_SHIFT_INVERT_STEPS` steps.
 
-    The samples go a chunk at a time (`_shift_invert_chunk`): a run of
-    samples with equal band widths, at most `_sample_chunk` of them.  A
-    sample's values do not depend on the chunk it falls in, and `stats`
-    counts what the samples taken one by one would: one factorization per
-    shift, one right-hand-side column per step of a sample still stepping.
-    No solve-residual gate: the shifts lie near an eigenvalue by design,
-    and the caller judges E by rho alone.
+    The samples are read as they are needed and go a chunk at a time
+    (`_shift_invert_chunk`): a run of samples with equal band widths, at
+    most `_sample_chunk` of them.  This is the one place chunks are sized:
+    the stream holds one chunk and the sample read after it.  A sample's
+    values do not depend on the chunk it falls in, and `stats` counts what
+    the samples taken one by one would: one factorization per shift, one
+    right-hand-side column per step of a sample still stepping.  No
+    solve-residual gate: the shifts lie near an eigenvalue by design, and
+    the caller judges E by rho alone.
     """
     x = np.asarray(x, dtype=complex)
     d = len(x)
-    results: list[tuple[complex, float] | None] = []
-    chunk: list[tuple[sp.csr_matrix, complex]] = []
+    chunk: list[tuple] = []  # (tag, mat, sigma, positions) of each sample
     positions = None
-    for i, (H, sigma) in enumerate(zip(mats, sigmas)):
+    for tag, H, sigma in samples:
         mat = _canonical(_as_matrix(H)[0])
         # The H(beta) of an `AffineFamily` share their index arrays: one
         # with the nonzero entries of the last shares its band positions.
         if not (positions is not None and mat.indptr is pattern[0]
                 and mat.indices is pattern[1] and np.array_equal(mat.data != 0, positions[0])):
             positions, pattern = _band_positions(mat, d), (mat.indptr, mat.indices)
-        nonzero, band_rows, cols, kl, ku = positions
-        if chunk and ((kl, ku) != widths or len(chunk) == size):
-            results += _shift_invert_chunk(chunk, bands, widths, x, stats)
+        widths = positions[3:]
+        if chunk and (widths != chunk[-1][3][3:] or len(chunk) == _sample_chunk(d, *widths)):
+            yield from _shift_invert_chunk(chunk, x, stats)
             chunk = []
-        if not chunk:
-            # Each band goes straight into the chunk's stacked band.
-            widths, size = (kl, ku), min(_sample_chunk(d, kl, ku), len(mats) - i)
-            bands = np.zeros((2 * kl + ku + 1, size * d), dtype=complex, order="F")
-        bands[band_rows, cols + len(chunk) * d] = mat.data[nonzero]
-        chunk.append((mat, complex(sigma)))
+        chunk.append((tag, mat, complex(sigma), positions))
     if chunk:
-        results += _shift_invert_chunk(chunk, bands, widths, x, stats)
-    return results
+        yield from _shift_invert_chunk(chunk, x, stats)
 
 
-def _shift_invert_chunk(chunk: list[tuple[sp.csr_matrix, complex]], bands: np.ndarray,
-                        widths: tuple[int, int], x0: np.ndarray,
-                        stats: BlockStats) -> list[tuple[complex, float] | None]:
-    """`_shift_invert_samples` of one chunk of (mat, sigma), all at once:
-    `bands` holds their bands side by side (`_band_storage`), all of band
-    widths `widths`.
+def _shift_invert_chunk(chunk: list[tuple[object, sp.csr_matrix, complex, tuple]],
+                        x0: np.ndarray, stats: BlockStats) -> list[tuple[object, object]]:
+    """`_shift_invert_samples` of one chunk of (tag, mat, sigma, positions),
+    all at once, as (tag, (E, rho) | None): mat is a sample's canonical CSR
+    matrix and positions its `_band_positions`, all of the same band widths.
 
-    Each of the two `_band_lu` calls factors every sample of the chunk, each
-    `_inverse_step` is one ``zgbtrs`` on the stack, and the quotients one
-    product with the samples' block-diagonal CSR matrix (`_quotients`).
-    Pivoting never crosses a block, so each sample keeps the bits it has
-    alone.  A sample whose first shift is exactly singular leaves the chunk
-    before the second LU; one singular at the second stops there.
+    The chunk's bands go side by side into one stacked band
+    (`_band_storage`).  Each of the two `_band_lu` calls factors every
+    sample of the chunk, each `_inverse_step` is one ``zgbtrs`` on the
+    stack, and the quotients one product with the samples' block-diagonal
+    CSR matrix (`_quotients`).  Pivoting never crosses a block, so each
+    sample keeps the bits it has alone.  A sample whose first shift is
+    exactly singular leaves the chunk before the second LU; one singular at
+    the second stops there.
     """
+    tags, mats, sigmas, positions = zip(*chunk)
     n, d = len(chunk), len(x0)
-    kl, ku = widths
+    kl, ku = positions[0][3:]
+    ab = np.zeros((2 * kl + ku + 1, n * d), dtype=complex, order="F")
+    for i, (mat, (nonzero, band_rows, cols, _, _)) in enumerate(zip(mats, positions)):
+        ab[band_rows, cols + i * d] = mat.data[nonzero]
     out: list[tuple[complex, float] | None] = [None] * n
-    ab = bands[:, :n * d]
-    H = _block_diagonal([mat for mat, _ in chunk], d)
+    H = _block_diagonal(mats, d)
     with np.errstate(all="ignore"):
-        sigmas = np.array([c[1] for c in chunk])
+        sigmas = np.array(sigmas)
         lu, piv, singular = _band_lu(ab, kl, ku, d, sigmas, stats)
         X = _inverse_step(lu, piv, kl, ku,
                           _inverse_step(lu, piv, kl, ku, np.tile(x0, (n, 1))))
@@ -868,10 +870,10 @@ def _shift_invert_chunk(chunk: list[tuple[sp.csr_matrix, complex]], bands: np.nd
         E, rho = _quotients(H, X)
         keep = ~singular
         if not keep.any():
-            return out
+            return list(zip(tags, out))
         if not keep.all():
             ab = ab[:, np.repeat(keep, d)]
-            H = _block_diagonal([mat for (mat, _), kept in zip(chunk, keep) if kept], d)
+            H = _block_diagonal([mat for mat, kept in zip(mats, keep) if kept], d)
             X, E, rho = X[keep], E[keep], rho[keep]
         lu, piv, singular = _band_lu(ab, kl, ku, d, E, stats)
         stepping = ~singular
@@ -887,7 +889,7 @@ def _shift_invert_chunk(chunk: list[tuple[sp.csr_matrix, complex]], bands: np.nd
     for i, k in enumerate(np.flatnonzero(keep)):
         if not singular[i]:
             out[k] = (complex(E[i]), float(rho[i]))
-    return out
+    return list(zip(tags, out))
 
 
 def _conjugate_circle(radius: float, n: int) -> np.ndarray:
@@ -1061,10 +1063,12 @@ def taylor_eigenpath(
     sample is a shift-invert sample (`_shift_invert_samples`) from the
     shift E0 + zeta a1, with
     E0 = psi0^T H(base) psi0 / psi0^T psi0 and a1 = psi0^T V_t psi0 / psi0^T psi0:
-    at most two band LUs and no contour.  The computed samples wait for a
-    chunk of them, each chunk two block-diagonal band LUs in all, so the
-    path holds at most one chunk of H(beta) and the last computed one; a
-    sample's value does not depend on its chunk.  It is accepted iff its
+    at most two band LUs and no contour.  The computed samples stream, as
+    they are built, through `_shift_invert_samples`, which alone sizes their
+    chunks, each chunk two block-diagonal band LUs in all.  The path holds
+    at most one chunk of H(beta) and three more: H(base), the sample read
+    after the chunk and the previous chunk's last.  A sample's value does
+    not depend on its chunk.  It is accepted iff its
     residual rho = ||H x - E x|| / ||x|| is at most residual_tol and below
     the Neumann margin (r0 - r) ||V_t||, less the rounding of rho, and
     |E - c| is below the contour radius.  On
@@ -1084,7 +1088,7 @@ def taylor_eigenpath(
     about |v^* w| ~ 1 of a rank-one defect, and falls below a tenth of it
     with probability about 1%, so the factor keeps the block test at least
     as strict as ||P^2 - P||_2 <= defect_tol.  A sample that fails it is
-    re-tracked on the H(beta) it built, as `track_eigenvalue` does, so the
+    re-tracked by `track_eigenvalue` on the H(beta) it built, so the
     exact test decides and never rejects a projector for an unlucky draw;
     unless H(beta) is a Hermitian `DiscreteOperator` (never at a non-real
     zeta), that builds the d x d P and raises LatticeError above
@@ -1126,8 +1130,7 @@ def taylor_eigenpath(
 
     H_base = family(base)
     mat0 = _canonical(_as_matrix(H_base)[0])
-    mat1 = _canonical(_as_matrix(family(base + t))[0])
-    V = _canonical(mat1 - mat0)
+    V = _canonical(_canonical(_as_matrix(family(base + t))[0]) - mat0)
     r0 = contour_kato_radius(H_base, V, track_contour)
     shift_invert = r < r0 and _is_symmetric(mat0) and _is_symmetric(V)
     if shift_invert:
@@ -1140,10 +1143,6 @@ def taylor_eigenpath(
         norm2 = ref_psi @ ref_psi
         E0 = ref_psi @ (mat0 @ ref_psi) / norm2
         a1 = ref_psi @ (V @ ref_psi) / norm2
-        # Computed samples wait for a chunk of `_shift_invert_samples`, sized
-        # by the band of H(base + t), which the path's H(beta) share.
-        chunk = _sample_chunk(mat0.shape[0], *_band_positions(mat1, mat0.shape[0])[3:])
-    del mat1
 
     points = _series_points(r, q)
     # Each sample's zeta is read back off its beta, along the largest |t_i|.
@@ -1151,7 +1150,24 @@ def taylor_eigenpath(
     zetas = np.empty(len(points), dtype=complex)
     values = np.empty(len(points), dtype=complex)
     mirrors: list[tuple[int, int]] = []  # (point, the computed point it mirrors)
-    pending: list[tuple[int, object]] = []  # (point, H(beta)) awaiting its chunk
+
+    def computed():
+        """(point, H(beta)) of each sample to compute, in `_series_order`;
+        records the zeta of every point and the mirrored ones."""
+        # (beta, point, H(beta)) of the last computed sample: its conjugate
+        # point comes next (see `_series_order`).
+        last = None
+        for j in _series_order(q):
+            beta = base + points[j] * t
+            zetas[j] = (beta[axis] - base[axis]) / t[axis]
+            H = family(beta)
+            if (real_centre and last is not None and np.array_equal(beta, np.conj(last[0]))
+                    and _is_conjugate(_as_matrix(H)[0], _as_matrix(last[2])[0])):
+                stats.mirrored += 1
+                mirrors.append((j, last[1]))
+                continue
+            last = (beta, j, H)
+            yield j, H
 
     def block_sample(H) -> complex:
         stats.block_samples += 1
@@ -1160,15 +1176,12 @@ def taylor_eigenpath(
         except QuadratureError:
             # Block defect above defect_tol / 10: the exact test decides.
             stats.fallbacks += 1
-            psi = _certified_action(H, track_contour, ref_psi, defect_tol, stats)[3]
-            E, residual = _eigenvalue_of(_as_matrix(H)[0], psi, ref_psi, residual_tol)
-            stats.max_residual = max(stats.max_residual, residual)
-            return E
+            return track_eigenvalue(lambda _: H, None, track_contour, ref_psi,
+                                    residual_tol, defect_tol, stats).E
 
-    def solve_pending():
-        shifts = [E0 + zetas[j] * a1 for j, _ in pending]
-        results = _shift_invert_samples([H for _, H in pending], shifts, ref_psi, stats)
-        for (j, H), result in zip(pending, results):
+    if shift_invert:
+        shifted = (((j, H), H, E0 + zetas[j] * a1) for j, H in computed())
+        for (j, H), result in _shift_invert_samples(shifted, ref_psi, stats):
             E, rho = result if result is not None else (math.nan, math.nan)
             if (rho <= residual_tol and rho < margin
                     and abs(E - track_contour.center) < track_contour.radius):
@@ -1177,29 +1190,9 @@ def taylor_eigenpath(
                 values[j] = E
             else:
                 values[j] = block_sample(H)
-        pending.clear()
-
-    # (beta, point, H(beta)) of the last computed sample: its conjugate
-    # point comes next (see `_series_order`).
-    last = None
-    for j in _series_order(q):
-        beta = base + points[j] * t
-        zetas[j] = (beta[axis] - base[axis]) / t[axis]
-        H = family(beta)
-        if (real_centre and last is not None and np.array_equal(beta, np.conj(last[0]))
-                and _is_conjugate(_as_matrix(H)[0], _as_matrix(last[2])[0])):
-            stats.mirrored += 1
-            mirrors.append((j, last[1]))
-            continue
-        last = (beta, j, H)
-        if not shift_invert:
+    else:
+        for j, H in computed():
             values[j] = block_sample(H)
-            continue
-        pending.append((j, H))
-        if len(pending) == chunk:
-            solve_pending()
-    if pending:
-        solve_pending()
     for j, k in mirrors:
         values[j] = values[k].conjugate()
 

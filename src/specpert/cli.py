@@ -489,6 +489,15 @@ def _check_dense_limit(ctx: RunContext, task: str, beta_vec, needs: str) -> None
             f"dimension {ctx.system.h0.dim} exceeds the dense limit {lattice.DENSE_MAX_DIM}")
 
 
+def _task_radius(spec: dict) -> float:
+    """A taylor or verify task's `r`; ScenarioError unless it is positive
+    and finite, as a disk of no or infinite radius certifies nothing."""
+    r = float(spec.get("r", 0.2))
+    if not 0 < r < math.inf:
+        raise ScenarioError(f"task field r: {r} is not a positive finite radius")
+    return r
+
+
 def task_track(ctx: RunContext, spec: dict) -> dict:
     eig_index = int(spec.get("eig_index", 0))
     beta_vec = ctx.beta_vector()
@@ -541,11 +550,10 @@ def task_sweep(ctx: RunContext, spec: dict) -> dict:
     rows: list[list] = []
     halvings = 0
     failure: str | None = None
-    current = targets[0]
+    reached = targets[0]  # the last coupling tracked to
     radius = contour.radius
     for target in targets:
-        ok_step = False
-        sub_from = current
+        # Couplings still to reach, the next on top; a failed step halves it.
         pending = [target]
         attempts = 0
         while pending and attempts < 64:
@@ -559,7 +567,7 @@ def task_sweep(ctx: RunContext, spec: dict) -> dict:
             except analytic.AnalyticError:
                 attempts += 1
                 halvings += 1
-                mid = 0.5 * (sub_from + nxt)
+                mid = 0.5 * (reached + nxt)
                 if abs(mid - nxt) < 1e-12:
                     failure = f"step to {nxt:.6g} failed after halving"
                     break
@@ -568,17 +576,12 @@ def task_sweep(ctx: RunContext, spec: dict) -> dict:
             contour = analytic.Contour(center=complex(res.E), radius=radius,
                                        q=contour.q)
             psi0 = res.psi / np.linalg.norm(res.psi)
-            sub_from = nxt
-            pending.pop()
-            if not pending:
-                rows.append([target, res.E.real, res.E.imag, res.residual,
-                             res.trace_defect])
-                ok_step = True
-        if failure or not ok_step:
+            reached = pending.pop()
+        if pending:
             failure = failure or f"step to {target:.6g} failed"
             rows.append([target, math.nan, math.nan, math.nan, math.nan])
             break
-        current = target
+        rows.append([target, res.E.real, res.E.imag, res.residual, res.trace_defect])
 
     _write_csv(
         ctx.out / "sweep.csv",
@@ -599,7 +602,7 @@ def task_sweep(ctx: RunContext, spec: dict) -> dict:
 def task_taylor(ctx: RunContext, spec: dict) -> dict:
     eig_index = int(spec.get("eig_index", 0))
     M = int(spec.get("M", 12))
-    r = float(spec.get("r", 0.2))
+    r = _task_radius(spec)
     direction = analytic.Direction(_task_direction(ctx, spec, 1))
     base = ctx.beta_vector() * 0.0
     contour = _place_contour(ctx.hamiltonian(base), eig_index,
@@ -642,7 +645,7 @@ def task_verify(ctx: RunContext, spec: dict) -> dict:
     holomorphic on |zeta| <= r, certified in closed form by `analytic.kato_radius`
     at 2 base points x 2 directions, with lambda0 = 10i max(||H(beta0)||, 1)."""
     n = len(ctx.family)
-    r = float(spec.get("r", 0.2))
+    r = _task_radius(spec)
     rng = np.random.default_rng(int(ctx.scenario["seed"]) + 1)
     dense_dir = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     dirs = [np.eye(n, dtype=complex)[0], dense_dir / np.abs(dense_dir).max()]

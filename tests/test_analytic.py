@@ -4,6 +4,7 @@ import cmath
 import math
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -55,8 +56,8 @@ def two_level_energy(b):
 def _without_shift_invert(monkeypatch):
     """Send every computed Taylor sample to the block contour path, as a
     shift that is exactly singular does."""
-    def singular(mats, sigmas, x, stats):
-        return [None for _ in sigmas]
+    def singular(samples, x, stats):
+        return ((tag, None) for tag, _, _ in samples)
 
     monkeypatch.setattr(analytic, "_shift_invert_samples", singular)
 
@@ -1177,10 +1178,10 @@ class TestShiftInvertSamples:
         # two_level, r = 0.3: r0 = 0.5 and ||V_t|| = 1 give the margin 0.2.
         real = analytic._shift_invert_samples
 
-        def missing(mats, sigmas, x, stats):
-            return [{"residual": (E, 1.0), "margin": (E, 0.3),
-                     "outside": (E + 1.0, rho)}[miss]
-                    for E, rho in real(mats, sigmas, x, stats)]
+        def missing(samples, x, stats):
+            return ((tag, {"residual": (E, 1.0), "margin": (E, 0.3),
+                           "outside": (E + 1.0, rho)}[miss])
+                    for tag, (E, rho) in real(samples, x, stats))
 
         monkeypatch.setattr(analytic, "_shift_invert_samples", missing)
         residual_tol = 0.5 if miss == "margin" else 1e-8
@@ -1231,27 +1232,28 @@ class TestChunkedShiftInvert:
         family, base, direction, contour, r = _shipped_bumps_1d_path()
         plain = taylor_eigenpath(family, base, direction, contour, r=r, M=8, q=32)
         real = analytic._shift_invert_samples
-        singular = []
+        n = analytic._sample_chunk(160, 1, 1)
+        k = n // 2
+        results = []
 
-        def with_singular(mats, sigmas, x, stats):
-            mats, sigmas = list(mats), list(sigmas)
-            if not singular:
-                k = len(mats) // 2
-                mat = sp.csr_matrix(mats[k].matrix, copy=True)
-                mat[0, 1] = mat[1, 0] = 0.0
-                mats[k], sigmas[k] = mat, mat[0, 0]
-                singular.append((k, len(mats)))
-            results = real(mats, sigmas, x, stats)
-            if len(singular) == 1:
-                k, _ = singular[0]
-                assert results[k] is None
-                singular.append(results)
-            return results
+        def with_singular(samples, x, stats):
+            # Only the H the solver sees changes: the tag keeps the path's.
+            def replaced():
+                for i, (tag, H, sigma) in enumerate(samples):
+                    if i == k:
+                        H = sp.csr_matrix(H.matrix, copy=True)
+                        H[0, 1] = H[1, 0] = 0.0
+                        sigma = H[0, 0]
+                    yield tag, H, sigma
+
+            for tag, result in real(replaced(), x, stats):
+                results.append(result)
+                yield tag, result
 
         monkeypatch.setattr(analytic, "_shift_invert_samples", with_singular)
         path = taylor_eigenpath(family, base, direction, contour, r=r, M=8, q=32)
-        (k, n), results = singular
-        assert 2 < k < n - 2
+        results = results[:n]
+        assert 2 < k < len(results) - 2 and results[k] is None
         assert results[:k] + results[k + 1:] != [] and None not in results[:k] + results[k + 1:]
         assert path.stats.shift_invert == plain.stats.shift_invert - 1
         assert path.stats.block_samples == 1 and plain.stats.block_samples == 0
@@ -1282,6 +1284,32 @@ class TestChunkedShiftInvert:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_path_holds_one_chunk_of_hamiltonians(self, monkeypatch):
+        # Live H(beta) when a chunk is solved: the chunk's, H(base), the
+        # sample read after the chunk and the previous chunk's last.
+        family, base, direction, contour, r = _shipped_bumps_1d_path()
+        built, held = [], []
+
+        def spied(beta):
+            H = family(beta)
+            built.append(weakref.ref(H))
+            return H
+
+        def live():
+            return sum(ref() is not None for ref in built)
+
+        real = analytic._shift_invert_chunk
+
+        def chunk_spy(chunk, x0, stats):
+            held.append((live(), len(chunk)))
+            return real(chunk, x0, stats)
+
+        monkeypatch.setattr(analytic, "_shift_invert_chunk", chunk_spy)
+        path = taylor_eigenpath(spied, base, direction, contour, r=r, M=16, q=128)
+        assert path.stats.shift_invert == 70 and len(held) == 4
+        assert all(n_live <= n + 3 for n_live, n in held), held
+        assert live() == 0
 
 
 class TestRadius:

@@ -341,6 +341,29 @@ class TestRun:
         assert rows[0][0] == 0.0 and rows[0][1] == pytest.approx(0.0, abs=1e-12)
         assert rows[1][0] == 1.0 and np.isnan(rows[1][1])
 
+    def test_sweep_halves_past_the_contour_and_completes(self, tmp_path):
+        # H(s) = diag(0.6 s, 1 + 0.6 s): the tracked level moves 0.6 per
+        # step, past the contour radius 1/2, so each step fails once and
+        # halves, and the other level stays a gap of 1 away.
+        doc = dict(TWO_LEVEL)
+        doc["family"] = {"kind": "matrix", "h0": [[0.0, 0.0], [0.0, 1.0]],
+                         "terms": [[[0.6, 0.0], [0.0, 0.6]]]}
+        doc["tasks"] = [{"task": "sweep", "axis": 1, "range": [0.0, 2.0],
+                         "steps": 3, "eig_index": 0}]
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        result = run_cli(["run", "--scenario", str(path), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert "PASS sweep.completed: 3 rows" in result.output
+        sweep = yaml.safe_load((out / "report.yaml").read_text())["tasks"][0]["result"]
+        assert sweep == {"rows": 3, "halvings": 2, "failure": None, "pass": True}
+        _, rows = read_csv(out / "sweep.csv")
+        assert [row[0] for row in rows] == [0.0, 1.0, 2.0]
+        assert np.isfinite(rows).all()
+        for s, re_e, im_e, residual, _ in rows:
+            assert re_e == pytest.approx(0.6 * s, abs=1e-12) and im_e == 0.0
+            assert residual <= 1e-8
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_coupling_is_usage_error(self, tmp_path, value):
         doc = dict(TWO_LEVEL)
@@ -715,7 +738,8 @@ def _shipped_task(tmp_path, scenario, task, **fields):
 
 class TestTaskFields:
     """A task's coupling direction and eigenvalue index are checked against
-    the family before any contour is placed."""
+    the family, and a taylor or verify radius r is checked to be positive
+    and finite, before any contour is placed."""
 
     @pytest.mark.parametrize("scenario, task, fields, named", [
         ("bumps_1d", "taylor", {"direction": [1.0, 0.0, 0.0, 0.0]}, "direction"),
@@ -726,8 +750,12 @@ class TestTaskFields:
         ("bumps_1d", "track", {"eig_index": 160}, "eig_index"),
         ("two_level", "track", {"eig_index": -1}, "eig_index"),
         ("two_level", "taylor", {"eig_index": 2}, "eig_index"),
-    ], ids=["long-direction", "nested-direction", "scalar-direction", "axis-0", "axis-past-n",
-            "eig-index-past-d", "negative-eig-index", "taylor-eig-index-past-d"])
+    ] + [("bumps_1d", task, {"r": r}, "r") for task in ("taylor", "verify")
+         for r in (0.0, -0.1, math.nan, math.inf)],
+        ids=["long-direction", "nested-direction", "scalar-direction", "axis-0", "axis-past-n",
+             "eig-index-past-d", "negative-eig-index", "taylor-eig-index-past-d"]
+        + [f"{task}-r-{name}" for task in ("taylor", "verify")
+           for name in ("zero", "negative", "nan", "inf")])
     def test_out_of_range_field_is_usage_error(self, tmp_path, scenario, task, fields,
                                                named):
         path = _shipped_task(tmp_path, scenario, task, **fields)

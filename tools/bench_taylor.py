@@ -105,8 +105,8 @@ def shift_invert_samples(system, base, t, psi0, r: float, q: int):
     norm2 = psi0 @ psi0
     E0, a1 = psi0 @ (h_base @ psi0) / norm2, psi0 @ (V @ psi0) / norm2
     sigmas = [E0 + zeta * a1 for zeta in zetas]
-    return (lambda: [E for E, _ in analytic._shift_invert_samples(
-        mats, sigmas, psi0, analytic.BlockStats())]), len(zetas)
+    return (lambda: [E for _, (E, _) in analytic._shift_invert_samples(
+        zip(zetas, mats, sigmas), psi0, analytic.BlockStats())]), len(zetas)
 
 
 def layer_times(doc: dict) -> dict:
