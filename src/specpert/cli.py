@@ -123,11 +123,6 @@ def _write_csv(path: Path, header_comment: str, columns: list[str], rows: list[l
 def _fmt(v) -> str:
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
-    if isinstance(v, (complex, np.complexfloating)):
-        v = complex(v)
-        return f"{v.real!r}{'+' if v.imag >= 0 else '-'}{abs(v.imag)!r}j"
-    if isinstance(v, np.integer):
-        return str(int(v))
     return str(v)
 
 
@@ -278,6 +273,11 @@ def _separated_centers(rng: np.random.Generator, count: int, box: np.ndarray,
 
 @dataclass
 class RunContext:
+    """What the tasks of one scenario run share: the scenario, its grid
+    (None for a `matrix` family), family, coupling sequence, tolerances,
+    output directory and report, and the family beta -> H(beta) with the
+    last operator it gave.  `from_document` builds it."""
+
     scenario: dict
     grid: lattice.Grid | None
     family: "potentials.PotentialFamily | MatrixSystem"
@@ -289,6 +289,27 @@ class RunContext:
     _system: lattice.AffineFamily | None = None
     _last: tuple[bytes, lattice.DiscreteOperator] | None = None  # see `hamiltonian`
     note: str = ""  # the running task's stderr summary
+
+    @classmethod
+    def from_document(cls, doc: dict, out: Path) -> "RunContext":
+        """The context of the validated scenario `doc`, writing to `out`: the
+        family drawn with the scenario seed, the tolerances DEFAULT_TOLERANCES
+        as the scenario overrides them, and an empty report.  ScenarioError
+        for a grid-sampled family without a grid."""
+        seed = int(doc["seed"])
+        grid = serialize.grid_from_dict({"schema": 1, **doc["grid"]}) if "grid" in doc else None
+        family = build_family(doc["family"], np.random.default_rng(seed))
+        if grid is None and not isinstance(family, MatrixSystem):
+            raise ScenarioError("scenario needs a grid for this family kind")
+        report = RunReport(provenance={
+            "schema_version": serialize.SCHEMA_VERSION,
+            "seed": seed,
+            "tool_version": __version__,
+        })
+        return cls(scenario=doc, grid=grid, family=family,
+                   beta=serialize.coupling_from_dict({"schema": 1, **doc["beta"]}),
+                   tol={**DEFAULT_TOLERANCES, **doc.get("tolerances", {})},
+                   out=out, report=report)
 
     def potential_family(self, task: str) -> potentials.PotentialFamily:
         if not isinstance(self.family, potentials.PotentialFamily):
@@ -362,6 +383,14 @@ def _place_contour(op: lattice.DiscreteOperator, eig_index: int,
     return analytic.Contour(center=complex(E), radius=gap / 2, q=q)
 
 
+def _task_contour(ctx: RunContext, spec: dict, base: np.ndarray) -> analytic.Contour:
+    """The contour of a track, sweep or taylor task `spec`: `_place_contour`
+    on H(base) around its eigenvalue `eig_index` (default 0), with
+    `contour_nodes` (default 64) nodes."""
+    return _place_contour(ctx.hamiltonian(base), int(spec.get("eig_index", 0)),
+                          q=int(spec.get("contour_nodes", 64)))
+
+
 def _task_direction(ctx: RunContext, spec: dict, axis: int) -> np.ndarray:
     """A sweep or taylor task's `direction`, zero-padded to the n couplings
     as `beta.values` is, else the unit vector of `axis`; ScenarioError for a
@@ -412,32 +441,36 @@ def task_geometry(ctx: RunContext, spec: dict) -> dict:
     }
 
 
-def task_stummel(ctx: RunContext, spec: dict) -> dict:
-    family = ctx.potential_family("stummel")
+def _stummel_params(family: potentials.PotentialFamily, spec: dict) -> potentials.StummelParams:
+    """The quadrature and probes of a stummel task `spec`: order
+    `quad_order` (default 32) at `rho` (default 1.5), and `probe_density`
+    (default 7) probes per axis over the bounding box of the supports' union
+    plus a margin of 1; ScenarioError for a term without a support."""
     if any(t.support is None for t in family.terms):
-        # The probe grid covers the union of the supports.
         raise ScenarioError("task 'stummel' needs a support for every term")
-    rho = float(spec.get("rho", 1.5))
-    m = family.dim
-    union = geometry.SupportSet(tuple(
-        b for t in family.terms for b in t.support.boxes))
+    union = geometry.SupportSet(tuple(b for t in family.terms for b in t.support.boxes))
     probes = potentials.make_probe_grid(union, margin=1.0,
                                         density=int(spec.get("probe_density", 7)))
-    params = potentials.StummelParams(rho=rho, m=m,
-                                      quad_order=int(spec.get("quad_order", 32)),
-                                      probe_points=probes)
+    return potentials.StummelParams(rho=float(spec.get("rho", 1.5)), m=family.dim,
+                                    quad_order=int(spec.get("quad_order", 32)),
+                                    probe_points=probes)
+
+
+def task_stummel(ctx: RunContext, spec: dict) -> dict:
+    family = ctx.potential_family("stummel")
+    params = _stummel_params(family, spec)
     sb = potentials.weighted_sum_stummel_bound(family, ctx.beta, params)
     ok = sb.direct <= sb.bound + ctx.tol["stummel"]
     ctx.report.add_invariant("stummel.sum_bound_dominates", ok,
                              f"direct {sb.direct:.6g} vs bound {sb.bound:.6g}")
     _write_csv(
         ctx.out / "stummel_norms.csv",
-        f"per-term Stummel norms, rho={rho}, m={m}\n"
+        f"per-term Stummel norms, rho={params.rho}, m={params.m}\n"
         "term: 1-based index; M: probe-grid estimate of sup_x M_(v,rho)(x)",
         ["term", "M"],
         [[i + 1, float(Mi)] for i, Mi in enumerate(sb.norms)],
     )
-    return {"rho": rho, "per_term_max": max(sb.norms), "bound": sb.bound,
+    return {"rho": params.rho, "per_term_max": max(sb.norms), "bound": sb.bound,
             "direct": sb.direct, "pass": ok}
 
 
@@ -499,12 +532,10 @@ def _task_radius(spec: dict) -> float:
 
 
 def task_track(ctx: RunContext, spec: dict) -> dict:
-    eig_index = int(spec.get("eig_index", 0))
     beta_vec = ctx.beta_vector()
     _check_dense_limit(ctx, "track", beta_vec, "the full projector")
     base = np.zeros_like(beta_vec)
-    contour = _place_contour(ctx.hamiltonian(base), eig_index,
-                             q=int(spec.get("contour_nodes", 64)))
+    contour = _task_contour(ctx, spec, base)
     stats = analytic.BlockStats()
     psi0 = analytic._reference_vector(ctx.hamiltonian, base, contour, stats=stats)
     # No residual or defect limit here: the invariant below decides them
@@ -534,7 +565,6 @@ def task_track(ctx: RunContext, spec: dict) -> dict:
 
 
 def task_sweep(ctx: RunContext, spec: dict) -> dict:
-    eig_index = int(spec.get("eig_index", 0))
     steps = int(spec.get("steps", 11))
     lo, hi = (float(x) for x in spec.get("range", [0.0, 1.0]))
     direction = _task_direction(ctx, spec, int(spec.get("axis", 1)))
@@ -542,8 +572,7 @@ def task_sweep(ctx: RunContext, spec: dict) -> dict:
     _check_dense_limit(ctx, "sweep", targets[-1] * direction, "the full projector")
 
     base = targets[0] * direction
-    contour = _place_contour(ctx.hamiltonian(base), eig_index,
-                             q=int(spec.get("contour_nodes", 64)))
+    contour = _task_contour(ctx, spec, base)
     stats = analytic.BlockStats()
     psi0 = analytic._reference_vector(ctx.hamiltonian, base, contour, stats=stats)
 
@@ -600,16 +629,19 @@ def task_sweep(ctx: RunContext, spec: dict) -> dict:
 
 
 def task_taylor(ctx: RunContext, spec: dict) -> dict:
-    eig_index = int(spec.get("eig_index", 0))
-    M = int(spec.get("M", 12))
+    # M below 8 is raised to 8 (radius_of_convergence needs 9 coefficients).
+    M = max(int(spec.get("M", 12)), 8)
+    q = spec.get("q", 128)
+    if int(q) != q or q <= M:
+        # q nodes give M + 1 distinct Fourier rows only for q > M.
+        raise ScenarioError(f"task field q: {q!r} is not an integer above M = {M}")
     r = _task_radius(spec)
     direction = analytic.Direction(_task_direction(ctx, spec, 1))
     base = ctx.beta_vector() * 0.0
-    contour = _place_contour(ctx.hamiltonian(base), eig_index,
-                             q=int(spec.get("contour_nodes", 64)))
+    contour = _task_contour(ctx, spec, base)
     path = analytic.taylor_eigenpath(
-        ctx.hamiltonian, base, direction, contour, r=r, M=max(M, 8),
-        q=int(spec.get("q", 128)), residual_tol=ctx.tol["track_residual"],
+        ctx.hamiltonian, base, direction, contour, r=r, M=M,
+        q=int(q), residual_tol=ctx.tol["track_residual"],
         defect_tol=ctx.tol["projector_defect"])
     stats, r0 = path.stats, path.certified_radius
     ctx.note = (f"factorizations {stats.factorizations}, rhs columns "
@@ -632,9 +664,7 @@ def task_taylor(ctx: RunContext, spec: dict) -> dict:
     ok = path.radius >= r
     ctx.report.add_invariant("taylor.path_valid", ok,
                              f"radius estimate {path.radius:.6g}")
-    # M below 8 is raised to 8 (radius_of_convergence needs 9 coefficients);
-    # report the order actually computed.
-    return {"M": len(path.coefficients) - 1,
+    return {"M": M,
             "radius": None if math.isinf(path.radius) else path.radius,
             "certified_radius": None if math.isinf(r0) else r0,
             "entire_to_tolerance": math.isinf(path.radius), "pass": ok}
@@ -676,24 +706,8 @@ _TASK_FUNCS = {
 
 
 def execute_scenario(doc: dict, out_dir: Path) -> RunReport:
-    seed = int(doc["seed"])
-    grid = None
-    if "grid" in doc:
-        grid = serialize.grid_from_dict({"schema": 1, **doc["grid"]})
-    family = build_family(doc["family"], np.random.default_rng(seed))
-    if grid is None and not isinstance(family, MatrixSystem):
-        raise ScenarioError("scenario needs a grid for this family kind")
-    beta = serialize.coupling_from_dict({"schema": 1, **doc["beta"]})
-    tol = dict(DEFAULT_TOLERANCES)
-    tol.update(doc.get("tolerances", {}))
-
-    report = RunReport(provenance={
-        "schema_version": serialize.SCHEMA_VERSION,
-        "seed": seed,
-        "tool_version": __version__,
-    })
-    ctx = RunContext(scenario=doc, grid=grid, family=family, beta=beta,
-                     tol=tol, out=out_dir, report=report)
+    ctx = RunContext.from_document(doc, out_dir)
+    report = ctx.report
     for i, task_spec in enumerate(doc["tasks"]):
         name = task_spec["task"]
         key = f"{i}:{name}"

@@ -175,9 +175,10 @@ def box_table(sets, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def boxes_meeting(lo: np.ndarray, hi: np.ndarray, qlo, qhi) -> np.ndarray:
-    """Per table row: does the closed box [lo, hi] meet the closed box
+    """Per box of the table (every axis of lo and hi but the last, which
+    holds the coordinates): does the closed box [lo, hi] meet the closed box
     [qlo, qhi]?  Touching at a face or corner counts, as in `Box.intersects`."""
-    return np.all((lo <= qhi) & (qlo <= hi), axis=1)
+    return np.all((lo <= qhi) & (qlo <= hi), axis=-1)
 
 
 def intersection_stats(family: SupportFamily) -> tuple[list[set[int]], int]:

@@ -323,8 +323,10 @@ class AffineFamily:
     no term carries the spectrum H0 carries (see
     `DiscreteOperator._spectrum`).  The sparsity pattern of
     H(beta) is fixed once too, as the union of the stored entries of H0 and
-    every V_i (V(beta): of every V_i), and so is one prototype CSR matrix on
-    it, whose read-only index arrays scipy built and checked once.  Each call
+    every V_i, and so is one prototype CSR matrix on it, whose read-only
+    index arrays scipy built and checked once; V(beta) lives on H(beta)'s
+    pattern, accumulated from zeros, and H0's entries are stored zeros of
+    it, which change neither its dense value nor its Schur norm.  Each call
     is one accumulation into a data vector on that pattern and a shallow copy
     of the prototype that carries it, with none of scipy's constructor
     checks.  Entries that cancel, and the entries of terms with a zero
@@ -350,8 +352,7 @@ class AffineFamily:
         self._table = table
         self._term_data = table.per_term(table.data)
         self.terms_hermitian = table.hermitian()
-        self._h_layout = _Layout.union(h0.matrix, table)
-        self._v_layout = _Layout.union(None, table)
+        self._layout = _Layout.union(h0.matrix, table)
 
     @classmethod
     def from_potentials(cls, h0: DiscreteOperator, family) -> "AffineFamily":
@@ -387,18 +388,25 @@ class AffineFamily:
 
     def __call__(self, beta) -> DiscreteOperator:
         """H(beta); trailing couplings beyond len(beta) are zero."""
-        return self._accumulate(self._h_layout, self.h0.hermitian, beta)
+        # With no term added, H0's entries bit for bit, and stored zeros, which
+        # change neither its spectrum nor its delta: the spectrum H0 carries serves.
+        return self._accumulate(self._layout.base.copy(), self.h0.hermitian,
+                                self.h0._spectrum, beta)
 
     def perturbation(self, beta) -> DiscreteOperator:
         """V(beta) = sum_i beta_i V_i."""
-        return self._accumulate(self._v_layout, True, beta)
+        return self._accumulate(np.zeros_like(self._layout.base), True, None, beta)
 
-    def _accumulate(self, layout: "_Layout", hermitian: bool, beta) -> DiscreteOperator:
+    def _accumulate(self, data: np.ndarray, hermitian: bool, spectrum,
+                    beta) -> DiscreteOperator:
+        """The operator on `data` (laid out as `_Layout.base`) plus
+        sum_i beta_i V_i, flagged Hermitian as the class docstring says, that
+        carries `spectrum` when beta adds no term."""
         if len(beta) > len(self._table):
             raise LatticeError(
                 f"beta has {len(beta)} entries but family has only {len(self._table)} terms"
             )
-        data = layout.base.copy()
+        layout = self._layout
         added = False
         # Terms are added one at a time and zero couplings skipped: the
         # summation order fixes the last bits of every reported value.  Each
@@ -414,10 +422,8 @@ class AffineFamily:
         mat = copy.copy(layout.proto)
         mat.data = data[:-1]
         op = DiscreteOperator._checked(mat, hermitian, self.h0.grid)
-        if not added and layout is self._h_layout:
-            # H0's entries bit for bit, and stored zeros, which change neither
-            # its spectrum nor its delta: the spectrum H0 carries serves.
-            object.__setattr__(op, "_spectrum", self.h0._spectrum)
+        if not added:
+            object.__setattr__(op, "_spectrum", spectrum)
         return op
 
 
@@ -489,8 +495,8 @@ class _Layout:
     `proto` is the CSR matrix of the constant part on it, in canonical
     form, whose `indptr` and `indices` (made by scipy's constructor) are
     read-only, so every shallow copy can share them; `base` is the data of
-    the constant part (H0's entries, or zeros) and one trailing 0, which no
-    entry takes; `term_pos[i]` is the position in the pattern of each entry
+    the constant part (H0's entries) and one trailing 0, which no entry
+    takes; `term_pos[i]` is the position in the pattern of each entry
     of term i; `partner` is `_transpose_positions` of the pattern.
     """
 
@@ -502,17 +508,15 @@ class _Layout:
     @classmethod
     def union(cls, h0, terms: _Terms) -> "_Layout":
         """The union of the stored entries of the canonical n x n matrix
-        `h0` (or None: a zero base) and the term table `terms`."""
-        n, rows, cols = terms.n, terms.rows, terms.cols
-        if h0 is not None:
-            rows = np.concatenate((_rows(h0), rows))
-            cols = np.concatenate((h0.indices, cols))
+        `h0` and the term table `terms`."""
+        n = terms.n
+        rows = np.concatenate((_rows(h0), terms.rows))
+        cols = np.concatenate((h0.indices, terms.cols))
         union, pos = np.unique(rows * n + cols, return_inverse=True)
         rows, cols = np.divmod(union, n)
         base = np.zeros(len(union) + 1, dtype=complex)
-        if h0 is not None:
-            base[pos[:h0.nnz]] = h0.data
-            pos = pos[h0.nnz:]
+        base[pos[:h0.nnz]] = h0.data
+        pos = pos[h0.nnz:]
         proto = sp.csr_matrix((base[:-1], cols, np.searchsorted(rows, np.arange(n + 1))),
                               shape=(n, n))
         proto.has_canonical_format = True

@@ -8,8 +8,10 @@ A family samples its terms as one table, not one term at a time: it stacks
 the support boxes and each profile kind's arguments once (`_TermTable`), and
 one kernel (`_sample_terms`) evaluates many terms at many points, with the
 same formula a single profile call uses, so every sample has the same bits.
+In that table a term without a support has the one box R^m, so every path
+treats it as a term whose box holds every point.
 `PotentialFamily.sample_table` samples every term at the grid nodes inside its
-supports with one kernel call; `sample_on` and `AffineFamily.from_potentials`
+boxes with one kernel call; `sample_on` and `AffineFamily.from_potentials`
 read that table.
 
 The local Stummel norm integrates |v|^2 over the unit ball around a probe
@@ -271,20 +273,16 @@ def _reject_nan(vals: np.ndarray) -> None:
 class _TermTable:
     """A family's terms as arrays, built once per family, for `_sample_terms`.
 
-    lo, hi and owner are the `geometry.box_table` of the supports, and
-    unbounded marks the terms without one.  box_lo and box_hi,
-    (n_terms, most boxes of a term, m), hold every term's boxes, padded with
-    empty boxes; a term without a support has the one box R^m.  A group
-    holds the terms of one profile formula with equal shared arguments, as
-    (formula, shared, rows, stacked): member i's stacked arguments are row
-    rows[i] of the arrays `stacked` (rows[i] = 0 for the other terms), and
-    group_of[i] is term i's group.  real[i] says term i samples real values.
+    box_lo and box_hi, (n_terms, most boxes of a term, m), hold every
+    term's closed boxes, the `geometry.box_table` rows of its support,
+    padded with empty boxes (lo = inf, hi = -inf); a term without a support
+    has the one box R^m.  A group holds the terms of one profile formula
+    with equal shared arguments, as (formula, shared, rows, stacked): member
+    i's stacked arguments are row rows[i] of the arrays `stacked` (rows[i] =
+    0 for the other terms), and group_of[i] is term i's group.  real[i]
+    says term i samples real values.
     """
 
-    lo: np.ndarray
-    hi: np.ndarray
-    owner: np.ndarray
-    unbounded: np.ndarray
     box_lo: np.ndarray
     box_hi: np.ndarray
     groups: tuple
@@ -315,7 +313,7 @@ class _TermTable:
             group_of[idx] = g
         real = np.array([not any(np.iscomplexobj(a) for a in t.profile.stacked())
                          for t in terms])
-        return cls(lo, hi, owner, unbounded, box_lo, box_hi, tuple(groups), group_of, real)
+        return cls(box_lo, box_hi, tuple(groups), group_of, real)
 
 
 def _sample_terms(table: _TermTable, terms: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -407,17 +405,20 @@ class PotentialFamily:
         """Every term's samples at the grid nodes inside its support boxes,
         from one `_sample_terms` call: (ptr, nodes, values), term i's node
         indices (C order, ascending) in nodes[ptr[i]:ptr[i+1]] and its samples
-        in the same slice of values.  A term without a support has every node.
+        in the same slice of values.
 
-        The nodes of a box are the product of the index ranges its closed
-        faces cut from the grid axes, so no term is tested against the nodes
-        outside its boxes; a node that several boxes of a term hold is
-        sampled once.
+        The nodes of a box of `_TermTable.box_lo`/`box_hi` are the product of
+        the index ranges its closed faces cut from the grid axes: none for a
+        padding box, every node for the box R^m of a term without a support.
+        So no term is tested against the nodes outside its boxes, and a node
+        that several boxes of a term hold is sampled once.
         """
         table, axes, size = self._term_table, grid.axes(), grid.size
-        start = np.stack([np.searchsorted(ax, table.lo[:, k], "left")
+        slots = table.box_lo.shape[1]
+        lo, hi = (b.reshape(-1, len(axes)) for b in (table.box_lo, table.box_hi))
+        start = np.stack([np.searchsorted(ax, lo[:, k], "left")
                           for k, ax in enumerate(axes)], axis=1)
-        stop = np.stack([np.searchsorted(ax, table.hi[:, k], "right")
+        stop = np.stack([np.searchsorted(ax, hi[:, k], "right")
                          for k, ax in enumerate(axes)], axis=1)
         extent = np.maximum(stop - start, 0)
         count = extent.prod(axis=1)
@@ -430,8 +431,7 @@ class PotentialFamily:
             node += (start[box, k] + local % extent[box, k]) * stride
             local //= extent[box, k]
             stride *= len(axes[k])
-        everywhere = np.flatnonzero(table.unbounded)[:, None] * size + np.arange(size)
-        key = np.unique(np.concatenate((table.owner[box] * size + node, everywhere.ravel())))
+        key = np.unique(box // slots * size + node)
         term, node = np.divmod(key, size)
         values = _sample_terms(table, term, grid.nodes()[node])
         return np.searchsorted(term, np.arange(len(self.terms) + 1)), node, values
@@ -588,13 +588,13 @@ def _family_sweep(family: PotentialFamily, beta,
     term that reaches it at the probe's nodes, and the sum is accumulated from
     those samples in term order (missing couplings = 0).
 
-    A term reaches a probe only if it has no support (infinite range) or one
-    of its closed support boxes meets the bounding box of that probe's nodes
-    x + offsets.  Any other term is zero at every node, and skipping it
-    changes no bit: its norm there would be 0.0, which the running maxima,
-    started at 0.0, already hold, and adding beta_i * 0 (finite beta_i) changes
-    no |sum| value.  The arrays of one probe hold (terms reaching it) x
-    (nodes of a ball) samples.
+    A term reaches a probe only if one of its `_TermTable` boxes (R^m for a
+    term without a support, of infinite range) meets the bounding box of
+    that probe's nodes x + offsets.  Any other term is zero at every node,
+    and skipping it changes no bit: its norm there would be 0.0, which the
+    running maxima, started at 0.0, already hold, and adding beta_i * 0
+    (finite beta_i) changes no |sum| value.  The arrays of one probe hold
+    (terms reaching it) x (nodes of a ball) samples.
     """
     if family.dim != params.m:
         raise StummelError(f"family dimension {family.dim} != params.m = {params.m}")
@@ -603,10 +603,8 @@ def _family_sweep(family: PotentialFamily, beta,
     norms, direct = [0.0] * len(family.terms), 0.0
     for x in _probe_points(params):
         pts = x.reshape(1, params.m) + offsets
-        reach = table.unbounded.copy()
-        reach[table.owner[boxes_meeting(table.lo, table.hi, pts.min(axis=0),
-                                        pts.max(axis=0))]] = True
-        terms = np.flatnonzero(reach)
+        terms = np.flatnonzero(boxes_meeting(table.box_lo, table.box_hi, pts.min(axis=0),
+                                             pts.max(axis=0)).any(-1))
         vals = _sample_terms(table, terms[:, None], pts)
         sq = _squared(vals)
         acc = np.zeros(len(pts), dtype=complex)

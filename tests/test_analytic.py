@@ -966,6 +966,17 @@ class TestSchwarzReflection:
             if case == "two_level":
                 assert E == pytest.approx(two_level_energy(zeta), abs=1e-10)
 
+    def test_coo_family_mirrors_as_its_csr_twin(self):
+        """A family of COO matrices is compared with the conjugate partner
+        entry for entry (`_is_conjugate`'s general sparse branch), and
+        mirrors and gives what the CSR family of the same matrices does."""
+        paths = [taylor_eigenpath(lambda b, fmt=fmt: sp.csr_matrix(two_level(b)).asformat(fmt),
+                                  np.array([0.0]), Direction(np.array([1.0])),
+                                  Contour(0.0, 0.5, q=64), r=0.3, M=8, q=32)
+                 for fmt in ("csr", "coo")]
+        assert paths[0].stats.mirrored == paths[1].stats.mirrored == 15 + 3
+        assert np.array_equal(paths[0].coefficients, paths[1].coefficients)
+
     @pytest.mark.parametrize("case", ["complex_term", "complex_base",
                                       "complex_direction", "centre_off_axis"])
     def test_nothing_mirrored_off_the_real_case(self, case):

@@ -16,10 +16,10 @@ import yaml
 from click.testing import CliRunner
 
 from specpert import analytic, cli, geometry, lattice, potentials
-from specpert.cli import (SCENARIO_SCHEMA, RunContext, RunReport, ScenarioError,
-                          build_family, execute_scenario, load_scenario, main, task_bounds)
+from specpert.cli import (SCENARIO_SCHEMA, RunContext, ScenarioError, execute_scenario,
+                          load_scenario, main, task_bounds)
 from specpert.geometry import Box, SupportSet
-from specpert.lattice import CouplingSeq, DiscreteOperator, Grid
+from specpert.lattice import DiscreteOperator
 
 TWO_LEVEL = {
     "schema": 1,
@@ -263,6 +263,53 @@ class TestRun:
                           "--out", str(tmp_path / "out")])
         assert "FAIL track.residual_and_defect" in result.output
         assert result.exit_code == 1
+
+    def test_tol_option_sets_every_tolerance(self, tmp_path):
+        # --tol 1e-30 replaces the scenario's tolerances: no track residual
+        # or projector defect meets it, and the invariant FAILs (exit 1).
+        doc = dict(TWO_LEVEL, tasks=[{"task": "track", "eig_index": 0}])
+        path = write_scenario(tmp_path, doc)
+        result = run_cli(["run", "--scenario", str(path), "--out", str(tmp_path / "out"),
+                          "--tol", "1e-30"])
+        assert "FAIL track.residual_and_defect" in result.output
+        assert result.exit_code == 1
+
+    def test_seed_option_sets_provenance_seed(self, tmp_path):
+        path = write_scenario(tmp_path, TWO_LEVEL)
+        out = tmp_path / "out"
+        result = run_cli(["run", "--scenario", str(path), "--out", str(out), "--seed", "5"])
+        assert result.exit_code == 0, result.output
+        assert yaml.safe_load((out / "report.yaml").read_text())["provenance"]["seed"] == 5
+
+    def test_degenerate_eigenvalue_is_numerical_failure(self, tmp_path):
+        # On a square 5 x 5 grid the Laplacian's eigenvalues 1 and 2 are the
+        # sums lambda_1 + lambda_2 and lambda_2 + lambda_1 of the 1D ones,
+        # equal bit for bit: no circle encloses eigenvalue 1 alone.
+        doc = {
+            "schema": 1,
+            "seed": 0,
+            "grid": {"extent": [[0.0, 6.0], [0.0, 6.0]], "points": [5, 5]},
+            "family": {"kind": "bump_lattice", "count": 1, "origin": [3.0, 3.0]},
+            "beta": {"values": [0.1]},
+            "tasks": [{"task": "track", "eig_index": 1}],
+        }
+        path = write_scenario(tmp_path, doc)
+        result = run_cli(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3
+        assert "eigenvalue 1 is degenerate" in result.stderr
+
+    def test_geometry_on_matrix_family_is_usage_error(self, tmp_path):
+        path = write_scenario(tmp_path, dict(TWO_LEVEL, tasks=[{"task": "geometry"}]))
+        result = run_cli(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "task 'geometry' needs a grid-sampled family" in result.stderr
+
+    def test_grid_family_without_grid_is_usage_error(self, tmp_path):
+        doc = {key: value for key, value in BUMPS.items() if key != "grid"}
+        path = write_scenario(tmp_path, doc)
+        result = run_cli(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "scenario needs a grid" in result.stderr
 
     def test_track_and_sweep_print_solve_counters(self, tmp_path):
         # The Hermitian filter path: one shift-invert LU and two
@@ -738,8 +785,9 @@ def _shipped_task(tmp_path, scenario, task, **fields):
 
 class TestTaskFields:
     """A task's coupling direction and eigenvalue index are checked against
-    the family, and a taylor or verify radius r is checked to be positive
-    and finite, before any contour is placed."""
+    the family, a taylor or verify radius r is checked to be positive and
+    finite, and a taylor q to be an integer above M, before any contour is
+    placed."""
 
     @pytest.mark.parametrize("scenario, task, fields, named", [
         ("bumps_1d", "taylor", {"direction": [1.0, 0.0, 0.0, 0.0]}, "direction"),
@@ -750,10 +798,15 @@ class TestTaskFields:
         ("bumps_1d", "track", {"eig_index": 160}, "eig_index"),
         ("two_level", "track", {"eig_index": -1}, "eig_index"),
         ("two_level", "taylor", {"eig_index": 2}, "eig_index"),
+        # two_level's taylor task has M = 16: q nodes alias unless q > M.
+        ("two_level", "taylor", {"q": 0}, "q"),
+        ("two_level", "taylor", {"q": -4}, "q"),
+        ("two_level", "taylor", {"q": 16}, "q"),
     ] + [("bumps_1d", task, {"r": r}, "r") for task in ("taylor", "verify")
          for r in (0.0, -0.1, math.nan, math.inf)],
         ids=["long-direction", "nested-direction", "scalar-direction", "axis-0", "axis-past-n",
-             "eig-index-past-d", "negative-eig-index", "taylor-eig-index-past-d"]
+             "eig-index-past-d", "negative-eig-index", "taylor-eig-index-past-d",
+             "taylor-q-zero", "taylor-q-negative", "taylor-q-at-M"]
         + [f"{task}-r-{name}" for task in ("taylor", "verify")
            for name in ("zero", "negative", "nan", "inf")])
     def test_out_of_range_field_is_usage_error(self, tmp_path, scenario, task, fields,
@@ -793,34 +846,23 @@ BUMPS = {
 }
 
 
-def make_context(tmp_path, doc):
-    grid = None
-    if "grid" in doc:
-        grid = Grid(extent=tuple(tuple(e) for e in doc["grid"]["extent"]),
-                    points=tuple(doc["grid"]["points"]))
-    family = build_family(doc["family"], np.random.default_rng(doc["seed"]))
-    return RunContext(scenario=doc, grid=grid, family=family,
-                      beta=CouplingSeq(tuple(doc["beta"]["values"])), tol={},
-                      out=tmp_path, report=RunReport(provenance={}))
-
-
 class TestHamiltonianHermitianFlag:
     @pytest.mark.parametrize("doc", [BUMPS, TWO_LEVEL], ids=["bump_lattice", "matrix"])
     def test_real_beta_is_hermitian(self, tmp_path, doc):
-        ctx = make_context(tmp_path, doc)
+        ctx = RunContext.from_document(doc, tmp_path)
         H = ctx.hamiltonian(ctx.beta_vector())
         assert H.hermitian
         assert np.array_equal(H.to_dense(), H.to_dense().conj().T)
 
     @pytest.mark.parametrize("doc", [BUMPS, TWO_LEVEL], ids=["bump_lattice", "matrix"])
     def test_complex_beta_is_not_hermitian(self, tmp_path, doc):
-        ctx = make_context(tmp_path, doc)
+        ctx = RunContext.from_document(doc, tmp_path)
         assert not ctx.hamiltonian(ctx.beta_vector() * (1 + 0.5j)).hermitian
 
     def test_non_hermitian_term(self, tmp_path):
         doc = dict(TWO_LEVEL)
         doc["family"] = dict(TWO_LEVEL["family"], terms=[[[0.0, 1.0], [0.0, 0.0]]])
-        ctx = make_context(tmp_path, doc)
+        ctx = RunContext.from_document(doc, tmp_path)
         assert not ctx.hamiltonian(ctx.beta_vector()).hermitian
 
 
@@ -830,7 +872,7 @@ class TestHamiltonianReuse:
     one `execute_scenario`."""
 
     def test_same_operator_for_a_bit_identical_beta(self, tmp_path):
-        ctx = make_context(tmp_path, BUMPS)
+        ctx = RunContext.from_document(BUMPS, tmp_path)
         beta = ctx.beta_vector()
         H = ctx.hamiltonian(beta)
         assert ctx.hamiltonian(beta.copy()) is H
@@ -840,7 +882,7 @@ class TestHamiltonianReuse:
         # and so does a new context.
         again = ctx.hamiltonian(beta)
         assert again is not H and np.array_equal(again.to_dense(), H.to_dense())
-        assert make_context(tmp_path, BUMPS).hamiltonian(beta) is not again
+        assert RunContext.from_document(BUMPS, tmp_path).hamiltonian(beta) is not again
 
     @staticmethod
     def _record_reductions(monkeypatch):
@@ -870,7 +912,8 @@ class TestHamiltonianReuse:
     # eigvals_banded too.  The Laplacian H0 and H(0) of the grid scenarios
     # carry the closed-form spectrum and are never reduced.
     @pytest.mark.parametrize("scenario, reductions", [
-        ("sparse_track_2d", 2), ("sweep_1d", 8), ("two_level", 13)])
+        ("sparse_track_2d", 2), ("sweep_1d", 8), ("two_level", 13)],
+        ids=["sparse_track_2d", "sweep_1d", "two_level"])
     def test_band_reductions_per_run(self, tmp_path, monkeypatch, scenario, reductions):
         doc = self._scenario(monkeypatch, scenario)
         assert all(t["task"] != "stummel" for t in doc["tasks"])
@@ -919,7 +962,7 @@ def test_stummel_task_computes_each_norm_once(tmp_path, monkeypatch):
 
     # Oracle: pairwise Box.intersects of each support box with the bounding
     # box of each probe's quadrature nodes.
-    terms = make_context(tmp_path, doc).family.terms
+    terms = RunContext.from_document(doc, tmp_path).family.terms
     union = SupportSet(tuple(b for t in terms for b in t.support.boxes))
     offsets, _, _ = potentials._ball_rule(potentials.StummelParams(rho=1.5, m=1,
                                                                    quad_order=8))
@@ -1128,7 +1171,7 @@ class TestBoundsTask:
     @pytest.mark.parametrize("doc", [BUMPS, TWO_LEVEL, LATTICE_24],
                              ids=["bump_lattice", "matrix", "lattice_24"])
     def test_inputs_against_dense_oracles(self, tmp_path, doc):
-        ctx = make_context(tmp_path, doc)
+        ctx = RunContext.from_document(doc, tmp_path)
         result = task_bounds(ctx, {})
         V = ctx.system.perturbation(ctx.beta_vector()).to_dense()
         E = np.linalg.eigvalsh(ctx.system.h0.to_dense())

@@ -383,8 +383,8 @@ class TestTransposeLookup:
                 e for m, e in zip(mats[1:], expected[1:]) if m.shape[0] == n])
             with np.errstate(invalid="ignore"):
                 for beta in (np.ones(len(same)), np.full(len(same), 0.5j)):
-                    for layout, op in ((system._v_layout, system.perturbation(beta)),
-                                       (system._h_layout, system(beta))):
+                    for layout, op in ((system._layout, system.perturbation(beta)),
+                                       (system._layout, system(beta))):
                         assert layout_verdict(layout, op) is subtraction_verdict(op.matrix)
         assert 200 <= hermitian <= 1000  # both verdicts are exercised
 
@@ -514,8 +514,8 @@ class TestAffineFamily:
         system = AffineFamily(h0, (term,))
         assert system.terms_hermitian == (expected,)
         for beta in ((1.0,), (-0.5,), (0.25j,)):
-            for layout, op in ((system._v_layout, system.perturbation(beta)),
-                               (system._h_layout, system(beta))):
+            for layout, op in ((system._layout, system.perturbation(beta)),
+                               (system._layout, system(beta))):
                 assert layout_verdict(layout, op) is subtraction_verdict(op.matrix)
         assert calls == []
 
@@ -538,8 +538,8 @@ class TestAffineFamily:
             for beta in (real, real + 1j * rng.standard_normal(n) * (rng.random(n) < 0.5)):
                 asked = all(h for b, h in zip(beta, system.terms_hermitian)
                             if b != 0) and not np.any(np.imag(beta))
-                for layout, op, base in ((system._h_layout, system(beta), system.h0.hermitian),
-                                         (system._v_layout, system.perturbation(beta), True)):
+                for layout, op, base in ((system._layout, system(beta), system.h0.hermitian),
+                                         (system._layout, system.perturbation(beta), True)):
                     exact = is_hermitian(op.matrix)
                     assert layout_verdict(layout, op) is exact
                     assert op.hermitian is (asked and base)

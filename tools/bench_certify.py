@@ -44,11 +44,10 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-import numpy as np
 import scipy.linalg as la
 
 from bench_common import calls_per_task, environment, main, median_time, task_times
-from specpert import analytic, cli, geometry, lattice, potentials, serialize
+from specpert import analytic, cli, geometry, lattice, potentials
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -61,31 +60,16 @@ LARGE_GRID = lattice.Grid(extent=((0.0, 1.0), (0.0, 1.0)), points=(100, 100))
 LAMBDA = 1e-3j
 
 
-def stummel_params(doc: dict, family) -> potentials.StummelParams:
-    """The probes and quadrature of the scenario's stummel task, as
-    `cli.task_stummel` builds them."""
-    spec = next(t for t in doc["tasks"] if t["task"] == "stummel")
-    union = geometry.SupportSet(tuple(b for t in family.terms for b in t.support.boxes))
-    probes = potentials.make_probe_grid(union, margin=1.0,
-                                        density=int(spec.get("probe_density", 7)))
-    return potentials.StummelParams(rho=float(spec.get("rho", 1.5)), m=family.dim,
-                                    quad_order=int(spec.get("quad_order", 32)),
-                                    probe_points=probes)
-
-
 def layer_times(doc: dict) -> dict:
-    grid = serialize.grid_from_dict({"schema": 1, **doc["grid"]})
-    family = cli.build_family(doc["family"], np.random.default_rng(int(doc["seed"])))
-    coupling = serialize.coupling_from_dict({"schema": 1, **doc["beta"]})
-    h0 = lattice.build_laplacian(grid)
-    system = lattice.AffineFamily.from_potentials(h0, family)
-    beta = np.asarray(doc["beta"]["values"], dtype=complex)
+    ctx = cli.RunContext.from_document(doc, Path())
+    grid, family, coupling, system = ctx.grid, ctx.family, ctx.beta, ctx.system
+    h0, beta = system.h0, ctx.beta_vector()
     H = system(beta)
     ab, kl, ku = analytic._band_storage(H.matrix, H.dim)
     if ab[kl:kl + ku + 1].imag.any():
         raise RuntimeError("H(beta) is not real symmetric")
     support = family.support_family()
-    params = stummel_params(doc, family)
+    params = cli._stummel_params(family, next(t for t in doc["tasks"] if t["task"] == "stummel"))
     return {
         "d": H.dim, "kd": ku, "terms": len(family), "probes": len(params.probe_points),
         "term_table_s": median_time(

@@ -8,7 +8,12 @@ compare two checkouts.  `--compare SRC --processes N` runs the bench in 2N
 fresh processes, alternating the `src/` of this checkout and SRC (say, the
 parent commit's), and writes every run and the median of every value per
 side (`compare`).  Every run records the time of one fixed band LU
-(`speed_probe`), so a run in the slow mode shows in the record."""
+(`speed_probe`), so a run in the slow mode shows in the record.
+
+The benches set up a scenario as `specpert run` does, with the CLI's own
+constructors: `cli.RunContext.from_document`, `cli._task_contour` and
+`cli._stummel_params`.  So SRC must have them too; an older checkout fails
+at its first layer."""
 
 from __future__ import annotations
 

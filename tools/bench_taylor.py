@@ -34,7 +34,10 @@ bumps_1d (d = 160) and two_level (d = 2); each value is the median of REPEAT
 batches of ASSEMBLIES calls, per call.
 
 `--compare SRC --processes N` alternates this checkout and SRC in 2N fresh
-processes (`bench_common.compare`).
+processes (`bench_common.compare`).  SRC must be at or after b41721f, which
+introduced the `analytic._shift_invert_samples(samples, x, stats)` signature
+the layers call, and have the CLI setup the benches share (see
+`bench_common`).
 
 Run from the repository root:
 
@@ -52,13 +55,14 @@ from pathlib import Path
 import numpy as np
 
 from bench_common import calls_per_task, environment, main, median_time, task_times
-from specpert import analytic, cli, lattice, serialize
+from specpert import analytic, cli
 
 ROOT = Path(__file__).resolve().parents[1]
 ASSEMBLIES = 200
 LATTICE = {"seed": 0, "grid": {"extent": [[0.0, 10.0], [0.0, 10.0]], "points": [40, 40]},
            "family": {"kind": "bump_lattice", "count": 3, "spacing": 3.0,
-                      "origin": [2.0, 5.0], "width": 0.6, "height": 1.0}}
+                      "origin": [2.0, 5.0], "width": 0.6, "height": 1.0},
+           "beta": {"values": [0.0]}}
 
 
 def peak_mb(fn) -> float:
@@ -74,14 +78,12 @@ def peak_mb(fn) -> float:
 def block_setup(doc: dict, taylor: dict):
     """The family of `doc`, its taylor contour and reference vector, and
     H(beta) at the sample zeta = r e^(2 pi i / 8) of the `taylor` task."""
-    grid = serialize.grid_from_dict({"schema": 1, **doc["grid"]})
-    family = cli.build_family(doc["family"], np.random.default_rng(int(doc["seed"])))
-    system = lattice.AffineFamily.from_potentials(lattice.build_laplacian(grid), family)
+    ctx = cli.RunContext.from_document(doc, Path())
+    system = ctx.system
     q, r = int(taylor.get("q", 128)), float(taylor["r"])
-    base = np.zeros(len(family), dtype=complex)
+    base = np.zeros(len(ctx.family), dtype=complex)
     t = np.asarray(taylor["direction"], dtype=complex)
-    contour = cli._place_contour(system(base), int(taylor.get("eig_index", 0)),
-                                 q=int(taylor.get("contour_nodes", 64)))
+    contour = cli._task_contour(ctx, taylor, base)
     psi0 = analytic._reference_vector(system, base, contour)
     zeta = analytic._conjugate_circle(r, q)[q // 8]
     return system, base, t, contour, psi0, zeta, system(base + zeta * t)
@@ -164,12 +166,8 @@ def layer_times(doc: dict) -> dict:
 def hamiltonian_times() -> dict:
     result = {}
     for name in ("bumps_1d", "two_level"):
-        doc = cli.load_scenario(ROOT / "scenarios" / f"{name}.yaml")
-        family = cli.build_family(doc["family"], np.random.default_rng(int(doc["seed"])))
-        grid = serialize.grid_from_dict({"schema": 1, **doc["grid"]}) if "grid" in doc else None
-        ctx = cli.RunContext(scenario=doc, grid=grid, family=family,
-                             beta=serialize.coupling_from_dict({"schema": 1, **doc["beta"]}),
-                             tol={}, out=Path(), report=None)
+        ctx = cli.RunContext.from_document(
+            cli.load_scenario(ROOT / "scenarios" / f"{name}.yaml"), Path())
         real = ctx.beta_vector()
         layer = {"d": ctx.system.h0.dim}
         for kind, beta, hermitian in (("real", real, True), ("complex", real + 0.1j, False)):

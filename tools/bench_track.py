@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from bench_common import calls_per_task, environment, main, median_time, task_times
-from specpert import analytic, cli, serialize
+from specpert import analytic, cli
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -56,19 +56,13 @@ def scenario_docs() -> dict:
 
 
 def layer_times(doc: dict) -> dict:
-    grid = serialize.grid_from_dict({"schema": 1, **doc["grid"]})
-    family = cli.build_family(doc["family"], np.random.default_rng(int(doc["seed"])))
-    ctx = cli.RunContext(scenario=doc, grid=grid, family=family,
-                         beta=serialize.coupling_from_dict({"schema": 1, **doc["beta"]}),
-                         tol={}, out=Path(), report=None)
+    ctx = cli.RunContext.from_document(doc, Path())
     track = next(t for t in doc["tasks"] if t["task"] == "track")
-    beta, base = ctx.beta_vector(), np.zeros(len(family), dtype=complex)
+    beta, base = ctx.beta_vector(), np.zeros(len(ctx.family), dtype=complex)
     system = ctx.system
     if not system(beta).hermitian:
         raise RuntimeError("H(beta) of the track task is not Hermitian")
-    # On H(base), as `cli.task_track` places it.
-    contour = cli._place_contour(system(base), int(track.get("eig_index", 0)),
-                                 q=int(track.get("contour_nodes", 64)))
+    contour = cli._task_contour(ctx, track, base)
     psi0 = analytic._reference_vector(system, base, contour)
     stats = analytic.BlockStats()
     analytic.track_eigenvalue(system, beta, contour, psi0, stats=stats)
