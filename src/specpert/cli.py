@@ -383,12 +383,23 @@ def _place_contour(op: lattice.DiscreteOperator, eig_index: int,
     return analytic.Contour(center=complex(E), radius=gap / 2, q=q)
 
 
+def _task_field(spec: dict, name: str, default, kind: type):
+    """Task field `name` of `spec` (`default` where it is absent) as a
+    `kind` (int or float); ScenarioError naming the field for a value that
+    is no number of that kind, such as null or a word."""
+    value = spec.get(name, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioError(f"task field {name}: {value!r} is not a number") from None
+
+
 def _task_contour(ctx: RunContext, spec: dict, base: np.ndarray) -> analytic.Contour:
     """The contour of a track, sweep or taylor task `spec`: `_place_contour`
     on H(base) around its eigenvalue `eig_index` (default 0), with
     `contour_nodes` (default 64) nodes."""
-    return _place_contour(ctx.hamiltonian(base), int(spec.get("eig_index", 0)),
-                          q=int(spec.get("contour_nodes", 64)))
+    return _place_contour(ctx.hamiltonian(base), _task_field(spec, "eig_index", 0, int),
+                          q=_task_field(spec, "contour_nodes", 64, int))
 
 
 def _task_direction(ctx: RunContext, spec: dict, axis: int) -> np.ndarray:
@@ -411,7 +422,7 @@ def task_geometry(ctx: RunContext, spec: dict) -> dict:
     family = ctx.potential_family("geometry")
     sf = family.support_family()
     adjacency, n0 = geometry.intersection_stats(sf)
-    n1 = family.n1(float(spec.get("radius", 1.0)))
+    n1 = family.n1(_task_field(spec, "radius", 1.0, float))
     partition = geometry.disjoint_refinement(sf)
     counts = Counter(i for c in partition.cells for i in c.index_set)
     per_set = [counts[i] for i in range(1, len(sf) + 1)]
@@ -450,9 +461,9 @@ def _stummel_params(family: potentials.PotentialFamily, spec: dict) -> potential
         raise ScenarioError("task 'stummel' needs a support for every term")
     union = geometry.SupportSet(tuple(b for t in family.terms for b in t.support.boxes))
     probes = potentials.make_probe_grid(union, margin=1.0,
-                                        density=int(spec.get("probe_density", 7)))
-    return potentials.StummelParams(rho=float(spec.get("rho", 1.5)), m=family.dim,
-                                    quad_order=int(spec.get("quad_order", 32)),
+                                        density=_task_field(spec, "probe_density", 7, int))
+    return potentials.StummelParams(rho=_task_field(spec, "rho", 1.5, float), m=family.dim,
+                                    quad_order=_task_field(spec, "quad_order", 32, int),
                                     probe_points=probes)
 
 
@@ -525,7 +536,7 @@ def _check_dense_limit(ctx: RunContext, task: str, beta_vec, needs: str) -> None
 def _task_radius(spec: dict) -> float:
     """A taylor or verify task's `r`; ScenarioError unless it is positive
     and finite, as a disk of no or infinite radius certifies nothing."""
-    r = float(spec.get("r", 0.2))
+    r = _task_field(spec, "r", 0.2, float)
     if not 0 < r < math.inf:
         raise ScenarioError(f"task field r: {r} is not a positive finite radius")
     return r
@@ -565,9 +576,9 @@ def task_track(ctx: RunContext, spec: dict) -> dict:
 
 
 def task_sweep(ctx: RunContext, spec: dict) -> dict:
-    steps = int(spec.get("steps", 11))
+    steps = _task_field(spec, "steps", 11, int)
     lo, hi = (float(x) for x in spec.get("range", [0.0, 1.0]))
-    direction = _task_direction(ctx, spec, int(spec.get("axis", 1)))
+    direction = _task_direction(ctx, spec, _task_field(spec, "axis", 1, int))
     targets = [lo] if steps <= 1 else list(np.linspace(lo, hi, steps))
     _check_dense_limit(ctx, "sweep", targets[-1] * direction, "the full projector")
 
@@ -630,11 +641,11 @@ def task_sweep(ctx: RunContext, spec: dict) -> dict:
 
 def task_taylor(ctx: RunContext, spec: dict) -> dict:
     # M below 8 is raised to 8 (radius_of_convergence needs 9 coefficients).
-    M = max(int(spec.get("M", 12)), 8)
-    q = spec.get("q", 128)
-    if int(q) != q or q <= M:
+    M = max(_task_field(spec, "M", 12, int), 8)
+    q = _task_field(spec, "q", 128, float)
+    if not (q.is_integer() and q > M):
         # q nodes give M + 1 distinct Fourier rows only for q > M.
-        raise ScenarioError(f"task field q: {q!r} is not an integer above M = {M}")
+        raise ScenarioError(f"task field q: {q:g} is not an integer above M = {M}")
     r = _task_radius(spec)
     direction = analytic.Direction(_task_direction(ctx, spec, 1))
     base = ctx.beta_vector() * 0.0

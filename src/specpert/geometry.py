@@ -181,29 +181,55 @@ def boxes_meeting(lo: np.ndarray, hi: np.ndarray, qlo, qhi) -> np.ndarray:
     return np.all((lo <= qhi) & (qlo <= hi), axis=-1)
 
 
+# Most entries of one block of `_meeting_blocks`: (query boxes of the block)
+# x (coordinates of the box table), so that no comparison table grows with
+# the product of the two counts.
+_TABLE_ENTRIES = 1 << 16
+
+
+def _meeting_blocks(lo: np.ndarray, hi: np.ndarray, qlo: np.ndarray, qhi: np.ndarray):
+    """`boxes_meeting` of the box table (lo, hi) and each query box of
+    (qlo, qhi), (n_queries, m), for blocks of consecutive queries that
+    compare at most `_TABLE_ENTRIES` coordinates of the table in all: yields
+    (start, meets) per block, meets[j] (shape lo.shape[:-1]) for query
+    start + j."""
+    step = max(1, _TABLE_ENTRIES // max(lo.size, 1))
+    shape = (-1,) + (1,) * (lo.ndim - 1) + qlo.shape[1:]
+    for start in range(0, len(qlo), step):
+        stop = start + step
+        yield start, boxes_meeting(lo, hi, qlo[start:stop].reshape(shape),
+                                   qhi[start:stop].reshape(shape))
+
+
 def intersection_stats(family: SupportFamily) -> tuple[list[set[int]], int]:
     """Pairwise overlap adjacency and the uniform bound n0 = max_i #(I_i).
 
     I_i = {j != i : Omega_i and Omega_j intersect}; exact per-axis interval
-    tests on closed boxes (touching counts), one `boxes_meeting` comparison
-    per box against the box table.  Indices are 1-based.
+    tests on closed boxes (touching counts).  The box table is compared with
+    itself in row blocks (`_meeting_blocks`); each block's meeting box pairs
+    become the distinct pairs (i, j != i) of their owners, and the sorted
+    pairs of all blocks give each I_i as one slice.  Indices are 1-based.
     """
+    n = len(family)
     lo, hi, owner = box_table(family.sets, family.dim)
-    adjacency: list[set[int]] = [set() for _ in range(len(family))]
-    for k, i in enumerate(owner):
-        adjacency[i].update((owner[boxes_meeting(lo, hi, lo[k], hi[k])] + 1).tolist())
-        adjacency[i].discard(int(i) + 1)
-    n0 = max((len(a) for a in adjacency), default=0)
+    pairs = []
+    for start, meets in _meeting_blocks(lo, hi, lo, hi):
+        rows, cols = np.nonzero(meets)
+        i, j = owner[start + rows], owner[cols]
+        pairs.append(np.unique((i * n + j)[i != j]))
+    i, j = np.divmod(np.unique(np.concatenate(pairs)), n)
+    ptr = np.searchsorted(i, np.arange(n + 1)).tolist()
+    js = (j + 1).tolist()
+    adjacency = [set(js[a:b]) for a, b in zip(ptr[:-1], ptr[1:])]
+    n0 = max(len(a) for a in adjacency)
     return adjacency, n0
 
 
-def _axis_coords(boxes: list[Box], dim: int, cell_budget: int) -> list[np.ndarray]:
-    """Sorted unique face coordinates per axis; raises RefinementBudgetError
-    if their arrangement has more than `cell_budget` boxes."""
-    coords = []
-    for k in range(dim):
-        vals = sorted({b.lo[k] for b in boxes} | {b.hi[k] for b in boxes})
-        coords.append(np.asarray(vals))
+def _axis_coords(lo: np.ndarray, hi: np.ndarray, cell_budget: int) -> list[np.ndarray]:
+    """Sorted unique face coordinates per axis of the box table (lo, hi);
+    raises RefinementBudgetError if their arrangement has more than
+    `cell_budget` boxes."""
+    coords = [np.unique(np.concatenate((lo[:, k], hi[:, k]))) for k in range(lo.shape[1])]
     n_cells = int(np.prod([len(c) - 1 for c in coords]))
     if n_cells > cell_budget:
         raise RefinementBudgetError(
@@ -212,25 +238,36 @@ def _axis_coords(boxes: list[Box], dim: int, cell_budget: int) -> list[np.ndarra
     return coords
 
 
-def _membership_words(family: SupportFamily, coords: list[np.ndarray]) -> np.ndarray:
+def _membership_words(lo: np.ndarray, hi: np.ndarray, owner: np.ndarray, n_sets: int,
+                      coords: list[np.ndarray]) -> np.ndarray:
     """(n_boxes, ceil(n_sets / 64)) uint64: per arrangement box, its index set
     packed to bits, set i at bit 7 - i % 8 of byte i // 8 of the row.
 
     The row bytes are those ``np.packbits(member, axis=1)`` gives for the
     box-major boolean (n_boxes, n_sets) membership matrix, zero-padded to
-    whole words.  That matrix is never formed: each box of each set sets its
-    bit in the block it covers.  The faces of a box are face coordinates,
-    so that block is contiguous, its bounds one ``searchsorted`` per axis
-    of the `box_table`.
+    whole words.  That matrix is never formed: each box (lo, hi) of the
+    `box_table` of `n_sets` sets sets its owner's bit in the block it covers.
+    The faces of a box are face coordinates, so that block is contiguous,
+    its bounds one ``searchsorted`` per axis.
     """
-    n_bytes = 8 * -(-len(family) // 64)
+    n_bytes = 8 * -(-n_sets // 64)
     packed = np.zeros([len(c) - 1 for c in coords] + [n_bytes], dtype=np.uint8)
-    lo, hi, owner = box_table(family.sets, family.dim)
     first = np.column_stack([np.searchsorted(c, lo[:, k]) for k, c in enumerate(coords)])
     last = np.column_stack([np.searchsorted(c, hi[:, k]) for k, c in enumerate(coords)])
     for a, z, i in zip(first.tolist(), last.tolist(), owner.tolist()):
         packed[(*map(slice, a, z), i // 8)] |= np.uint8(0x80 >> i % 8)
     return packed.reshape(-1, n_bytes).view(np.uint64)
+
+
+def _row_changes(words: np.ndarray) -> np.ndarray:
+    """Per row of the 2-D `words`, whether it differs from the row before
+    it (True for the first row), one column at a time: an ``any`` over the
+    few words of a row is several times slower."""
+    changed = np.ones(len(words), dtype=bool)
+    changed[1:] = words[1:, 0] != words[:-1, 0]
+    for k in range(1, words.shape[1]):
+        changed[1:] |= words[1:, k] != words[:-1, k]
+    return changed
 
 
 def check_fip_variant(family: SupportFamily, radius: float = 1.0) -> int:
@@ -241,15 +278,20 @@ def check_fip_variant(family: SupportFamily, radius: float = 1.0) -> int:
     Euclidean-ball count.  Computed as the maximum overlap depth over the
     arrangement induced by all inflated box faces: the largest popcount of
     an arrangement box's `_membership_words`, in which a set whose boxes
-    overlap there holds one bit.
+    overlap there holds one bit.  The inflated boxes are the `box_table`
+    rows, lo - radius and hi + radius, as `Box.inflate` rounds them.
     """
     if radius <= 0:
         raise GeometryError("radius must be positive")
-    inflated = SupportFamily(tuple(s.inflate(radius) for s in family.sets))
-    coords = _axis_coords([b for s in inflated.sets for b in s.boxes], family.dim,
-                          DEFAULT_CELL_BUDGET)
-    words = _membership_words(inflated, coords)
-    return int(np.bitwise_count(words).sum(axis=1, dtype=np.int64).max())
+    lo, hi, owner = box_table(family.sets, family.dim)
+    lo, hi = lo - radius, hi + radius
+    coords = _axis_coords(lo, hi, DEFAULT_CELL_BUDGET)
+    words = _membership_words(lo, hi, owner, len(family), coords)
+    # Summed one word column at a time, as `_row_changes` compares.
+    depth = np.zeros(len(words), dtype=np.int64)
+    for column in np.bitwise_count(words).T:
+        depth += column
+    return int(depth.max())
 
 
 @dataclass(frozen=True)
@@ -335,16 +377,23 @@ def disjoint_refinement(
     Uses the arrangement grid induced by all box face coordinates; the
     arrangement boxes with equal index set are merged into one cell, so for
     every original set i the number of cells containing i is at most 2^n0.
+
+    Neighbouring arrangement boxes mostly hold the same sets, so the
+    bit-packed membership rows (`_membership_words`) first collapse to their
+    runs, the maximal blocks of equal consecutive rows in C order; only the
+    runs are sorted and grouped, and each box takes its run's group.
     """
-    boxes = [b for s in family.sets for b in s.boxes]
-    coords = _axis_coords(boxes, family.dim, cell_budget)
-    # Group arrangement boxes by their (maximal) index set: one sort of the
-    # bit-packed membership rows, compared as whole words (a sort of opaque
-    # byte-string keys is several times slower).
-    words = _membership_words(family, coords)
-    order = np.lexsort(words.T)
-    ordered = words[order]
-    starts = np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)]
+    lo, hi, owner = box_table(family.sets, family.dim)
+    coords = _axis_coords(lo, hi, cell_budget)
+    words = _membership_words(lo, hi, owner, len(family), coords)
+    new_run = _row_changes(words)
+    runs = words[new_run]
+    # Group the runs by their (maximal) index set: one sort of the packed
+    # rows, compared as whole words (a sort of opaque byte-string keys is
+    # several times slower).  A run's group is the group of its boxes.
+    order = np.lexsort(runs.T)
+    ordered = runs[order]
+    starts = _row_changes(ordered)
     group = np.empty(len(order), dtype=int)
     group[order] = np.cumsum(starts) - 1
     member = np.unpackbits(ordered[starts].view(np.uint8), axis=1, count=len(family))
@@ -361,10 +410,10 @@ def disjoint_refinement(
     order = order[np.lexsort(padded[order, ::-1].T)]
     rank = np.full(len(member), -1)
     rank[order] = np.arange(len(order))
-    labels = rank[group]
+    labels = rank[group][np.cumsum(new_run) - 1]
     boxes = np.bincount(labels[labels >= 0], minlength=len(order))
-    index_sets = np.split(cols + 1, ends[:-1])
-    cells = [RefinementCell(index_set=frozenset(index_sets[g].tolist()), boxes=n)
+    index_sets, first, last = (cols + 1).tolist(), (ends - sizes).tolist(), ends.tolist()
+    cells = [RefinementCell(index_set=frozenset(index_sets[first[g]:last[g]]), boxes=n)
              for g, n in zip(order.tolist(), boxes.tolist())]
     return RefinementPartition(cells=cells, family=family, coords=coords,
                                labels=labels.reshape([len(c) - 1 for c in coords]))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -246,12 +247,6 @@ class CouplingSeq:
         return len(self.values)
 
 
-def _laplacian_1d(n: int, h: float) -> sp.csr_matrix:
-    main = np.full(n, 2.0 / h**2)
-    off = np.full(n - 1, -1.0 / h**2)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
-
-
 def build_laplacian(grid: Grid) -> DiscreteOperator:
     """Standard (2m+1)-point second-order stencil for -Laplace with
     Dirichlet boundary, as a sparse Hermitian operator that carries its
@@ -259,32 +254,52 @@ def build_laplacian(grid: Grid) -> DiscreteOperator:
     (read-only), each within delta = max(d, 6) eps ||H||_1 of an exact
     eigenvalue of the stored matrix, so no certificate reduces its band.
 
+    The CSR arrays come straight from the stencil: row r of node (j_0, ...,
+    j_(m-1)), C order, holds its neighbour r - s_k on axis k (stride s_k,
+    where j_k > 0) for k = 0..m-1, itself, and r + s_k (where j_k < n_k - 1)
+    for k = m-1..0, so its columns ascend.  That is the canonical CSR of the
+    Kronecker sum of the 1D matrices sum_k I x ... x L_k x ... x I, the
+    diagonal summed axis by axis, a_0 + a_1 + a_2, as that sum adds it.
+
     Soundness.  On axis i the stored diagonal is a_i = fl(2/h_i^2) =
     -2 fl(-1/h_i^2) exactly, so the stored 1D matrix a_i tridiag(-1/2, 1,
     -1/2) has the exact eigenvalues a_i (1 - cos(k pi/(n_i+1))), which
     `laplacian_eigenvalues_1d` evaluates within 7 eps a_i: the argument
     rounds by 1.2 eps relative, which moves the cosine by at most
     max(t sin t) 1.2 eps < 2.2 eps, the cosine itself by 2 eps (4 ulps), the
-    subtraction by eps and the product by eps a_i.  The Kronecker sum
-    copies the off-diagonals unrounded and rounds only the diagonal sum,
-    one float shared by every row: the stored matrix is the exact Kronecker
-    sum shifted by less than (m - 1) eps sum_i a_i / 2, which moves every
-    eigenvalue alike.  The m - 1 additions of the per-axis values round by
-    at most (m - 1) eps sum_i a_i.  For m <= 3 that is 10 eps sum_i a_i =
-    5 eps ||H||_1 in all (||H||_1 = 2 sum_i a_i, as every axis has an
-    interior node), inside the Weyl delta d eps ||H||_1 of the band
-    reduction (`_weyl_delta`) for d >= 6; smaller grids take 6 eps ||H||_1.
+    subtraction by eps and the product by eps a_i.  The off-diagonals are
+    the per-axis values unrounded, and only the diagonal sum rounds, one
+    float shared by every row: the stored matrix is the exact sum of the
+    stored 1D matrices shifted by less than (m - 1) eps sum_i a_i / 2, which
+    moves every eigenvalue alike.  The m - 1 additions of the per-axis
+    values round by at most (m - 1) eps sum_i a_i.  For m <= 3 that is
+    10 eps sum_i a_i = 5 eps ||H||_1 in all (||H||_1 = 2 sum_i a_i, as every
+    axis has an interior node), inside the Weyl delta d eps ||H||_1 of the
+    band reduction (`_weyl_delta`) for d >= 6; smaller grids take
+    6 eps ||H||_1.
     Sorted values keep the bound, as sorting a matching never lengthens it.
     """
-    parts = [_laplacian_1d(n, h) for n, h in zip(grid.points, grid.spacing)]
-    op = parts[0]
-    for part in parts[1:]:
-        op = sp.kron(op, sp.identity(part.shape[0], format="csr"), format="csr") + sp.kron(
-            sp.identity(op.shape[0], format="csr"), part, format="csr"
-        )
+    points, spacing, d = grid.points, grid.spacing, grid.size
+    axes = range(len(points))
+    node = np.indices(points).reshape(len(points), d)
+    stride = [int(np.prod(points[k + 1:])) for k in axes]
+    rows = np.arange(d)
+    # Each row's 2m + 1 stencil slots, in ascending column order, and
+    # whether the slot's node exists.
+    cols = np.stack([rows - stride[k] for k in axes] + [rows] +
+                    [rows + stride[k] for k in reversed(axes)], axis=1)
+    stored = np.stack([node[k] > 0 for k in axes] + [np.ones(d, dtype=bool)] +
+                      [node[k] < points[k] - 1 for k in reversed(axes)], axis=1)
+    off = [-1.0 / h**2 for h in spacing]
+    # Left to right, as the Kronecker sum adds (not `sum`, which compensates
+    # from Python 3.12 on).
+    diagonal = functools.reduce(operator.add, [2.0 / h**2 for h in spacing])
+    values = np.broadcast_to(off + [diagonal] + off[::-1], cols.shape)
+    indptr = np.concatenate(([0], np.cumsum(stored.sum(axis=1))))
+    op = sp.csr_matrix((values[stored], cols[stored], indptr), shape=(d, d))
     op = DiscreteOperator(op, hermitian=True, grid=grid)
     E = functools.reduce(np.add.outer, [laplacian_eigenvalues_1d(n, h) for n, h in
-                                        zip(grid.points, grid.spacing)]).ravel()
+                                        zip(points, spacing)]).ravel()
     E.sort()
     E.flags.writeable = False
     object.__setattr__(op, "_spectrum", (E, _weyl_delta(op) * max(1.0, 6 / op.dim)))

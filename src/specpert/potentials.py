@@ -23,7 +23,8 @@ node for both the per-term norms and the direct norm of the truncated sum,
 with one kernel call per probe for the terms that reach it.  It skips a term
 at a probe when none of the term's closed support boxes meets the bounding
 box of the probe's nodes: the term is zero at every such node, so skipping it
-gives the same bits.
+gives the same bits.  Which terms reach which probe comes from one table,
+probes against term boxes, compared in blocks of probes.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from .geometry import (
     PackingConfig,
     SupportFamily,
     SupportSet,
+    _meeting_blocks,
     box_table,
-    boxes_meeting,
     check_fip_variant,
     intersection_stats,
     packing_count_bound,
@@ -533,7 +534,7 @@ def _ball_rule(params: StummelParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 def _ball_norm(vals, wr: np.ndarray, wa: np.ndarray) -> float:
     """sqrt(wr @ |vals|^2 @ wa) for samples at the offsets of `_ball_rule`."""
-    return _ball_integral(_squared(vals), wr, wa)
+    return float(_ball_norms(_squared(vals)[None], wr, wa)[0])
 
 
 def _squared(vals) -> np.ndarray:
@@ -544,12 +545,14 @@ def _squared(vals) -> np.ndarray:
     return sq
 
 
-def _ball_integral(sq: np.ndarray, wr: np.ndarray, wa: np.ndarray) -> float:
-    """sqrt(wr @ sq @ wa) for the squared samples of one ball."""
-    integral = float(wr @ sq.reshape(len(wr), len(wa)) @ wa)
-    if not np.isfinite(integral):
+def _ball_norms(sq: np.ndarray, wr: np.ndarray, wa: np.ndarray) -> np.ndarray:
+    """sqrt(wr @ sq[k] @ wa) for each ball k of the squared samples sq, (balls,
+    nodes of a ball): ``matmul`` makes the vector-matrix product per ball and
+    ``vecdot`` the dot, each as it would for that ball alone."""
+    integrals = np.vecdot(np.matmul(wr, sq.reshape(len(sq), len(wr), len(wa))), wa)
+    if not np.all(np.isfinite(integrals)):
         raise StummelError("non-finite quadrature result")
-    return math.sqrt(max(integral, 0.0))
+    return np.sqrt(np.maximum(integrals, 0.0))
 
 
 def stummel_local_norm(v, x, params: StummelParams) -> float:
@@ -585,35 +588,43 @@ def _family_sweep(family: PotentialFamily, beta,
                   params: StummelParams) -> tuple[list[float], float]:
     """Stummel norms of each term and of the truncated sum sum_i beta_i v_i from one
     pass over the probes: at each probe, one `_sample_terms` call samples every
-    term that reaches it at the probe's nodes, and the sum is accumulated from
-    those samples in term order (missing couplings = 0).
+    term that reaches it at the probe's nodes, one `_ball_norms` product of
+    their squared samples gives their norms there, and the sum is accumulated
+    from those samples in term order (missing couplings = 0).
 
     A term reaches a probe only if one of its `_TermTable` boxes (R^m for a
     term without a support, of infinite range) meets the bounding box of
     that probe's nodes x + offsets.  Any other term is zero at every node,
     and skipping it changes no bit: its norm there would be 0.0, which the
     running maxima, started at 0.0, already hold, and adding beta_i * 0
-    (finite beta_i) changes no |sum| value.  The arrays of one probe hold
-    (terms reaching it) x (nodes of a ball) samples.
+    (finite beta_i) changes no |sum| value.  That bounding box is
+    [x + min offsets, x + max offsets] per axis, the bits of the nodes' own
+    minima and maxima, as rounding is monotone; so the reach table, (probes)
+    x (terms), comes from one `geometry._meeting_blocks` pass over the probes.
+    The arrays of one probe hold (terms reaching it) x (nodes of a ball)
+    samples.
     """
     if family.dim != params.m:
         raise StummelError(f"family dimension {family.dim} != params.m = {params.m}")
     offsets, wr, wa = _ball_rule(params)
     table = family._term_table
-    norms, direct = [0.0] * len(family.terms), 0.0
-    for x in _probe_points(params):
-        pts = x.reshape(1, params.m) + offsets
-        terms = np.flatnonzero(boxes_meeting(table.box_lo, table.box_hi, pts.min(axis=0),
-                                             pts.max(axis=0)).any(-1))
-        vals = _sample_terms(table, terms[:, None], pts)
-        sq = _squared(vals)
-        acc = np.zeros(len(pts), dtype=complex)
-        for k, i in enumerate(terms.tolist()):
-            norms[i] = max(norms[i], _ball_integral(sq[k], wr, wa))
-            if i < len(beta.values):
-                acc += complex(beta.values[i]) * vals[k]
-        direct = max(direct, _ball_norm(acc, wr, wa))
-    return norms, direct
+    probes = _probe_points(params)
+    values = beta.values[:len(family.terms)]
+    coupling = np.zeros(len(family.terms), dtype=complex)
+    coupling[:len(values)] = values
+    norms, direct = np.zeros(len(family.terms)), 0.0
+    for start, meets in _meeting_blocks(table.box_lo, table.box_hi,
+                                        probes + offsets.min(axis=0),
+                                        probes + offsets.max(axis=0)):
+        for x, reach in zip(probes[start:], meets.any(-1)):
+            terms = np.flatnonzero(reach)
+            vals = _sample_terms(table, terms[:, None], x.reshape(1, params.m) + offsets)
+            norms[terms] = np.maximum(norms[terms], _ball_norms(_squared(vals), wr, wa))
+            acc = np.zeros(len(offsets), dtype=complex)
+            for weighted in coupling[terms, None] * vals:
+                acc += weighted
+            direct = max(direct, _ball_norm(acc, wr, wa))
+    return norms.tolist(), direct
 
 
 def direct_sum_stummel_norm(family: PotentialFamily, beta, params: StummelParams) -> float:

@@ -787,7 +787,8 @@ class TestTaskFields:
     """A task's coupling direction and eigenvalue index are checked against
     the family, a taylor or verify radius r is checked to be positive and
     finite, and a taylor q to be an integer above M, before any contour is
-    placed."""
+    placed; a numeric field that is null or no number is a usage error that
+    names it."""
 
     @pytest.mark.parametrize("scenario, task, fields, named", [
         ("bumps_1d", "taylor", {"direction": [1.0, 0.0, 0.0, 0.0]}, "direction"),
@@ -802,11 +803,17 @@ class TestTaskFields:
         ("two_level", "taylor", {"q": 0}, "q"),
         ("two_level", "taylor", {"q": -4}, "q"),
         ("two_level", "taylor", {"q": 16}, "q"),
+        # A null or non-numeric field.
+        ("two_level", "taylor", {"M": None}, "M"),
+        ("two_level", "sweep", {"steps": None}, "steps"),
+        ("two_level", "taylor", {"q": "abc"}, "q"),
+        ("two_level", "track", {"contour_nodes": "abc"}, "contour_nodes"),
     ] + [("bumps_1d", task, {"r": r}, "r") for task in ("taylor", "verify")
          for r in (0.0, -0.1, math.nan, math.inf)],
         ids=["long-direction", "nested-direction", "scalar-direction", "axis-0", "axis-past-n",
              "eig-index-past-d", "negative-eig-index", "taylor-eig-index-past-d",
-             "taylor-q-zero", "taylor-q-negative", "taylor-q-at-M"]
+             "taylor-q-zero", "taylor-q-negative", "taylor-q-at-M", "taylor-M-null",
+             "sweep-steps-null", "taylor-q-word", "track-contour-nodes-word"]
         + [f"{task}-r-{name}" for task in ("taylor", "verify")
            for name in ("zero", "negative", "nan", "inf")])
     def test_out_of_range_field_is_usage_error(self, tmp_path, scenario, task, fields,
@@ -974,6 +981,23 @@ def test_stummel_task_computes_each_norm_once(tmp_path, monkeypatch):
                        for t in terms)
     assert len(calls) == meeting
     assert meeting < doc["family"]["count"] * 5
+
+
+def test_table_budget_changes_no_output_byte(tmp_path, monkeypatch):
+    # With one query box per block of `geometry._meeting_blocks`, every
+    # Stummel reach table and every n0 box block splits; the geometry and
+    # stummel results and tables of certify_2d keep their bytes.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+    doc = workloads.certify_2d(3)
+    doc["tasks"] = [t for t in doc["tasks"] if t["task"] in ("geometry", "stummel")]
+    outputs = []
+    for name, budget in (("default", geometry._TABLE_ENTRIES), ("split", 1)):
+        monkeypatch.setattr(geometry, "_TABLE_ENTRIES", budget)
+        report = execute_scenario(doc, tmp_path / name)
+        outputs.append((report.tasks, [(tmp_path / name / f).read_bytes()
+                                       for f in ("geometry_cells.csv", "stummel_norms.csv")]))
+    assert outputs[0] == outputs[1]
 
 
 def test_stummel_sum_above_bound_fails_invariant(tmp_path, monkeypatch):

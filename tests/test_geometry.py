@@ -26,7 +26,8 @@ from specpert.geometry import (
     packing_count_bound,
     shell_count_bound,
 )
-from specpert.geometry import _axis_coords, _membership_words
+from specpert import geometry
+from specpert.geometry import _axis_coords, _membership_words, _row_changes
 
 
 def family_1d(*intervals):
@@ -108,6 +109,18 @@ class TestIntersectionStats:
         assert adj == oracle
         assert n0 == max(len(a) for a in oracle)
 
+    def test_more_boxes_than_one_row_block(self):
+        # About 300 boxes in 2D: the box table meets itself in several row
+        # blocks, and a set's boxes may fall in two of them.
+        fam = random_box_family(np.random.default_rng(7), 2, 150)
+        lo, _, _ = box_table(fam.sets, 2)
+        assert len(lo) > 2 * (geometry._TABLE_ENTRIES // lo.size)
+        adj, n0 = intersection_stats(fam)
+        oracle = [{j + 1 for j, b in enumerate(fam.sets) if j != i and a.intersects(b)}
+                  for i, a in enumerate(fam.sets)]
+        assert adj == oracle
+        assert n0 == max(len(a) for a in oracle)
+
     def test_box_table_skips_unsupported_entries(self):
         sets = [interval_set(0.0, 1.0), None,
                 SupportSet((box1d(2.0, 3.0), box1d(4.0, 5.0)))]
@@ -162,8 +175,7 @@ class TestFipVariant:
             fam = random_box_family(rng, dim, n_sets)
             radius = float(rng.choice([0.25, 0.5, 1.0]))
             inflated = [s.inflate(radius) for s in fam.sets]
-            coords = _axis_coords([b for s in inflated for b in s.boxes], dim,
-                                  DEFAULT_CELL_BUDGET)
+            coords = _axis_coords(*box_table(inflated, dim)[:2], DEFAULT_CELL_BUDGET)
             mids = cell_midpoints(coords)
             depth = sum(s.contains_points(mids).astype(int) for s in inflated)
             assert check_fip_variant(fam, radius=radius) == int(depth.max())
@@ -303,8 +315,7 @@ def box_major_refinement(family):
     """Oracle: the arrangement grouping from the box-major (n_boxes, n_sets)
     boolean membership matrix, column-stacked and packed along the set axis,
     with each index set read from its first box's row."""
-    boxes = [b for s in family.sets for b in s.boxes]
-    coords = _axis_coords(boxes, family.dim, DEFAULT_CELL_BUDGET)
+    coords = _axis_coords(*box_table(family.sets, family.dim)[:2], DEFAULT_CELL_BUDGET)
     member = family.membership_matrix(cell_midpoints(coords))
     packed = np.packbits(member, axis=1)
     keys = packed.view(f"V{packed.shape[1]}").ravel()
@@ -325,7 +336,7 @@ class TestMembershipBytes:
         for _ in range(5):
             fam = random_box_family(rng, dim, n_sets)
             coords, oracle, _ = box_major_refinement(fam)
-            words = _membership_words(fam, coords)
+            words = _membership_words(*box_table(fam.sets, dim), n_sets, coords)
             assert words.dtype == np.uint64 and words.shape[1] == -(-n_sets // 64)
             packed = words.view(np.uint8)
             n_bytes = oracle.shape[1]
@@ -352,6 +363,35 @@ class TestMembershipBytes:
             # first (the tie-break of `cell_ids_at`).
             assert [sorted(c.index_set) for c in part.cells] == sorted(
                 sorted(s) for s in set(oracle_sets) if s)
+
+
+    @pytest.mark.parametrize("sets", [
+        # [0, 3] around [1, 2]: the row of {1} holds the boxes on both sides.
+        [[((0.0,), (3.0,))], [((1.0,), (2.0,))]],
+        # A frame of one set around a hole, with a disjoint box of a second
+        # set: in C order the frame's row recurs after every hole row.
+        [[((0.0, 0.0), (3.0, 1.0)), ((0.0, 2.0), (3.0, 3.0)), ((0.0, 0.0), (1.0, 3.0)),
+          ((2.0, 0.0), (3.0, 3.0))], [((4.0, 4.0), (5.0, 5.0))]],
+        # Two sets, each of two boxes at opposite corners of a cube.
+        [[((0.0,) * 3, (1.0,) * 3), ((2.0,) * 3, (3.0,) * 3)],
+         [((0.0, 2.0, 0.0), (1.0, 3.0, 1.0)), ((2.0, 0.0, 2.0), (3.0, 1.0, 3.0))]],
+    ], ids=["1d-nested", "2d-frame", "3d-corners"])
+    def test_recurring_rows_in_separate_runs(self, sets):
+        fam = SupportFamily(tuple(SupportSet(tuple(Box(lo, hi) for lo, hi in s))
+                                  for s in sets))
+        coords, _, oracle_sets = box_major_refinement(fam)
+        words = _membership_words(*box_table(fam.sets, fam.dim), len(fam), coords)
+        runs = words[_row_changes(words)]
+        # Some row recurs in runs that are not adjacent.
+        assert len(runs) > len(np.unique(runs, axis=0))
+        part = disjoint_refinement(fam)
+        got = [part.cells[j].index_set if j >= 0 else frozenset()
+               for j in part.labels.ravel()]
+        assert got == oracle_sets
+        assert [sorted(c.index_set) for c in part.cells] == sorted(
+            sorted(s) for s in set(oracle_sets) if s)
+        assert [c.boxes for c in part.cells] == [oracle_sets.count(c.index_set)
+                                                  for c in part.cells]
 
 
 class TestContainsGrid:

@@ -136,9 +136,38 @@ def closed_form_laplacian(name):
     return build_laplacian(Grid(extent=extent, points=points))
 
 
+def kronecker_sum_laplacian(grid):
+    """Oracle: the Kronecker sum of the 1D matrices tridiag(-1, 2, -1)/h^2,
+    axis by axis, as scipy's kron and sparse sum build it."""
+    op = None
+    for n, h in zip(grid.points, grid.spacing):
+        part = sp.diags([np.full(n - 1, -1.0 / h**2), np.full(n, 2.0 / h**2),
+                         np.full(n - 1, -1.0 / h**2)], [-1, 0, 1], format="csr")
+        op = part if op is None else (sp.kron(op, sp.identity(n, format="csr"), format="csr")
+                                      + sp.kron(sp.identity(op.shape[0], format="csr"), part,
+                                                format="csr"))
+    return DiscreteOperator(op, hermitian=True)
+
+
 class TestClosedFormSpectrum:
     """`build_laplacian` gives the operator its spectrum, and an H(beta) that
     adds no term to H0 carries it."""
+
+    @pytest.mark.parametrize("extent, points", list(CLOSED_FORM_GRIDS.values()) + [
+        # (a_0 + a_1) + a_2 rounds apart from a_0 + (a_1 + a_2) and from
+        # (a_2 + a_1) + a_0 here.
+        (((0.0, 0.7), (0.0, 0.7), (0.1, 3.0)), (4, 3, 5))],
+        ids=list(CLOSED_FORM_GRIDS) + ["3d_4x3x5_order"])
+    def test_csr_is_the_kronecker_sum(self, extent, points):
+        # Built from the stencil, the stored CSR arrays are those of the
+        # Kronecker sum, to the bit.
+        op = build_laplacian(Grid(extent=extent, points=points))
+        oracle = kronecker_sum_laplacian(op.grid).matrix
+        for got, want in [(op.matrix.indptr, oracle.indptr),
+                          (op.matrix.indices, oracle.indices),
+                          (op.matrix.data.view(np.uint64), oracle.data.view(np.uint64))]:
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("name", list(CLOSED_FORM_GRIDS))
     def test_within_delta_of_the_stored_matrix_exact_spectrum(self, name):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from specpert import potentials
-from specpert.geometry import Box, SupportSet, interval_set
+from specpert.geometry import Box, SupportSet, boxes_meeting, interval_set
 from specpert.lattice import CouplingSeq, Grid
 from specpert.potentials import (
     ConstantProfile,
@@ -167,6 +167,12 @@ def _fewer_couplings_complex():
     return terms, CouplingSeq((0.3 - 0.4j, 0.5j), p=2), params
 
 
+def _more_couplings_than_terms():
+    # Couplings past the last term are ignored.
+    terms, _, params = _fewer_couplings_complex()
+    return terms, CouplingSeq((0.3 - 0.4j, 0.5j, 1.0, -2.0, 0.25), p=2), params
+
+
 class TestWeightedSumBound:
     def test_single_term(self):
         term = bump_term([0.0])
@@ -244,9 +250,10 @@ class TestWeightedSumBound:
 
     @pytest.mark.parametrize("case,missed", [(_probe_misses_term, {1}), (_three_dim, {2}),
                                              (_decay_tail, set()),
-                                             (_fewer_couplings_complex, set())],
+                                             (_fewer_couplings_complex, set()),
+                                             (_more_couplings_than_terms, set())],
                              ids=["probe_misses_term", "3d", "decay_tail",
-                                  "fewer_couplings_complex"])
+                                  "fewer_couplings_complex", "more_couplings_than_terms"])
     def test_equals_unculled_oracles(self, case, missed):
         terms, beta, params = case()
         norms, direct = potentials._family_sweep(PotentialFamily(terms), beta, params)
@@ -315,6 +322,50 @@ class TestWeightedSumBound:
         beta = CouplingSeq(tuple(data.draw(st.sampled_from([1.0, -0.3, 0.2 + 0.7j]))
                                  for _ in range(n_beta)))
         got = potentials._family_sweep(PotentialFamily(terms), beta, params)
+        assert got == tuple(unculled_oracles(terms, beta, params))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_reach_table_is_each_probes_node_box(self, monkeypatch, m):
+        # Boxes with a face on a face of a probe's node box, from below and
+        # from above on each axis, and one box far away.  The terms the
+        # sweep samples at each probe (its row of the reach table, built from
+        # x + min and x + max of the offsets) must be those whose boxes meet
+        # the bounding box of that probe's own nodes, as `boxes_meeting`
+        # gives per probe.
+        rng = np.random.default_rng(m)
+        params = StummelParams(rho=0.5 * m, m=m, quad_order=6, angular_order=8,
+                               probe_points=rng.uniform(-2.0, 2.0, size=(5, m)))
+        offsets, _, _ = potentials._ball_rule(params)
+        node_boxes = [((x + offsets).min(axis=0), (x + offsets).max(axis=0))
+                      for x in params.probe_points]
+        terms = []
+        for lo, hi in node_boxes[:2]:
+            for k in range(m):
+                for face, far in ((lo[k], lo[k] - 0.5), (hi[k], hi[k] + 0.5)):
+                    box_lo, box_hi = list(lo), list(hi)
+                    box_lo[k], box_hi[k] = min(face, far), max(face, far)
+                    box = Box(tuple(box_lo), tuple(box_hi))
+                    terms.append(PotentialTerm(profile=ConstantProfile(1.0 + k - 2j * (far > face)),
+                                               support=SupportSet((box,))))
+        terms.append(bump_term([40.0] * m))
+        family = PotentialFamily(terms)
+        table = family._term_table
+        oracle = [np.flatnonzero(boxes_meeting(table.box_lo, table.box_hi, lo, hi).any(-1))
+                  .tolist() for lo, hi in node_boxes]
+        # The first two probes touch every box built on them.
+        assert all(set(range(2 * m * j, 2 * m * (j + 1))) <= set(oracle[j]) for j in (0, 1))
+        sampled = []
+        sample = potentials._sample_terms
+
+        def recorded(table, terms, pts):
+            sampled.append(np.ravel(terms).tolist())
+            return sample(table, terms, pts)
+
+        monkeypatch.setattr(potentials, "_sample_terms", recorded)
+        beta = CouplingSeq((0.5, -1.0, 0.25j))
+        got = potentials._family_sweep(family, beta, params)
+        assert sampled == oracle
+        monkeypatch.setattr(potentials, "_sample_terms", sample)
         assert got == tuple(unculled_oracles(terms, beta, params))
 
 

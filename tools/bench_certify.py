@@ -6,8 +6,9 @@ The scenario is 128 box-supported Gaussian bumps on a 24 x 24 grid
 `analytic._band_eigenvalues` call on H(beta) (a real symmetric band of
 width 24, reduced in real storage; each call reduces anew, where
 `analytic._spectrum` keeps one reduction per operator) next to the same
-band reduced in complex storage; one `geometry.disjoint_refinement` and one
-`geometry.check_fip_variant` (n1 at radius 1) of the 128 supports; one
+band reduced in complex storage; one `geometry.disjoint_refinement`, one
+`geometry.intersection_stats` (n0) and one `geometry.check_fip_variant` (n1
+at radius 1) of the 128 supports; one
 `PotentialFamily.sample_on` of the grid; one Stummel probe sweep
 (`potentials._family_sweep` on the probes and quadrature of the stummel
 task); one `lattice.AffineFamily.from_potentials`; the family's term table
@@ -79,6 +80,7 @@ def layer_times(doc: dict) -> dict:
         "band_eigenvalues_complex_s": median_time(
             lambda: la.eigvals_banded(analytic._band_storage(H.matrix, H.dim)[0][kl:kl + ku + 1])),
         "disjoint_refinement_s": median_time(lambda: geometry.disjoint_refinement(support)),
+        "intersection_stats_s": median_time(lambda: geometry.intersection_stats(support)),
         "check_fip_variant_s": median_time(lambda: geometry.check_fip_variant(support, 1.0)),
         "sample_on_s": median_time(lambda: family.sample_on(grid)),
         "family_sweep_s": median_time(
