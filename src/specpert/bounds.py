@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .potentials import PotentialFamily
 
 __all__ = [
@@ -77,14 +78,18 @@ def _overlap_depth(sets) -> int:
     Supports sharing a point x have boxes holding x, and those boxes meet in
     a box whose lower corner lies in all of them and has a lower box face on
     every axis.  So the depth is the largest count at the nodes of the grid
-    of lower face coordinates.  It is at most n0 + 1, n0 of
+    of lower face coordinates, the `geometry._max_depth` of the box table on
+    that grid, the n1 kernel.  It is at most n0 + 1, n0 of
     `geometry.intersection_stats`.
     """
-    axes = [np.unique([b.lo[k] for s in sets for b in s.boxes]) for k in range(sets[0].dim)]
-    depth = np.zeros(math.prod(len(a) for a in axes), dtype=int)
-    for s in sets:
-        depth += s.contains_grid(axes)
-    return int(depth.max())
+    lo, hi, owner = geometry.box_table(sets, sets[0].dim)
+    # With every upper corner at inf, the coordinates per axis are the
+    # unique lower faces plus a trailing inf: arrangement box j is lower-face
+    # node j, and the budget counts the nodes.  For floats, c <= hi exactly
+    # when c < nextafter(hi, inf), so a box with upper corner
+    # nextafter(hi, inf) sets its bit at exactly the nodes in [lo, hi].
+    coords = geometry._axis_coords(lo, np.full_like(hi, np.inf), geometry.DEFAULT_CELL_BUDGET)
+    return geometry._max_depth(lo, np.nextafter(hi, np.inf), owner, len(sets), coords)
 
 
 def uniform_sum_norm_bound(family: PotentialFamily, grid) -> float:

@@ -16,7 +16,6 @@ import os
 import sys
 import tempfile
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -198,6 +197,10 @@ class MatrixSystem:
         return len(self.terms)
 
 
+# The family field that sets the dimension of a grid-sampled family's terms.
+_DIMENSION_FIELD = {"explicit": "terms", "bump_lattice": "origin", "disordered": "box"}
+
+
 def build_family(spec: dict, rng: np.random.Generator):
     kind = spec["kind"]
     if kind == "matrix":
@@ -215,12 +218,12 @@ def build_family(spec: dict, rng: np.random.Generator):
              for i, t in enumerate(spec.get("terms", []))]
         )
     if kind == "bump_lattice":
-        count = int(spec.get("count", 3))
-        spacing = float(spec.get("spacing", 3.0))
-        origin = np.asarray(spec.get("origin", [0.0]), dtype=float)
-        width = float(spec.get("width", 0.4))
-        height = float(spec.get("height", 1.0))
-        half = float(spec.get("support_halfwidth", max(3 * width, 1.0)))
+        count = _family_field(spec, "count", 3, int)
+        spacing = _family_field(spec, "spacing", 3.0, float)
+        origin = _numbers("family field origin", spec.get("origin", [0.0]), (None,))
+        width = _family_field(spec, "width", 0.4, float)
+        height = _family_field(spec, "height", 1.0, float)
+        half = _family_field(spec, "support_halfwidth", max(3 * width, 1.0), float)
         terms = []
         for i in range(count):
             center = origin.copy()
@@ -234,11 +237,12 @@ def build_family(spec: dict, rng: np.random.Generator):
             ))
         return potentials.PotentialFamily(terms)
     if kind == "disordered":
-        count = int(spec.get("count", 8))
-        A = float(spec.get("A", 1.0))
-        C = float(spec.get("C", 1.0))
-        k = float(spec.get("k", 3.0))
-        box = np.asarray(spec.get("box", [[0.0, 4.0 * A * count]]), dtype=float)
+        count = _family_field(spec, "count", 8, int)
+        A = _family_field(spec, "A", 1.0, float)
+        C = _family_field(spec, "C", 1.0, float)
+        k = _family_field(spec, "k", 3.0, float)
+        box = _numbers("family field box", spec.get("box", [[0.0, 4.0 * A * count]]),
+                       (None, 2))
         centers = _separated_centers(rng, count, box, A)
         terms = [
             potentials.PotentialTerm(
@@ -295,12 +299,18 @@ class RunContext:
         """The context of the validated scenario `doc`, writing to `out`: the
         family drawn with the scenario seed, the tolerances DEFAULT_TOLERANCES
         as the scenario overrides them, and an empty report.  ScenarioError
-        for a grid-sampled family without a grid."""
+        for a grid-sampled family without a grid or with terms of another
+        dimension than the grid's."""
         seed = int(doc["seed"])
         grid = serialize.grid_from_dict({"schema": 1, **doc["grid"]}) if "grid" in doc else None
         family = build_family(doc["family"], np.random.default_rng(seed))
-        if grid is None and not isinstance(family, MatrixSystem):
-            raise ScenarioError("scenario needs a grid for this family kind")
+        if not isinstance(family, MatrixSystem):
+            if grid is None:
+                raise ScenarioError("scenario needs a grid for this family kind")
+            if family.dim != grid.dim:
+                field = _DIMENSION_FIELD[doc["family"]["kind"]]
+                raise ScenarioError(f"family field {field}: {family.dim}-D terms on a "
+                                    f"{grid.dim}-D grid")
         report = RunReport(provenance={
             "schema_version": serialize.SCHEMA_VERSION,
             "seed": seed,
@@ -383,15 +393,35 @@ def _place_contour(op: lattice.DiscreteOperator, eig_index: int,
     return analytic.Contour(center=complex(E), radius=gap / 2, q=q)
 
 
-def _task_field(spec: dict, name: str, default, kind: type):
-    """Task field `name` of `spec` (`default` where it is absent) as a
-    `kind` (int or float); ScenarioError naming the field for a value that
-    is no number of that kind, such as null or a word."""
+def _field(section: str, spec: dict, name: str, default, kind: type):
+    """Field `name` of the `section` mapping `spec` ("task" or "family";
+    `default` where it is absent) as a `kind` (int or float); ScenarioError
+    naming the field for a value that is no number of that kind, such as
+    null, a word or a list."""
     value = spec.get(name, default)
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise ScenarioError(f"task field {name}: {value!r} is not a number") from None
+        raise ScenarioError(f"{section} field {name}: {value!r} is not a number") from None
+
+
+_task_field = functools.partial(_field, "task")
+_family_field = functools.partial(_field, "family")
+
+
+def _numbers(field: str, value, shape: tuple) -> np.ndarray:
+    """`value` as a float array of `shape` (None for an axis of any nonzero
+    length), every entry finite; ScenarioError naming `field` otherwise."""
+    try:
+        values = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        values = None
+    if (values is None or values.ndim != len(shape) or values.size == 0
+            or any(n not in (None, v) for n, v in zip(shape, values.shape))
+            or not np.isfinite(values).all()):
+        dims = str(tuple("m" if n is None else n for n in shape)).replace("'", "")
+        raise ScenarioError(f"{field}: {value!r} is not a finite array of shape {dims}")
+    return values
 
 
 def _task_contour(ctx: RunContext, spec: dict, base: np.ndarray) -> analytic.Contour:
@@ -405,13 +435,17 @@ def _task_contour(ctx: RunContext, spec: dict, base: np.ndarray) -> analytic.Con
 def _task_direction(ctx: RunContext, spec: dict, axis: int) -> np.ndarray:
     """A sweep or taylor task's `direction`, zero-padded to the n couplings
     as `beta.values` is, else the unit vector of `axis`; ScenarioError for a
-    longer direction or an axis outside 1..n."""
+    longer direction, one with a non-finite or non-numeric coupling, or an
+    axis outside 1..n."""
     n = len(ctx.family)
     if "direction" in spec:
-        values = np.asarray(spec["direction"], dtype=complex)
-        if values.ndim != 1 or len(values) > n:
+        try:
+            values = np.asarray(spec["direction"], dtype=complex)
+        except (TypeError, ValueError):
+            values = None
+        if values is None or values.ndim != 1 or len(values) > n or not np.isfinite(values).all():
             raise ScenarioError(f"task field direction: {spec['direction']!r} is not "
-                                f"a list of at most {n} couplings")
+                                f"a list of at most {n} finite couplings")
         return np.pad(values, (0, n - len(values)))
     if not 1 <= axis <= n:
         raise ScenarioError(f"task field axis: {axis} is outside 1..{n}")
@@ -424,16 +458,14 @@ def task_geometry(ctx: RunContext, spec: dict) -> dict:
     adjacency, n0 = geometry.intersection_stats(sf)
     n1 = family.n1(_task_field(spec, "radius", 1.0, float))
     partition = geometry.disjoint_refinement(sf)
-    counts = Counter(i for c in partition.cells for i in c.index_set)
-    per_set = [counts[i] for i in range(1, len(sf) + 1)]
+    per_set = np.bincount(partition.members, minlength=len(sf) + 1)[1:].tolist()
     bound = 2 ** n0
     ok = all(c <= bound for c in per_set)
     ctx.report.add_invariant("geometry.cells_within_2^n0", ok,
                              f"max per-set cells {max(per_set)} vs bound {bound}")
-    rows = [
-        [j, ";".join(str(i) for i in sorted(c.index_set)), c.boxes]
-        for j, c in enumerate(partition.cells)
-    ]
+    members, ptr = partition.members.tolist(), partition.ptr.tolist()
+    rows = [[j, ";".join(map(str, members[a:b])), n]
+            for j, (a, b, n) in enumerate(zip(ptr[:-1], ptr[1:], partition.boxes.tolist()))]
     _write_csv(
         ctx.out / "geometry_cells.csv",
         "disjoint refinement cells\n"
@@ -445,7 +477,7 @@ def task_geometry(ctx: RunContext, spec: dict) -> dict:
     return {
         "n0": n0,
         "n1": n1,
-        "cells": len(partition.cells),
+        "cells": len(partition),
         "max_cells_per_set": max(per_set),
         "adjacency_sizes": [len(a) for a in adjacency],
         "pass": ok,
@@ -577,7 +609,7 @@ def task_track(ctx: RunContext, spec: dict) -> dict:
 
 def task_sweep(ctx: RunContext, spec: dict) -> dict:
     steps = _task_field(spec, "steps", 11, int)
-    lo, hi = (float(x) for x in spec.get("range", [0.0, 1.0]))
+    lo, hi = _numbers("task field range", spec.get("range", [0.0, 1.0]), (2,)).tolist()
     direction = _task_direction(ctx, spec, _task_field(spec, "axis", 1, int))
     targets = [lo] if steps <= 1 else list(np.linspace(lo, hi, steps))
     _check_dense_limit(ctx, "sweep", targets[-1] * direction, "the full projector")
@@ -647,7 +679,10 @@ def task_taylor(ctx: RunContext, spec: dict) -> dict:
         # q nodes give M + 1 distinct Fourier rows only for q > M.
         raise ScenarioError(f"task field q: {q:g} is not an integer above M = {M}")
     r = _task_radius(spec)
-    direction = analytic.Direction(_task_direction(ctx, spec, 1))
+    direction = _task_direction(ctx, spec, 1)
+    if not direction.any():
+        raise ScenarioError(f"task field direction: {spec['direction']!r} is zero")
+    direction = analytic.Direction(direction)
     base = ctx.beta_vector() * 0.0
     contour = _task_contour(ctx, spec, base)
     path = analytic.taylor_eigenpath(

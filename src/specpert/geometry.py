@@ -19,7 +19,6 @@ __all__ = [
     "Box",
     "SupportSet",
     "SupportFamily",
-    "RefinementCell",
     "RefinementPartition",
     "PackingConfig",
     "GeometryError",
@@ -109,18 +108,6 @@ class SupportSet:
         for b in self.boxes:
             out |= b.contains_points(pts)
         return out
-
-    def contains_grid(self, axes: list[np.ndarray]) -> np.ndarray:
-        """`contains_points` at the nodes of the product grid of `axes`, in C
-        order, from the same comparisons made once per axis value."""
-        out = np.zeros([len(ax) for ax in axes], dtype=bool)
-        for b in self.boxes:
-            inside = True
-            for k, (ax, lo, hi) in enumerate(zip(axes, b.lo, b.hi)):
-                axis_in = (ax >= lo) & (ax <= hi)
-                inside = inside & axis_in.reshape((-1,) + (1,) * (len(axes) - k - 1))
-            out |= inside
-        return out.ravel()
 
     def bounding_box(self) -> Box:
         lo = tuple(min(b.lo[k] for b in self.boxes) for k in range(self.dim))
@@ -246,9 +233,11 @@ def _membership_words(lo: np.ndarray, hi: np.ndarray, owner: np.ndarray, n_sets:
     The row bytes are those ``np.packbits(member, axis=1)`` gives for the
     box-major boolean (n_boxes, n_sets) membership matrix, zero-padded to
     whole words.  That matrix is never formed: each box (lo, hi) of the
-    `box_table` of `n_sets` sets sets its owner's bit in the block it covers.
-    The faces of a box are face coordinates, so that block is contiguous,
-    its bounds one ``searchsorted`` per axis.
+    `box_table` of `n_sets` sets sets its owner's bit in the block of
+    arrangement boxes whose lower corner c has lo <= c < hi on every axis,
+    its bounds one ``searchsorted`` per axis.  Where the faces of the box
+    are coordinates, as in `_axis_coords`, that block is the arrangement
+    boxes it covers.
     """
     n_bytes = 8 * -(-n_sets // 64)
     packed = np.zeros([len(c) - 1 for c in coords] + [n_bytes], dtype=np.uint8)
@@ -270,64 +259,72 @@ def _row_changes(words: np.ndarray) -> np.ndarray:
     return changed
 
 
-def check_fip_variant(family: SupportFamily, radius: float = 1.0) -> int:
-    """Uniform bound n1 on the number of supports meeting any ball B(x, radius).
-
-    Each box is inflated by `radius` per axis (max-norm ball), so the result
-    is an exact overlap depth for inflated boxes and an upper bound for the
-    Euclidean-ball count.  Computed as the maximum overlap depth over the
-    arrangement induced by all inflated box faces: the largest popcount of
-    an arrangement box's `_membership_words`, in which a set whose boxes
-    overlap there holds one bit.  The inflated boxes are the `box_table`
-    rows, lo - radius and hi + radius, as `Box.inflate` rounds them.
-    """
-    if radius <= 0:
-        raise GeometryError("radius must be positive")
-    lo, hi, owner = box_table(family.sets, family.dim)
-    lo, hi = lo - radius, hi + radius
-    coords = _axis_coords(lo, hi, DEFAULT_CELL_BUDGET)
-    words = _membership_words(lo, hi, owner, len(family), coords)
-    # Summed one word column at a time, as `_row_changes` compares.
+def _max_depth(lo: np.ndarray, hi: np.ndarray, owner: np.ndarray, n_sets: int,
+               coords: list[np.ndarray]) -> int:
+    """The most of the `n_sets` sets of the box table (lo, hi, owner) that
+    hold one arrangement box of `coords`: the largest popcount of a row of
+    `_membership_words`, in which a set whose boxes overlap there holds one
+    bit.  The popcounts are summed one word column at a time, as
+    `_row_changes` compares."""
+    words = _membership_words(lo, hi, owner, n_sets, coords)
     depth = np.zeros(len(words), dtype=np.int64)
     for column in np.bitwise_count(words).T:
         depth += column
     return int(depth.max())
 
 
-@dataclass(frozen=True)
-class RefinementCell:
-    """One cell of the disjoint refinement: the (possibly disconnected)
-    region where the maximal index set is exactly `index_set`, made of
-    `boxes` closed arrangement boxes."""
+def check_fip_variant(family: SupportFamily, radius: float = 1.0) -> int:
+    """Uniform bound n1 on the number of supports meeting any ball B(x, radius).
 
-    index_set: frozenset[int]
-    boxes: int
+    Each box is inflated by `radius` per axis (max-norm ball), so the result
+    is an exact overlap depth for inflated boxes and an upper bound for the
+    Euclidean-ball count.  It is the `_max_depth` of the inflated box table,
+    lo - radius and hi + radius (the bits `Box.inflate` gives), over the
+    arrangement of its faces.
+    """
+    if radius <= 0:
+        raise GeometryError("radius must be positive")
+    lo, hi, owner = box_table(family.sets, family.dim)
+    lo, hi = lo - radius, hi + radius
+    return _max_depth(lo, hi, owner, len(family),
+                      _axis_coords(lo, hi, DEFAULT_CELL_BUDGET))
 
 
 @dataclass
 class RefinementPartition:
-    """Disjoint refinement of a support family.
+    """Disjoint refinement of a support family, as one table of cells.
 
     Cells are the level sets of x -> I_x = {i : x in Omega_i} restricted to
     the union of the family; they are pairwise disjoint up to shared box
     boundaries (measure zero).  They are stored on the arrangement grid of
     all box faces: `coords[k]` holds the sorted face coordinates on axis k,
-    and `labels[j_1, ..., j_m]` the id in `cells` of the closed arrangement
-    box prod_k [coords[k][j_k], coords[k][j_k + 1]], or -1 outside the union.
+    and `labels[j_1, ..., j_m]` the cell id of the closed arrangement box
+    prod_k [coords[k][j_k], coords[k][j_k + 1]], or -1 outside the union.
+    Cell j's 1-based index set is ``members[ptr[j]:ptr[j + 1]]``, ascending,
+    and `boxes[j]` its number of arrangement boxes.
     """
 
-    cells: list[RefinementCell]
     family: SupportFamily
     coords: list[np.ndarray]
     labels: np.ndarray
+    ptr: np.ndarray
+    members: np.ndarray
+    boxes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.boxes)
+
+    def index_set(self, j: int) -> frozenset[int]:
+        """The 1-based index set of cell j."""
+        return frozenset(self.members[self.ptr[j]:self.ptr[j + 1]].tolist())
 
     def index_set_at(self, x) -> frozenset[int]:
         """Index set of the cell containing the point x (see `cell_ids_at`)."""
         return self.index_sets_at(np.reshape(x, (1, -1)))[0]
 
     def cell_ids_at(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorized classification: index into `cells` per point, -1 for
-        points outside the union.
+        """Vectorized classification: cell id per point, -1 for points
+        outside the union.
 
         A point on a shared boundary lies in several closed cells and is
         assigned the smallest id; cells are sorted by index set, so that is
@@ -341,7 +338,7 @@ class RefinementPartition:
         # by the searchsorted positions: per axis, 'left' and 'right' pick
         # the closed intervals ending and starting at the coordinate (the
         # same one unless it lies on a face).
-        none = len(self.cells)
+        none = len(self)
         padded = np.pad(np.where(self.labels < 0, none, self.labels), 1,
                         constant_values=none)
         sides = [(np.searchsorted(c, x, "left"), np.searchsorted(c, x, "right"))
@@ -352,27 +349,21 @@ class RefinementPartition:
     def index_set_matrix(self) -> np.ndarray:
         """(n_cells, n_sets) boolean matrix: row j marks the original sets
         in cell j's index set."""
-        out = np.zeros((len(self.cells), len(self.family)), dtype=bool)
-        for j, cell in enumerate(self.cells):
-            for i in cell.index_set:
-                out[j, i - 1] = True
+        out = np.zeros((len(self), len(self.family)), dtype=bool)
+        out[np.repeat(np.arange(len(self)), np.diff(self.ptr)), self.members - 1] = True
         return out
 
     def index_sets_at(self, pts: np.ndarray) -> list[frozenset[int]]:
         """Index set per point for an (n, m) array; empty set outside."""
-        ids = self.cell_ids_at(pts)
-        return [self.cells[i].index_set if i >= 0 else frozenset() for i in ids]
-
-    def cells_containing(self, i: int) -> list[RefinementCell]:
-        """Cells whose index set contains original index i (1-based)."""
-        return [c for c in self.cells if i in c.index_set]
+        return [self.index_set(j) if j >= 0 else frozenset()
+                for j in self.cell_ids_at(pts).tolist()]
 
 
 def disjoint_refinement(
     family: SupportFamily, cell_budget: int = DEFAULT_CELL_BUDGET
 ) -> RefinementPartition:
     """Partition the union of the family into cells of constant maximal
-    index set.
+    index set, returned as the one table of `RefinementPartition`.
 
     Uses the arrangement grid induced by all box face coordinates; the
     arrangement boxes with equal index set are merged into one cell, so for
@@ -381,7 +372,9 @@ def disjoint_refinement(
     Neighbouring arrangement boxes mostly hold the same sets, so the
     bit-packed membership rows (`_membership_words`) first collapse to their
     runs, the maximal blocks of equal consecutive rows in C order; only the
-    runs are sorted and grouped, and each box takes its run's group.
+    runs are sorted and grouped, and each box takes its run's group.  The
+    groups, ordered as their sorted index lists compare, are the cells: their
+    index sets are laid end to end in `members`, one slice of `ptr` each.
     """
     lo, hi, owner = box_table(family.sets, family.dim)
     coords = _axis_coords(lo, hi, cell_budget)
@@ -412,11 +405,11 @@ def disjoint_refinement(
     rank[order] = np.arange(len(order))
     labels = rank[group][np.cumsum(new_run) - 1]
     boxes = np.bincount(labels[labels >= 0], minlength=len(order))
-    index_sets, first, last = (cols + 1).tolist(), (ends - sizes).tolist(), ends.tolist()
-    cells = [RefinementCell(index_set=frozenset(index_sets[first[g]:last[g]]), boxes=n)
-             for g, n in zip(order.tolist(), boxes.tolist())]
-    return RefinementPartition(cells=cells, family=family, coords=coords,
-                               labels=labels.reshape([len(c) - 1 for c in coords]))
+    members = padded[order]
+    return RefinementPartition(family=family, coords=coords,
+                               labels=labels.reshape([len(c) - 1 for c in coords]),
+                               ptr=np.concatenate(([0], np.cumsum(sizes[order]))),
+                               members=members[members > 0], boxes=boxes)
 
 
 def packing_count_bound(m: int, R: float, A: float) -> float:
@@ -461,10 +454,6 @@ class PackingConfig:
                     f"centers violate separation: min distance "
                     f"{np.sqrt(d2.min()):.6g} <= 2A = {2 * self.A:.6g}"
                 )
-
-    @property
-    def dim(self) -> int:
-        return self.centers.shape[1]
 
 
 def count_in_ball(config: PackingConfig, x, R: float) -> int:

@@ -608,6 +608,14 @@ class TestHermitianFilter:
         assert defect - h(1.3) == pytest.approx(h(1.3 - delta) - h(1.3), rel=1e-5)
         assert defect > max(h(1.3), h(1.3 + delta))
 
+    def test_projector_trace_off_integer_raises(self):
+        # The eigenvalue 1.02 sits just outside the unit circle, where the
+        # 16-node rule gives it a weight 1/(1.02^16 - 1) = 2.7 in the trace:
+        # with no defect limit the trace check alone refuses the projector.
+        op = DiscreteOperator(sp.diags([0.0, 1.02]), hermitian=True)
+        with pytest.raises(QuadratureError, match="not near an integer"):
+            riesz_projector(op, Contour(0.0, 1.0, q=16), defect_tol=math.inf)
+
     def test_eigenvalue_on_the_contour_raises(self):
         # f has a pole at the node 1.0: with no defect limit the trace check
         # still refuses the infinite trace.

@@ -55,3 +55,4 @@ def test_certify_layers_take_the_stummel_task_params():
     assert (layers["d"], layers["terms"]) == (8 * 8, 12)
     assert layers["probes"] == int(spec.get("probe_density", 7)) ** 2
     assert layers["intersection_stats_s"] > 0
+    assert layers["overlap_depth_s"] > 0

@@ -9,6 +9,7 @@ from specpert.bounds import (
     CertificationError,
     RelativeBound,
     SpectrumBox,
+    _overlap_depth,
     find_resolvent_point,
     resolvent_margin,
     uniform_sum_norm_bound,
@@ -82,6 +83,33 @@ class TestUniformSumNormBound:
         ])
         with pytest.raises(ValueError):
             uniform_sum_norm_bound(fam, g)
+
+
+class TestOverlapDepth:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_lower_face_count(self, dim):
+        # Faces on the lattice 0.5 Z, so that boxes of different sets touch
+        # at faces and corners; the depth is the count at the best node of
+        # the lower-face grid, and no lattice point (faces and midpoints
+        # alike) lies in more of the sets.
+        rng = np.random.default_rng(60 + dim)
+        lattice = np.arange(-1, 20) * 0.25
+        points = np.column_stack([g.ravel() for g in np.meshgrid(*[lattice] * dim,
+                                                                 indexing="ij")])
+        for _ in range(20):
+            sets = []
+            for _ in range(rng.integers(1, 7)):
+                boxes = []
+                for _ in range(rng.integers(1, 4)):
+                    lo = rng.integers(0, 7, size=dim)
+                    hi = lo + rng.integers(1, 4, size=dim)
+                    boxes.append(Box(tuple(lo * 0.5), tuple(hi * 0.5)))
+                sets.append(SupportSet(tuple(boxes)))
+            axes = [np.unique([b.lo[k] for s in sets for b in s.boxes]) for k in range(dim)]
+            nodes = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+            depth = sum(s.contains_points(nodes).astype(int) for s in sets).max()
+            assert _overlap_depth(sets) == depth
+            assert sum(s.contains_points(points).astype(int) for s in sets).max() == depth
 
 
 class TestResolventMargin:

@@ -187,9 +187,11 @@ class TestRun:
         refine = geometry.disjoint_refinement
 
         def split_one_cell(*args, **kwargs):
-            partition = refine(*args, **kwargs)
-            return dataclasses.replace(partition,
-                                       cells=[*partition.cells, partition.cells[0]])
+            p = refine(*args, **kwargs)
+            first = p.members[p.ptr[0]:p.ptr[1]]
+            return dataclasses.replace(p, ptr=np.append(p.ptr, p.ptr[-1] + len(first)),
+                                       members=np.concatenate((p.members, first)),
+                                       boxes=np.append(p.boxes, p.boxes[0]))
 
         monkeypatch.setattr(geometry, "disjoint_refinement", split_one_cell)
         path = write_scenario(tmp_path, DISJOINT_GEOMETRY)
@@ -554,6 +556,56 @@ class TestRun:
         assert result.exit_code == 2
         assert "width must be finite and > 0" in result.stderr
 
+    def test_explicit_constant_and_decay_tail_terms(self, tmp_path):
+        # The serialized constant and decay_tail terms give the norms of the
+        # same terms built in Python.
+        doc = {
+            "schema": 1,
+            "seed": 0,
+            "grid": {"extent": [[0.0, 8.0]], "points": [81]},
+            "family": {"kind": "explicit", "terms": [
+                {"profile": {"kind": "constant", "value": 0.5}, "support": [[[1.0, 3.0]]]},
+                {"profile": {"kind": "decay_tail", "center": [5.0], "C": 0.8, "k": 3.0},
+                 "support": [[[4.0, 6.0]]], "decay": [0.8, 3.0]}]},
+            "beta": {"values": [0.2, 0.1]},
+            "tasks": [{"task": "geometry"}, {"task": "stummel"}, {"task": "bounds"},
+                      {"task": "track"}],
+        }
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        result = run_cli(["run", "--scenario", str(path), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        family = potentials.PotentialFamily([
+            potentials.PotentialTerm(profile=potentials.ConstantProfile(0.5),
+                                     support=geometry.interval_set(1.0, 3.0)),
+            potentials.PotentialTerm(profile=potentials.DecayTail((5.0,), 0.8, 3.0),
+                                     support=geometry.interval_set(4.0, 6.0),
+                                     center=(5.0,), decay=(0.8, 3.0))])
+        beta = lattice.CouplingSeq((0.2, 0.1))
+        sb = potentials.weighted_sum_stummel_bound(family, beta,
+                                                   cli._stummel_params(family, {}))
+        _, data = read_csv(out / "stummel_norms.csv")
+        assert [row[1] for row in data] == list(sb.norms)
+        report = yaml.safe_load((out / "report.yaml").read_text())
+        geo, stummel, bounds, _ = (t["result"] for t in report["tasks"])
+        assert (geo["n0"], geo["cells"]) == (0, 2)
+        assert (stummel["bound"], stummel["direct"]) == (sb.bound, sb.direct)
+        grid = lattice.Grid(extent=((0.0, 8.0),), points=(81,))
+        system = lattice.AffineFamily.from_potentials(lattice.build_laplacian(grid), family)
+        assert bounds["b"] == system.perturbation(np.array([0.2, 0.1], dtype=complex)).norm_bound()
+
+    @pytest.mark.parametrize("override, message", [
+        ("family.h0=[[0.0,0.0]]", "family.h0 must be a square matrix"),
+        ("family.terms=[[[0.0,1.0,0.0],[1.0,0.0,0.0],[0.0,0.0,0.0]]]",
+         "family.terms[0] shape differs from h0"),
+    ], ids=["h0-not-square", "term-shape"])
+    def test_matrix_family_shape_is_usage_error(self, tmp_path, override, message):
+        path = write_scenario(tmp_path, TWO_LEVEL)
+        result = run_cli(["run", "--scenario", str(path), "--out", str(tmp_path / "out"),
+                          "--override", override])
+        assert result.exit_code == 2, result.output
+        assert message in result.stderr
+
     def test_taylor_radius_below_sampling_radius_fails(self, tmp_path, monkeypatch):
         # A radius estimate inside the sampling circle |zeta| = r contradicts
         # the Cauchy samples, so the path invariant must fail.
@@ -787,8 +839,9 @@ class TestTaskFields:
     """A task's coupling direction and eigenvalue index are checked against
     the family, a taylor or verify radius r is checked to be positive and
     finite, and a taylor q to be an integer above M, before any contour is
-    placed; a numeric field that is null or no number is a usage error that
-    names it."""
+    placed; a numeric field that is null or no number, a sweep range that is
+    not two finite numbers and a zero taylor direction are usage errors that
+    name the field."""
 
     @pytest.mark.parametrize("scenario, task, fields, named", [
         ("bumps_1d", "taylor", {"direction": [1.0, 0.0, 0.0, 0.0]}, "direction"),
@@ -808,12 +861,20 @@ class TestTaskFields:
         ("two_level", "sweep", {"steps": None}, "steps"),
         ("two_level", "taylor", {"q": "abc"}, "q"),
         ("two_level", "track", {"contour_nodes": "abc"}, "contour_nodes"),
+        # A sweep range that is not two finite numbers, a zero taylor direction.
+        ("two_level", "sweep", {"range": None}, "range"),
+        ("two_level", "sweep", {"range": "abc"}, "range"),
+        ("two_level", "sweep", {"range": [1.0]}, "range"),
+        ("two_level", "sweep", {"range": [0.0, math.nan]}, "range"),
+        ("two_level", "taylor", {"direction": [0.0]}, "direction"),
     ] + [("bumps_1d", task, {"r": r}, "r") for task in ("taylor", "verify")
          for r in (0.0, -0.1, math.nan, math.inf)],
         ids=["long-direction", "nested-direction", "scalar-direction", "axis-0", "axis-past-n",
              "eig-index-past-d", "negative-eig-index", "taylor-eig-index-past-d",
              "taylor-q-zero", "taylor-q-negative", "taylor-q-at-M", "taylor-M-null",
-             "sweep-steps-null", "taylor-q-word", "track-contour-nodes-word"]
+             "sweep-steps-null", "taylor-q-word", "track-contour-nodes-word",
+             "sweep-range-null", "sweep-range-word", "sweep-range-one", "sweep-range-nan",
+             "taylor-direction-zero"]
         + [f"{task}-r-{name}" for task in ("taylor", "verify")
            for name in ("zero", "negative", "nan", "inf")])
     def test_out_of_range_field_is_usage_error(self, tmp_path, scenario, task, fields,
@@ -839,6 +900,54 @@ class TestTaskFields:
             assert result.exit_code == 0, result.output
             outputs.append((out / table).read_bytes())
         assert outputs[0] == outputs[1]
+
+
+DISORDERED = {
+    "schema": 1,
+    "seed": 0,
+    "grid": {"extent": [[0.0, 12.0]], "points": [64]},
+    "family": {"kind": "disordered", "count": 3, "A": 1.0, "C": 1.0, "k": 3.0,
+               # Read by the explicit kind only: one 2-D term.
+               "terms": [{"profile": {"kind": "gaussian", "center": [1.0, 1.0],
+                                      "width": 0.5},
+                          "support": [[[0.0, 2.0], [0.0, 2.0]]]}]},
+    "beta": {"values": [0.1, 0.1, 0.1]},
+    "tasks": [{"task": "bounds"}],
+}
+
+
+class TestFamilyFields:
+    @pytest.mark.parametrize("doc, override, named", [
+        ("bumps_1d", "family.count=null", "count"),
+        ("bumps_1d", "family.origin=null", "origin"),
+        ("bumps_1d", "family.spacing=[1]", "spacing"),
+        ("bumps_1d", "family.width=abc", "width"),
+        ("bumps_1d", "family.support_halfwidth=null", "support_halfwidth"),
+        # One number per grid axis: bumps_1d has a 1-D grid.
+        ("bumps_1d", "family.origin=[3.0,0.0]", "origin"),
+        ("bumps_1d", "family.origin=[[3.0]]", "origin"),
+        ("bumps_1d", "family.origin=[]", "origin"),
+        ("disordered", "family.A=null", "A"),
+        ("disordered", "family.k=abc", "k"),
+        # m [lo, hi] pairs, m the grid's axes.
+        ("disordered", "family.box=[0.0,4.0]", "box"),
+        ("disordered", "family.box=[[0.0,4.0,8.0]]", "box"),
+        ("disordered", "family.box=[[0.0,4.0],[0.0,4.0]]", "box"),
+        ("disordered", "family.kind=explicit", "terms"),
+    ], ids=["count-null", "origin-null", "spacing-list", "width-word", "halfwidth-null",
+            "origin-two-axes", "origin-nested", "origin-empty", "disordered-A-null",
+            "disordered-k-word", "disordered-box-flat", "disordered-box-triple",
+            "disordered-box-two-axes", "explicit-terms-two-axes"])
+    def test_invalid_family_field_is_usage_error(self, tmp_path, doc, override, named):
+        # Each exits 2 before any task, naming the field.
+        if doc == "bumps_1d":
+            path = Path(__file__).resolve().parents[1] / "scenarios" / "bumps_1d.yaml"
+        else:
+            path = write_scenario(tmp_path, DISORDERED)
+        result = run_cli(["run", "--scenario", str(path), "--out", str(tmp_path / "out"),
+                          "--override", override])
+        assert result.exit_code == 2, result.output
+        assert f"scenario error: family field {named}:" in result.stderr
 
 
 BUMPS = {

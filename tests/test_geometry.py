@@ -189,6 +189,11 @@ class TestFipVariant:
             check_fip_variant(fam, radius=1.0)
 
 
+def cell_sets(part):
+    """The index set of every cell of the partition, in cell order."""
+    return [part.index_set(j) for j in range(len(part))]
+
+
 def mesh_classify(family, xs):
     """Oracle: maximal index set per point from direct membership."""
     member = family.membership_matrix(xs)
@@ -199,8 +204,8 @@ class TestDisjointRefinement:
     def test_disjoint_family_is_identity(self):
         fam = family_1d((0, 1), (5, 6), (10, 11))
         part = disjoint_refinement(fam)
-        assert len(part.cells) == 3
-        assert sorted(c.index_set for c in part.cells) == [
+        assert len(part) == 3
+        assert sorted(cell_sets(part)) == [
             frozenset({1}),
             frozenset({2}),
             frozenset({3}),
@@ -209,11 +214,10 @@ class TestDisjointRefinement:
     def test_two_overlapping_intervals(self):
         fam = family_1d((0, 2), (1, 3))
         part = disjoint_refinement(fam)
-        by_set = {c.index_set: c for c in part.cells}
-        assert set(by_set) == {frozenset({1}), frozenset({1, 2}), frozenset({2})}
-        assert len(part.cells) == 3
+        assert set(cell_sets(part)) == {frozenset({1}), frozenset({1, 2}), frozenset({2})}
+        assert len(part) == 3
         for i in (1, 2):
-            assert len(part.cells_containing(i)) == 2 <= 2**1
+            assert sum(i in c for c in cell_sets(part)) == 2 <= 2**1
         # Mesh-classification oracle on a fine grid (off-boundary points).
         xs = (np.linspace(0.001, 2.999, 500) + 1e-4).reshape(-1, 1)
         assert part.index_sets_at(xs) == mesh_classify(fam, xs)
@@ -223,7 +227,7 @@ class TestDisjointRefinement:
         part = disjoint_refinement(fam)
         _, n0 = intersection_stats(fam)
         assert n0 == 2
-        assert len(part.cells_containing(1)) <= 2**n0
+        assert sum(1 in c for c in cell_sets(part)) <= 2**n0
         xs = (np.linspace(0.0, 4.0, 1000) + 1e-5).reshape(-1, 1)
         assert part.index_sets_at(xs) == mesh_classify(fam, xs)
 
@@ -231,7 +235,7 @@ class TestDisjointRefinement:
         # Faces 0, 1, 2, 3 give three arrangement cells.
         with pytest.raises(RefinementBudgetError, match="3 cells, budget is 2"):
             disjoint_refinement(family_1d((0, 2), (1, 3)), cell_budget=2)
-        assert len(disjoint_refinement(family_1d((0, 2), (1, 3)), cell_budget=3).cells) == 3
+        assert len(disjoint_refinement(family_1d((0, 2), (1, 3)), cell_budget=3)) == 3
 
     def test_2d_refinement_matches_oracle(self):
         fam = SupportFamily(
@@ -251,6 +255,23 @@ class TestDisjointRefinement:
         # x = 1 lies in the closed cells {1} and {1,2}; smallest sorted wins.
         assert part.index_set_at((1.0,)) == frozenset({1})
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_cell_table_layout(self, dim):
+        # One slice of `members` per cell, ascending, the slices end to end;
+        # `index_set_matrix` marks each, and `boxes` counts the labels.
+        rng = np.random.default_rng(40 + dim)
+        for _ in range(5):
+            fam = random_box_family(rng, dim, 9)
+            part = disjoint_refinement(fam)
+            assert part.ptr[0] == 0 and part.ptr[-1] == len(part.members)
+            assert len(part.ptr) == len(part) + 1 == len(part.boxes) + 1
+            for j, (a, b) in enumerate(zip(part.ptr[:-1], part.ptr[1:])):
+                cell = part.members[a:b]
+                assert b > a and np.all(np.diff(cell) > 0)
+                assert np.array_equal(np.flatnonzero(part.index_set_matrix()[j]) + 1, cell)
+            assert np.array_equal(part.boxes,
+                                  np.bincount(part.labels[part.labels >= 0], minlength=len(part)))
+
     @pytest.mark.parametrize("fam, expected", [
         (family_1d((0, 2), (1, 3)), {(1,): 1, (1, 2): 1, (2,): 1}),
         (SupportFamily((SupportSet((Box((0, 0), (2, 2)),)),
@@ -259,7 +280,7 @@ class TestDisjointRefinement:
     ], ids=["intervals", "squares"])
     def test_cell_box_counts(self, fam, expected):
         part = disjoint_refinement(fam)
-        assert {tuple(sorted(c.index_set)): c.boxes for c in part.cells} == expected
+        assert {tuple(sorted(c)): n for c, n in zip(cell_sets(part), part.boxes)} == expected
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -288,7 +309,7 @@ class TestDisjointRefinement:
             sets = [sorted(int(i) + 1 for i in np.flatnonzero(r)) for r in rows if r.any()]
             want = frozenset(min(sets)) if sets else frozenset()
             assert part.index_set_at(tuple(x)) == want
-            assert (part.cells[cid].index_set if cid >= 0 else frozenset()) == want
+            assert (part.index_set(cid) if cid >= 0 else frozenset()) == want
 
 
 def random_box_family(rng, dim, n_sets):
@@ -356,12 +377,12 @@ class TestMembershipBytes:
                 fam = SupportFamily((whole,) * 64 + fam.sets[64:])
             _, _, oracle_sets = box_major_refinement(fam)
             part = disjoint_refinement(fam)
-            got = [part.cells[j].index_set if j >= 0 else frozenset()
+            got = [part.index_set(j) if j >= 0 else frozenset()
                    for j in part.labels.ravel()]
             assert got == oracle_sets
             # Cells come in the order of their sorted index lists, a prefix
             # first (the tie-break of `cell_ids_at`).
-            assert [sorted(c.index_set) for c in part.cells] == sorted(
+            assert [sorted(c) for c in cell_sets(part)] == sorted(
                 sorted(s) for s in set(oracle_sets) if s)
 
 
@@ -385,35 +406,12 @@ class TestMembershipBytes:
         # Some row recurs in runs that are not adjacent.
         assert len(runs) > len(np.unique(runs, axis=0))
         part = disjoint_refinement(fam)
-        got = [part.cells[j].index_set if j >= 0 else frozenset()
+        got = [part.index_set(j) if j >= 0 else frozenset()
                for j in part.labels.ravel()]
         assert got == oracle_sets
-        assert [sorted(c.index_set) for c in part.cells] == sorted(
+        assert [sorted(c) for c in cell_sets(part)] == sorted(
             sorted(s) for s in set(oracle_sets) if s)
-        assert [c.boxes for c in part.cells] == [oracle_sets.count(c.index_set)
-                                                  for c in part.cells]
-
-
-class TestContainsGrid:
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_matches_contains_points(self, dim):
-        # Box edges drawn from the axis values themselves, so closed faces
-        # fall exactly on nodes, and boxes that reach past the grid.
-        rng = np.random.default_rng(dim)
-        axes = [np.linspace(-1.0, 2.0, n) for n in (7, 5, 4)[:dim]]
-        nodes = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
-        for _ in range(20):
-            boxes = []
-            for _ in range(rng.integers(1, 4)):
-                lo, hi = [], []
-                for ax in axes:
-                    a, b = sorted(rng.choice(np.concatenate((ax, [-3.0, 5.0])), 2,
-                                             replace=False))
-                    lo.append(a)
-                    hi.append(b)
-                boxes.append(Box(tuple(lo), tuple(hi)))
-            s = SupportSet(tuple(boxes))
-            assert np.array_equal(s.contains_grid(axes), s.contains_points(nodes))
+        assert part.boxes.tolist() == [oracle_sets.count(c) for c in cell_sets(part)]
 
 
 class TestPackingBounds:

@@ -7,8 +7,8 @@ The scenario is 128 box-supported Gaussian bumps on a 24 x 24 grid
 width 24, reduced in real storage; each call reduces anew, where
 `analytic._spectrum` keeps one reduction per operator) next to the same
 band reduced in complex storage; one `geometry.disjoint_refinement`, one
-`geometry.intersection_stats` (n0) and one `geometry.check_fip_variant` (n1
-at radius 1) of the 128 supports; one
+`geometry.intersection_stats` (n0), one `geometry.check_fip_variant` (n1
+at radius 1) and one `bounds._overlap_depth` of the 128 supports; one
 `PotentialFamily.sample_on` of the grid; one Stummel probe sweep
 (`potentials._family_sweep` on the probes and quadrature of the stummel
 task); one `lattice.AffineFamily.from_potentials`; the family's term table
@@ -48,7 +48,7 @@ from pathlib import Path
 import scipy.linalg as la
 
 from bench_common import calls_per_task, environment, main, median_time, task_times
-from specpert import analytic, cli, geometry, lattice, potentials
+from specpert import analytic, bounds, cli, geometry, lattice, potentials
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -82,6 +82,7 @@ def layer_times(doc: dict) -> dict:
         "disjoint_refinement_s": median_time(lambda: geometry.disjoint_refinement(support)),
         "intersection_stats_s": median_time(lambda: geometry.intersection_stats(support)),
         "check_fip_variant_s": median_time(lambda: geometry.check_fip_variant(support, 1.0)),
+        "overlap_depth_s": median_time(lambda: bounds._overlap_depth(support.sets)),
         "sample_on_s": median_time(lambda: family.sample_on(grid)),
         "family_sweep_s": median_time(
             lambda: potentials._family_sweep(family, coupling, params)),
